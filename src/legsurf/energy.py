@@ -114,6 +114,45 @@ def project_field(target, positions, w):
 # assembler
 
 
+def _gauss_stencil(m, uv):
+    """The (2F, F) neighbour-differencing stencil of the Gauss-map gradient.
+
+    Face f with neighbours n_j (in face-edge order) gets the least-squares
+    weights q_f = pinv(bary[n_j] - bary[f]), the parameter differences
+    unwrapped across the seam; row 2f + a holds q_f[a, j] at column n_j and
+    -sum_j q_f[a, j] at column f, so (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).
+    Faces without neighbours get empty rows.
+    """
+    n_f = len(m.triangles)
+    bary = uv.mean(axis=1)
+    nbrs = m.face_neighbors
+    has = nbrs >= 0
+    delta = bary[np.where(has, nbrs, 0)] - bary[:, None, :]  # (F, 3, 2)
+    if m.uv_periods is not None:
+        for axis in (0, 1):
+            p = m.uv_periods[axis]
+            if p:
+                delta[..., axis] -= p * np.round(delta[..., axis] / p)
+    count = has.sum(axis=1)
+    rows, cols, vals = [], [], []
+    for c in (1, 2, 3):
+        faces = np.where(count == c)[0]
+        if not faces.size:
+            continue
+        slots = np.argsort(~has[faces], axis=1, kind="stable")[:, :c]  # keep edge order
+        cols_c = np.take_along_axis(nbrs[faces], slots, axis=1)  # (n, c)
+        q = np.linalg.pinv(np.take_along_axis(delta[faces], slots[..., None], axis=1))  # (n, 2, c)
+        row = 2 * faces[:, None] + np.arange(2)  # (n, 2)
+        rows += [np.repeat(row, c, axis=1).ravel(), row.ravel()]
+        cols += [np.broadcast_to(cols_c[:, None, :], q.shape).ravel(), np.repeat(faces, 2)]
+        vals += [q.ravel(), -q.sum(axis=2).ravel()]
+    if not rows:
+        return sp.csr_matrix((2 * n_f, n_f))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n_f, n_f)
+    )
+
+
 class EnergyAssembler:
     """Constant mesh data plus energy/gradient evaluation at given positions."""
 
@@ -142,31 +181,9 @@ class EnergyAssembler:
         inv /= det[:, None, None]
         self.minv = inv
 
-        # Fixed neighbour differencing weights for the Gauss-map gradient.
-        bary = uv.mean(axis=1)
-        neighbors = []
-        qweights = []
-        for f in range(n_f):
-            nbrs = [n for n in m.face_neighbors[f] if n >= 0]
-            if not nbrs:
-                neighbors.append(np.zeros(0, int))
-                qweights.append(np.zeros((2, 0)))
-                continue
-            deltas = []
-            for n in nbrs:
-                d = bary[n] - bary[f]
-                if m.uv_periods is not None:
-                    for axis in (0, 1):
-                        p = m.uv_periods[axis]
-                        if p:
-                            d[axis] -= p * np.round(d[axis] / p)
-                deltas.append(d)
-            delta = np.asarray(deltas)  # (m, 2)
-            q = np.linalg.pinv(delta)  # (2, m)
-            neighbors.append(np.asarray(nbrs, int))
-            qweights.append(q)
-        self.face_neighbors = neighbors
-        self.face_qweights = qweights
+        # Fixed neighbour differencing stencil for the Gauss-map gradient.
+        self.stencil = _gauss_stencil(m, uv)
+        self.stencil_t = self.stencil.T.tocsr()
         self.target = imm.target
         self.k = imm.positions.shape[1]
         self.k2 = len(wedge_pairs(self.k))
@@ -221,12 +238,7 @@ class EnergyAssembler:
         """Per-face parameter gradient A (2, K2) of the Gauss field and |dT|^2_g."""
         t = state["t"]
         ginv = state["ginv"]
-        a_list = np.zeros((len(t), 2, self.k2))
-        for f, (nbrs, q) in enumerate(zip(self.face_neighbors, self.face_qweights)):
-            if len(nbrs) == 0:
-                continue
-            d = t[nbrs] - t[f]
-            a_list[f] = q @ d
+        a_list = (self.stencil @ t).reshape(len(t), 2, self.k2)
         quad = np.einsum("fab,fai,fbi->f", ginv, a_list, a_list)
         return a_list, quad
 
@@ -271,11 +283,7 @@ class EnergyAssembler:
         t_dot = (w_dot - wnorm_dot[:, None] * t) / state["wnorm"][:, None]
         # dT gradient variation: neighbour differences of t_dot, then the
         # inverse-metric variation.
-        a_dot = np.zeros_like(a_list)
-        for f, (nbrs, q) in enumerate(zip(self.face_neighbors, self.face_qweights)):
-            if len(nbrs) == 0:
-                continue
-            a_dot[f] = q @ (t_dot[nbrs] - t_dot[f])
+        a_dot = (self.stencil @ t_dot).reshape(a_list.shape)
         ginv = state["ginv"]
         g_dot = np.stack(
             [
@@ -308,13 +316,7 @@ class EnergyAssembler:
         g_bar_mat = -np.einsum("f,fab,fbc,fcd->fad", s_quad, ginv, aat, ginv)
 
         # Through the differencing stencil into per-face Gauss adjoints.
-        t_bar = np.zeros_like(state["t"])
-        for f, (nbrs, q) in enumerate(zip(self.face_neighbors, self.face_qweights)):
-            if len(nbrs) == 0:
-                continue
-            d_bar = q.T @ a_bar[f]  # (m, K2)
-            np.add.at(t_bar, nbrs, d_bar)
-            t_bar[f] -= d_bar.sum(axis=0)
+        t_bar = self.stencil_t @ a_bar.reshape(2 * n_f, self.k2)
 
         t = state["t"]
         wnorm = state["wnorm"]
@@ -432,7 +434,6 @@ def _reeb_directions(imm, positions):
 
 def _edge_residual_pair(imm, p_tail, p_head, offsets):
     delta = p_head - p_tail
-    delta[:, 0] += 0.0
     if imm.target == "stiefel":
         am, bm = st.retract_raw(
             0.5 * (p_tail[:, :4] + p_head[:, :4]), 0.5 * (p_tail[:, 4:] + p_head[:, 4:])

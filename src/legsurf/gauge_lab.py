@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import heisenberg as hs
 from . import stiefel as st
@@ -489,20 +491,11 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float, min_
 def _face_one_form(imm, fd: FaceData, edge_values):
     """Per-face parameter coefficients of a one-form given by edge integrals."""
     m = imm.mesh
-    tri = m.triangles
-    edge_index = {}
-    for e, (a, b) in enumerate(m.edges):
-        edge_index[(int(a), int(b))] = (e, 1.0)
-        edge_index[(int(b), int(a))] = (e, -1.0)
-    d1 = np.zeros(len(tri))
-    d2 = np.zeros(len(tri))
-    for f in range(len(tri)):
-        i, j, k = (int(x) for x in tri[f])
-        e1, s1 = edge_index[(i, j)]
-        e2, s2 = edge_index[(i, k)]
-        d1[f] = s1 * edge_values[e1]
-        d2[f] = s2 * edge_values[e2]
-    return np.einsum("fij,fi->fj", fd.minv, np.stack([d1, d2], axis=-1))
+    d = []
+    for e in (m.face_edges[:, 2], m.face_edges[:, 1]):  # corner 0 -> 1, corner 0 -> 2
+        sign = np.where(m.edges[e, 0] == m.triangles[:, 0], 1.0, -1.0)
+        d.append(sign * edge_values[e])
+    return np.einsum("fij,fi->fj", fd.minv, np.stack(d, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -578,26 +571,19 @@ def density_curve(imm: DiscreteImmersion, p0, radii, min_radius=None) -> Density
 
 
 def _component_count(imm, r_vals, s):
+    """Connected components of the subgraph induced by the vertices with r < s."""
     inside = r_vals < s
-    idx = np.where(inside)[0]
+    idx = np.flatnonzero(inside)
     if len(idx) == 0:
         return 0
     remap = -np.ones(imm.mesh.n_vertices, int)
     remap[idx] = np.arange(len(idx))
-    parent = np.arange(len(idx))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in imm.mesh.edges:
-        if inside[a] and inside[b]:
-            ra, rb = find(remap[a]), find(remap[b])
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(i) for i in range(len(idx))})
+    a, b = imm.mesh.edges.T
+    keep = inside[a] & inside[b]
+    adj = sp.coo_matrix(
+        (np.ones(int(keep.sum())), (remap[a[keep]], remap[b[keep]])), shape=(len(idx), len(idx))
+    )
+    return int(connected_components(adj, directed=False)[0])
 
 
 # ---------------------------------------------------------------------------

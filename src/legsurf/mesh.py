@@ -11,10 +11,13 @@ immersion rather than the branch jump.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryDomainError
 
@@ -45,6 +48,9 @@ class SurfaceMesh:
             float(uv_periods[1]) if uv_periods[1] else 0.0,
         )
         self.generator_loops = [list(map(int, loop)) for loop in generator_loops]
+        tri = self.triangles
+        if tri.size and (tri.min() < 0 or tri.max() >= self.n_vertices):
+            raise GeometryDomainError("triangle index out of range")
         self._build_adjacency()
         self._validate()
 
@@ -52,49 +58,43 @@ class SurfaceMesh:
 
     def _build_adjacency(self):
         tri = self.triangles
-        # Canonical undirected edges and face->edge incidence.
+        n_f, n_v = len(tri), self.n_vertices
+        # Canonical undirected edges (lexicographic, as integer keys a * V + b)
+        # and face->edge incidence; slot k * F + f is local edge k of face f.
         raw = np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]])
-        canon = np.sort(raw, axis=1)
-        self.edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+        keys, inverse = np.unique(raw.min(axis=1) * n_v + raw.max(axis=1), return_inverse=True)
+        self.edges = np.stack([keys // n_v, keys % n_v], axis=1)
         self.face_edges = inverse.reshape(3, -1).T  # face f, local edge k (opposite corner k)
-        n_e = len(self.edges)
-        edge_faces = [[] for _ in range(n_e)]
-        for f in range(len(tri)):
-            for k in range(3):
-                edge_faces[self.face_edges[f, k]].append(f)
-        self.edge_faces = edge_faces
-        self.face_neighbors = -np.ones((len(tri), 3), int)
-        for f in range(len(tri)):
-            for k in range(3):
-                fs = edge_faces[self.face_edges[f, k]]
-                if len(fs) == 2:
-                    self.face_neighbors[f, k] = fs[0] if fs[1] == f else fs[1]
-        self.boundary_edge_mask = np.array([len(fs) == 1 for fs in edge_faces])
-        self.vertex_neighbors = [set() for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            self.vertex_neighbors[a].add(int(b))
-            self.vertex_neighbors[b].add(int(a))
-        self.boundary_vertices = set()
-        for e, is_b in enumerate(self.boundary_edge_mask):
-            if is_b:
-                self.boundary_vertices.update(map(int, self.edges[e]))
+        self._edge_face_counts = np.bincount(inverse, minlength=len(keys))
+        # An interior edge's two slots are adjacent once slots are sorted by edge.
+        by_edge = np.argsort(inverse, kind="stable")
+        first = np.cumsum(self._edge_face_counts) - self._edge_face_counts
+        pair = first[self._edge_face_counts == 2]
+        s0, s1 = by_edge[pair], by_edge[pair + 1]
+        slot_nbr = -np.ones(3 * n_f, int)
+        slot_nbr[s0] = s1 % n_f
+        slot_nbr[s1] = s0 % n_f
+        self.face_neighbors = slot_nbr.reshape(3, -1).T
+        self.boundary_edge_mask = self._edge_face_counts == 1
+        self.boundary_vertices = set(np.unique(self.edges[self.boundary_edge_mask]).tolist())
 
     def _validate(self):
         tri = self.triangles
-        if tri.size and (tri.min() < 0 or tri.max() >= self.n_vertices):
-            raise GeometryDomainError("triangle index out of range")
-        directed = set()
-        for f in tri:
-            for k in range(3):
-                e = (int(f[k]), int(f[(k + 1) % 3]))
-                if e in directed:
-                    raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
-                directed.add(e)
-        for e, fs in enumerate(self.edge_faces):
-            if len(fs) > 2:
-                raise GeometryDomainError(f"edge {tuple(self.edges[e])} borders {len(fs)} faces")
+        directed = (tri * self.n_vertices + np.roll(tri, -1, axis=1)).ravel()  # face-major
+        _, first, inverse = np.unique(directed, return_index=True, return_inverse=True)
+        repeated = np.flatnonzero(first[inverse] != np.arange(len(directed)))
+        if repeated.size:
+            f, k = divmod(int(repeated[0]), 3)
+            e = (int(tri[f, k]), int(tri[f, (k + 1) % 3]))
+            raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
+        crowded = np.flatnonzero(self._edge_face_counts > 2)
+        if crowded.size:
+            e = crowded[0]
+            raise GeometryDomainError(
+                f"edge {tuple(self.edges[e])} borders {self._edge_face_counts[e]} faces"
+            )
         chi = self.n_vertices - len(self.edges) + len(tri)
-        n_comp = len(self.components())
+        n_comp, _ = self._component_labels()
         expected = 2 * n_comp - 2 * self.genus - len(self.boundary_loops)
         if chi != expected:
             raise GeometryDomainError(
@@ -102,6 +102,22 @@ class SurfaceMesh:
                 f"{n_comp} components and {len(self.boundary_loops)} boundary loops "
                 f"(expected {expected})"
             )
+
+    def _component_labels(self):
+        n_v = self.n_vertices
+        adj = sp.coo_matrix(
+            (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])), shape=(n_v, n_v)
+        )
+        return connected_components(adj, directed=False)
+
+    @functools.cached_property
+    def vertex_neighbors(self):
+        """Per-vertex sets of edge-adjacent vertices."""
+        out = [set() for _ in range(self.n_vertices)]
+        for a, b in self.edges.tolist():
+            out[a].add(b)
+            out[b].add(a)
+        return out
 
     # -- parameter-domain unwrapping ----------------------------------------
 
@@ -136,23 +152,13 @@ class SurfaceMesh:
         return [v for v in range(self.n_vertices) if v not in self.boundary_vertices]
 
     def components(self):
-        """Connected components as vertex-index lists."""
-        seen = np.zeros(self.n_vertices, bool)
-        out = []
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.vertex_neighbors[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            out.append(comp)
-        return out
+        """Connected components as ascending vertex-index lists, ordered by smallest vertex."""
+        n_comp, labels = self._component_labels()
+        by_label = np.argsort(labels, kind="stable")
+        sizes = np.bincount(labels, minlength=n_comp)
+        ends = np.cumsum(sizes)
+        comps = [by_label[end - size:end].tolist() for size, end in zip(sizes, ends)]
+        return sorted(comps, key=lambda c: c[0])
 
 
 @dataclass

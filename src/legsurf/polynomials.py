@@ -26,14 +26,22 @@ class Polynomial:
     def n_vars(self):
         return self.exponents.shape[1]
 
-    def __call__(self, x):
+    def _power_table(self, x):
+        """(..., n_vars, degree + 1) table of x_i ** 0..degree."""
         x = np.asarray(x, float)
-        powers = x[..., None, :] ** self.exponents
+        return x[..., None] ** np.arange(int(self.exponents.max(initial=0)) + 1)
+
+    def _powers(self, table, exponents):
+        """(..., n_terms, n_vars) x_i ** exponents[k, i], gathered from the table."""
+        return np.ascontiguousarray(table[..., np.arange(self.n_vars), exponents])
+
+    def __call__(self, x):
+        powers = self._powers(self._power_table(x), self.exponents)
         return np.sum(self.coeffs * np.prod(powers, axis=-1), axis=-1)
 
     def grad(self, x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
+        table = self._power_table(x)
+        out = np.zeros(table.shape[:-1])
         for i in range(self.n_vars):
             e = self.exponents[:, i]
             mask = e > 0
@@ -41,7 +49,7 @@ class Polynomial:
                 continue
             exps = self.exponents[mask].copy()
             exps[:, i] -= 1
-            powers = x[..., None, :] ** exps
+            powers = self._powers(table, exps)
             out[..., i] = np.sum(
                 self.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1
             )
