@@ -45,15 +45,16 @@ def euler_flow_alpha(target, q, x, field_fn, tau, delta=1e-5):
     field whose flow preserves ker alpha the result is O(tau^2); for a generic
     field it is O(tau).
     """
+    geo = fields.geometry(target)
 
     def step(p):
-        return fields.move(target, p, tau * field_fn(p))
+        return geo.move(p, tau * field_fn(p))
 
     q_tau = step(q)
-    xp = step(fields.move(target, q, delta * x))
-    xm = step(fields.move(target, q, -delta * x))
+    xp = step(geo.move(q, delta * x))
+    xm = step(geo.move(q, -delta * x))
     x_tau = (xp - xm) / (2.0 * delta)
-    return float(fields.contact_form_ambient(target, q_tau, x_tau))
+    return float(geo.alpha(q_tau, x_tau))
 
 
 def lie_derivative_fd(target, q, x, field_fn, tau=1e-4, delta=1e-5):
@@ -70,25 +71,17 @@ def polynomial_scale(poly, q):
     return max(1.0, abs(float(poly(q))), float(np.linalg.norm(g)), float(np.linalg.norm(h)))
 
 
-def random_target_point(target, rng):
-    if target == fields.TARGET_STIEFEL:
-        a, b = st.random_points_raw(rng, 1)
-        return np.concatenate([a[0], b[0]])
-    y = rng.uniform(-1.0, 1.0, size=4)
-    phi = rng.uniform(-1.0, 1.0)
-    return np.concatenate([[phi], y])
-
-
 def hamiltonian_lie_defects(target, rng, n_cases=25, convention="thm1", tau=1e-4):
     """Scale-relative Lie-derivative defects for random polynomial Hamiltonians."""
+    geo = fields.geometry(target)
     out = []
     for _ in range(n_cases):
-        q = random_target_point(target, rng)
+        q = geo.random_point(rng)
         poly = random_polynomial(rng, q.size, degree=3, n_terms=10)
-        x = fields.random_horizontal(target, rng, q)
+        x = geo.random_horizontal(rng, q)
 
         def field(p, poly=poly):
-            return fields.hamiltonian_field(target, poly(p), poly.grad(p), p, convention)
+            return geo.hamiltonian_field(poly(p), poly.grad(p), p, convention)
 
         val = lie_derivative_fd(target, q, x, field, tau=tau)
         out.append(abs(val) / polynomial_scale(poly, q))
@@ -101,23 +94,21 @@ def flow_order_slopes(target, rng, n_cases=8, convention="thm1"):
     Returns (hamiltonian_slopes, generic_slopes): the first should sit near 2,
     the second near 1.
     """
+    geo = fields.geometry(target)
     taus = np.array([1e-2, 3e-3, 1e-3, 3e-4])
     ham, gen = [], []
     for _ in range(n_cases):
-        q = random_target_point(target, rng)
+        q = geo.random_point(rng)
         poly = random_polynomial(rng, q.size, degree=3, n_terms=10)
-        x = fields.random_horizontal(target, rng, q)
+        x = geo.random_horizontal(rng, q)
 
         def field(p, poly=poly):
-            return fields.hamiltonian_field(target, poly(p), poly.grad(p), p, convention)
+            return geo.hamiltonian_field(poly(p), poly.grad(p), p, convention)
 
         const = rng.standard_normal(q.size)
 
         def generic(p, const=const):
-            if target == fields.TARGET_STIEFEL:
-                v, w = st.project_tangent_raw(p[:4], p[4:], const[:4], const[4:])
-                return np.concatenate([v, w])
-            return const
+            return geo.tangent(p, const)
 
         vals_h = np.array([abs(euler_flow_alpha(target, q, x, field, t)) for t in taus])
         vals_g = np.array([abs(euler_flow_alpha(target, q, x, generic, t)) for t in taus])
@@ -255,7 +246,7 @@ def check_heisenberg_volume(rng, n=200):
     worst = np.inf
     basis = np.eye(5)
     for _ in range(n):
-        q = random_target_point(fields.TARGET_HEISENBERG, rng)
+        q = fields.HEISENBERG.random_point(rng)
         val = hs.volume_form_value_h(q, list(basis))
         worst = min(worst, abs(val))
     # alpha ^ dalpha ^ dalpha = -8 dphi dy1 dy2 dy3 dy4 everywhere.
@@ -278,7 +269,7 @@ def check_dilation_pullback(rng, n=200):
     """alpha(dilate_* X) = r^-2 alpha(X): the blow-up scaling of the form."""
     err = 0.0
     for _ in range(n):
-        q = random_target_point(fields.TARGET_HEISENBERG, rng)
+        q = fields.HEISENBERG.random_point(rng)
         x = rng.standard_normal(5)
         r = float(rng.uniform(0.2, 4.0))
         qd = np.concatenate([[q[0] / r**2], q[1:] / r])

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks, corpus, energy, gauge_lab, heisenberg as hs
-from . import stiefel as st
 from .errors import (
     ConstraintViolationError,
     GeometryDomainError,
@@ -179,8 +178,6 @@ def cmd_descend(config, out_dir):
         armijo=config["armijo"],
         max_iters=config["max_iters"],
         tol_scale=config["tol_scale"],
-        reeb_convention=config["reeb_convention"],
-        seed=config["seed"],
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,7 +366,6 @@ SCHEMAS = {
         "armijo": (False, 1e-4),
         "max_iters": (False, 100),
         "seed": (False, 0),
-        "reeb_convention": (False, "thm1"),
     },
     "density": {
         "mesh": (False, None),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fields, heisenberg as hs
+from . import heisenberg as hs
 from .mesh import DiscreteImmersion, SurfaceMesh
 from .polynomials import random_polynomial
 
@@ -219,16 +219,17 @@ def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64, conven
     """
     pos = imm.positions.copy()
     dt = time / nsteps
+    geo = imm.geometry
 
     def vel(p):
-        return fields.hamiltonian_field(imm.target, poly(p), poly.grad(p), p, convention)
+        return geo.hamiltonian_field(poly(p), poly.grad(p), p, convention)
 
     for _ in range(nsteps):
         k1 = vel(pos)
-        k2 = vel(fields.move(imm.target, pos, 0.5 * dt * k1))
-        k3 = vel(fields.move(imm.target, pos, 0.5 * dt * k2))
-        k4 = vel(fields.move(imm.target, pos, dt * k3))
-        pos = fields.move(imm.target, pos, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        k2 = vel(geo.move(pos, 0.5 * dt * k1))
+        k3 = vel(geo.move(pos, 0.5 * dt * k2))
+        k4 = vel(geo.move(pos, dt * k3))
+        pos = geo.move(pos, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
     return imm.with_positions(pos)
 
 
@@ -239,9 +240,8 @@ def perturbed_clifford(n=32, amplitude=1e-2, seed=0, target="heisenberg"):
     poly = _gauge_bump_hamiltonian(rng, 1.0) if target == "heisenberg" else random_polynomial(
         rng, 8, degree=2, n_terms=8, scale=1.0
     )
-    speed = fields.hamiltonian_field(
-        imm.target, poly(imm.positions), poly.grad(imm.positions), imm.positions
-    )
+    p = imm.positions
+    speed = imm.geometry.hamiltonian_field(poly(p), poly.grad(p), p)
     vmax = float(np.max(np.linalg.norm(speed, axis=-1)))
     out = flow_exact_hamiltonian(imm, poly, amplitude / max(vmax, 1e-9), nsteps=16)
     from .immersion import legendrian_residual

@@ -12,14 +12,13 @@ metric, volume-form and Gauss-map variations term by term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import fields, heisenberg as hs, stiefel as st
+from . import fields
 from .errors import (
     DegenerateFaceError,
     GeometryDomainError,
@@ -30,10 +29,10 @@ from .errors import (
 from .immersion import (
     FaceData,
     cotangent_weights,
-    horizontal_part,
-    j_frame,
+    face_params,
+    face_state,
     legendrian_residual,
-    vertical_unit,
+    reject_degenerate,
     wedge_nd,
     wedge_pairs,
 )
@@ -54,60 +53,29 @@ class EnergyBreakdown:
 
 @dataclass
 class FirstVariation:
-    """Per-vertex covector; pairing against any field projects it to tangents."""
+    """Per-vertex covector, already tangent, so pairing projects the field to tangents."""
 
     covector: np.ndarray
-    target: str
 
     def pair(self, w):
-        return float(np.sum(self.covector * project_field(self.target, None, w)))
+        return float(np.sum(self.covector * w))
 
 
 @dataclass
 class HamiltonianSpec:
-    """Scalar Hamiltonian with derivatives on the target, plus support data.
+    """Scalar Hamiltonian with derivatives on the target.
 
-    ``h`` and ``grad`` accept stacked ambient coordinates.  ``support`` is
-    None (everywhere) or ("gauge_ball", center_coords, radius): the field is
-    then supported where the Folland-Koranyi gauge from the center is below
-    the radius, which makes the localisation hypothesis checkable.
+    ``h`` and ``grad`` accept stacked ambient coordinates.
     """
 
     h: callable
     grad: callable
     hess: callable = None
-    support: tuple = None
-
-    def supported_at(self, points):
-        if self.support is None:
-            return np.ones(np.shape(points)[0], bool)
-        kind, center, radius = self.support
-        if kind != "gauge_ball":
-            raise GeometryDomainError(f"unknown support descriptor {kind!r}")
-        return _gauge_from(center, points) < radius
-
-
-def _gauge_from(center, points):
-    center = np.asarray(center, float)
-    points = np.asarray(points, float)
-    if center.size == 8:
-        _, _, r = st.gauge_scalars(center[:4], center[4:], points[..., :4], points[..., 4:])
-        return r
-    rho = np.linalg.norm(points[..., 1:] - center[1:], axis=-1)
-    phi = points[..., 0] - center[0] - hs.omega0(center[1:], points[..., 1:])
-    return (rho**4 + 4.0 * phi**2) ** 0.25
 
 
 def project_field(target, positions, w):
     """Project an ambient per-vertex field onto the target tangent spaces."""
-    w = np.asarray(w, float)
-    if target == "heisenberg":
-        return w
-    if positions is None:
-        return w  # stiefel covectors are stored already projected
-    a, b = positions[:, :4], positions[:, 4:]
-    v, wp = st.project_tangent_raw(a, b, w[:, :4], w[:, 4:])
-    return np.concatenate([v, wp], axis=-1)
+    return fields.geometry(target).tangent(positions, np.asarray(w, float))
 
 
 # ---------------------------------------------------------------------------
@@ -162,97 +130,37 @@ class EnergyAssembler:
             raise GeometryDomainError("the energy functional requires uv parameters")
         self.template = imm
         self.tri = m.triangles
-        n_f = len(self.tri)
-        uv, wraps = m.corner_uv_local()
-        self.corner_phi_offsets = -(
-            wraps[:, :, 0] * imm.phi_monodromy[0] + wraps[:, :, 1] * imm.phi_monodromy[1]
-        )
-        d1 = uv[:, 1] - uv[:, 0]
-        d2 = uv[:, 2] - uv[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(det <= 0):
-            raise GeometryDomainError("parameter triangles must be positively oriented")
-        self.uv_area = 0.5 * det
-        inv = np.empty((n_f, 2, 2))
-        inv[:, 0, 0] = d2[:, 1]
-        inv[:, 0, 1] = -d2[:, 0]
-        inv[:, 1, 0] = -d1[:, 1]
-        inv[:, 1, 1] = d1[:, 0]
-        inv /= det[:, None, None]
-        self.minv = inv
+        self.geometry = imm.geometry
+        self.corner_shift, self.minv, self.uv_area = face_params(imm)
 
         # Fixed neighbour differencing stencil for the Gauss-map gradient.
-        self.stencil = _gauss_stencil(m, uv)
+        self.stencil = _gauss_stencil(m, m.corner_uv_local()[0])
         self.stencil_t = self.stencil.T.tocsr()
-        self.target = imm.target
         self.k = imm.positions.shape[1]
         self.k2 = len(wedge_pairs(self.k))
         self._pairs = np.asarray(wedge_pairs(self.k), int)
 
     # -- forward pieces ------------------------------------------------------
 
-    def _corner_positions(self, positions):
-        pos = positions[self.tri].copy()
-        if self.target == "heisenberg":
-            pos[:, :, 0] += self.corner_phi_offsets
-        return pos
-
-    def _frame_edges(self, corners):
-        base = corners[:, 0]
-        if self.target == "stiefel":
-            return base, corners[:, 1] - base, corners[:, 2] - base
-        y0 = base[:, 1:]
-        e = []
-        for c in (1, 2):
-            dphi = corners[:, c, 0] - base[:, 0] - hs.omega0(y0, corners[:, c, 1:])
-            e.append(np.concatenate([dphi[:, None], corners[:, c, 1:] - y0], axis=-1))
-        return base, e[0], e[1]
-
-    def _face_state(self, positions):
-        corners = self._corner_positions(positions)
-        base, e1, e2 = self._frame_edges(corners)
-        du = self.minv[:, 0, 0, None] * e1 + self.minv[:, 1, 0, None] * e2
-        dv = self.minv[:, 0, 1, None] * e1 + self.minv[:, 1, 1, None] * e2
-        g11 = np.sum(du * du, axis=-1)
-        g12 = np.sum(du * dv, axis=-1)
-        g22 = np.sum(dv * dv, axis=-1)
-        w = wedge_nd(du, dv)
-        wnorm = np.sqrt(np.maximum(np.sum(w * w, axis=-1), 1e-300))
-        t = w / wnorm[:, None]
-        det = g11 * g22 - g12 * g12
-        ginv = np.empty((len(du), 2, 2))
-        ginv[:, 0, 0] = g22
-        ginv[:, 1, 1] = g11
-        ginv[:, 0, 1] = -g12
-        ginv[:, 1, 0] = -g12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # degenerate faces are rejected by the caller-side check
-            ginv /= det[:, None, None]
-        return dict(
-            corners=corners, base=base, e1=e1, e2=e2, du=du, dv=dv,
-            g=np.stack([g11, g12, g22], axis=-1), det=det, ginv=ginv,
-            w=w, wnorm=wnorm, t=t, area=self.uv_area * wnorm,
-        )
+    def face_state(self, positions):
+        """:func:`immersion.face_state` at the given positions."""
+        corners = positions[self.tri]
+        corners += self.corner_shift
+        return face_state(self.geometry, corners, self.minv, self.uv_area)
 
     def _gauss_gradients(self, state):
         """Per-face parameter gradient A (2, K2) of the Gauss field and |dT|^2_g."""
-        t = state["t"]
-        ginv = state["ginv"]
+        t = state["gauss"]
         a_list = (self.stencil @ t).reshape(len(t), 2, self.k2)
-        quad = np.einsum("fab,fai,fbi->f", ginv, a_list, a_list)
+        quad = np.einsum("fab,fai,fbi->f", state["ginv"], a_list, a_list)
         return a_list, quad
 
     # -- public evaluations -----------------------------------------------
 
     def energy(self, positions, eps, check_degenerate=False):
-        state = self._face_state(positions)
+        state = self.face_state(positions)
         if check_degenerate:
-            scale = np.maximum(state["g"][:, 0] + state["g"][:, 2], 1e-300)
-            bad = np.where(state["wnorm"] <= 1e-12 * scale)[0]
-            if bad.size:
-                from .errors import DegenerateFaceError
-
-                raise DegenerateFaceError(int(bad[0]))
+            reject_degenerate(state)
         _, quad = self._gauss_gradients(state)
         area = float(np.sum(state["area"]))
         penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * state["area"]))
@@ -266,10 +174,13 @@ class EnergyAssembler:
         d_b w>, the volume variation <dw . dL>_g dvol, and the Gauss-map
         variation dT = (d_u w ^ d_v L + d_u L ^ d_v w)/|W| - <...> T.
         """
-        w_field = project_field(self.target, positions, np.asarray(w_field, float))
-        state = self._face_state(positions)
+        w_field = self.geometry.tangent(positions, np.asarray(w_field, float))
+        state = self.face_state(positions)
         a_list, quad = self._gauss_gradients(state)
-        e1_dot, e2_dot = self._frame_edge_dots(positions, w_field)
+        wc = w_field[self.tri]
+        base = state["base_pos"]
+        e1_dot = self.geometry.frame_dot(base, state["d1"], wc[:, 0], wc[:, 1] - wc[:, 0])
+        e2_dot = self.geometry.frame_dot(base, state["d2"], wc[:, 0], wc[:, 2] - wc[:, 0])
         du_dot = self.minv[:, 0, 0, None] * e1_dot + self.minv[:, 1, 0, None] * e2_dot
         dv_dot = self.minv[:, 0, 1, None] * e1_dot + self.minv[:, 1, 1, None] * e2_dot
         du, dv = state["du"], state["dv"]
@@ -277,7 +188,7 @@ class EnergyAssembler:
         g12_dot = np.sum(du_dot * dv, axis=-1) + np.sum(du * dv_dot, axis=-1)
         g22_dot = 2.0 * np.sum(dv_dot * dv, axis=-1)
         w_dot = wedge_nd(du_dot, dv) + wedge_nd(du, dv_dot)
-        t = state["t"]
+        t = state["gauss"]
         wnorm_dot = np.sum(t * w_dot, axis=-1)
         area_dot = self.uv_area * wnorm_dot
         t_dot = (w_dot - wnorm_dot[:, None] * t) / state["wnorm"][:, None]
@@ -303,7 +214,7 @@ class EnergyAssembler:
 
     def gradient(self, positions, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
-        state = self._face_state(positions)
+        state = self.face_state(positions)
         a_list, quad = self._gauss_gradients(state)
         n_f = len(self.tri)
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
@@ -318,7 +229,7 @@ class EnergyAssembler:
         # Through the differencing stencil into per-face Gauss adjoints.
         t_bar = self.stencil_t @ a_bar.reshape(2 * n_f, self.k2)
 
-        t = state["t"]
+        t = state["gauss"]
         wnorm = state["wnorm"]
         w_bar = (t_bar - np.sum(t_bar * t, axis=-1, keepdims=True) * t) / wnorm[:, None]
         w_bar += (s_area * self.uv_area)[:, None] * t
@@ -341,58 +252,14 @@ class EnergyAssembler:
         e1_bar = self.minv[:, 0, 0, None] * du_bar + self.minv[:, 0, 1, None] * dv_bar
         e2_bar = self.minv[:, 1, 0, None] * du_bar + self.minv[:, 1, 1, None] * dv_bar
 
+        # Through the frame map of each edge onto its two end corners.
+        base = state["base_pos"]
+        b1_bar, d1_bar = self.geometry.frame_adjoint(base, state["d1"], e1_bar)
+        b2_bar, d2_bar = self.geometry.frame_adjoint(base, state["d2"], e2_bar)
+        corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
         grad = np.zeros_like(positions)
-        self._scatter_edge_adjoints(positions, state, e1_bar, e2_bar, grad)
-        if self.target == "stiefel":
-            a, b = positions[:, :4], positions[:, 4:]
-            gv, gw = st.project_tangent_raw(a, b, grad[:, :4], grad[:, 4:])
-            grad = np.concatenate([gv, gw], axis=-1)
-        return FirstVariation(covector=grad, target=self.target)
-
-    # -- internals ---------------------------------------------------------
-
-    def _frame_edge_dots(self, positions, w_field):
-        wc = w_field[self.tri]
-        if self.target == "stiefel":
-            return wc[:, 1] - wc[:, 0], wc[:, 2] - wc[:, 0]
-        corners = self._corner_positions(positions)
-        y0 = corners[:, 0, 1:]
-        w0y = wc[:, 0, 1:]
-        out = []
-        for c in (1, 2):
-            yi = corners[:, c, 1:]
-            dphi_dot = (
-                wc[:, c, 0]
-                - wc[:, 0, 0]
-                - hs.omega0(w0y, yi)
-                - hs.omega0(y0, wc[:, c, 1:])
-            )
-            out.append(
-                np.concatenate([dphi_dot[:, None], wc[:, c, 1:] - w0y], axis=-1)
-            )
-        return out[0], out[1]
-
-    def _scatter_edge_adjoints(self, positions, state, e1_bar, e2_bar, grad):
-        tri = self.tri
-        if self.target == "stiefel":
-            np.add.at(grad, tri[:, 1], e1_bar)
-            np.add.at(grad, tri[:, 2], e2_bar)
-            np.add.at(grad, tri[:, 0], -(e1_bar + e2_bar))
-            return
-        corners = state["corners"]
-        y0 = corners[:, 0, 1:]
-        for c, e_bar in ((1, e1_bar), (2, e2_bar)):
-            yi = corners[:, c, 1:]
-            f0 = e_bar[:, 0]
-            fy = e_bar[:, 1:]
-            gi = np.concatenate(
-                [f0[:, None], fy - f0[:, None] * hs.jc2(y0)], axis=-1
-            )
-            g0 = np.concatenate(
-                [-f0[:, None], -fy + f0[:, None] * hs.jc2(yi)], axis=-1
-            )
-            np.add.at(grad, tri[:, c], gi)
-            np.add.at(grad, tri[:, 0], g0)
+        np.add.at(grad, self.tri, corner_bar)
+        return FirstVariation(covector=self.geometry.tangent(positions, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -416,41 +283,11 @@ def gradient(imm: DiscreteImmersion, eps: float) -> FirstVariation:
 def hamiltonian_deformation(imm: DiscreteImmersion, spec: HamiltonianSpec, convention="thm1"):
     """The Hamiltonian field sampled at the vertices, tangent to the target."""
     p = imm.positions
-    return fields.hamiltonian_field(imm.target, spec.h(p), spec.grad(p), p, convention)
+    return imm.geometry.hamiltonian_field(spec.h(p), spec.grad(p), p, convention)
 
 
 # ---------------------------------------------------------------------------
 # constrained flow
-
-
-def _reeb_directions(imm, positions):
-    if imm.target == "stiefel":
-        rv, rw = st.reeb_raw(positions[:, :4], positions[:, 4:])
-        return np.concatenate([rv, rw], axis=-1)
-    out = np.zeros_like(positions)
-    out[:, 0] = 1.0
-    return out
-
-
-def _edge_residual_pair(imm, p_tail, p_head, offsets):
-    delta = p_head - p_tail
-    if imm.target == "stiefel":
-        am, bm = st.retract_raw(
-            0.5 * (p_tail[:, :4] + p_head[:, :4]), 0.5 * (p_tail[:, 4:] + p_head[:, 4:])
-        )
-        return st.alpha_raw(am, bm, delta[:, :4], delta[:, 4:])
-    d0 = delta[:, 0] + offsets
-    y_mid = 0.5 * (p_tail[:, 1:] + p_head[:, 1:])
-    return -d0 + hs.omega0(y_mid, delta[:, 1:])
-
-
-def _edge_phi_offsets(imm):
-    m = imm.mesh
-    if imm.target != "heisenberg" or m.uv_periods is None or m.uv is None:
-        return np.zeros(len(m.edges))
-    tails, heads = m.edges[:, 0], m.edges[:, 1]
-    w = m.wraps(m.uv[tails], m.uv[heads])
-    return -(w[:, 0] * imm.phi_monodromy[0] + w[:, 1] * imm.phi_monodromy[1])
 
 
 def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None, fd_step=1e-7):
@@ -462,8 +299,13 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None, fd_step=1e
     """
     tol = imm.legendrian_tol if tol is None else tol
     m = imm.mesh
+    geo = imm.geometry
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    offsets = _edge_phi_offsets(imm)
+    shift = imm.seam_shift(tails, heads)
+
+    def residual(p_tail, p_head):
+        return geo.edge_residual(p_tail, p_head - p_tail + shift)
+
     positions = imm.positions.copy()
     before = legendrian_residual(imm.with_positions(positions)).max
     n_e, n_v = len(m.edges), m.n_vertices
@@ -472,30 +314,26 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None, fd_step=1e
     res_max = before
     last_norm = np.inf
     for _ in range(max_iters):
-        r = _edge_residual_pair(imm, positions[tails], positions[heads], offsets)
+        r = residual(positions[tails], positions[heads])
         res_max = float(np.max(np.abs(r))) if len(r) else 0.0
         r_norm = float(np.linalg.norm(r))
         if res_max <= tol or r_norm > 0.999 * last_norm:
             break  # done, or at the least-squares floor of vertical corrections
         last_norm = r_norm
-        reeb = _reeb_directions(imm, positions)
+        reeb = geo.reeb(positions)
 
-        def moved(pset, idx, s):
-            return fields.move(imm.target, pset, s * fd_step * reeb[idx])
+        def moved(idx, s):
+            return geo.move(positions[idx], s * fd_step * reeb[idx])
 
-        jt = (
-            _edge_residual_pair(imm, moved(positions[tails], tails, +1), positions[heads], offsets)
-            - _edge_residual_pair(imm, moved(positions[tails], tails, -1), positions[heads], offsets)
-        ) / (2 * fd_step)
-        jh = (
-            _edge_residual_pair(imm, positions[tails], moved(positions[heads], heads, +1), offsets)
-            - _edge_residual_pair(imm, positions[tails], moved(positions[heads], heads, -1), offsets)
-        ) / (2 * fd_step)
+        p_tail, p_head = positions[tails], positions[heads]
+        jt = residual(moved(tails, +1), p_head) - residual(moved(tails, -1), p_head)
+        jh = residual(p_tail, moved(heads, +1)) - residual(p_tail, moved(heads, -1))
+        jt, jh = jt / (2 * fd_step), jh / (2 * fd_step)
         jac = sp.csr_matrix((np.concatenate([jt, jh]), (rows, cols)), shape=(n_e, n_v))
         normal = (jac.T @ jac + 1e-14 * sp.identity(n_v)).tocsc()
         sol = spla.spsolve(normal, -jac.T @ r)
-        positions = fields.move(imm.target, positions, sol[:, None] * reeb)
-        r = _edge_residual_pair(imm, positions[tails], positions[heads], offsets)
+        positions = geo.move(positions, sol[:, None] * reeb)
+        r = residual(positions[tails], positions[heads])
         res_max = float(np.max(np.abs(r))) if len(r) else 0.0
     if res_max > tol:
         raise StepRejectedError(
@@ -520,7 +358,7 @@ def flow_step(imm: DiscreteImmersion, w_field, tau: float, report: dict = None) 
             base = legendrian_residual(imm).max
             report.update(residual_before_restore=base, residual_after_restore=base)
         return imm
-    moved = imm.with_positions(fields.move(imm.target, imm.positions, tau * w_field))
+    moved = imm.with_positions(imm.geometry.move(imm.positions, tau * w_field))
     restored, before, after = restore_constraint(moved)
     if report is not None:
         report.update(residual_before_restore=before, residual_after_restore=after)
@@ -529,7 +367,7 @@ def flow_step(imm: DiscreteImmersion, w_field, tau: float, report: dict = None) 
 
 def pre_restoration_residual(imm: DiscreteImmersion, w_field, tau: float) -> float:
     """Residual growth of a raw (unrestored) step; the order-in-tau witness."""
-    moved = imm.with_positions(fields.move(imm.target, imm.positions, tau * np.asarray(w_field)))
+    moved = imm.with_positions(imm.geometry.move(imm.positions, tau * np.asarray(w_field)))
     base = legendrian_residual(imm).values
     after = legendrian_residual(moved).values
     return float(np.max(np.abs(after - base)))
@@ -539,20 +377,17 @@ def pre_restoration_residual(imm: DiscreteImmersion, w_field, tau: float) -> flo
 # Hamiltonian projection of descent directions
 
 
-def _vertical_scale_sq(target):
-    # |vertical vector with alpha-value 2|^2: |-R|^2 = 2 or |-2 d/dphi|^2 = 4.
-    return 2.0 if target == "stiefel" else 4.0
-
-
 def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     """Sparse map from a vertex scalar u to the normal Hamiltonian field.
 
     The normal parts of Hamiltonian deformations along a Legendrian surface
-    form the family J grad^S(u) + vertical(2u); this assembles that family as
+    form the family J grad^S(u) + vertical(2u), vertical(s) = (s / alpha(R)) R
+    being the Reeb multiple with alpha-value s; this assembles that family as
     a matrix producing per-vertex frame components (surface gradients are
     face-wise, averaged to vertices with area weights).
     """
     m = imm.mesh
+    geo = imm.geometry
     fd = fd or FaceData(imm)
     tri = m.triangles
     n_v = m.n_vertices
@@ -575,36 +410,21 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
         recv = tri[:, c_recv]
         weight = (fd.area / wsum[recv])[:, None]
         for c_src in range(3):
-            block = weight * j_frame(
-                imm, horizontal_part(imm, imm.positions[recv], gvecs[c_src])
-            )
+            block = weight * geo.j(geo.horizontal(imm.positions[recv], gvecs[c_src]))
             for comp in range(k):
                 rows.append(recv * k + comp)
                 cols.append(tri[:, c_src])
                 vals.append(block[:, comp])
-    vert = vertical_unit(imm, imm.positions)
-    vert_coef = -np.sqrt(_vertical_scale_sq(imm.target))
+    vert = (2.0 / geo.alpha_reeb) * geo.reeb(imm.positions)
     for comp in range(k):
         rows.append(np.arange(n_v) * k + comp)
         cols.append(np.arange(n_v))
-        vals.append(vert_coef * vert[:, comp])
+        vals.append(vert[:, comp])
     b_mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_v * k, n_v),
     ).tocsr()
     return b_mat
-
-
-def _covector_frame_adjoint(imm, cov):
-    """Rewrite a position covector so it pairs against frame components."""
-    cov = np.asarray(cov, float)
-    if imm.target == "stiefel":
-        return cov.copy()
-    y = imm.positions[:, 1:]
-    out = cov.copy()
-    # ambient phi-component of a frame field is c0 + omega0(y, c_y)
-    out[:, 1:] += cov[:, 0, None] * hs.jc2(y)
-    return out
 
 
 def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = None):
@@ -618,7 +438,8 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
     b_mat = hamiltonian_map(imm, fd)
     m = imm.mesh
     n_v = m.n_vertices
-    gtilde = _covector_frame_adjoint(imm, covector).ravel()
+    geo = imm.geometry
+    gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
     rhs = b_mat.T @ gtilde
     # The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
     # pairing identity <dA, X_u> = 2 int <du, d beta>), so the cot stiffness
@@ -636,26 +457,11 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
         ),
         shape=(n_v, n_v),
     ).tocsr()
-    a_mat = (2.0 * lap + sp.diags(_vertical_scale_sq(imm.target) * areas)).tocsc()
+    # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
+    a_mat = (2.0 * lap + sp.diags((-4.0 / geo.alpha_reeb) * areas)).tocsc()
     u = spla.spsolve(a_mat, rhs)
     w_frame = (b_mat @ u).reshape(imm.positions.shape)
-    return u, _unframe_field(imm, w_frame)
-
-
-def _frame_field(imm, ambient_field):
-    """Frame components of a per-vertex ambient field at its own vertex."""
-    w = np.asarray(ambient_field, float)
-    if imm.target == "stiefel":
-        return w.copy()
-    c0 = w[:, 0] - hs.omega0(imm.positions[:, 1:], w[:, 1:])
-    return np.concatenate([c0[:, None], w[:, 1:]], axis=-1)
-
-
-def _unframe_field(imm, frame_field):
-    if imm.target == "stiefel":
-        return frame_field
-    x0 = frame_field[:, 0] + hs.omega0(imm.positions[:, 1:], frame_field[:, 1:])
-    return np.concatenate([x0[:, None], frame_field[:, 1:]], axis=-1)
+    return u, geo.unframe(imm.positions, w_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +475,6 @@ class DescentOptions:
     armijo: float = 1e-4
     max_iters: int = 200
     tol_scale: float = 1e-3
-    reeb_convention: str = "thm1"
-    seed: int = 0
 
 
 @dataclass
@@ -706,7 +510,7 @@ class DescentResult:
 
 
 def _grad_norm(imm, areas, w):
-    wn = np.sum(_frame_field(imm, w) ** 2, axis=-1)
+    wn = np.sum(imm.geometry.frame(imm.positions, w) ** 2, axis=-1)
     return float(np.sqrt(np.sum(areas * wn) / np.sum(areas)))
 
 
@@ -832,7 +636,7 @@ def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: Hamiltonian
             )
     w_field = hamiltonian_deformation(imm, spec, convention)
     fd = FaceData(imm)
-    wc = _frame_field(imm, w_field)[tri]
+    wc = imm.geometry.frame(imm.positions, w_field)[tri]
     dw1 = wc[:, 1] - wc[:, 0]
     dw2 = wc[:, 2] - wc[:, 0]
     dwu = fd.minv[:, 0, 0, None] * dw1 + fd.minv[:, 1, 0, None] * dw2

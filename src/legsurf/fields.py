@@ -1,10 +1,20 @@
-"""Pointwise Hamiltonian vector fields on the two supported targets.
+"""The two contact targets, each as one object owning its pointwise primitives.
 
-Both targets carry a one-parameter family of infinitesimal contactomorphisms
-indexed by a scalar function; the two published Reeb-coefficient conventions
-are realised as rescalings of that family, each self-consistent (the
-horizontal part is scaled so the flow preserves the contact kernel, which the
-contactomorphism oracle verifies numerically).
+The frame manifold (orthonormal 2-frames (a, b) in R^4, alpha = a.db - b.da)
+and the flat model (R^5 with alpha = -dphi + omega0) share every discrete
+formula of the package; only the primitives on :class:`Target` differ.
+:func:`geometry` resolves a target name (the name stored in mesh files and
+configs) to its instance.
+
+Points and tangent vectors are stacked ambient coordinates (..., dim).  Face
+and vertex geometry works in *frame components*: plain R^8 coordinates on the
+frame manifold, and (Reeb coefficient, R^4 projection) in the flat model,
+components in an orthonormal frame, so Euclidean formulas apply to both.  On
+both targets alpha = -<R, .>, hence |R|^2 = -alpha(R).
+
+Hamiltonian fields come in the two published Reeb-coefficient conventions,
+each self-consistent (the horizontal part is scaled so the flow preserves the
+contact kernel, which the contactomorphism oracle verifies numerically).
 """
 
 from __future__ import annotations
@@ -18,95 +28,250 @@ from .errors import GeometryDomainError
 TARGET_STIEFEL = "stiefel"
 TARGET_HEISENBERG = "heisenberg"
 
-AMBIENT_DIM = {TARGET_STIEFEL: 8, TARGET_HEISENBERG: 5}
+#: Reeb-coefficient conventions: the Hamiltonian field of h has Reeb
+#: component -m h R, with m the coefficient of the displayed formula.
+CONVENTIONS = {"thm1": 2.0, "sec231": -0.5}
 
 
-def _stiefel_scale(convention):
-    if convention == "thm1":
-        return 2.0
-    if convention == "sec231":
-        return -0.5
-    raise GeometryDomainError(f"unknown Reeb-coefficient convention {convention!r}")
+class Target:
+    """The primitives of one target; each subclass supplies its own.
+
+    Per target: ``dim``, ``alpha_reeb`` (alpha(R)) and ``invariant_defect``;
+    the frame map ``frame(base, delta)``, its inverse ``unframe``, the
+    adjoint of the inverse ``frame_covector`` (ambient covector to frame
+    covector), the derivative ``frame_dot`` and its adjoint ``frame_adjoint``
+    (whose ``base_bar`` may be the scalar 0); the ``tangent`` and
+    ``horizontal`` projections, ``j``, ``reeb`` and ``alpha``;
+    ``edge_residual``, ``gauge_scalars``, ``gauge_gradients`` and
+    ``seam_shift``; ``move`` (re-retracting onto the target) and
+    ``random_point``.  The methods below are built from these.
+    """
+
+    name: str
+    dim: int
+    alpha_reeb: float  # alpha(R), constant on each target
+
+    def point(self, p):
+        """Ambient coordinates of a typed point or a coordinate vector."""
+        if isinstance(p, (st.StiefelPoint, hs.HeisenbergPoint)):
+            p = p.as_vector()
+        p = np.asarray(p, float)
+        if p.size != self.dim:
+            raise GeometryDomainError(f"base point has {p.size} coordinates, expected {self.dim}")
+        return p
+
+    def reeb_unit(self, q):
+        """Unit Reeb vector (frame components equal ambient ones)."""
+        return self.reeb(q) / np.sqrt(-self.alpha_reeb)
+
+    def horizontal_gradient(self, q, ambient_grad):
+        """Horizontal metric gradient, in frame components, from ambient partials."""
+        return self.horizontal(q, self.frame_covector(q, np.asarray(ambient_grad, float)))
+
+    def hamiltonian_field(self, h_value, h_grad, q, convention="thm1"):
+        """Hamiltonian field k J grad_H h - m h R of a scalar h, ambient coordinates.
+
+        ``h_value`` and ``h_grad`` are h and its ambient gradient at stacked
+        points q.  On both targets dalpha(X, JY) = 2 <X, Y> on ker alpha, so
+        k = -m alpha(R) / 2 makes the flow preserve ker alpha.
+        """
+        if convention not in CONVENTIONS:
+            raise GeometryDomainError(f"unknown Reeb-coefficient convention {convention!r}")
+        m = CONVENTIONS[convention]
+        q = np.asarray(q, float)
+        k = -m * self.alpha_reeb / 2.0
+        h = np.asarray(h_value, float)[..., None]
+        c = k * self.j(self.horizontal_gradient(q, h_grad)) - m * h * self.reeb(q)
+        return self.unframe(q, c)
+
+    def random_horizontal(self, rng, q):
+        """A random unit horizontal vector at stacked ambient points q."""
+        q = np.asarray(q, float)
+        x = self.unframe(q, self.horizontal(q, rng.standard_normal(q.shape)))
+        return x / np.linalg.norm(self.frame(q, x), axis=-1, keepdims=True)
 
 
-def stiefel_hamiltonian_field(h_value, h_grad, q, convention="thm1"):
-    """J grad_H(c) - c R with c = scale * h, in stacked (..., 8) coordinates."""
-    q = np.asarray(q, float)
-    a, b = q[..., :4], q[..., 4:]
-    g = np.asarray(h_grad, float)
-    m = _stiefel_scale(convention)
-    c = m * np.asarray(h_value, float)
-    gv, gw = st.project_tangent_raw(a, b, m * g[..., :4], m * g[..., 4:])
-    gv, gw = st.horizontal_project_raw(a, b, gv, gw)
-    jv, jw = st.jh_raw(gv, gw)
-    rv, rw = st.reeb_raw(a, b)
-    return np.concatenate(
-        [jv - c[..., None] * rv, jw - c[..., None] * rw], axis=-1
-    )
+class FrameTarget(Target):
+    """Orthonormal 2-frames (a, b) in R^4, stacked as (a, b) in R^8."""
 
+    name = TARGET_STIEFEL
+    dim = 8
+    alpha_reeb = -2.0
 
-def hamiltonian_field(target, h_value, h_grad, q, convention="thm1"):
-    """Dispatch to the target-specific Hamiltonian field, ambient coordinates."""
-    if target == TARGET_STIEFEL:
-        return stiefel_hamiltonian_field(h_value, h_grad, q, convention)
-    if target == TARGET_HEISENBERG:
-        return hs.hamiltonian_field_h(h_value, h_grad, q, convention)
-    raise GeometryDomainError(f"unknown target {target!r}")
+    def invariant_defect(self, positions):
+        a, b = positions[:, :4], positions[:, 4:]
+        return float(max(
+            np.max(np.abs(np.sum(a * a, axis=1) - 1.0)),
+            np.max(np.abs(np.sum(b * b, axis=1) - 1.0)),
+            np.max(np.abs(np.sum(a * b, axis=1))),
+        ))
 
+    # The frame components of a vector are its ambient coordinates.
+    def frame(self, base, delta):
+        return np.asarray(delta, float)
 
-def contact_form_ambient(target, q, x):
-    """The contact form on ambient tangent coordinates at stacked points q."""
-    q = np.asarray(q, float)
-    x = np.asarray(x, float)
-    if target == TARGET_STIEFEL:
-        return st.alpha_raw(q[..., :4], q[..., 4:], x[..., :4], x[..., 4:])
-    if target == TARGET_HEISENBERG:
-        return hs.contact_form_h(q, x)
-    raise GeometryDomainError(f"unknown target {target!r}")
+    def unframe(self, base, c):
+        return c
 
+    def frame_covector(self, base, cov):
+        return np.asarray(cov, float)
 
-def move(target, q, delta):
-    """Move ambient coordinates by delta, re-retracting onto the target."""
-    q = np.asarray(q, float)
-    delta = np.asarray(delta, float)
-    if target == TARGET_STIEFEL:
-        a, b = st.retract_raw(
-            q[..., :4] + delta[..., :4], q[..., 4:] + delta[..., 4:]
-        )
-        return np.concatenate([a, b], axis=-1)
-    if target == TARGET_HEISENBERG:
-        return q + delta
-    raise GeometryDomainError(f"unknown target {target!r}")
+    def frame_dot(self, base, delta, base_dot, delta_dot):
+        return delta_dot
 
+    def frame_adjoint(self, base, delta, c_bar):
+        return 0.0, c_bar
 
-def vertical_with_alpha(target, q, s):
-    """The vertical (Reeb-direction) vector whose contact-form value is s."""
-    q = np.asarray(q, float)
-    s = np.asarray(s, float)
-    if target == TARGET_STIEFEL:
-        rv, rw = st.reeb_raw(q[..., :4], q[..., 4:])
-        return -0.5 * s[..., None] * np.concatenate([rv, rw], axis=-1)
-    if target == TARGET_HEISENBERG:
-        out = np.zeros(q.shape[:-1] + (5,))
-        out[..., 0] = -s
-        return out
-    raise GeometryDomainError(f"unknown target {target!r}")
+    def tangent(self, q, x):
+        v, w = st.project_tangent_raw(q[..., :4], q[..., 4:], x[..., :4], x[..., 4:])
+        return np.concatenate([v, w], axis=-1)
 
-
-def random_horizontal(target, rng, q):
-    """A random unit horizontal vector at stacked ambient points q."""
-    q = np.asarray(q, float)
-    if target == TARGET_STIEFEL:
+    def horizontal(self, q, c):
         a, b = q[..., :4], q[..., 4:]
-        v, w = st.random_horizontal_raw(rng, a, b)
-        x = np.concatenate([v, w], axis=-1)
-    else:
-        c = rng.standard_normal(q.shape[:-1] + (5,))
-        c[..., 0] = 0.0
-        x = hs.from_frame_components(q, c)
-    n = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-    # For the flat model the frame components are metric-orthonormal, so
-    # normalising ambient coordinates is only exact on the frame side.
-    if target == TARGET_HEISENBERG:
-        n = hs.metric_norm(q, x)[..., None]
-    return x / n
+        v, w = st.project_tangent_raw(a, b, c[..., :4], c[..., 4:])
+        v, w = st.horizontal_project_raw(a, b, v, w)
+        return np.concatenate([v, w], axis=-1)
+
+    def j(self, c):
+        return np.concatenate(st.jh_raw(c[..., :4], c[..., 4:]), axis=-1)
+
+    def reeb(self, q):
+        return np.concatenate(st.reeb_raw(q[..., :4], q[..., 4:]), axis=-1)
+
+    def alpha(self, q, x):
+        return st.alpha_raw(q[..., :4], q[..., 4:], x[..., :4], x[..., 4:])
+
+    def edge_residual(self, p_tail, delta):
+        """alpha at the retracted midpoint of each edge, on its difference vector."""
+        mid = p_tail + 0.5 * delta
+        am, bm = st.retract_raw(mid[:, :4], mid[:, 4:])
+        return st.alpha_raw(am, bm, delta[:, :4], delta[:, 4:])
+
+    def gauge_scalars(self, p0, points):
+        return st.gauge_scalars(p0[:4], p0[4:], points[..., :4], points[..., 4:])
+
+    def gauge_gradients(self, p0, points):
+        """Ambient gradients of rho^2 and phi at stacked points."""
+        grad_phi = np.broadcast_to(np.concatenate([p0[4:], -p0[:4]]), points.shape).copy()
+        return 2.0 * (points - p0), grad_phi
+
+    def seam_shift(self, wraps, monodromy):
+        """Frames close up across seams: no shift."""
+        return np.zeros(np.shape(wraps)[:-1] + (self.dim,))
+
+    def move(self, q, delta):
+        q = np.asarray(q, float)
+        delta = np.asarray(delta, float)
+        a, b = st.retract_raw(q[..., :4] + delta[..., :4], q[..., 4:] + delta[..., 4:])
+        return np.concatenate([a, b], axis=-1)
+
+    def random_point(self, rng):
+        a, b = st.random_points_raw(rng, 1)
+        return np.concatenate([a[0], b[0]])
+
+
+class FlatTarget(Target):
+    """The flat model: points (phi, y) with y in R^4 = C^2."""
+
+    name = TARGET_HEISENBERG
+    dim = 5
+    alpha_reeb = -1.0
+
+    def invariant_defect(self, positions):
+        return 0.0
+
+    def frame(self, base, delta):
+        """Frame components of ambient vectors delta based at base."""
+        c0 = delta[..., 0] - hs.omega0(base[..., 1:], delta[..., 1:])
+        return np.concatenate([c0[..., None], delta[..., 1:]], axis=-1)
+
+    def unframe(self, base, c):
+        """Inverse of :meth:`frame`."""
+        x0 = c[..., 0] + hs.omega0(base[..., 1:], c[..., 1:])
+        return np.concatenate([x0[..., None], c[..., 1:]], axis=-1)
+
+    def frame_covector(self, base, cov):
+        """An ambient covector as a covector on frame components (adjoint of unframe)."""
+        out = np.array(cov, float)
+        out[..., 1:] += out[..., 0, None] * hs.jc2(base[..., 1:])
+        return out
+
+    def frame_dot(self, base, delta, base_dot, delta_dot):
+        """Derivative of frame(base, delta) along (base_dot, delta_dot)."""
+        c0 = (
+            delta_dot[..., 0]
+            - hs.omega0(base_dot[..., 1:], delta[..., 1:])
+            - hs.omega0(base[..., 1:], delta_dot[..., 1:])
+        )
+        return np.concatenate([c0[..., None], delta_dot[..., 1:]], axis=-1)
+
+    def frame_adjoint(self, base, delta, c_bar):
+        """(base_bar, delta_bar): the adjoint of :meth:`frame_dot` applied to c_bar."""
+        f0 = c_bar[..., 0, None]
+        base_bar = np.concatenate([np.zeros_like(f0), f0 * hs.jc2(delta[..., 1:])], axis=-1)
+        delta_bar = np.concatenate([f0, c_bar[..., 1:] - f0 * hs.jc2(base[..., 1:])], axis=-1)
+        return base_bar, delta_bar
+
+    def tangent(self, q, x):
+        return x
+
+    def horizontal(self, q, c):
+        out = np.array(c, float)
+        out[..., 0] = 0.0
+        return out
+
+    def j(self, c):
+        out = np.zeros_like(c)
+        out[..., 1:] = hs.jc2(c[..., 1:])
+        return out
+
+    def reeb(self, q):
+        out = np.zeros(np.shape(q))
+        out[..., 0] = 1.0
+        return out
+
+    def alpha(self, q, x):
+        return hs.contact_form_h(q, x)
+
+    def edge_residual(self, p_tail, delta):
+        """alpha at the midpoint of each edge, on its difference vector."""
+        y_mid = p_tail[:, 1:] + 0.5 * delta[:, 1:]
+        return -delta[:, 0] + hs.omega0(y_mid, delta[:, 1:])
+
+    def gauge_scalars(self, p0, points):
+        return hs.gauge_scalars(p0, points)
+
+    def gauge_gradients(self, p0, points):
+        """Ambient gradients of rho^2 and phi at stacked points."""
+        grad_rho2 = np.zeros_like(points)
+        grad_rho2[..., 1:] = 2.0 * (points[..., 1:] - p0[1:])
+        grad_phi = np.zeros_like(points)
+        grad_phi[..., 0] = 1.0
+        grad_phi[..., 1:] = -hs.jc2(np.broadcast_to(p0[1:], points[..., 1:].shape))
+        return grad_rho2, grad_phi
+
+    def seam_shift(self, wraps, monodromy):
+        """The Legendrian coordinate jumps by the monodromy at each seam crossing."""
+        out = np.zeros(np.shape(wraps)[:-1] + (self.dim,))
+        out[..., 0] = -(wraps[..., 0] * monodromy[0] + wraps[..., 1] * monodromy[1])
+        return out
+
+    def move(self, q, delta):
+        return np.asarray(q, float) + np.asarray(delta, float)
+
+    def random_point(self, rng):
+        y = rng.uniform(-1.0, 1.0, size=4)
+        phi = rng.uniform(-1.0, 1.0)
+        return np.concatenate([[phi], y])
+
+
+STIEFEL = FrameTarget()
+HEISENBERG = FlatTarget()
+
+
+def geometry(name) -> Target:
+    """The target object of a target name."""
+    for target in (STIEFEL, HEISENBERG):
+        if target.name == name:
+            return target
+    raise GeometryDomainError(f"unknown target {name!r}")

@@ -16,11 +16,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from . import heisenberg as hs
-from . import stiefel as st
+from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import FaceData, horizontal_part, j_frame, mean_curvature_one_form
+from .immersion import FaceData, mean_curvature_one_form
 from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
@@ -54,62 +53,6 @@ def chi_double_prime(t):
 
 # ---------------------------------------------------------------------------
 # pointwise gauge data
-
-
-def base_point_coords(target, p0):
-    if isinstance(p0, st.StiefelPoint):
-        return p0.as_vector()
-    if isinstance(p0, hs.HeisenbergPoint):
-        return p0.as_vector()
-    p0 = np.asarray(p0, float)
-    expected = 8 if target == "stiefel" else 5
-    if p0.size != expected:
-        raise GeometryDomainError(f"base point has {p0.size} coordinates, expected {expected}")
-    return p0
-
-
-def gauge_scalars_at(target, p0, points):
-    """(rho, phi, r) of stacked points relative to p0."""
-    points = np.asarray(points, float)
-    if target == "stiefel":
-        return st.gauge_scalars(p0[:4], p0[4:], points[..., :4], points[..., 4:])
-    rho = np.linalg.norm(points[..., 1:] - p0[1:], axis=-1)
-    phi = points[..., 0] - p0[0] - hs.omega0(p0[1:], points[..., 1:])
-    return rho, phi, (rho**4 + 4.0 * phi**2) ** 0.25
-
-
-def gauge_ambient_gradients(target, p0, points):
-    """Ambient-coordinate gradients of rho^2 and phi at stacked points."""
-    points = np.asarray(points, float)
-    if target == "stiefel":
-        grad_rho2 = 2.0 * (points - p0)
-        grad_phi = np.broadcast_to(
-            np.concatenate([p0[4:], -p0[:4]]), points.shape
-        ).copy()
-        return grad_rho2, grad_phi
-    grad_rho2 = np.zeros_like(points)
-    grad_rho2[..., 1:] = 2.0 * (points[..., 1:] - p0[1:])
-    grad_phi = np.zeros_like(points)
-    grad_phi[..., 0] = 1.0
-    grad_phi[..., 1:] = -hs.jc2(np.broadcast_to(p0[1:], points[..., 1:].shape))
-    return grad_rho2, grad_phi
-
-
-def horizontal_gradient(target, points, ambient_grad):
-    """Horizontal metric gradient in frame components from ambient partials."""
-    points = np.asarray(points, float)
-    g = np.asarray(ambient_grad, float)
-    if target == "stiefel":
-        a, b = points[..., :4], points[..., 4:]
-        v, w = st.project_tangent_raw(a, b, g[..., :4], g[..., 4:])
-        v, w = st.horizontal_project_raw(a, b, v, w)
-        return np.concatenate([v, w], axis=-1)
-    y = points[..., 1:]
-    omega_cols = np.stack([-y[..., 1], y[..., 0], -y[..., 3], y[..., 2]], axis=-1)
-    eh = g[..., 1:] + omega_cols * g[..., 0:1]
-    out = np.zeros(points.shape)
-    out[..., 1:] = eh
-    return out
 
 
 def sigma_weight(sigma):
@@ -146,26 +89,21 @@ class GaugeFields:
     base_p0: np.ndarray = None
 
 
-def _deck_shifts(imm):
-    m1, m2 = imm.phi_monodromy
-    if imm.target != "heisenberg" or (m1 == 0.0 and m2 == 0.0):
-        return None
-    shifts = sorted({k1 * m1 + k2 * m2 for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)})
-    return np.asarray(shifts)
-
-
 def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
-    p0 = base_point_coords(imm.target, p0)
-    pos = imm.positions.copy()
-    rho, phi, r = gauge_scalars_at(imm.target, p0, pos)
-    shifts = _deck_shifts(imm)
-    branch = np.zeros(len(pos))
-    if shifts is not None:
-        # A lifted torus has deck copies at Legendrian offsets k . monodromy;
-        # measure each vertex on its nearest branch.
-        branch = shifts[np.argmin(np.abs(phi[:, None] - shifts[None, :]), axis=1)]
-        pos[:, 0] -= branch
-        rho, phi, r = gauge_scalars_at(imm.target, p0, pos)
+    geo = imm.geometry
+    p0 = geo.point(p0)
+    pos = imm.positions
+    # A lifted torus has deck copies, translated by the seam shifts of
+    # k in {-1, 0, 1}^2 crossings; measure each vertex on the copy nearest
+    # in phi (a tie goes to the lower copy).
+    wraps = np.array([(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)])
+    decks = np.unique(-geo.seam_shift(wraps, imm.phi_monodromy), axis=0)
+    branch = np.zeros(len(pos), int)
+    if len(decks) > 1:
+        phis = np.stack([geo.gauge_scalars(p0, pos - d)[1] for d in decks], axis=1)
+        branch = np.argmin(np.abs(phis), axis=1)
+        pos = pos - decks[branch]
+    rho, phi, r = geo.gauge_scalars(p0, pos)
     singular = r < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(rho > 0, 2.0 * phi / np.maximum(rho, 1e-300) ** 2, np.nan)
@@ -175,7 +113,7 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
             np.where(phi > 0, np.pi / 2, np.where(phi < 0, -np.pi / 2, 0.0)),
         )
 
-    grad_rho2, grad_phi = gauge_ambient_gradients(imm.target, p0, pos)
+    grad_rho2, grad_phi = geo.gauge_gradients(p0, pos)
     r_safe = np.maximum(r, 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         # d r = (rho^2 d rho^2 + 4 phi d phi) / (2 r^3)
@@ -188,8 +126,8 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
         ) / r_safe[:, None] ** 4
     grad_r_amb = np.nan_to_num(grad_r_amb)
     grad_at_amb = np.nan_to_num(grad_at_amb)
-    grad_h_r = horizontal_gradient(imm.target, pos, grad_r_amb)
-    grad_h_arctan = horizontal_gradient(imm.target, pos, grad_at_amb)
+    grad_h_r = geo.horizontal_gradient(pos, grad_r_amb)
+    grad_h_arctan = geo.horizontal_gradient(pos, grad_at_amb)
     grad_h_r[singular] = np.nan
     grad_h_arctan[singular] = np.nan
 
@@ -244,10 +182,10 @@ def vertex_tangent_frames(imm: DiscreteImmersion, fd: FaceData | None = None):
     for c in range(3):
         np.add.at(acc_u, m.triangles[:, c], fd.area[:, None] * fd.du)
         np.add.at(acc_v, m.triangles[:, c], fd.area[:, None] * fd.dv)
-    t1 = horizontal_part(imm, imm.positions, acc_u)
+    t1 = imm.geometry.horizontal(imm.positions, acc_u)
     n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
     t1 = t1 / np.maximum(n1, 1e-300)
-    t2 = horizontal_part(imm, imm.positions, acc_v)
+    t2 = imm.geometry.horizontal(imm.positions, acc_v)
     t2 = t2 - np.sum(t2 * t1, axis=-1, keepdims=True) * t1
     n2 = np.linalg.norm(t2, axis=-1, keepdims=True)
     t2 = t2 / np.maximum(n2, 1e-300)
@@ -263,9 +201,11 @@ def structure_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
     """
     t1, t2 = vertex_tangent_frames(imm, gf.face_data)
     rho = np.maximum(gf.rho, 1e-300)
-    gr2, gp = _stored_ambient_gradients(imm, gf)
-    g_rho = horizontal_gradient(imm.target, imm.positions, gr2) / (2.0 * rho[:, None])
-    g_phi = horizontal_gradient(imm.target, imm.positions, gp)
+    geo = imm.geometry
+    # Ambient gradients of rho^2 and phi are independent of the branch shift.
+    gr2, gp = geo.gauge_gradients(gf.base_p0, imm.positions)
+    g_rho = geo.horizontal_gradient(imm.positions, gr2) / (2.0 * rho[:, None])
+    g_phi = geo.horizontal_gradient(imm.positions, gp)
     p_rho = np.sum(g_rho * t1, axis=-1) ** 2 + np.sum(g_rho * t2, axis=-1) ** 2
     p_phi = np.sum(g_phi * t1, axis=-1) ** 2 + np.sum(g_phi * t2, axis=-1) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -288,16 +228,11 @@ def perp_gradient_identity_defects_vertex(imm: DiscreteImmersion, gf: GaugeField
         np.sum(gat * t1, axis=-1, keepdims=True) * t1
         + np.sum(gat * t2, axis=-1, keepdims=True) * t2
     )
-    j_at = j_frame(imm, tang_at)
+    j_at = imm.geometry.j(tang_at)
     diff = perp / np.maximum(gf.r, 1e-300)[:, None] - 0.5 * j_at
     out = np.linalg.norm(diff, axis=-1)
     out[gf.singular] = np.nan
     return out
-
-
-def _stored_ambient_gradients(imm, gf):
-    """Ambient gradients of rho^2 and phi (independent of the branch shift)."""
-    return gauge_ambient_gradients(imm.target, gf.base_p0, imm.positions)
 
 
 def horizontal_gradient_defects(gf: GaugeFields):
@@ -320,7 +255,7 @@ def perp_gradient_identity_defects(imm: DiscreteImmersion, gf: GaugeFields):
     perp = grad_h_face - grad_s_face
     coef_a = np.einsum("fab,fb->fa", fd.ginv, gf.face_grad_arctan)
     grad_at_face = coef_a[:, 0, None] * fd.du + coef_a[:, 1, None] * fd.dv
-    j_at = j_frame(imm, horizontal_part(imm, fd.base_pos, grad_at_face))
+    j_at = imm.geometry.j(imm.geometry.horizontal(fd.base_pos, grad_at_face))
     diff = perp / np.maximum(gf.face_r, 1e-300)[:, None] - 0.5 * j_at
     out = np.linalg.norm(diff, axis=-1)
     out[~gf.face_ok] = np.nan
@@ -331,19 +266,19 @@ def perp_gradient_identity_defects(imm: DiscreteImmersion, gf: GaugeFields):
 # the cut-off Hamiltonian
 
 
-def hamiltonian_arctan(imm_or_target, p0, r0: float, eta: float) -> HamiltonianSpec:
+def hamiltonian_arctan(target, p0, r0: float, eta: float) -> HamiltonianSpec:
     """h = [chi(r/r0) - chi(r/eta)] arctan(sigma), with analytic first derivatives.
 
     Supported inside the gauge shell {eta <= r <= 2 r0}.
     """
     if not 0 < eta < r0 < 1:
         raise GeometryDomainError("need 0 < eta < r0 < 1")
-    target = imm_or_target if isinstance(imm_or_target, str) else imm_or_target.target
-    p0 = base_point_coords(target, p0)
+    geo = fields.geometry(target)
+    p0 = geo.point(p0)
 
     def value(points):
         points = np.atleast_2d(np.asarray(points, float))
-        rho, phi, r = gauge_scalars_at(target, p0, points)
+        rho, phi, r = geo.gauge_scalars(p0, points)
         with np.errstate(divide="ignore", invalid="ignore"):
             atan = np.where(
                 rho > 0,
@@ -354,8 +289,8 @@ def hamiltonian_arctan(imm_or_target, p0, r0: float, eta: float) -> HamiltonianS
 
     def grad(points):
         points = np.atleast_2d(np.asarray(points, float))
-        rho, phi, r = gauge_scalars_at(target, p0, points)
-        grad_rho2, grad_phi = gauge_ambient_gradients(target, p0, points)
+        rho, phi, r = geo.gauge_scalars(p0, points)
+        grad_rho2, grad_phi = geo.gauge_gradients(p0, points)
         r_safe = np.maximum(r, 1e-300)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             grad_r = (rho[:, None] ** 2 * grad_rho2 + 4.0 * phi[:, None] * grad_phi) / (
@@ -378,7 +313,7 @@ def hamiltonian_arctan(imm_or_target, p0, r0: float, eta: float) -> HamiltonianS
         out[r < 1e-14] = 0.0
         return out
 
-    return HamiltonianSpec(h=value, grad=grad, support=("gauge_ball", p0, 2.0 * r0 + 1e-12))
+    return HamiltonianSpec(h=value, grad=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +465,7 @@ def tri_sublevel_fraction(r_vals, s):
 
 def resolvable_radius(imm: DiscreteImmersion):
     """Three median frame edge lengths: the smallest radius worth measuring."""
-    from .immersion import frame_deltas
-
-    delta = imm.edge_vectors()
-    tails = imm.mesh.edges[:, 0]
-    chords = frame_deltas(imm, imm.positions[tails], delta)
+    chords = imm.geometry.frame(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
     return 3.0 * float(np.median(np.linalg.norm(chords, axis=-1)))
 
 
@@ -544,7 +475,7 @@ def density_curve(imm: DiscreteImmersion, p0, radii, min_radius=None) -> Density
     Radii under three median edge lengths are excluded with a warning entry;
     pass ``min_radius`` to override the cut (coarse-resolution studies).
     """
-    p0c = base_point_coords(imm.target, p0)
+    p0c = imm.geometry.point(p0)
     gf = gauge_fields(imm, p0c)
     fd = gf.face_data
     tri = imm.mesh.triangles
@@ -616,7 +547,7 @@ def theta0_estimate(imm: DiscreteImmersion, p0, kernel=None, eta=None):
 
     Returns (theta0, multiplicity_estimate, distance_to_integer, eta_used).
     """
-    p0c = base_point_coords(imm.target, p0)
+    p0c = imm.geometry.point(p0)
     if kernel is None:
         kernel = polynomial_kernel(*DEFAULT_KERNELS["half_to_three_half"])
     gf = gauge_fields(imm, p0c)
@@ -637,12 +568,13 @@ def smooth_gauge_bump(target, p0, radius, tilt=0.0):
     ambient coordinates, so the bump is smooth across the base point;
     ``tilt`` mixes in a linear factor to break radial symmetry.
     """
-    p0 = base_point_coords(target, p0)
+    geo = fields.geometry(target)
+    p0 = geo.point(p0)
     r4cap = float(radius) ** 4
 
     def parts(points):
         points = np.atleast_2d(np.asarray(points, float))
-        rho, phi, _ = gauge_scalars_at(target, p0, points)
+        rho, phi, _ = geo.gauge_scalars(p0, points)
         r4 = rho**4 + 4.0 * phi**2
         core = np.maximum(0.0, 1.0 - r4 / r4cap)
         lin = 1.0 + tilt * (points[..., 1] - p0[1])
@@ -654,11 +586,11 @@ def smooth_gauge_bump(target, p0, radius, tilt=0.0):
 
     def grad(points):
         points, rho, phi, r4, core, lin = parts(points)
-        grad_rho2, grad_phi = gauge_ambient_gradients(target, p0, points)
+        grad_rho2, grad_phi = geo.gauge_gradients(p0, points)
         grad_r4 = 2.0 * rho[:, None] ** 2 * grad_rho2 + 8.0 * phi[:, None] * grad_phi
         out = (-3.0 * core**2 / r4cap * lin)[:, None] * grad_r4
         out[:, 1] += core**3 * tilt
         out[core <= 0.0] = 0.0
         return out
 
-    return HamiltonianSpec(h=value, grad=grad, support=("gauge_ball", p0, float(radius)))
+    return HamiltonianSpec(h=value, grad=grad)

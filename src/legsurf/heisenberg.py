@@ -7,23 +7,17 @@ R^4 is an isometry and d/dphi has unit length.  Tangent 5-vectors are ordered
 (phi-component, y-components).
 
 The module provides the contact form, Legendrian lifts of Lagrangian sample
-grids, the anisotropic dilations, Hamiltonian vector fields, and the model
-gauge relative to a base point (through the group left translation).
+grids, the anisotropic dilations, and the model gauge relative to a base
+point (through the group left translation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintViolationError, GeometryDomainError
-
-#: Reeb-coefficient conventions for Hamiltonian fields. Each pairs the Reeb
-#: (vertical) coefficient of the displayed formula with the horizontal scale
-#: that makes the field an infinitesimal contactomorphism.
-CONVENTIONS = ("thm1", "sec231")
-
 
 def omega0(y, v):
     """y1 v2 - y2 v1 + y3 v4 - y4 v3 (the symplectic pairing against y)."""
@@ -71,32 +65,6 @@ def contact_form_h(q, x):
     return -x[..., 0] + omega0(qv[..., 1:], x[..., 1:])
 
 
-def frame_components(q, x):
-    """Components of a tangent vector in the left-invariant orthonormal frame.
-
-    The first component is along the vertical unit direction d/dphi, the rest
-    are the R^4 projection; the squared metric norm is the plain sum of
-    squares of the result.
-    """
-    qv = q.as_vector() if isinstance(q, HeisenbergPoint) else np.asarray(q, float)
-    x = np.asarray(x, float)
-    c0 = x[..., 0] - omega0(qv[..., 1:], x[..., 1:])
-    return np.concatenate([c0[..., None], x[..., 1:]], axis=-1)
-
-
-def from_frame_components(q, c):
-    """Inverse of :func:`frame_components`."""
-    qv = q.as_vector() if isinstance(q, HeisenbergPoint) else np.asarray(q, float)
-    c = np.asarray(c, float)
-    x0 = c[..., 0] + omega0(qv[..., 1:], c[..., 1:])
-    return np.concatenate([x0[..., None], c[..., 1:]], axis=-1)
-
-
-def metric_norm(q, x):
-    c = frame_components(q, x)
-    return np.sqrt(np.sum(c * c, axis=-1))
-
-
 def dilate(q: HeisenbergPoint, r: float) -> HeisenbergPoint:
     """Anisotropic dilation (phi, y) -> (phi / r^2, y / r)."""
     if not r > 0:
@@ -104,47 +72,20 @@ def dilate(q: HeisenbergPoint, r: float) -> HeisenbergPoint:
     return HeisenbergPoint(q.phi / r**2, q.y / r)
 
 
-def gauge_h(p0: HeisenbergPoint, q: HeisenbergPoint):
-    """(rho, phi, r_gauge) of q relative to p0, via the group left translation.
+def gauge_scalars(p0, points):
+    """(rho, phi, r_gauge) of stacked points relative to p0, via the group left translation.
 
     rho = |y - y0|, the gauge Legendrian coordinate is
     phi - phi0 - omega0(y0, y), and r^4 = rho^4 + 4 phi_gauge^2.
     """
-    rho = float(np.linalg.norm(q.y - p0.y))
-    phi_g = float(q.phi - p0.phi - omega0(p0.y, q.y))
-    r = (rho**4 + 4.0 * phi_g**2) ** 0.25
-    return rho, phi_g, r
+    rho = np.linalg.norm(points[..., 1:] - p0[1:], axis=-1)
+    phi = points[..., 0] - p0[0] - omega0(p0[1:], points[..., 1:])
+    return rho, phi, (rho**4 + 4.0 * phi**2) ** 0.25
 
 
-def hamiltonian_field_h(h_value, h_grad, q, convention="thm1"):
-    """Hamiltonian vector field of a scalar h at q, in ambient coordinates.
-
-    ``h_value`` and ``h_grad`` are the scalar and its ambient gradient
-    (d/dphi h, d/dy h) at q; ``q`` may be a point or stacked coordinates.
-    Under the default convention the field is J grad_H h - 2 h d/dphi; the
-    alternative keeps the vertical coefficient +h/2 and rescales the
-    horizontal part so the flow still preserves ker alpha.
-    """
-    qv = q.as_vector() if isinstance(q, HeisenbergPoint) else np.asarray(q, float)
-    g = np.asarray(h_grad, float)
-    h = np.asarray(h_value, float)
-    y = qv[..., 1:]
-    dphi_h = g[..., 0]
-    dy_h = g[..., 1:]
-    # Frame derivatives E_i h = d/dy_i h + omega0(y, e_i) d/dphi h.
-    omega_cols = np.stack([-y[..., 1], y[..., 0], -y[..., 3], y[..., 2]], axis=-1)
-    eh = dy_h + omega_cols * dphi_h[..., None]
-    if convention == "thm1":
-        vert = -2.0 * h
-        horiz_y = jc2(eh)
-    elif convention == "sec231":
-        vert = 0.5 * h
-        horiz_y = -0.25 * jc2(eh)
-    else:
-        raise GeometryDomainError(f"unknown Reeb-coefficient convention {convention!r}")
-    x_y = horiz_y
-    x_phi = vert + omega0(y, x_y)
-    return np.concatenate([np.asarray(x_phi)[..., None], x_y], axis=-1)
+def gauge_h(p0: HeisenbergPoint, q: HeisenbergPoint):
+    """:func:`gauge_scalars` of one point, as floats."""
+    return tuple(float(x) for x in gauge_scalars(p0.as_vector(), q.as_vector()))
 
 
 def volume_form_value_h(q, vectors):

@@ -1,10 +1,9 @@
 """Per-face and per-vertex geometry of discrete Legendrian immersions.
 
-Tangent data is handled in frame components: for the frame-pair target these
-are plain R^8 coordinates; for the flat model they are components in the
-left-invariant orthonormal frame, so Euclidean formulas apply to both.  The
-Gauss map of a face is the unit 2-vector of its frame partial derivatives;
-comparing it across faces uses the global trivialisation.
+Tangent data is handled in frame components (see :mod:`legsurf.fields`), so
+Euclidean formulas apply to both targets.  The Gauss map of a face is the
+unit 2-vector of its frame partial derivatives; comparing it across faces
+uses the global trivialisation.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heisenberg as hs
-from . import stiefel as st
 from .errors import DegenerateFaceError, GeometryDomainError
 from .mesh import DiscreteImmersion
 
@@ -33,121 +30,95 @@ def wedge_nd(x, y):
     return np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], axis=-1)
 
 
-def frame_deltas(imm: DiscreteImmersion, base_pos, delta):
-    """Frame components of coordinate differences based at base_pos."""
-    if imm.target == "stiefel":
-        return np.asarray(delta, float)
-    c0 = delta[..., 0] - hs.omega0(base_pos[..., 1:], delta[..., 1:])
-    return np.concatenate([c0[..., None], delta[..., 1:]], axis=-1)
+def face_params(imm: DiscreteImmersion):
+    """Per-mesh face constants: corner seam offsets (F, 3, dim), the inverse
+    parameter-edge matrices minv (F, 2, 2) and the parameter areas (F,).
 
-
-def vertical_unit(imm: DiscreteImmersion, pos):
-    """Unit vertical (Reeb-direction) frame vector at stacked positions."""
-    if imm.target == "stiefel":
-        rv, rw = st.reeb_raw(pos[..., :4], pos[..., 4:])
-        return np.concatenate([rv, rw], axis=-1) / np.sqrt(2.0)
-    out = np.zeros(pos.shape[:-1] + (5,))
-    out[..., 0] = 1.0
-    return out
-
-
-def j_frame(imm: DiscreteImmersion, x):
-    """Transverse complex structure on horizontal frame components."""
-    if imm.target == "stiefel":
-        v, w = st.jh_raw(x[..., :4], x[..., 4:])
-        return np.concatenate([v, w], axis=-1)
-    out = np.zeros_like(x)
-    out[..., 1:] = hs.jc2(x[..., 1:])
-    return out
-
-
-def horizontal_part(imm: DiscreteImmersion, pos, x):
-    """Project frame components onto the horizontal distribution at pos."""
-    if imm.target == "stiefel":
-        a, b = pos[..., :4], pos[..., 4:]
-        v, w = st.project_tangent_raw(a, b, x[..., :4], x[..., 4:])
-        v, w = st.horizontal_project_raw(a, b, v, w)
-        return np.concatenate([v, w], axis=-1)
-    out = x.copy()
-    out[..., 0] = 0.0
-    return out
-
-
-def _local_uv(imm: DiscreteImmersion):
-    """(F, 3, 2) unwrapped per-face parameter corners (intrinsic if uv missing)."""
+    Without uv the parameters are intrinsic per-face coordinates from the
+    current edge lengths.
+    """
     m = imm.mesh
+    geo = imm.geometry
     if m.uv is not None:
-        uv, _ = m.corner_uv_local()
-        return uv
-    # Intrinsic per-face coordinates from current edge lengths.
-    corners = imm.corner_positions()
+        uv, wraps = m.corner_uv_local()
+        corner_shift = geo.seam_shift(wraps, imm.phi_monodromy)
+    else:
+        corner_shift = np.zeros((len(m.triangles), 3, geo.dim))
+        corners = imm.positions[m.triangles]
+        base = corners[:, 0]
+        e1 = geo.frame(base, corners[:, 1] - base)
+        e2 = geo.frame(base, corners[:, 2] - base)
+        l1 = np.linalg.norm(e1, axis=-1)
+        x2 = np.where(l1 > 0, np.sum(e1 * e2, axis=-1) / np.maximum(l1, 1e-300), 0.0)
+        uv = np.zeros((len(corners), 3, 2))
+        uv[:, 1, 0] = l1
+        uv[:, 2, 0] = x2
+        uv[:, 2, 1] = np.sqrt(np.maximum(np.sum(e2 * e2, axis=-1) - x2**2, 0.0))
+    d1 = uv[:, 1] - uv[:, 0]
+    d2 = uv[:, 2] - uv[:, 0]
+    det_uv = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    if np.any(det_uv <= 0):
+        bad = int(np.argmin(det_uv))
+        raise GeometryDomainError(f"face {bad} has non-positive parameter orientation")
+    # [du dv] = [e1 e2] minv with M columns the parameter edge vectors.
+    minv = np.empty((len(d1), 2, 2))
+    minv[:, 0, 0] = d2[:, 1]
+    minv[:, 0, 1] = -d2[:, 0]
+    minv[:, 1, 0] = -d1[:, 1]
+    minv[:, 1, 1] = d1[:, 0]
+    minv /= det_uv[:, None, None]
+    return corner_shift, minv, 0.5 * det_uv
+
+
+def face_state(geometry, corners, minv, uv_area):
+    """Per-face geometry from corner positions already in corner 0's branch.
+
+    Returns the ambient edge differences d1, d2 (corner 0 -> 1, 2), the frame
+    partials du, dv, the metric g and its inverse, |W| = sqrt(det g) for the
+    wedge W = du ^ dv, the unit Gauss vector W / |W| and the area
+    |W| * uv_area.  Degenerate faces are not rejected here (see
+    :func:`reject_degenerate`).
+    """
     base = corners[:, 0]
-    e1 = frame_deltas(imm, base, corners[:, 1] - base)
-    e2 = frame_deltas(imm, base, corners[:, 2] - base)
-    l1 = np.linalg.norm(e1, axis=-1)
-    dot = np.sum(e1 * e2, axis=-1)
-    x2 = np.where(l1 > 0, dot / np.maximum(l1, 1e-300), 0.0)
-    y2sq = np.sum(e2 * e2, axis=-1) - x2**2
-    y2 = np.sqrt(np.maximum(y2sq, 0.0))
-    uv = np.zeros((len(corners), 3, 2))
-    uv[:, 1, 0] = l1
-    uv[:, 2, 0] = x2
-    uv[:, 2, 1] = y2
-    return uv
+    d1, d2 = corners[:, 1] - base, corners[:, 2] - base
+    e1, e2 = geometry.frame(base, d1), geometry.frame(base, d2)
+    du = minv[:, 0, 0, None] * e1 + minv[:, 1, 0, None] * e2
+    dv = minv[:, 0, 1, None] * e1 + minv[:, 1, 1, None] * e2
+    g11 = np.sum(du * du, axis=-1)
+    g12 = np.sum(du * dv, axis=-1)
+    g22 = np.sum(dv * dv, axis=-1)
+    g = np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
+    ginv = np.stack([np.stack([g22, -g12], axis=-1), np.stack([-g12, g11], axis=-1)], axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ginv /= (g11 * g22 - g12 * g12)[:, None, None]
+    wedge = wedge_nd(du, dv)
+    wnorm = np.sqrt(np.maximum(np.sum(wedge * wedge, axis=-1), 1e-300))
+    return dict(
+        base_pos=base, d1=d1, d2=d2, du=du, dv=dv, g=g, ginv=ginv,
+        wnorm=wnorm, gauss=wedge / wnorm[:, None], area=uv_area * wnorm,
+    )
+
+
+def reject_degenerate(state):
+    """Raise DegenerateFaceError naming the first face with |W| <= 1e-12 trace(g)."""
+    scale = np.maximum(state["g"][:, 0, 0] + state["g"][:, 1, 1], 1e-300)
+    bad = np.flatnonzero(state["wnorm"] <= 1e-12 * scale)
+    if bad.size:
+        raise DegenerateFaceError(int(bad[0]))
 
 
 class FaceData:
-    """Struct-of-arrays face geometry for a whole immersion."""
+    """Struct-of-arrays face geometry for a whole immersion (see :func:`face_state`)."""
 
     def __init__(self, imm: DiscreteImmersion, check_degenerate=True):
         self.imm = imm
-        corners = imm.corner_positions()
-        self.base_pos = corners[:, 0]
-        self.e1 = frame_deltas(imm, self.base_pos, corners[:, 1] - self.base_pos)
-        self.e2 = frame_deltas(imm, self.base_pos, corners[:, 2] - self.base_pos)
-        uv = _local_uv(imm)
-        d1 = uv[:, 1] - uv[:, 0]
-        d2 = uv[:, 2] - uv[:, 0]
-        det_uv = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(det_uv <= 0):
-            bad = int(np.argmin(det_uv))
-            raise GeometryDomainError(
-                f"face {bad} has non-positive parameter orientation"
-            )
-        self.uv_area = 0.5 * det_uv
-        # [du dv] = [e1 e2] Minv with M columns the parameter edge vectors.
-        inv = np.empty((len(d1), 2, 2))
-        inv[:, 0, 0] = d2[:, 1]
-        inv[:, 0, 1] = -d2[:, 0]
-        inv[:, 1, 0] = -d1[:, 1]
-        inv[:, 1, 1] = d1[:, 0]
-        inv /= det_uv[:, None, None]
-        self.minv = inv
-        self.du = inv[:, 0, 0, None] * self.e1 + inv[:, 1, 0, None] * self.e2
-        self.dv = inv[:, 0, 1, None] * self.e1 + inv[:, 1, 1, None] * self.e2
-        g11 = np.sum(self.du * self.du, axis=-1)
-        g12 = np.sum(self.du * self.dv, axis=-1)
-        g22 = np.sum(self.dv * self.dv, axis=-1)
-        self.g = np.stack(
-            [np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2
-        )
-        self.det_g = g11 * g22 - g12**2
+        corner_shift, self.minv, self.uv_area = face_params(imm)
+        corners = imm.positions[imm.mesh.triangles]
+        corners += corner_shift
+        state = face_state(imm.geometry, corners, self.minv, self.uv_area)
         if check_degenerate:
-            scale = np.maximum(g11 + g22, 1e-300)
-            bad = np.where(self.det_g <= 1e-24 * scale**2)[0]
-            if bad.size:
-                raise DegenerateFaceError(int(bad[0]))
-        self.sqrt_det = np.sqrt(np.maximum(self.det_g, 0.0))
-        self.area = self.sqrt_det * self.uv_area
-        ginv = np.empty_like(self.g)
-        ginv[:, 0, 0] = g22
-        ginv[:, 1, 1] = g11
-        ginv[:, 0, 1] = -g12
-        ginv[:, 1, 0] = -g12
-        self.ginv = ginv / self.det_g[:, None, None]
-        self.wedge = wedge_nd(self.du, self.dv)
-        self.gauss = self.wedge / self.sqrt_det[:, None]
-
+            reject_degenerate(state)
+        vars(self).update(state)
     def grad_scalar(self, values):
         """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""
         tri = self.imm.mesh.triangles
@@ -192,9 +163,10 @@ class FaceFrame:
 def face_frames(imm: DiscreteImmersion):
     """Per-face frames; raises DegenerateFaceError naming a collapsed face."""
     fd = FaceData(imm)
-    vert = vertical_unit(imm, fd.base_pos)
-    ju = j_frame(imm, horizontal_part(imm, fd.base_pos, fd.du))
-    jv = j_frame(imm, horizontal_part(imm, fd.base_pos, fd.dv))
+    geo = imm.geometry
+    vert = geo.reeb_unit(fd.base_pos)
+    ju = geo.j(geo.horizontal(fd.base_pos, fd.du))
+    jv = geo.j(geo.horizontal(fd.base_pos, fd.dv))
     ju = ju / np.linalg.norm(ju, axis=-1, keepdims=True)
     jv = jv / np.linalg.norm(jv, axis=-1, keepdims=True)
     frames = []
@@ -228,26 +200,13 @@ class EdgeResiduals:
 
 def legendrian_residual(imm: DiscreteImmersion) -> EdgeResiduals:
     """Contact-form residual of every edge, evaluated at the midpoint retraction."""
-    m = imm.mesh
-    tails = m.edges[:, 0]
-    delta = imm.edge_vectors()
-    p_tail = imm.positions[tails]
-    p_head = imm.positions[m.edges[:, 1]]
-    if imm.target == "stiefel":
-        am, bm = st.retract_raw(
-            0.5 * (p_tail[:, :4] + p_head[:, :4]),
-            0.5 * (p_tail[:, 4:] + p_head[:, 4:]),
-        )
-        vals = st.alpha_raw(am, bm, delta[:, :4], delta[:, 4:])
-    else:
-        y_mid = 0.5 * (p_tail[:, 1:] + p_head[:, 1:])
-        vals = -delta[:, 0] + hs.omega0(y_mid, delta[:, 1:])
+    vals = imm.geometry.edge_residual(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
     return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0, float(np.sqrt(np.sum(vals**2))))
 
 
 def validate_immersion(imm: DiscreteImmersion):
     """Point invariants, face non-degeneracy, and the Legendrian gate."""
-    defect = imm.vertex_invariant_defect()
+    defect = imm.geometry.invariant_defect(imm.positions)
     if defect > 1e-11:
         raise GeometryDomainError(f"vertex frames violate target invariants: {defect:.2e}")
     FaceData(imm)  # raises on degenerate faces
@@ -272,15 +231,10 @@ class CurvatureData:
     warnings: list
 
 
-def _vertex_chords(imm, v):
-    """Seam-corrected frame chords from v to its neighbours."""
-    m = imm.mesh
-    nbrs = sorted(m.vertex_neighbors[v])
-    delta = imm.positions[nbrs] - imm.positions[v]
-    if imm.target == "heisenberg" and m.uv_periods is not None and m.uv is not None:
-        w = m.wraps(np.broadcast_to(m.uv[v], (len(nbrs), 2)), m.uv[nbrs])
-        delta[:, 0] -= w[:, 0] * imm.phi_monodromy[0] + w[:, 1] * imm.phi_monodromy[1]
-    return nbrs, frame_deltas(imm, imm.positions[v], delta)
+def _vertex_chords(imm, v, nbrs):
+    """Seam-corrected frame chords from v to the vertices nbrs."""
+    delta = imm.positions[nbrs] - imm.positions[v] + imm.seam_shift(v, nbrs)
+    return imm.geometry.frame(imm.positions[v], delta)
 
 
 def second_fundamental_form(imm: DiscreteImmersion, min_valence=5) -> CurvatureData:
@@ -300,34 +254,30 @@ def second_fundamental_form(imm: DiscreteImmersion, min_valence=5) -> CurvatureD
         valid=np.zeros(n, bool),
         warnings=[],
     )
-    vert_all = vertical_unit(imm, imm.positions)
+    geo = imm.geometry
+    vert_all = geo.reeb_unit(imm.positions)
     for v in range(n):
         if v in m.boundary_vertices:
             continue
-        nbrs, chords = _vertex_chords(imm, v)
+        nbrs = sorted(m.vertex_neighbors[v])
         if len(nbrs) < min_valence:
             out.warnings.append((v, f"valence {len(nbrs)} < {min_valence}; using 2-ring"))
             two_ring = set()
             for u in nbrs:
                 two_ring.update(m.vertex_neighbors[u])
             two_ring.discard(v)
-            ring = sorted(two_ring)
-            delta = imm.positions[ring] - imm.positions[v]
-            if imm.target == "heisenberg" and m.uv_periods is not None and m.uv is not None:
-                w = m.wraps(np.broadcast_to(m.uv[v], (len(ring), 2)), m.uv[ring])
-                delta[:, 0] -= w[:, 0] * imm.phi_monodromy[0] + w[:, 1] * imm.phi_monodromy[1]
-            chords = frame_deltas(imm, imm.positions[v], delta)
-            nbrs = ring
+            nbrs = sorted(two_ring)
+        chords = _vertex_chords(imm, v, nbrs)
         if len(nbrs) < 5:
             out.warnings.append((v, "fit rank deficient even on the 2-ring"))
             continue
         # Tangent plane estimate: dominant directions of the horizontal chords.
-        hz = horizontal_part(imm, imm.positions[v][None], chords.copy())
+        hz = geo.horizontal(imm.positions[v][None], chords)
         _, _, vt = np.linalg.svd(hz, full_matrices=False)
         t1, t2 = vt[0], vt[1]
-        t1 = horizontal_part(imm, imm.positions[v], t1)
+        t1 = geo.horizontal(imm.positions[v], t1)
         t1 /= np.linalg.norm(t1)
-        t2 = horizontal_part(imm, imm.positions[v], t2)
+        t2 = geo.horizontal(imm.positions[v], t2)
         t2 -= (t2 @ t1) * t1
         t2 /= np.linalg.norm(t2)
         xi = np.stack([chords @ t1, chords @ t2], axis=-1)
@@ -341,8 +291,8 @@ def second_fundamental_form(imm: DiscreteImmersion, min_valence=5) -> CurvatureD
             continue
         q11, q12, q22 = sol[2], sol[3], sol[4]
         u_r = vert_all[v]
-        n1 = j_frame(imm, t1)
-        n2 = j_frame(imm, t2)
+        n1 = geo.j(t1)
+        n2 = geo.j(t2)
         basis = [u_r, n1, n2]
 
         def proj(vec):
@@ -376,29 +326,16 @@ def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
     """Per-edge cotangent weights and barycentric vertex areas."""
     m = imm.mesh
     corners = imm.corner_positions()
-    base = corners[:, 0]
-    c01 = frame_deltas(imm, base, corners[:, 1] - base)
-    c02 = frame_deltas(imm, base, corners[:, 2] - base)
-    base1 = corners[:, 1]
-    c12 = frame_deltas(imm, base1, corners[:, 2] - corners[:, 1])
-    c10 = frame_deltas(imm, base1, corners[:, 0] - corners[:, 1])
-    base2 = corners[:, 2]
-    c20 = frame_deltas(imm, base2, corners[:, 0] - corners[:, 2])
-    c21 = frame_deltas(imm, base2, corners[:, 1] - corners[:, 2])
-
-    def cot(a, b):
+    w = np.zeros(len(m.edges))
+    for k in range(3):
+        # Corner k's angle sits between its chords to the two other corners
+        # and weights the opposite edge (local edge k).
+        base = corners[:, k]
+        a = imm.geometry.frame(base, corners[:, (k + 1) % 3] - base)
+        b = imm.geometry.frame(base, corners[:, (k + 2) % 3] - base)
         dot = np.sum(a * b, axis=-1)
         cross_sq = np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1) - dot**2
-        return dot / np.sqrt(np.maximum(cross_sq, 1e-300))
-
-    # Corner k's angle sits between its chords to the two other corners and
-    # weights the opposite edge (local edge k).
-    cots = np.stack([cot(c01, c02), cot(c12, c10), cot(c20, c21)], axis=-1)
-    n_e = len(m.edges)
-    w = np.zeros(n_e)
-    for k in range(3):
-        # local edge k is opposite corner k
-        np.add.at(w, m.face_edges[:, k], 0.5 * cots[:, k])
+        np.add.at(w, m.face_edges[:, k], 0.5 * dot / np.sqrt(np.maximum(cross_sq, 1e-300)))
     if fd is None:
         fd = FaceData(imm)
     areas = np.zeros(m.n_vertices)
@@ -407,13 +344,19 @@ def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
     return w, areas
 
 
+def _edge_chords(imm):
+    """Frame chords of every edge seen from its tail and from its head."""
+    tails, heads = imm.mesh.edges[:, 0], imm.mesh.edges[:, 1]
+    delta = imm.edge_vectors()
+    geo = imm.geometry
+    return geo.frame(imm.positions[tails], delta), geo.frame(imm.positions[heads], -delta)
+
+
 def laplacian_positions(imm: DiscreteImmersion, weights, areas):
     """Cot-Laplacian of the immersion per vertex, in frame components at the vertex."""
     m = imm.mesh
-    delta = imm.edge_vectors()
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    chords_t = frame_deltas(imm, imm.positions[tails], delta)
-    chords_h = frame_deltas(imm, imm.positions[heads], -delta)
+    chords_t, chords_h = _edge_chords(imm)
     k = imm.positions.shape[1]
     acc = np.zeros((m.n_vertices, k))
     np.add.at(acc, tails, weights[:, None] * chords_t)
@@ -442,12 +385,10 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
     fd = FaceData(imm)
     weights, areas = cotangent_weights(imm, fd)
     lap = laplacian_positions(imm, weights, areas)
-    g_vec = j_frame(imm, horizontal_part(imm, imm.positions, lap))
+    g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
 
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    delta = imm.edge_vectors()
-    chords_t = frame_deltas(imm, imm.positions[tails], delta)
-    chords_h = frame_deltas(imm, imm.positions[heads], -delta)
+    chords_t, chords_h = _edge_chords(imm)
     gamma = -0.5 * (
         np.sum(g_vec[tails] * chords_t, axis=-1) - np.sum(g_vec[heads] * chords_h, axis=-1)
     )

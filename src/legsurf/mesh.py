@@ -19,10 +19,20 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from . import fields
 from .errors import GeometryDomainError
 
-TARGETS = ("stiefel", "heisenberg")
-POINT_DIM = {"stiefel": 8, "heisenberg": 5}
+
+def _float_array(values, shape, what):
+    """``values`` as a float array of ``shape``; GeometryDomainError names the shape otherwise."""
+    try:
+        out = np.asarray(values, float)
+    except ValueError:  # ragged rows
+        out = None
+    if out is None or out.shape != shape:
+        got = "ragged rows" if out is None else f"shape {out.shape}"
+        raise GeometryDomainError(f"{what} must have shape {shape}, got {got}")
+    return out
 
 
 class SurfaceMesh:
@@ -40,7 +50,7 @@ class SurfaceMesh:
     ):
         self.triangles = np.asarray(triangles, int).reshape(-1, 3)
         self.n_vertices = int(n_vertices)
-        self.uv = None if uv is None else np.asarray(uv, float).reshape(self.n_vertices, 2)
+        self.uv = None if uv is None else _float_array(uv, (self.n_vertices, 2), "uv")
         self.genus = int(genus)
         self.boundary_loops = [list(map(int, loop)) for loop in boundary_loops]
         self.uv_periods = None if uv_periods is None else (
@@ -87,12 +97,7 @@ class SurfaceMesh:
             f, k = divmod(int(repeated[0]), 3)
             e = (int(tri[f, k]), int(tri[f, (k + 1) % 3]))
             raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
-        crowded = np.flatnonzero(self._edge_face_counts > 2)
-        if crowded.size:
-            e = crowded[0]
-            raise GeometryDomainError(
-                f"edge {tuple(self.edges[e])} borders {self._edge_face_counts[e]} faces"
-            )
+        # An edge on three or more faces repeats a directed edge, so it is caught above.
         chi = self.n_vertices - len(self.edges) + len(tri)
         n_comp, _ = self._component_labels()
         expected = 2 * n_comp - 2 * self.genus - len(self.boundary_loops)
@@ -163,7 +168,10 @@ class SurfaceMesh:
 
 @dataclass
 class DiscreteImmersion:
-    """A mesh with vertex images in one of the two targets."""
+    """A mesh with vertex images in one of the two targets.
+
+    ``target`` is the target's name; ``geometry`` is its :class:`fields.Target`.
+    """
 
     mesh: SurfaceMesh
     target: str
@@ -172,27 +180,13 @@ class DiscreteImmersion:
     phi_monodromy: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise GeometryDomainError(f"unknown target {self.target!r}")
-        dim = POINT_DIM[self.target]
-        self.positions = np.asarray(self.positions, float).reshape(self.mesh.n_vertices, dim)
+        self.geometry = fields.geometry(self.target)
+        self.positions = _float_array(
+            self.positions, (self.mesh.n_vertices, self.geometry.dim), "positions"
+        )
         self.phi_monodromy = (float(self.phi_monodromy[0]), float(self.phi_monodromy[1]))
         if not np.all(np.isfinite(self.positions)):
             raise GeometryDomainError("positions contain non-finite values")
-
-    # -- point invariants ---------------------------------------------------
-
-    def vertex_invariant_defect(self):
-        if self.target == "heisenberg":
-            return 0.0
-        a, b = self.positions[:, :4], self.positions[:, 4:]
-        return float(
-            max(
-                np.max(np.abs(np.sum(a * a, axis=1) - 1.0)),
-                np.max(np.abs(np.sum(b * b, axis=1) - 1.0)),
-                np.max(np.abs(np.sum(a * b, axis=1))),
-            )
-        )
 
     def with_positions(self, positions):
         return DiscreteImmersion(
@@ -205,27 +199,24 @@ class DiscreteImmersion:
 
     # -- seam-corrected differences ------------------------------------------
 
+    def seam_shift(self, tails, heads):
+        """Ambient offsets moving the points at vertices ``heads`` into the branch of ``tails``."""
+        m = self.mesh
+        if m.uv is None:
+            wraps = np.zeros(np.shape(heads) + (2,), int)
+        else:
+            wraps = m.wraps(m.uv[tails], m.uv[heads])
+        return self.geometry.seam_shift(wraps, self.phi_monodromy)
+
     def edge_vectors(self):
         """Seam-corrected coordinate differences along canonical edges (tail -> head)."""
-        m = self.mesh
-        tails, heads = m.edges[:, 0], m.edges[:, 1]
-        delta = self.positions[heads] - self.positions[tails]
-        if self.target == "heisenberg" and m.uv_periods is not None and m.uv is not None:
-            w = m.wraps(m.uv[tails], m.uv[heads])
-            delta[:, 0] -= w[:, 0] * self.phi_monodromy[0] + w[:, 1] * self.phi_monodromy[1]
-        return delta
+        tails, heads = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
+        return self.positions[heads] - self.positions[tails] + self.seam_shift(tails, heads)
 
     def corner_positions(self):
         """(F, 3, dim) positions with corners 1, 2 moved into corner 0's branch."""
-        m = self.mesh
-        pos = self.positions[m.triangles].copy()
-        if self.target == "heisenberg" and m.uv_periods is not None and m.uv is not None:
-            _, wraps = m.corner_uv_local()
-            pos[:, :, 0] -= (
-                wraps[:, :, 0] * self.phi_monodromy[0]
-                + wraps[:, :, 1] * self.phi_monodromy[1]
-            )
-        return pos
+        tri = self.mesh.triangles
+        return self.positions[tri] + self.seam_shift(tri[:, [0]], tri)
 
     # -- serialization --------------------------------------------------------
 
@@ -256,7 +247,7 @@ class DiscreteImmersion:
 
     @staticmethod
     def from_json(data):
-        vertices = np.asarray(data["vertices"], float)
+        vertices = data["vertices"]
         mesh = SurfaceMesh(
             triangles=data["triangles"],
             n_vertices=len(vertices),

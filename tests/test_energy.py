@@ -8,6 +8,8 @@ from legsurf.checks import fit_loglog_slope
 from legsurf.errors import GeometryDomainError, LocalisationError
 from legsurf.polynomials import random_polynomial
 
+TARGETS = ("heisenberg", "stiefel")
+
 
 def quadratic_bump(seed=5):
     """phi-independent quadratic Hamiltonian (flows commute with the deck map)."""
@@ -63,25 +65,29 @@ class TestEnergy:
 
 class TestFirstVariation:
     def test_directional_equals_pairing(self):
-        rng = np.random.default_rng(0)
-        pc = corpus.perturbed_clifford(12, amplitude=2e-2, seed=3)
-        asm = energy.EnergyAssembler(pc)
-        w = energy.project_field(pc.target, pc.positions, rng.standard_normal(pc.positions.shape))
-        direct = asm.first_variation(pc.positions, 0.3, w)
-        paired = float(np.sum(asm.gradient(pc.positions, 0.3).covector * w))
-        assert direct == pytest.approx(paired, rel=1e-12)
-
-    def test_gradient_matches_richardson_fd(self):
-        rng = np.random.default_rng(1)
-        pc = corpus.perturbed_clifford(12, amplitude=2e-2, seed=3)
-        asm = energy.EnergyAssembler(pc)
-        for _ in range(5):
+        for target in TARGETS:
+            rng = np.random.default_rng(0)
+            pc = corpus.perturbed_clifford(12, amplitude=2e-2, seed=3, target=target)
+            asm = energy.EnergyAssembler(pc)
             w = energy.project_field(
                 pc.target, pc.positions, rng.standard_normal(pc.positions.shape)
             )
-            analytic = asm.first_variation(pc.positions, 0.25, w)
-            fd = richardson_directional(asm, pc.positions, 0.25, w)
-            assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
+            direct = asm.first_variation(pc.positions, 0.3, w)
+            paired = float(np.sum(asm.gradient(pc.positions, 0.3).covector * w))
+            assert direct == pytest.approx(paired, rel=1e-12), target
+
+    def test_gradient_matches_richardson_fd(self):
+        for target in TARGETS:
+            rng = np.random.default_rng(1)
+            pc = corpus.perturbed_clifford(12, amplitude=2e-2, seed=3, target=target)
+            asm = energy.EnergyAssembler(pc)
+            for _ in range(5):
+                w = energy.project_field(
+                    pc.target, pc.positions, rng.standard_normal(pc.positions.shape)
+                )
+                analytic = asm.first_variation(pc.positions, 0.25, w)
+                fd = richardson_directional(asm, pc.positions, 0.25, w)
+                assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic)), target
 
     def test_area_variation_matches_fd_interior_bump(self):
         # Interior-supported coordinate bump on the flat patch at eps -> 0.

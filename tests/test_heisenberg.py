@@ -29,8 +29,8 @@ class TestContactForm:
     def test_horizontal_lift_annihilated(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            q = checks.random_target_point(fields.TARGET_HEISENBERG, rng)
-            x = fields.random_horizontal(fields.TARGET_HEISENBERG, rng, q)
+            q = fields.HEISENBERG.random_point(rng)
+            x = fields.HEISENBERG.random_horizontal(rng, q)
             assert abs(hs.contact_form_h(q, x)) < 1e-12
 
 
@@ -108,23 +108,23 @@ class TestDilate:
 
 class TestHamiltonianField:
     def test_constant_hamiltonian(self):
-        q = hs.HeisenbergPoint(0.0, np.zeros(4))
-        x = hs.hamiltonian_field_h(3.0, np.zeros(5), q)
+        q = np.zeros(5)
+        x = fields.HEISENBERG.hamiltonian_field(3.0, np.zeros(5), q)
         assert np.allclose(x, [-6.0, 0, 0, 0, 0])
 
     def test_linear_hamiltonian_at_origin(self):
-        q = hs.HeisenbergPoint(0.0, np.zeros(4))
+        q = np.zeros(5)
         grad = np.array([0.0, 1.0, 0, 0, 0])  # h = y1
-        x = hs.hamiltonian_field_h(0.0, grad, q)
+        x = fields.HEISENBERG.hamiltonian_field(0.0, grad, q)
         assert np.allclose(x, [0, 0, 1, 0, 0])
 
     def test_dilation_generator(self):
         # h = -phi generates the anisotropic dilations: X = 2 phi dphi + y dy.
         rng = np.random.default_rng(2)
         for _ in range(20):
-            q = checks.random_target_point(fields.TARGET_HEISENBERG, rng)
+            q = fields.HEISENBERG.random_point(rng)
             grad = np.array([-1.0, 0, 0, 0, 0])
-            x = hs.hamiltonian_field_h(-q[0], grad, q)
+            x = fields.HEISENBERG.hamiltonian_field(-q[0], grad, q)
             expected = np.concatenate([[2 * q[0]], q[1:]])
             assert np.allclose(x, expected, atol=1e-13)
 
@@ -135,7 +135,7 @@ class TestHamiltonianField:
         dt = t_total / nsteps
         q = q0.copy()
         for _ in range(nsteps):
-            x = hs.hamiltonian_field_h(-q[0], np.array([-1.0, 0, 0, 0, 0]), q)
+            x = fields.HEISENBERG.hamiltonian_field(-q[0], np.array([-1.0, 0, 0, 0, 0]), q)
             q = q + dt * x
         r = np.exp(-t_total)
         expected = np.concatenate([[q0[0] / r**2], q0[1:] / r])
@@ -143,7 +143,7 @@ class TestHamiltonianField:
 
     def test_lie_derivative_small_both_conventions(self):
         rng = np.random.default_rng(3)
-        for convention in hs.CONVENTIONS:
+        for convention in fields.CONVENTIONS:
             vals = checks.hamiltonian_lie_defects(
                 fields.TARGET_HEISENBERG, rng, n_cases=10, convention=convention
             )
@@ -151,8 +151,8 @@ class TestHamiltonianField:
 
     def test_generic_field_fails_lie_test(self):
         rng = np.random.default_rng(4)
-        q = checks.random_target_point(fields.TARGET_HEISENBERG, rng)
-        x = fields.random_horizontal(fields.TARGET_HEISENBERG, rng, q)
+        q = fields.HEISENBERG.random_point(rng)
+        x = fields.HEISENBERG.random_horizontal(rng, q)
         const = rng.standard_normal(5)
         val = checks.lie_derivative_fd(
             fields.TARGET_HEISENBERG, q, x, lambda p: const
@@ -170,7 +170,7 @@ class TestNonIntegrability:
     def test_volume_constant(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            q = checks.random_target_point(fields.TARGET_HEISENBERG, rng)
+            q = fields.HEISENBERG.random_point(rng)
             val = hs.volume_form_value_h(q, list(np.eye(5)))
             assert val == pytest.approx(-8.0, abs=1e-12)
 

@@ -229,16 +229,18 @@ class TestMeshValidation:
             )
 
     def test_json_roundtrip(self, tmp_path):
-        cl = corpus.clifford_lift(8)
-        path = tmp_path / "mesh.json"
-        cl.save(path)
-        back = DiscreteImmersion.load(path)
-        assert np.allclose(back.positions, cl.positions)
-        assert back.phi_monodromy == cl.phi_monodromy
-        assert back.mesh.uv_periods == cl.mesh.uv_periods
-        res_a = immersion.legendrian_residual(cl)
-        res_b = immersion.legendrian_residual(back)
-        assert res_a.max == res_b.max
+        for target in ("heisenberg", "stiefel"):
+            cl = corpus.clifford_lift(8, target=target)
+            path = tmp_path / f"{target}.json"
+            cl.save(path)
+            back = DiscreteImmersion.load(path)
+            assert back.target == target
+            assert np.allclose(back.positions, cl.positions)
+            assert back.phi_monodromy == cl.phi_monodromy
+            assert back.mesh.uv_periods == cl.mesh.uv_periods
+            res_a = immersion.legendrian_residual(cl)
+            res_b = immersion.legendrian_residual(back)
+            assert res_a.max == res_b.max
 
 
 class TestInvariances:

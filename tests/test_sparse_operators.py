@@ -41,10 +41,10 @@ def test_stencil_matches_face_loops(family, kw):
     asm = EnergyAssembler(imm)
     nbrs, q = ref.stencil_weights(imm.mesh)
     rng = np.random.default_rng(0)
-    state = asm._face_state(imm.positions + 1e-2 * rng.normal(size=imm.positions.shape))
+    state = asm.face_state(imm.positions + 1e-2 * rng.normal(size=imm.positions.shape))
     a_list, _ = asm._gauss_gradients(state)
-    assert _rel_err(a_list, ref.stencil_apply(nbrs, q, state["t"])) < 1e-13
-    t_dot = rng.normal(size=state["t"].shape)
+    assert _rel_err(a_list, ref.stencil_apply(nbrs, q, state["gauss"])) < 1e-13
+    t_dot = rng.normal(size=state["gauss"].shape)
     a_dot = (asm.stencil @ t_dot).reshape(a_list.shape)
     assert _rel_err(a_dot, ref.stencil_apply(nbrs, q, t_dot)) < 1e-13
     a_bar = rng.normal(size=a_list.shape)
@@ -80,31 +80,42 @@ class TestMeshErrors:
                 SurfaceMesh(tri, 3)
 
     def test_inconsistent_orientation(self):
-        with pytest.raises(GeometryDomainError, match=r"directed edge \(0, 1\) repeated"):
-            SurfaceMesh([[0, 1, 2], [0, 1, 3]], 4)
+        # Three faces on one edge always repeat a directed edge.
+        for tri, n in (([[0, 1, 2], [0, 1, 3]], 4), ([[0, 1, 2], [0, 1, 3], [0, 1, 4]], 5)):
+            with pytest.raises(GeometryDomainError, match=r"directed edge \(0, 1\) repeated"):
+                SurfaceMesh(tri, n)
 
     def test_euler_characteristic(self):
         with pytest.raises(GeometryDomainError, match="Euler characteristic 1 inconsistent"):
             SurfaceMesh([[0, 1, 2]], 3, genus=1)
 
     def test_cli_mesh_out_of_range_exits_two(self, tmp_path):
-        mesh = {"target": "heisenberg", "vertices": [[0.0] * 5] * 3, "triangles": [[0, 1, 5]]}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(mesh))
-        r = subprocess.run(
-            [sys.executable, "-m", "legsurf.cli", "energy", "--mesh", str(path),
-             "--epsilon", "0.2", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
-        assert r.returncode == 2
-        assert "triangle index out of range" in r.stderr
-        assert "Traceback" not in r.stderr
+        good = {"target": "heisenberg", "vertices": [[0.0] * 5] * 3, "triangles": [[0, 1, 2]],
+                "boundary_loops": [[0, 1, 2]]}
+        cases = [
+            ({"triangles": [[0, 1, 5]]}, "triangle index out of range"),
+            ({"uv": [[0.0, 0.0]]}, "uv must have shape (3, 2), got shape (1, 2)"),
+            ({"vertices": [[0.0] * 4] * 3}, "positions must have shape (3, 5), got shape (3, 4)"),
+            ({"vertices": [[0.0] * 5, [0.0] * 5, [0.0] * 4]},
+             "positions must have shape (3, 5), got ragged rows"),
+        ]
+        for i, (change, message) in enumerate(cases):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps({**good, **change}))
+            r = subprocess.run(
+                [sys.executable, "-m", "legsurf.cli", "energy", "--mesh", str(path),
+                 "--epsilon", "0.2", "--out", str(tmp_path / "out")],
+                capture_output=True, text=True,
+            )
+            assert r.returncode == 2, r.stderr
+            assert message in r.stderr
+            assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("family,kw", [("flat_patch", dict(n=8, center=True)), ("double_sheet", dict(n=6))])
 def test_component_count_matches_union_find(family, kw):
     imm = _immersion(family, kw)
-    gf = gauge_lab.gauge_fields(imm, gauge_lab.base_point_coords(imm.target, np.zeros(5)))
+    gf = gauge_lab.gauge_fields(imm, np.zeros(5))
     for s in np.quantile(gf.r, [0.0, 0.05, 0.3, 0.7, 1.0]) + 1e-12:
         assert gauge_lab._component_count(imm, gf.r, s) == ref.component_count(imm.mesh, gf.r, s)
 
