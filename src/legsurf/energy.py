@@ -70,7 +70,6 @@ class HamiltonianSpec:
 
     h: callable
     grad: callable
-    hess: callable = None
 
 
 def project_field(target, positions, w):
@@ -290,12 +289,20 @@ def hamiltonian_deformation(imm: DiscreteImmersion, spec: HamiltonianSpec, conve
 # constrained flow
 
 
-def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None, fd_step=1e-7):
+def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None):
     """Gauss-Newton restoration of the per-edge Legendrian residuals.
 
     Corrections move vertices along the Reeb direction, the one direction the
     contact form does not annihilate, so each edge residual is first-order
-    controllable by its endpoints.
+    controllable by its endpoints.  Moving vertex v to move(p_v, s_v R)
+    changes r_e by c_e (s_tail - s_head), c = ``reeb_slope`` (the Reeb flow
+    of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
+    the mesh's signed edge incidence.  Its normal matrix is factored by
+    :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
+    is unchanged (always, on the flat target, where c = 1).
+
+    Returns the restored immersion, the residual before and after, and the
+    number of Gauss-Newton passes.
     """
     tol = imm.legendrian_tol if tol is None else tol
     m = imm.mesh
@@ -303,52 +310,40 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None, fd_step=1e
     tails, heads = m.edges[:, 0], m.edges[:, 1]
     shift = imm.seam_shift(tails, heads)
 
-    def residual(p_tail, p_head):
-        return geo.edge_residual(p_tail, p_head - p_tail + shift)
+    def residual(positions):
+        delta = positions[heads] - positions[tails] + shift
+        r = geo.edge_residual(positions[tails], delta)
+        return r, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 
     positions = imm.positions.copy()
-    before = legendrian_residual(imm.with_positions(positions)).max
-    n_e, n_v = len(m.edges), m.n_vertices
-    rows = np.concatenate([np.arange(n_e), np.arange(n_e)])
-    cols = np.concatenate([tails, heads])
-    res_max = before
+    r, delta, res_max = residual(positions)
+    before = res_max
     last_norm = np.inf
-    for _ in range(max_iters):
-        r = residual(positions[tails], positions[heads])
-        res_max = float(np.max(np.abs(r))) if len(r) else 0.0
+    passes = 0
+    while passes < max_iters:
         r_norm = float(np.linalg.norm(r))
         if res_max <= tol or r_norm > 0.999 * last_norm:
             break  # done, or at the least-squares floor of vertical corrections
         last_norm = r_norm
-        reeb = geo.reeb(positions)
-
-        def moved(idx, s):
-            return geo.move(positions[idx], s * fd_step * reeb[idx])
-
-        p_tail, p_head = positions[tails], positions[heads]
-        jt = residual(moved(tails, +1), p_head) - residual(moved(tails, -1), p_head)
-        jh = residual(p_tail, moved(heads, +1)) - residual(p_tail, moved(heads, -1))
-        jt, jh = jt / (2 * fd_step), jh / (2 * fd_step)
-        jac = sp.csr_matrix((np.concatenate([jt, jh]), (rows, cols)), shape=(n_e, n_v))
-        normal = (jac.T @ jac + 1e-14 * sp.identity(n_v)).tocsc()
-        sol = spla.spsolve(normal, -jac.T @ r)
-        positions = geo.move(positions, sol[:, None] * reeb)
-        r = residual(positions[tails], positions[heads])
-        res_max = float(np.max(np.abs(r))) if len(r) else 0.0
+        slopes = geo.reeb_slope(positions[tails], delta)
+        sol = m.restoration_factor(slopes).solve(-(m.edge_incidence.T @ (slopes * r)))
+        positions = geo.move(positions, sol[:, None] * geo.reeb(positions))
+        r, delta, res_max = residual(positions)
+        passes += 1
     if res_max > tol:
         raise StepRejectedError(
             f"constraint restoration stalled at {res_max:.3e} > {tol:.3e}",
             residual_before=before,
             residual_after=res_max,
         )
-    return imm.with_positions(positions), before, res_max
+    return imm.with_positions(positions), before, res_max, passes
 
 
 def flow_step(imm: DiscreteImmersion, w_field, tau: float, report: dict = None) -> DiscreteImmersion:
     """Move vertices by tau * w, retract, and restore the Legendrian gate.
 
     When ``report`` is a dict it receives the residuals before and after the
-    restoration.
+    restoration and the number of Gauss-Newton passes, ``restore_iters``.
     """
     if not tau > 0:
         raise GeometryDomainError("step size must be positive")
@@ -356,12 +351,16 @@ def flow_step(imm: DiscreteImmersion, w_field, tau: float, report: dict = None) 
     if not w_field.any():
         if report is not None:
             base = legendrian_residual(imm).max
-            report.update(residual_before_restore=base, residual_after_restore=base)
+            report.update(
+                residual_before_restore=base, residual_after_restore=base, restore_iters=0
+            )
         return imm
     moved = imm.with_positions(imm.geometry.move(imm.positions, tau * w_field))
-    restored, before, after = restore_constraint(moved)
+    restored, before, after, passes = restore_constraint(moved)
     if report is not None:
-        report.update(residual_before_restore=before, residual_after_restore=after)
+        report.update(
+            residual_before_restore=before, residual_after_restore=after, restore_iters=passes
+        )
     return restored
 
 
@@ -378,53 +377,49 @@ def pre_restoration_residual(imm: DiscreteImmersion, w_field, tau: float) -> flo
 
 
 def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
-    """Sparse map from a vertex scalar u to the normal Hamiltonian field.
+    """The map B from a vertex scalar u to the normal Hamiltonian field.
 
     The normal parts of Hamiltonian deformations along a Legendrian surface
     form the family J grad^S(u) + vertical(2u), vertical(s) = (s / alpha(R)) R
-    being the Reeb multiple with alpha-value s; this assembles that family as
-    a matrix producing per-vertex frame components (surface gradients are
-    face-wise, averaged to vertices with area weights).
+    being the Reeb multiple with alpha-value s.  B u is that family in
+    per-vertex frame components: the face-wise surface gradient of u,
+    averaged onto each vertex with area weights, then J o horizontal at the
+    vertex.  Returned as a ``LinearOperator`` of shape (V k, V) with
+    ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).
     """
     m = imm.mesh
     geo = imm.geometry
     fd = fd or FaceData(imm)
     tri = m.triangles
-    n_v = m.n_vertices
-    k = imm.positions.shape[1]
-    wsum = np.zeros(n_v)
-    for c in range(3):
-        np.add.at(wsum, tri[:, c], fd.area)
-    wsum = np.maximum(wsum, 1e-300)
+    n_v, k = imm.positions.shape
+    wsum = np.bincount(tri.T.ravel(), weights=np.tile(fd.area, 3), minlength=n_v)
+    weight = fd.area[:, None] / np.maximum(wsum, 1e-300)[tri]  # (F, 3): face share at each corner
 
-    # hat-function surface gradients per face and source corner
+    # hat-function surface gradients per face and corner, frame components
     hat_params = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    gvecs = []
-    for c in range(3):
-        coef = np.einsum("fij,i->fj", fd.minv, hat_params[c])
-        gcoef = np.einsum("fab,fb->fa", fd.ginv, coef)
-        gvecs.append(gcoef[:, 0, None] * fd.du + gcoef[:, 1, None] * fd.dv)
+    gcoef = np.einsum("fab,fib,ci->fca", fd.ginv, fd.minv, hat_params)
+    gvecs = gcoef[..., 0, None] * fd.du[:, None] + gcoef[..., 1, None] * fd.dv[:, None]
 
-    rows, cols, vals = [], [], []
-    for c_recv in range(3):
-        recv = tri[:, c_recv]
-        weight = (fd.area / wsum[recv])[:, None]
-        for c_src in range(3):
-            block = weight * geo.j(geo.horizontal(imm.positions[recv], gvecs[c_src]))
-            for comp in range(k):
-                rows.append(recv * k + comp)
-                cols.append(tri[:, c_src])
-                vals.append(block[:, comp])
+    # J o horizontal at each vertex as a (V, k, k) block; row i is the image of e_i.
+    jh = geo.j(geo.horizontal(imm.positions[:, None], np.broadcast_to(np.eye(k), (n_v, k, k))))
     vert = (2.0 / geo.alpha_reeb) * geo.reeb(imm.positions)
-    for comp in range(k):
-        rows.append(np.arange(n_v) * k + comp)
-        cols.append(np.arange(n_v))
-        vals.append(vert[:, comp])
-    b_mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_v * k, n_v),
-    ).tocsr()
-    return b_mat
+    slots = (tri[..., None] * k + np.arange(k)).ravel()  # (vertex, component) of each (F, 3, k) entry
+
+    def matvec(u):
+        u = np.ravel(u)
+        face_grad = np.einsum("fck,fc->fk", gvecs, u[tri])
+        spread = (weight[..., None] * face_grad[:, None]).ravel()
+        avg = np.bincount(slots, weights=spread, minlength=n_v * k).reshape(n_v, k)
+        return (np.einsum("vi,vij->vj", avg, jh) + vert * u[:, None]).ravel()
+
+    def rmatvec(y):
+        y = np.reshape(y, (n_v, k))
+        z = np.einsum("vij,vj->vi", jh, y)
+        face_bar = np.einsum("fc,fck->fk", weight, z[tri])
+        src = np.einsum("fck,fk->fc", gvecs, face_bar)
+        return np.bincount(tri.ravel(), weights=src.ravel(), minlength=n_v) + np.sum(vert * y, axis=1)
+
+    return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
 
 
 def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = None):
@@ -435,16 +430,17 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
     against it equals u' (B' D_A B) u >= 0, so its negative always descends.
     """
     fd = fd or FaceData(imm)
-    b_mat = hamiltonian_map(imm, fd)
+    b_op = hamiltonian_map(imm, fd)
     m = imm.mesh
     n_v = m.n_vertices
     geo = imm.geometry
     gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
-    rhs = b_mat.T @ gtilde
+    rhs = b_op.rmatvec(gtilde)
     # The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
     # pairing identity <dA, X_u> = 2 int <du, d beta>), so the cot stiffness
     # plus scaled mass is a natural quasi-Newton preconditioner; it is SPD,
     # hence the covector pairs nonnegatively with B u and -B u descends.
+    # Symmetric, so the solve orders its columns on the pattern of A + A^T.
     weights, areas = cotangent_weights(imm, fd)
     tails, heads = m.edges[:, 0], m.edges[:, 1]
     lap = sp.coo_matrix(
@@ -459,8 +455,8 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
     ).tocsr()
     # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
     a_mat = (2.0 * lap + sp.diags((-4.0 / geo.alpha_reeb) * areas)).tocsc()
-    u = spla.spsolve(a_mat, rhs)
-    w_frame = (b_mat @ u).reshape(imm.positions.shape)
+    u = spla.spsolve(a_mat, rhs, permc_spec="MMD_AT_PLUS_A")
+    w_frame = b_op.matvec(u).reshape(imm.positions.shape)
     return u, geo.unframe(imm.positions, w_frame)
 
 
@@ -557,10 +553,11 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 it -= 1
                 break
             accepted = False
+            report = {}
             tau = min(max(tau * 2.0, opts.tau_min), 1e3)
             while tau >= opts.tau_min:
                 try:
-                    candidate = flow_step(current, direction, tau)
+                    candidate = flow_step(current, direction, tau, report)
                 except (StepRejectedError, DegenerateFaceError):
                     tau *= 0.5
                     continue
@@ -576,7 +573,6 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 )
             current = candidate
             e_cur = e_new
-            res = legendrian_residual(current)
             records.append(
                 {
                     "k": k,
@@ -584,7 +580,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                     "area": e_cur.area,
                     "penalty": e_cur.penalty,
                     "grad_norm": gnorm,
-                    "max_leg_residual": res.max,
+                    "max_leg_residual": report["residual_after_restore"],
                     "entropy_indicator": e_cur.entropy_indicator,
                 }
             )

@@ -42,14 +42,16 @@ class Target:
     covector), the derivative ``frame_dot`` and its adjoint ``frame_adjoint``
     (whose ``base_bar`` may be the scalar 0); the ``tangent`` and
     ``horizontal`` projections, ``j``, ``reeb`` and ``alpha``;
-    ``edge_residual``, ``gauge_scalars``, ``gauge_gradients`` and
-    ``seam_shift``; ``move`` (re-retracting onto the target) and
-    ``random_point``.  The methods below are built from these.
+    ``edge_residual`` and its Reeb derivative ``reeb_slope``,
+    ``gauge_scalars``, ``gauge_gradients`` and ``seam_shift``; ``move``
+    (re-retracting onto the target) and ``random_point``.  The methods below
+    are built from these.
     """
 
     name: str
     dim: int
     alpha_reeb: float  # alpha(R), constant on each target
+    carries_monodromy: bool  # whether seam crossings can shift a Legendrian coordinate
 
     def point(self, p):
         """Ambient coordinates of a typed point or a coordinate vector."""
@@ -97,6 +99,7 @@ class FrameTarget(Target):
     name = TARGET_STIEFEL
     dim = 8
     alpha_reeb = -2.0
+    carries_monodromy = False
 
     def invariant_defect(self, positions):
         a, b = positions[:, :4], positions[:, 4:]
@@ -147,6 +150,30 @@ class FrameTarget(Target):
         am, bm = st.retract_raw(mid[:, :4], mid[:, 4:])
         return st.alpha_raw(am, bm, delta[:, :4], delta[:, 4:])
 
+    def reeb_slope(self, p_tail, delta):
+        """d r / ds of :meth:`edge_residual` as the tail moves to move(p_tail, s R).
+
+        The retracted midpoint Q (from M = Q S, S = Q^T M) moves by
+        dQ = Q Omega + (I - Q Q^T) dM S^-1 along dM = R / 2, with Omega
+        = w [[0, 1], [-1, 0]] and w = (Q^T dM - dM^T Q)_01 / tr S; the
+        difference vector moves by -R.
+        """
+        reeb = self.reeb(p_tail)
+        mid = p_tail + 0.5 * delta
+        qa, qb = st.retract_raw(mid[:, :4], mid[:, 4:])
+        q = np.stack([qa, qb], axis=-1)  # (E, 4, 2)
+        dm = 0.5 * np.stack([reeb[:, :4], reeb[:, 4:]], axis=-1)
+        s = np.einsum("eia,eib->eab", q, np.stack([mid[:, :4], mid[:, 4:]], axis=-1))
+        qt_dm = np.einsum("eia,eib->eab", q, dm)
+        w = (qt_dm[:, 0, 1] - qt_dm[:, 1, 0]) / (s[:, 0, 0] + s[:, 1, 1])
+        normal = np.einsum(
+            "eib,eba->eia", dm - np.einsum("eia,eab->eib", q, qt_dm), np.linalg.inv(s)
+        )
+        da = normal[..., 0] - w[:, None] * qb
+        db = normal[..., 1] + w[:, None] * qa
+        return (st.alpha_raw(da, db, delta[:, :4], delta[:, 4:])
+                - st.alpha_raw(qa, qb, reeb[:, :4], reeb[:, 4:]))
+
     def gauge_scalars(self, p0, points):
         return st.gauge_scalars(p0[:4], p0[4:], points[..., :4], points[..., 4:])
 
@@ -176,6 +203,7 @@ class FlatTarget(Target):
     name = TARGET_HEISENBERG
     dim = 5
     alpha_reeb = -1.0
+    carries_monodromy = True
 
     def invariant_defect(self, positions):
         return 0.0
@@ -237,6 +265,10 @@ class FlatTarget(Target):
         """alpha at the midpoint of each edge, on its difference vector."""
         y_mid = p_tail[:, 1:] + 0.5 * delta[:, 1:]
         return -delta[:, 0] + hs.omega0(y_mid, delta[:, 1:])
+
+    def reeb_slope(self, p_tail, delta):
+        """d r / ds of :meth:`edge_residual` as the tail moves by s R: exactly 1."""
+        return np.ones(len(p_tail))
 
     def gauge_scalars(self, p0, points):
         return hs.gauge_scalars(p0, points)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from . import fields
@@ -63,6 +64,7 @@ class SurfaceMesh:
             raise GeometryDomainError("triangle index out of range")
         self._build_adjacency()
         self._validate()
+        self._restoration = None  # (edge slopes, factor) of the last restoration_factor call
 
     # -- construction ------------------------------------------------------
 
@@ -114,6 +116,30 @@ class SurfaceMesh:
             (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])), shape=(n_v, n_v)
         )
         return connected_components(adj, directed=False)
+
+    @functools.cached_property
+    def edge_incidence(self):
+        """(E, V) signed incidence D: +1 at each edge's tail, -1 at its head."""
+        n_e = len(self.edges)
+        return sp.csr_matrix(
+            (np.tile([1.0, -1.0], n_e), (np.repeat(np.arange(n_e), 2), self.edges.ravel())),
+            shape=(n_e, self.n_vertices),
+        )
+
+    def restoration_factor(self, slopes):
+        """LU factor of D^T diag(slopes^2) D + 1e-14 I, D the :attr:`edge_incidence`.
+
+        The factor of the last call is kept and reused while ``slopes`` is
+        bitwise unchanged.
+        """
+        cached = self._restoration
+        if cached is None or not np.array_equal(cached[0], slopes):
+            d = self.edge_incidence
+            normal = d.T @ sp.diags(slopes * slopes) @ d + 1e-14 * sp.identity(self.n_vertices)
+            cached = self._restoration = (
+                slopes.copy(), spla.splu(normal.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            )
+        return cached[1]
 
     @functools.cached_property
     def vertex_neighbors(self):
@@ -185,6 +211,11 @@ class DiscreteImmersion:
             self.positions, (self.mesh.n_vertices, self.geometry.dim), "positions"
         )
         self.phi_monodromy = (float(self.phi_monodromy[0]), float(self.phi_monodromy[1]))
+        if any(self.phi_monodromy) and not self.geometry.carries_monodromy:
+            raise GeometryDomainError(
+                f"phi_monodromy must be (0, 0) on the {self.target} target, "
+                f"got {self.phi_monodromy}"
+            )
         if not np.all(np.isfinite(self.positions)):
             raise GeometryDomainError("positions contain non-finite values")
 

@@ -27,9 +27,13 @@ class Polynomial:
         return self.exponents.shape[1]
 
     def _power_table(self, x):
-        """(..., n_vars, degree + 1) table of x_i ** 0..degree."""
+        """(..., n_vars, degree + 1) table of x_i ** 0..degree, by repeated multiplication."""
         x = np.asarray(x, float)
-        return x[..., None] ** np.arange(int(self.exponents.max(initial=0)) + 1)
+        table = np.empty(x.shape + (int(self.exponents.max(initial=0)) + 1,))
+        table[..., 0] = 1.0
+        for e in range(1, table.shape[-1]):
+            table[..., e] = table[..., e - 1] * x
+        return table
 
     def _powers(self, table, exponents):
         """(..., n_terms, n_vars) x_i ** exponents[k, i], gathered from the table."""

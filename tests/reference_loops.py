@@ -166,3 +166,43 @@ def polynomial_grad(poly, x):
         powers = x[..., None, :] ** exps
         out[..., i] = np.sum(poly.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1)
     return out
+
+
+def hamiltonian_matrix(imm, fd):
+    """The (V k, V) Hamiltonian map B as a sparse matrix, one COO block per corner pair."""
+    import scipy.sparse as sp
+
+    m = imm.mesh
+    geo = imm.geometry
+    tri = m.triangles
+    n_v = m.n_vertices
+    k = imm.positions.shape[1]
+    wsum = np.zeros(n_v)
+    for c in range(3):
+        np.add.at(wsum, tri[:, c], fd.area)
+    wsum = np.maximum(wsum, 1e-300)
+    hat_params = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    gvecs = []
+    for c in range(3):
+        coef = np.einsum("fij,i->fj", fd.minv, hat_params[c])
+        gcoef = np.einsum("fab,fb->fa", fd.ginv, coef)
+        gvecs.append(gcoef[:, 0, None] * fd.du + gcoef[:, 1, None] * fd.dv)
+    rows, cols, vals = [], [], []
+    for c_recv in range(3):
+        recv = tri[:, c_recv]
+        weight = (fd.area / wsum[recv])[:, None]
+        for c_src in range(3):
+            block = weight * geo.j(geo.horizontal(imm.positions[recv], gvecs[c_src]))
+            for comp in range(k):
+                rows.append(recv * k + comp)
+                cols.append(tri[:, c_src])
+                vals.append(block[:, comp])
+    vert = (2.0 / geo.alpha_reeb) * geo.reeb(imm.positions)
+    for comp in range(k):
+        rows.append(np.arange(n_v) * k + comp)
+        cols.append(np.arange(n_v))
+        vals.append(vert[:, comp])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_v * k, n_v),
+    ).tocsr()

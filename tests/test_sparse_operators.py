@@ -129,16 +129,25 @@ def test_face_one_form_matches_edge_dict(target):
     assert np.array_equal(got, ref.face_one_form(imm.mesh, fd.minv, gamma))
 
 
-def test_polynomial_power_table_bit_identical():
+def test_polynomial_power_table_matches_pow():
+    """The multiplied power table is within e ulps of pow; values and gradients
+    within 1e-14 of the sum of the absolute terms (the rounding scale of the sum)."""
     rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
     for _ in range(50):
         n_vars = int(rng.integers(1, 9))
         poly = random_polynomial(rng, n_vars, degree=int(rng.integers(0, 6)),
                                  n_terms=int(rng.integers(1, 20)))
         x = rng.normal(size=(int(rng.integers(1, 40)), n_vars))
-        assert np.array_equal(poly(x), ref.polynomial_value(poly, x))
-        assert np.array_equal(poly.grad(x), ref.polynomial_grad(poly, x))
-        assert np.array_equal(poly(x[0]), ref.polynomial_value(poly, x[0]))
+        e = np.arange(int(poly.exponents.max(initial=0)) + 1)
+        pow_table = x[..., None] ** e
+        assert np.all(np.abs(poly._power_table(x) - pow_table) <= e * eps * np.abs(pow_table))
+        abs_poly = type(poly)(np.abs(poly.coeffs), poly.exponents)
+        scale = ref.polynomial_value(abs_poly, np.abs(x))
+        assert np.all(np.abs(poly(x) - ref.polynomial_value(poly, x)) <= 1e-14 * scale)
+        grad_scale = ref.polynomial_grad(abs_poly, np.abs(x))
+        assert np.all(np.abs(poly.grad(x) - ref.polynomial_grad(poly, x)) <= 1e-14 * grad_scale)
+        assert np.all(np.abs(poly(x[0]) - ref.polynomial_value(poly, x[0])) <= 1e-14 * scale[0])
 
 
 def _relabelled(imm, perm):
