@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, checks, corpus, energy, gauge_lab, heisenberg as hs
 from .errors import (
     ConstraintViolationError,
+    DegenerateFrameError,
     GeometryDomainError,
     ResolutionError,
     StageAbortedError,
@@ -442,7 +443,7 @@ def main(argv=None):
         return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](config, args.out)
-    except (GeometryDomainError, ConstraintViolationError, ConfigError) as exc:
+    except (GeometryDomainError, ConstraintViolationError, DegenerateFrameError, ConfigError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageAbortedError as exc:

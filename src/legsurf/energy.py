@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 from . import fields
 from .errors import (
     DegenerateFaceError,
+    DegenerateFrameError,
     GeometryDomainError,
     LocalisationError,
     StageAbortedError,
@@ -120,6 +121,16 @@ def _gauss_stencil(m, uv):
     )
 
 
+def _block_gram(x, y):
+    """x y^T of stacked (F, 2, K) blocks as (F, 2, 2), one row product at a time
+    (faster than a batched matmul or a three-index einsum at these shapes)."""
+    out = np.empty((len(x), 2, 2))
+    for a in range(2):
+        for b in range(2):
+            out[:, a, b] = np.einsum("fi,fi->f", x[:, a], y[:, b])
+    return out
+
+
 class EnergyAssembler:
     """Constant mesh data plus energy/gradient evaluation at given positions."""
 
@@ -138,6 +149,8 @@ class EnergyAssembler:
         self.k = imm.positions.shape[1]
         self.k2 = len(wedge_pairs(self.k))
         self._pairs = np.asarray(wedge_pairs(self.k), int)
+        # (vertex, component) slot of each entry of a (F, 3, k) corner array
+        self._corner_slots = (self.tri[..., None] * self.k + np.arange(self.k)).ravel()
 
     # -- forward pieces ------------------------------------------------------
 
@@ -148,11 +161,13 @@ class EnergyAssembler:
         return face_state(self.geometry, corners, self.minv, self.uv_area)
 
     def _gauss_gradients(self, state):
-        """Per-face parameter gradient A (2, K2) of the Gauss field and |dT|^2_g."""
+        """Per-face parameter gradient A (2, K2) of the Gauss field, its Gram
+        matrix P = A A^T (2, 2) and |dT|^2_g = sum(ginv * P)."""
         t = state["gauss"]
         a_list = (self.stencil @ t).reshape(len(t), 2, self.k2)
-        quad = np.einsum("fab,fai,fbi->f", state["ginv"], a_list, a_list)
-        return a_list, quad
+        aat = _block_gram(a_list, a_list)
+        quad = np.einsum("fab,fab->f", state["ginv"], aat)
+        return a_list, aat, quad
 
     # -- public evaluations -----------------------------------------------
 
@@ -160,7 +175,7 @@ class EnergyAssembler:
         state = self.face_state(positions)
         if check_degenerate:
             reject_degenerate(state)
-        _, quad = self._gauss_gradients(state)
+        _, _, quad = self._gauss_gradients(state)
         area = float(np.sum(state["area"]))
         penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * state["area"]))
         log_term = np.log(1.0 / eps) if eps < 1.0 else 1.0
@@ -175,7 +190,7 @@ class EnergyAssembler:
         """
         w_field = self.geometry.tangent(positions, np.asarray(w_field, float))
         state = self.face_state(positions)
-        a_list, quad = self._gauss_gradients(state)
+        a_list, aat, quad = self._gauss_gradients(state)
         wc = w_field[self.tri]
         base = state["base_pos"]
         e1_dot = self.geometry.frame_dot(base, state["d1"], wc[:, 0], wc[:, 1] - wc[:, 0])
@@ -202,9 +217,9 @@ class EnergyAssembler:
             ],
             axis=-2,
         )
-        ginv_dot = -np.einsum("fab,fbc,fcd->fad", ginv, g_dot, ginv)
-        quad_dot = np.einsum("fab,fai,fbi->f", ginv_dot, a_list, a_list)
-        quad_dot += 2.0 * np.einsum("fab,fai,fbi->f", ginv, a_dot, a_list)
+        ginv_dot = -(ginv @ g_dot @ ginv)
+        quad_dot = np.einsum("fab,fab->f", ginv_dot, aat)
+        quad_dot += 2.0 * np.einsum("fab,fab->f", ginv, _block_gram(a_dot, a_list))
         de = np.sum(area_dot)
         de += eps**4 * np.sum(
             2.0 * (1.0 + quad) * quad_dot * state["area"] + (1.0 + quad) ** 2 * area_dot
@@ -214,16 +229,15 @@ class EnergyAssembler:
     def gradient(self, positions, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
         state = self.face_state(positions)
-        a_list, quad = self._gauss_gradients(state)
+        a_list, aat, quad = self._gauss_gradients(state)
         n_f = len(self.tri)
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
         s_quad = eps**4 * 2.0 * (1.0 + quad) * state["area"]
         ginv = state["ginv"]
 
         # d|dT|^2/dA and the inverse-metric adjoint.
-        a_bar = 2.0 * s_quad[:, None, None] * np.einsum("fab,fbi->fai", ginv, a_list)
-        aat = np.einsum("fai,fbi->fab", a_list, a_list)
-        g_bar_mat = -np.einsum("f,fab,fbc,fcd->fad", s_quad, ginv, aat, ginv)
+        a_bar = (2.0 * s_quad)[:, None, None] * (ginv @ a_list)
+        g_bar_mat = -s_quad[:, None, None] * (ginv @ aat @ ginv)
 
         # Through the differencing stencil into per-face Gauss adjoints.
         t_bar = self.stencil_t @ a_bar.reshape(2 * n_f, self.k2)
@@ -233,14 +247,15 @@ class EnergyAssembler:
         w_bar = (t_bar - np.sum(t_bar * t, axis=-1, keepdims=True) * t) / wnorm[:, None]
         w_bar += (s_area * self.uv_area)[:, None] * t
 
+        # Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
+        # matrix Wb of w_bar, du_bar = Wb dv and dv_bar = -Wb du.
         du, dv = state["du"], state["dv"]
-        du_bar = np.zeros_like(du)
-        dv_bar = np.zeros_like(dv)
         i_idx, j_idx = self._pairs[:, 0], self._pairs[:, 1]
-        np.add.at(du_bar, (slice(None), i_idx), w_bar * dv[:, j_idx])
-        np.add.at(du_bar, (slice(None), j_idx), -w_bar * dv[:, i_idx])
-        np.add.at(dv_bar, (slice(None), j_idx), w_bar * du[:, i_idx])
-        np.add.at(dv_bar, (slice(None), i_idx), -w_bar * du[:, j_idx])
+        w_mat = np.zeros((n_f, self.k, self.k))
+        w_mat[:, i_idx, j_idx] = w_bar
+        w_mat[:, j_idx, i_idx] = -w_bar
+        du_bar = np.einsum("fij,fj->fi", w_mat, dv)
+        dv_bar = -np.einsum("fij,fj->fi", w_mat, du)
 
         g11_bar = g_bar_mat[:, 0, 0]
         g12_bar = g_bar_mat[:, 0, 1] + g_bar_mat[:, 1, 0]
@@ -256,8 +271,9 @@ class EnergyAssembler:
         b1_bar, d1_bar = self.geometry.frame_adjoint(base, state["d1"], e1_bar)
         b2_bar, d2_bar = self.geometry.frame_adjoint(base, state["d2"], e2_bar)
         corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
-        grad = np.zeros_like(positions)
-        np.add.at(grad, self.tri, corner_bar)
+        grad = np.bincount(
+            self._corner_slots, weights=corner_bar.ravel(), minlength=positions.size
+        ).reshape(positions.shape)
         return FirstVariation(covector=self.geometry.tangent(positions, grad))
 
 
@@ -396,8 +412,9 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     weight = fd.area[:, None] / np.maximum(wsum, 1e-300)[tri]  # (F, 3): face share at each corner
 
     # hat-function surface gradients per face and corner, frame components
-    hat_params = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    gcoef = np.einsum("fab,fib,ci->fca", fd.ginv, fd.minv, hat_params)
+    # rows of hat_params @ minv, hat_params = [[-1, -1], [1, 0], [0, 1]]
+    hat_minv = np.stack([-(fd.minv[:, 0] + fd.minv[:, 1]), fd.minv[:, 0], fd.minv[:, 1]], axis=1)
+    gcoef = hat_minv @ fd.ginv  # (F, 3, 2); ginv is symmetric
     gvecs = gcoef[..., 0, None] * fd.du[:, None] + gcoef[..., 1, None] * fd.dv[:, None]
 
     # J o horizontal at each vertex as a (V, k, k) block; row i is the image of e_i.
@@ -515,8 +532,10 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
 
     Each stage runs Armijo line searches along Hamiltonian-projected negative
     gradients until the projected gradient norm reaches the stage tolerance
-    max(1e-8, tol_scale * eps^2).  The whole schedule stops early when the
-    entropy indicator increases on two consecutive stages.
+    max(1e-8, tol_scale * eps^2).  A trial step whose restoration stalls, or
+    which collapses a face or a vertex frame, is retried at half the step.
+    The whole schedule stops early when the entropy indicator increases on
+    two consecutive stages.
     """
     opts = opts or DescentOptions()
     schedule = list(schedule)
@@ -558,7 +577,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
             while tau >= opts.tau_min:
                 try:
                     candidate = flow_step(current, direction, tau, report)
-                except (StepRejectedError, DegenerateFaceError):
+                except (StepRejectedError, DegenerateFaceError, DegenerateFrameError):
                     tau *= 0.5
                     continue
                 e_new = assembler.energy(candidate.positions, eps)

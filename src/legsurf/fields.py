@@ -156,21 +156,22 @@ class FrameTarget(Target):
         The retracted midpoint Q (from M = Q S, S = Q^T M) moves by
         dQ = Q Omega + (I - Q Q^T) dM S^-1 along dM = R / 2, with Omega
         = w [[0, 1], [-1, 0]] and w = (Q^T dM - dM^T Q)_01 / tr S; the
-        difference vector moves by -R.
+        difference vector moves by -R.  S^-1 and tr S come from the polar
+        factorisation itself.
         """
         reeb = self.reeb(p_tail)
         mid = p_tail + 0.5 * delta
-        qa, qb = st.retract_raw(mid[:, :4], mid[:, 4:])
-        q = np.stack([qa, qb], axis=-1)  # (E, 4, 2)
-        dm = 0.5 * np.stack([reeb[:, :4], reeb[:, 4:]], axis=-1)
-        s = np.einsum("eia,eib->eab", q, np.stack([mid[:, :4], mid[:, 4:]], axis=-1))
-        qt_dm = np.einsum("eia,eib->eab", q, dm)
-        w = (qt_dm[:, 0, 1] - qt_dm[:, 1, 0]) / (s[:, 0, 0] + s[:, 1, 1])
-        normal = np.einsum(
-            "eib,eba->eia", dm - np.einsum("eia,eab->eib", q, qt_dm), np.linalg.inv(s)
-        )
-        da = normal[..., 0] - w[:, None] * qb
-        db = normal[..., 1] + w[:, None] * qa
+        qa, qb, (p11, p12, p22), tr_s = st.polar_raw(mid[:, :4], mid[:, 4:])
+        dma, dmb = 0.5 * reeb[:, :4], 0.5 * reeb[:, 4:]
+        # Q^T dM, entry (i, j) = q_i . dm_j
+        qa_a, qa_b = np.sum(qa * dma, axis=1), np.sum(qa * dmb, axis=1)
+        qb_a, qb_b = np.sum(qb * dma, axis=1), np.sum(qb * dmb, axis=1)
+        w = ((qa_b - qb_a) / tr_s)[:, None]
+        # (I - Q Q^T) dM, then times S^-1
+        na = dma - qa * qa_a[:, None] - qb * qb_a[:, None]
+        nb = dmb - qa * qa_b[:, None] - qb * qb_b[:, None]
+        da = na * p11[:, None] + nb * p12[:, None] - w * qb
+        db = na * p12[:, None] + nb * p22[:, None] + w * qa
         return (st.alpha_raw(da, db, delta[:, :4], delta[:, 4:])
                 - st.alpha_raw(qa, qb, reeb[:, :4], reeb[:, 4:]))
 

@@ -78,8 +78,6 @@ class GaugeFields:
     grad_h_r: np.ndarray  # per-vertex horizontal gradient of r (frame comps)
     grad_h_arctan: np.ndarray
     face_grad_r: np.ndarray  # per-face parameter gradients (F, 2)
-    face_grad_rho: np.ndarray
-    face_grad_phi: np.ndarray
     face_grad_arctan: np.ndarray
     face_ok: np.ndarray  # faces free of singular vertices, branch-consistent
     face_r: np.ndarray  # face averages
@@ -137,8 +135,6 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
     # Faces mixing deck branches carry meaningless interpolated gradients.
     face_ok &= np.all(branch[tri] == branch[tri][:, [0]], axis=1)
     face_grad_r = fd.grad_scalar(np.where(singular, 0.0, r))
-    face_grad_rho = fd.grad_scalar(np.where(singular, 0.0, rho))
-    face_grad_phi = fd.grad_scalar(np.where(singular, 0.0, phi))
     face_grad_arctan = fd.grad_scalar(np.where(singular, 0.0, arctan))
     face_r = r[tri].mean(axis=1)
     sigma_for_weight = np.where(np.isnan(sigma), np.inf * np.sign(phi + 1e-300), sigma)
@@ -147,8 +143,7 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
     return GaugeFields(
         rho=rho, phi=phi, r=r, sigma=sigma, arctan_sigma=arctan, singular=singular,
         grad_h_r=grad_h_r, grad_h_arctan=grad_h_arctan,
-        face_grad_r=face_grad_r, face_grad_rho=face_grad_rho,
-        face_grad_phi=face_grad_phi, face_grad_arctan=face_grad_arctan,
+        face_grad_r=face_grad_r, face_grad_arctan=face_grad_arctan,
         face_ok=face_ok, face_r=face_r, face_sigma_weight=face_sigma_weight,
         face_arctan=face_arctan, face_data=fd, base_p0=p0,
     )
@@ -159,16 +154,6 @@ def gradient_cap_defects(gf: GaugeFields):
     fd = gf.face_data
     norms = np.sqrt(np.einsum("fa,fab,fb->f", gf.face_grad_arctan, fd.ginv, gf.face_grad_arctan))
     return norms - 2.0 / np.maximum(gf.face_r, 1e-300)
-
-
-def structure_defects(gf: GaugeFields):
-    """|d rho|^2_g + rho^-2 |d phi|^2_g - 1 per face (order r^2 target)."""
-    fd = gf.face_data
-    tri = fd.imm.mesh.triangles
-    rho_face = np.maximum(gf.rho[tri].mean(axis=1), 1e-300)
-    t1 = np.einsum("fa,fab,fb->f", gf.face_grad_rho, fd.ginv, gf.face_grad_rho)
-    t2 = np.einsum("fa,fab,fb->f", gf.face_grad_phi, fd.ginv, gf.face_grad_phi)
-    return t1 + t2 / rho_face**2 - 1.0
 
 
 def vertex_tangent_frames(imm: DiscreteImmersion, fd: FaceData | None = None):
@@ -242,23 +227,6 @@ def horizontal_gradient_defects(gf: GaugeFields):
     inv = np.where(np.isnan(s), 0.0, 1.0 / np.sqrt(1.0 + np.nan_to_num(s) ** 2))
     out = n - inv
     out[gf.singular] = np.nan
-    return out
-
-
-def perp_gradient_identity_defects(imm: DiscreteImmersion, gf: GaugeFields):
-    """|(grad^P r)^perp / r - J(grad^P arctan sigma)/2| per face (order 1 target)."""
-    fd = gf.face_data
-    tri = imm.mesh.triangles
-    grad_h_face = np.nanmean(gf.grad_h_r[tri], axis=1)
-    coef = np.einsum("fab,fb->fa", fd.ginv, gf.face_grad_r)
-    grad_s_face = coef[:, 0, None] * fd.du + coef[:, 1, None] * fd.dv
-    perp = grad_h_face - grad_s_face
-    coef_a = np.einsum("fab,fb->fa", fd.ginv, gf.face_grad_arctan)
-    grad_at_face = coef_a[:, 0, None] * fd.du + coef_a[:, 1, None] * fd.dv
-    j_at = imm.geometry.j(imm.geometry.horizontal(fd.base_pos, grad_at_face))
-    diff = perp / np.maximum(gf.face_r, 1e-300)[:, None] - 0.5 * j_at
-    out = np.linalg.norm(diff, axis=-1)
-    out[~gf.face_ok] = np.nan
     return out
 
 

@@ -119,22 +119,13 @@ class FaceData:
         if check_degenerate:
             reject_degenerate(state)
         vars(self).update(state)
+
     def grad_scalar(self, values):
         """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""
         tri = self.imm.mesh.triangles
         s0 = values[tri[:, 0]]
         ds = np.stack([values[tri[:, 1]] - s0, values[tri[:, 2]] - s0], axis=-1)
         return np.einsum("fij,fi->fj", self.minv, ds)
-
-    def grad_norm_sq(self, values):
-        d = self.grad_scalar(values)
-        return np.einsum("fa,fab,fb->f", d, self.ginv, d)
-
-    def grad_vector(self, values):
-        """Surface gradient of a vertex scalar as a frame vector per face."""
-        d = self.grad_scalar(values)
-        coef = np.einsum("fab,fb->fa", self.ginv, d)
-        return coef[:, 0, None] * self.du + coef[:, 1, None] * self.dv
 
     def pairing(self, d_first, d_second):
         """<d s1, d s2>_g from per-face parameter gradients."""
@@ -326,7 +317,7 @@ def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
     """Per-edge cotangent weights and barycentric vertex areas."""
     m = imm.mesh
     corners = imm.corner_positions()
-    w = np.zeros(len(m.edges))
+    half_cot = np.empty((3, len(m.triangles)))
     for k in range(3):
         # Corner k's angle sits between its chords to the two other corners
         # and weights the opposite edge (local edge k).
@@ -335,12 +326,13 @@ def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
         b = imm.geometry.frame(base, corners[:, (k + 2) % 3] - base)
         dot = np.sum(a * b, axis=-1)
         cross_sq = np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1) - dot**2
-        np.add.at(w, m.face_edges[:, k], 0.5 * dot / np.sqrt(np.maximum(cross_sq, 1e-300)))
+        half_cot[k] = 0.5 * dot / np.sqrt(np.maximum(cross_sq, 1e-300))
+    w = np.bincount(m.face_edges.T.ravel(), weights=half_cot.ravel(), minlength=len(m.edges))
     if fd is None:
         fd = FaceData(imm)
-    areas = np.zeros(m.n_vertices)
-    for k in range(3):
-        np.add.at(areas, m.triangles[:, k], fd.area / 3.0)
+    areas = np.bincount(
+        m.triangles.T.ravel(), weights=np.tile(fd.area / 3.0, 3), minlength=m.n_vertices
+    )
     return w, areas
 
 

@@ -123,16 +123,43 @@ def jh_raw(v, w):
     return -np.asarray(w, float), np.asarray(v, float).copy()
 
 
+def polar_raw(a_raw, b_raw):
+    """Polar factors M = Q S of raw 4x2 frames M = [a b], in closed form.
+
+    With G = M^T M and sigma = |a ^ b| = sqrt(det G) (the root of the summed
+    squared 2x2 minors, free of the cancellation in g11 g22 - g12^2),
+    S = G^(1/2) = (G + sigma I) / t with t = tr S = sqrt(tr G + 2 sigma), and
+    S^-1 = [[g22 + sigma, -g12], [-g12, g11 + sigma]] / (sigma t).  Returns
+    Q's columns (qa, qb), the entries (p11, p12, p22) of S^-1 and tr S.
+    Q^T Q = I holds to about 3e-16 cond(M), unlike an SVD's U V^T, which
+    is fine for the near-orthonormal frames a flow step or an edge midpoint
+    produces.
+    """
+    a = np.asarray(a_raw, float)
+    b = np.asarray(b_raw, float)
+    g11 = np.sum(a * a, axis=-1)
+    g12 = np.sum(a * b, axis=-1)
+    g22 = np.sum(b * b, axis=-1)
+    sigma = np.sqrt(np.sum(wedge4(a, b) ** 2, axis=-1))
+    trace = g11 + g22
+    smax = np.sqrt(0.5 * (trace + np.sqrt((g11 - g22) ** 2 + 4.0 * g12 * g12)))
+    # s_min = sigma / s_max <= 1e-13 max(s_max, 1), tested without dividing.
+    if np.any(sigma <= 1e-13 * np.maximum(smax, 1.0) * smax):
+        raise DegenerateFrameError("frame vectors are (numerically) linearly dependent")
+    t = np.sqrt(trace + 2.0 * sigma)
+    scale = 1.0 / (sigma * t)
+    p11 = (g22 + sigma) * scale
+    p12 = -g12 * scale
+    p22 = (g11 + sigma) * scale
+    qa = a * p11[..., None] + b * p12[..., None]
+    qb = a * p12[..., None] + b * p22[..., None]
+    return qa, qb, (p11, p12, p22), t
+
+
 def retract_raw(a_raw, b_raw):
     """Polar retraction of a raw 4x2 frame onto orthonormal pairs."""
-    m = np.stack([np.asarray(a_raw, float), np.asarray(b_raw, float)], axis=-1)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    smin = s[..., 1]
-    smax = s[..., 0]
-    if np.any(smin <= 1e-13 * np.maximum(smax, 1.0)):
-        raise DegenerateFrameError("frame vectors are (numerically) linearly dependent")
-    q = u @ vt
-    return np.ascontiguousarray(q[..., 0]), np.ascontiguousarray(q[..., 1])
+    qa, qb, _, _ = polar_raw(a_raw, b_raw)
+    return qa, qb
 
 
 def gauge_scalars(a0, b0, a, b):

@@ -1,10 +1,14 @@
-"""Per-element loop versions of the sparse and vectorised kernels.
+"""Per-element loop and general-purpose versions of the package's kernels.
 
 They are the implementations the package used before its stencils became
-sparse operators, kept here only as oracles for the equivalence tests.
+sparse operators and its 2x2 algebra closed-form (batched SVD, multi-operand
+einsums, np.add.at scatters), kept here only as oracles for the equivalence
+tests.
 """
 
 import numpy as np
+
+from legsurf.immersion import wedge_nd, wedge_pairs
 
 
 def mesh_adjacency(mesh):
@@ -206,3 +210,167 @@ def hamiltonian_matrix(imm, fd):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_v * k, n_v),
     ).tocsr()
+
+
+def retract_svd(a_raw, b_raw):
+    """Polar retraction of raw 4x2 frames through a batched SVD: Q = U V^T."""
+    m = np.stack([np.asarray(a_raw, float), np.asarray(b_raw, float)], axis=-1)
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    q = u @ vt
+    return q[..., 0], q[..., 1]
+
+
+def gauss_gradients(asm, state):
+    """Gauss-field parameter gradients and |dT|^2_g by a three-operand einsum."""
+    t = state["gauss"]
+    a_list = (asm.stencil @ t).reshape(len(t), 2, asm.k2)
+    quad = np.einsum("fab,fai,fbi->f", state["ginv"], a_list, a_list)
+    return a_list, quad
+
+
+def energy_gradient(asm, positions, eps):
+    """EnergyAssembler.gradient with multi-operand einsums and np.add.at scatters."""
+    state = asm.face_state(positions)
+    a_list, quad = gauss_gradients(asm, state)
+    n_f = len(asm.tri)
+    s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
+    s_quad = eps**4 * 2.0 * (1.0 + quad) * state["area"]
+    ginv = state["ginv"]
+    a_bar = 2.0 * s_quad[:, None, None] * np.einsum("fab,fbi->fai", ginv, a_list)
+    aat = np.einsum("fai,fbi->fab", a_list, a_list)
+    g_bar_mat = -np.einsum("f,fab,fbc,fcd->fad", s_quad, ginv, aat, ginv)
+    t_bar = asm.stencil_t @ a_bar.reshape(2 * n_f, asm.k2)
+    t = state["gauss"]
+    wnorm = state["wnorm"]
+    w_bar = (t_bar - np.sum(t_bar * t, axis=-1, keepdims=True) * t) / wnorm[:, None]
+    w_bar += (s_area * asm.uv_area)[:, None] * t
+    du, dv = state["du"], state["dv"]
+    du_bar = np.zeros_like(du)
+    dv_bar = np.zeros_like(dv)
+    pairs = np.asarray(wedge_pairs(asm.k), int)
+    i_idx, j_idx = pairs[:, 0], pairs[:, 1]
+    np.add.at(du_bar, (slice(None), i_idx), w_bar * dv[:, j_idx])
+    np.add.at(du_bar, (slice(None), j_idx), -w_bar * dv[:, i_idx])
+    np.add.at(dv_bar, (slice(None), j_idx), w_bar * du[:, i_idx])
+    np.add.at(dv_bar, (slice(None), i_idx), -w_bar * du[:, j_idx])
+    g11_bar = g_bar_mat[:, 0, 0]
+    g12_bar = g_bar_mat[:, 0, 1] + g_bar_mat[:, 1, 0]
+    g22_bar = g_bar_mat[:, 1, 1]
+    du_bar += 2.0 * g11_bar[:, None] * du + g12_bar[:, None] * dv
+    dv_bar += 2.0 * g22_bar[:, None] * dv + g12_bar[:, None] * du
+    e1_bar = asm.minv[:, 0, 0, None] * du_bar + asm.minv[:, 0, 1, None] * dv_bar
+    e2_bar = asm.minv[:, 1, 0, None] * du_bar + asm.minv[:, 1, 1, None] * dv_bar
+    base = state["base_pos"]
+    b1_bar, d1_bar = asm.geometry.frame_adjoint(base, state["d1"], e1_bar)
+    b2_bar, d2_bar = asm.geometry.frame_adjoint(base, state["d2"], e2_bar)
+    corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
+    grad = np.zeros_like(positions)
+    np.add.at(grad, asm.tri, corner_bar)
+    return asm.geometry.tangent(positions, grad)
+
+
+def energy_first_variation(asm, positions, eps, w_field):
+    """EnergyAssembler.first_variation with the metric algebra as three-index einsums."""
+    w_field = asm.geometry.tangent(positions, np.asarray(w_field, float))
+    state = asm.face_state(positions)
+    a_list, quad = gauss_gradients(asm, state)
+    wc = w_field[asm.tri]
+    base = state["base_pos"]
+    e1_dot = asm.geometry.frame_dot(base, state["d1"], wc[:, 0], wc[:, 1] - wc[:, 0])
+    e2_dot = asm.geometry.frame_dot(base, state["d2"], wc[:, 0], wc[:, 2] - wc[:, 0])
+    du_dot = asm.minv[:, 0, 0, None] * e1_dot + asm.minv[:, 1, 0, None] * e2_dot
+    dv_dot = asm.minv[:, 0, 1, None] * e1_dot + asm.minv[:, 1, 1, None] * e2_dot
+    du, dv = state["du"], state["dv"]
+    g11_dot = 2.0 * np.sum(du_dot * du, axis=-1)
+    g12_dot = np.sum(du_dot * dv, axis=-1) + np.sum(du * dv_dot, axis=-1)
+    g22_dot = 2.0 * np.sum(dv_dot * dv, axis=-1)
+    w_dot = wedge_nd(du_dot, dv) + wedge_nd(du, dv_dot)
+    t = state["gauss"]
+    wnorm_dot = np.sum(t * w_dot, axis=-1)
+    area_dot = asm.uv_area * wnorm_dot
+    t_dot = (w_dot - wnorm_dot[:, None] * t) / state["wnorm"][:, None]
+    a_dot = (asm.stencil @ t_dot).reshape(a_list.shape)
+    ginv = state["ginv"]
+    g_dot = np.stack(
+        [np.stack([g11_dot, g12_dot], axis=-1), np.stack([g12_dot, g22_dot], axis=-1)], axis=-2
+    )
+    ginv_dot = -np.einsum("fab,fbc,fcd->fad", ginv, g_dot, ginv)
+    quad_dot = np.einsum("fab,fai,fbi->f", ginv_dot, a_list, a_list)
+    quad_dot += 2.0 * np.einsum("fab,fai,fbi->f", ginv, a_dot, a_list)
+    de = np.sum(area_dot)
+    de += eps**4 * np.sum(
+        2.0 * (1.0 + quad) * quad_dot * state["area"] + (1.0 + quad) ** 2 * area_dot
+    )
+    return float(de)
+
+
+def hamiltonian_operator(imm, fd):
+    """The matrix-free Hamiltonian map with its hat gradients from one three-operand einsum."""
+    import scipy.sparse.linalg as spla
+
+    geo = imm.geometry
+    tri = imm.mesh.triangles
+    n_v, k = imm.positions.shape
+    wsum = np.bincount(tri.T.ravel(), weights=np.tile(fd.area, 3), minlength=n_v)
+    weight = fd.area[:, None] / np.maximum(wsum, 1e-300)[tri]
+    hat_params = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    gcoef = np.einsum("fab,fib,ci->fca", fd.ginv, fd.minv, hat_params)
+    gvecs = gcoef[..., 0, None] * fd.du[:, None] + gcoef[..., 1, None] * fd.dv[:, None]
+    jh = geo.j(geo.horizontal(imm.positions[:, None], np.broadcast_to(np.eye(k), (n_v, k, k))))
+    vert = (2.0 / geo.alpha_reeb) * geo.reeb(imm.positions)
+    slots = (tri[..., None] * k + np.arange(k)).ravel()
+
+    def matvec(u):
+        u = np.ravel(u)
+        face_grad = np.einsum("fck,fc->fk", gvecs, u[tri])
+        spread = (weight[..., None] * face_grad[:, None]).ravel()
+        avg = np.bincount(slots, weights=spread, minlength=n_v * k).reshape(n_v, k)
+        return (np.einsum("vi,vij->vj", avg, jh) + vert * u[:, None]).ravel()
+
+    def rmatvec(y):
+        y = np.reshape(y, (n_v, k))
+        z = np.einsum("vij,vj->vi", jh, y)
+        face_bar = np.einsum("fc,fck->fk", weight, z[tri])
+        src = np.einsum("fck,fk->fc", gvecs, face_bar)
+        return np.bincount(tri.ravel(), weights=src.ravel(), minlength=n_v) + np.sum(vert * y, axis=1)
+
+    return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
+
+
+def cotangent_weights(imm, fd):
+    """Per-edge cotangent weights and barycentric vertex areas through np.add.at."""
+    m = imm.mesh
+    corners = imm.corner_positions()
+    w = np.zeros(len(m.edges))
+    for k in range(3):
+        base = corners[:, k]
+        a = imm.geometry.frame(base, corners[:, (k + 1) % 3] - base)
+        b = imm.geometry.frame(base, corners[:, (k + 2) % 3] - base)
+        dot = np.sum(a * b, axis=-1)
+        cross_sq = np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1) - dot**2
+        np.add.at(w, m.face_edges[:, k], 0.5 * dot / np.sqrt(np.maximum(cross_sq, 1e-300)))
+    areas = np.zeros(m.n_vertices)
+    for k in range(3):
+        np.add.at(areas, m.triangles[:, k], fd.area / 3.0)
+    return w, areas
+
+
+def frame_reeb_slope(p_tail, delta):
+    """FrameTarget.reeb_slope with S = Q^T M from an einsum and S^-1 from np.linalg.inv."""
+    from legsurf import stiefel as st
+
+    reeb = np.concatenate([p_tail[:, 4:], -p_tail[:, :4]], axis=1)
+    mid = p_tail + 0.5 * delta
+    qa, qb = retract_svd(mid[:, :4], mid[:, 4:])
+    q = np.stack([qa, qb], axis=-1)
+    dm = 0.5 * np.stack([reeb[:, :4], reeb[:, 4:]], axis=-1)
+    s = np.einsum("eia,eib->eab", q, np.stack([mid[:, :4], mid[:, 4:]], axis=-1))
+    qt_dm = np.einsum("eia,eib->eab", q, dm)
+    w = (qt_dm[:, 0, 1] - qt_dm[:, 1, 0]) / (s[:, 0, 0] + s[:, 1, 1])
+    normal = np.einsum(
+        "eib,eba->eia", dm - np.einsum("eia,eab->eib", q, qt_dm), np.linalg.inv(s)
+    )
+    da = normal[..., 0] - w[:, None] * qb
+    db = normal[..., 1] + w[:, None] * qa
+    return (st.alpha_raw(da, db, delta[:, :4], delta[:, 4:])
+            - st.alpha_raw(qa, qb, reeb[:, :4], reeb[:, 4:]))
