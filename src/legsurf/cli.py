@@ -36,12 +36,46 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+#: Each kind of config value: its test and the keys, in every command, that take it.
+KINDS = {
+    "an integer": (_is_int, ("seed", "resolution", "max_iters")),
+    "a number": (_is_number, ("base_value", "amplitude", "epsilon", "tol_scale", "tau_init",
+                              "tau_min", "armijo", "min_radius", "r0", "eta")),
+    "a string": (lambda v: isinstance(v, str), ("grid", "mesh", "family", "target")),
+    "a boolean": (lambda v: isinstance(v, bool), ("inject_bug",)),
+    "a list of numbers": (_is_numbers, ("epsilon_schedule", "radii")),
+    "a list of integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                           ("resolution_ladder",)),
+    "a string or a list of numbers": (lambda v: isinstance(v, str) or _is_numbers(v),
+                                      ("base_point",)),
+}
+KIND_OF = {key: kind for kind, (_, keys) in KINDS.items() for key in keys}
+
+
 def load_config(path, overrides, schema):
-    """Merge a JSON config with CLI overrides and validate against a schema."""
+    """Merge a JSON config with CLI overrides and validate against a schema.
+
+    Every value must be of its key's kind (:data:`KINDS`); an optional key
+    whose default is None may also be null.
+    """
     data = {}
     if path:
         with open(path) as f:
             data = json.load(f)
+    if not isinstance(data, dict):
+        raise ConfigError("a config file must hold a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(data) - set(schema)
     if unknown:
@@ -49,7 +83,12 @@ def load_config(path, overrides, schema):
     out = {}
     for key, (required, default) in schema.items():
         if key in data:
-            out[key] = data[key]
+            value = data[key]
+            nullable = not required and default is None
+            kind = KIND_OF[key]
+            if not (value is None and nullable or KINDS[kind][0](value)):
+                raise ConfigError(f"config key {key} must be {kind}, got {value!r}")
+            out[key] = value
         elif required:
             raise ConfigError(f"missing required config key: {key}")
         else:
@@ -87,6 +126,8 @@ def write_csv(path, header_lines, columns, rows):
 
 def _generate(config):
     family = config["family"]
+    if family not in corpus.FAMILIES:
+        raise ConfigError(f"unknown corpus family {family!r}")
     kw = {}
     if family in ("flat_patch", "double_sheet"):
         kw = {"n": config["resolution"]}

@@ -603,9 +603,10 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                     "entropy_indicator": e_cur.entropy_indicator,
                 }
             )
-        grad = assembler.gradient(current.positions, eps)
-        _, w_proj = hamiltonian_project(current, grad.covector)
-        gnorm = _grad_norm(current, areas, w_proj)
+        if not hit:  # ended at max_iters: gnorm is not yet measured at current
+            grad = assembler.gradient(current.positions, eps)
+            _, w_proj = hamiltonian_project(current, grad.covector)
+            gnorm = _grad_norm(current, areas, w_proj)
         stages.append(
             StageReport(
                 eps=eps, iters=it, energy=e_cur, grad_norm=gnorm, tol=tol_k,

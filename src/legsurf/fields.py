@@ -54,9 +54,7 @@ class Target:
     carries_monodromy: bool  # whether seam crossings can shift a Legendrian coordinate
 
     def point(self, p):
-        """Ambient coordinates of a typed point or a coordinate vector."""
-        if isinstance(p, (st.StiefelPoint, hs.HeisenbergPoint)):
-            p = p.as_vector()
+        """A coordinate vector as an array, checked against the target's dimension."""
         p = np.asarray(p, float)
         if p.size != self.dim:
             raise GeometryDomainError(f"base point has {p.size} coordinates, expected {self.dim}")

@@ -21,6 +21,7 @@ from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
 from .immersion import FaceData, mean_curvature_one_form
 from .mesh import DiscreteImmersion
+from .stiefel import arctan_sigma
 
 # ---------------------------------------------------------------------------
 # cut-off bump: quintic smoothstep, C^2, chi' <= 0, -chi' > 1/2 on [5/4, 7/4]
@@ -105,11 +106,7 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
     singular = r < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(rho > 0, 2.0 * phi / np.maximum(rho, 1e-300) ** 2, np.nan)
-        arctan = np.where(
-            rho > 0,
-            np.arctan(np.where(np.isnan(sigma), 0.0, sigma)),
-            np.where(phi > 0, np.pi / 2, np.where(phi < 0, -np.pi / 2, 0.0)),
-        )
+    arctan = arctan_sigma(rho, phi)
 
     grad_rho2, grad_phi = geo.gauge_gradients(p0, pos)
     r_safe = np.maximum(r, 1e-300)

@@ -34,42 +34,28 @@ def jc2(v):
     return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
 
 
-@dataclass(frozen=True)
-class HeisenbergPoint:
-    phi: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, float).reshape(4)
-        object.__setattr__(self, "y", y)
-        if not (np.isfinite(self.phi) and np.all(np.isfinite(y))):
-            raise GeometryDomainError("point has non-finite coordinates")
-
-    def as_vector(self):
-        return np.concatenate([[self.phi], self.y])
-
-    @staticmethod
-    def from_vector(v):
-        v = np.asarray(v, float).reshape(5)
-        return HeisenbergPoint(float(v[0]), v[1:])
-
-
 def contact_form_h(q, x):
     """alpha(X) = -X_phi + y1 X_y2 - y2 X_y1 + y3 X_y4 - y4 X_y3.
 
-    ``q`` may be a HeisenbergPoint or a stacked (..., 5) coordinate array;
-    ``x`` is a matching (..., 5) tangent array.
+    ``q`` is a stacked (..., 5) coordinate array and ``x`` a matching
+    (..., 5) tangent array.
     """
-    qv = q.as_vector() if isinstance(q, HeisenbergPoint) else np.asarray(q, float)
+    q = np.asarray(q, float)
     x = np.asarray(x, float)
-    return -x[..., 0] + omega0(qv[..., 1:], x[..., 1:])
+    return -x[..., 0] + omega0(q[..., 1:], x[..., 1:])
 
 
-def dilate(q: HeisenbergPoint, r: float) -> HeisenbergPoint:
-    """Anisotropic dilation (phi, y) -> (phi / r^2, y / r)."""
-    if not r > 0:
+def dilate(q, r):
+    """Anisotropic dilation (phi, y) -> (phi / r^2, y / r) of stacked (..., 5) points.
+
+    ``r`` is a scalar or an array broadcasting against ``q[..., 0]``.
+    """
+    r = np.asarray(r, float)
+    if not np.all(r > 0):
         raise GeometryDomainError("dilation parameter must be positive")
-    return HeisenbergPoint(q.phi / r**2, q.y / r)
+    q = np.asarray(q, float)
+    r = r[..., None]
+    return np.concatenate([q[..., :1] / r**2, q[..., 1:] / r], axis=-1)
 
 
 def gauge_scalars(p0, points):
@@ -81,42 +67,6 @@ def gauge_scalars(p0, points):
     rho = np.linalg.norm(points[..., 1:] - p0[1:], axis=-1)
     phi = points[..., 0] - p0[0] - omega0(p0[1:], points[..., 1:])
     return rho, phi, (rho**4 + 4.0 * phi**2) ** 0.25
-
-
-def gauge_h(p0: HeisenbergPoint, q: HeisenbergPoint):
-    """:func:`gauge_scalars` of one point, as floats."""
-    return tuple(float(x) for x in gauge_scalars(p0.as_vector(), q.as_vector()))
-
-
-def volume_form_value_h(q, vectors):
-    """alpha ^ dalpha ^ dalpha on five tangent 5-vectors (non-integrability witness)."""
-    from itertools import permutations
-
-    qv = q.as_vector() if isinstance(q, HeisenbergPoint) else np.asarray(q, float)
-    vs = [np.asarray(v, float) for v in vectors]
-
-    def al(i):
-        return contact_form_h(qv, vs[i])
-
-    def da(i, j):
-        return 2.0 * omega0(vs[i][1:], vs[j][1:])
-
-    total = 0.0
-    for perm in permutations(range(5)):
-        sign = 1
-        seen = [False] * 5
-        for k in range(5):
-            if seen[k]:
-                continue
-            j, length = k, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        total += sign * al(perm[0]) * da(perm[1], perm[2]) * da(perm[3], perm[4])
-    return total / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,18 @@ Grassmannian of oriented 2-planes (a product of two round spheres of self-dual
 and anti-self-dual 2-vectors), and the Folland-Koranyi gauge measuring the
 anisotropic distance between two frames.
 
-All functions broadcast over leading axes, so stacked inputs of shape
-``(n, 4)`` evaluate n points at once.
+Every function is a batched kernel on stacked coordinate arrays: a frame is
+the pair of (..., 4) arrays (a, b), a tangent vector the pair (V, W), and
+all functions broadcast over leading axes, so stacked inputs of shape
+``(n, 4)`` evaluate n points at once.  Horizontality and tangency of the
+inputs are the caller's to ensure (``tangency_defect`` measures them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-
 import numpy as np
 
-from .errors import DegenerateFrameError, GeometryDomainError
-
-ORTHO_TOL = 1e-12
-# Inputs to jh/covariant_reeb come from retracted frames with 1e-12
-# orthonormality, so the horizontality gate leaves headroom.
-HORIZ_TOL = 1e-10
+from .errors import DegenerateFrameError
 
 # Basis ordering for 2-vectors on R^4: e12, e13, e14, e23, e24, e34.
 _STAR6 = np.array(
@@ -77,10 +72,6 @@ def hodge_star(xi):
     return np.asarray(xi, float) @ _STAR6.T
 
 
-# ---------------------------------------------------------------------------
-# raw array kernel
-
-
 def alpha_raw(a, b, v, w):
     """alpha(X) = a.W - b.V for a tangent pair X = (V, W) at (a, b)."""
     return np.sum(a * w, axis=-1) - np.sum(b * v, axis=-1)
@@ -121,6 +112,42 @@ def horizontal_project_raw(a, b, v, w):
 
 def jh_raw(v, w):
     return -np.asarray(w, float), np.asarray(v, float).copy()
+
+
+def covariant_reeb_raw(v, w):
+    """Covariant derivative of the Reeb field along a horizontal Z = (V, W): (W, -V)."""
+    return np.asarray(w, float).copy(), -np.asarray(v, float)
+
+
+def hopf_project_raw(a, b):
+    """((a^b + *(a^b))/sqrt2, (a^b - *(a^b))/sqrt2), in e_ij coordinates."""
+    g = wedge4(a, b)
+    sg = hodge_star(g)
+    return (g + sg) / _SQ2, (g - sg) / _SQ2
+
+
+def hopf_push_raw(a, b, v, w):
+    """Push horizontal pairs to the spheres of (anti-)self-dual 2-vectors.
+
+    Returns coordinates in the fixed orthonormal bases ``_SIGMA_PLUS`` and
+    ``_SIGMA_MINUS`` of the two 3-planes, normalised so the push-forward is
+    an isometry.
+    """
+    xi = wedge4(v, b) + wedge4(a, w)
+    sxi = hodge_star(xi)
+    return ((xi + sxi) / 2.0) @ _SIGMA_PLUS.T, ((xi - sxi) / 2.0) @ _SIGMA_MINUS.T
+
+
+def sphere_product_j_raw(g_plus, g_minus, plus, minus):
+    """Product complex structure on the two spheres, reversed on the second factor.
+
+    ``g_plus``, ``g_minus`` are the base point from :func:`hopf_project_raw`;
+    ``plus``, ``minus`` are tangent coordinates as :func:`hopf_push_raw`
+    returns them.
+    """
+    bp = g_plus @ _SIGMA_PLUS.T
+    bm = g_minus @ _SIGMA_MINUS.T
+    return np.cross(bp, plus), -np.cross(bm, minus)
 
 
 def polar_raw(a_raw, b_raw):
@@ -170,6 +197,15 @@ def gauge_scalars(a0, b0, a, b):
     return np.sqrt(rho2), phi, r4**0.25
 
 
+def arctan_sigma(rho, phi):
+    """arctan of sigma = 2 phi / rho^2, with its limits +-pi/2 (sign of phi) at rho = 0."""
+    rho, phi = np.asarray(rho, float), np.asarray(phi, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = 2.0 * phi / np.where(rho > 0, rho, 1.0) ** 2
+    inner = np.arctan(np.where(np.isnan(sigma), 0.0, sigma))
+    return np.where(rho > 0, inner, np.sign(phi) * (np.pi / 2))
+
+
 def reeb_rotate_raw(a, b, theta):
     """The circle action (a, b) -> (cos a + sin b, -sin a + cos b)."""
     c, s = np.cos(theta), np.sin(theta)
@@ -177,263 +213,15 @@ def reeb_rotate_raw(a, b, theta):
 
 
 # ---------------------------------------------------------------------------
-# typed surface
-
-
-@dataclass(frozen=True)
-class StiefelPoint:
-    """An orthonormal pair (a, b) in R^4."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, float).reshape(4)
-        b = np.asarray(self.b, float).reshape(4)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        defect = max(
-            abs(a @ a - 1.0),
-            abs(b @ b - 1.0),
-            abs(a @ b),
-        )
-        if defect > 1e-11:
-            raise GeometryDomainError(f"frame is not orthonormal within tolerance: defect {defect:.3e}")
-
-    def as_vector(self):
-        return np.concatenate([self.a, self.b])
-
-    def to_json(self):
-        return [float(x) for x in self.as_vector()]
-
-    @staticmethod
-    def from_json(values):
-        v = np.asarray(values, float).reshape(8)
-        return StiefelPoint(v[:4], v[4:])
-
-
-@dataclass(frozen=True)
-class StiefelTangent:
-    """A tangent pair (V, W) at a base frame."""
-
-    v: np.ndarray
-    w: np.ndarray
-    base: StiefelPoint
-
-    def __post_init__(self):
-        v = np.asarray(self.v, float).reshape(4)
-        w = np.asarray(self.w, float).reshape(4)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        defect = tangency_defect(self.base.a, self.base.b, v, w)
-        scale = max(1.0, float(np.linalg.norm(v) + np.linalg.norm(w)))
-        if defect > 1e-11 * scale:
-            raise GeometryDomainError(f"pair is not tangent within tolerance: defect {defect:.3e}")
-
-    def norm(self):
-        return float(np.sqrt(self.v @ self.v + self.w @ self.w))
-
-
-@dataclass(frozen=True)
-class GrassmannPoint:
-    """Unit self-dual and anti-self-dual 2-vectors, in e_ij coordinates."""
-
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-
-    def __post_init__(self):
-        gp = np.asarray(self.g_plus, float).reshape(6)
-        gm = np.asarray(self.g_minus, float).reshape(6)
-        object.__setattr__(self, "g_plus", gp)
-        object.__setattr__(self, "g_minus", gm)
-        if abs(gp @ gp - 1.0) > 1e-11 or abs(gm @ gm - 1.0) > 1e-11:
-            raise GeometryDomainError("Grassmann components are not unit 2-vectors")
-
-    def plus_coords(self):
-        """Coordinates of g_plus in the orthonormal self-dual basis."""
-        return _SIGMA_PLUS @ self.g_plus
-
-    def minus_coords(self):
-        return _SIGMA_MINUS @ self.g_minus
-
-
-@dataclass(frozen=True)
-class GaugeFrame:
-    """(rho, phi, r_gauge, sigma) of a frame relative to a base frame.
-
-    ``sigma`` is None when rho = 0; ``arctan_sigma`` then takes the limit
-    value +-pi/2 keyed on the sign of phi.
-    """
-
-    rho: float
-    phi: float
-    r_gauge: float
-    sigma: float | None
-
-    def __post_init__(self):
-        r4 = self.rho**4 + 4.0 * self.phi**2
-        if abs(self.r_gauge**4 - r4) > 1e-12 * max(1.0, r4):
-            raise GeometryDomainError("gauge invariant r^4 = rho^4 + 4 phi^2 violated")
-        if self.sigma is not None and abs(self.sigma * self.rho**2 - 2.0 * self.phi) > 1e-10 * max(
-            1.0, abs(self.phi)
-        ):
-            raise GeometryDomainError("gauge invariant sigma rho^2 = 2 phi violated")
-
-    @property
-    def singular(self):
-        return self.r_gauge == 0.0
-
-    def arctan_sigma(self):
-        if self.sigma is not None:
-            return float(np.arctan(self.sigma))
-        if self.phi > 0:
-            return np.pi / 2
-        if self.phi < 0:
-            return -np.pi / 2
-        return 0.0
-
-
-def tangent(p: StiefelPoint, v, w) -> StiefelTangent:
-    return StiefelTangent(np.asarray(v, float), np.asarray(w, float), p)
-
-
-def _check_base(p: StiefelPoint, x: StiefelTangent):
-    if x.base is p:
-        return
-    if np.max(np.abs(x.base.a - p.a)) > 1e-12 or np.max(np.abs(x.base.b - p.b)) > 1e-12:
-        raise GeometryDomainError("tangent vector is based at a different frame")
-
-
-def contact_form(p: StiefelPoint, x: StiefelTangent) -> float:
-    """alpha(X) = a.W - b.V."""
-    _check_base(p, x)
-    return float(alpha_raw(p.a, p.b, x.v, x.w))
-
-
-def reeb(p: StiefelPoint) -> StiefelTangent:
-    """The Reeb field (b, -a); alpha(R) = -2 and |R|^2 = 2."""
-    rv, rw = reeb_raw(p.a, p.b)
-    return StiefelTangent(rv, rw, p)
-
-
-def horizontal_project(p: StiefelPoint, x: StiefelTangent) -> StiefelTangent:
-    """Project a tangent pair onto ker alpha by removing its Reeb component."""
-    _check_base(p, x)
-    v, w = horizontal_project_raw(p.a, p.b, x.v, x.w)
-    return StiefelTangent(v, w, p)
-
-
-def _require_horizontal(p, x, tol=HORIZ_TOL):
-    a = alpha_raw(p.a, p.b, x.v, x.w)
-    scale = max(1.0, x.norm())
-    if abs(a) > tol * scale:
-        raise GeometryDomainError(f"input is not horizontal: alpha = {a:.3e}")
-    # Horizontality on this manifold also means V, W are normal to span(a, b).
-    span_defect = max(
-        abs(x.v @ p.b),
-        abs(x.w @ p.a),
-    )
-    if span_defect > tol * scale:
-        raise GeometryDomainError("V, W are not orthogonal to span(a, b)")
-
-
-def jh(p: StiefelPoint, x: StiefelTangent) -> StiefelTangent:
-    """The transverse complex structure (V, W) -> (-W, V) on horizontal pairs."""
-    _check_base(p, x)
-    _require_horizontal(p, x)
-    v, w = jh_raw(x.v, x.w)
-    return StiefelTangent(v, w, p)
-
-
-def covariant_reeb(p: StiefelPoint, z: StiefelTangent) -> StiefelTangent:
-    """Covariant derivative of the Reeb field along a horizontal Z: (W_Z, -V_Z)."""
-    _check_base(p, z)
-    _require_horizontal(p, z)
-    return StiefelTangent(z.w.copy(), -z.v, p)
-
-
-def reeb_divergence(p: StiefelPoint, e1: StiefelTangent, e2: StiefelTangent) -> float:
-    """div of the Reeb field along the plane spanned by an orthonormal basis e1, e2."""
-    total = 0.0
-    for e in (e1, e2):
-        d = covariant_reeb(p, e)
-        total += float(e.v @ d.v + e.w @ d.w)
-    return total
-
-
-def hopf_project(p: StiefelPoint) -> GrassmannPoint:
-    """((a^b + *(a^b))/sqrt2, (a^b - *(a^b))/sqrt2)."""
-    g = wedge4(p.a, p.b)
-    sg = hodge_star(g)
-    return GrassmannPoint((g + sg) / _SQ2, (g - sg) / _SQ2)
-
-
-def hopf_push(p: StiefelPoint, x: StiefelTangent):
-    """Push a horizontal pair to the spheres of (anti-)self-dual 2-vectors.
-
-    Returns coordinates in the fixed orthonormal bases of the two 3-planes,
-    normalised so the push-forward is an isometry.
-    """
-    _check_base(p, x)
-    _require_horizontal(p, x)
-    xi = wedge4(x.v, p.b) + wedge4(p.a, x.w)
-    sxi = hodge_star(xi)
-    plus = _SIGMA_PLUS @ ((xi + sxi) / 2.0)
-    minus = _SIGMA_MINUS @ ((xi - sxi) / 2.0)
-    return plus, minus
-
-
-def sphere_product_j(base: GrassmannPoint, plus, minus):
-    """Product complex structure on the two spheres, reversed on the second factor."""
-    bp = base.plus_coords()
-    bm = base.minus_coords()
-    return np.cross(bp, plus), -np.cross(bm, minus)
-
-
-def gauge(p0: StiefelPoint, p: StiefelPoint) -> GaugeFrame:
-    """Folland-Koranyi gauge data of p relative to p0."""
-    rho, phi, r = gauge_scalars(p0.a, p0.b, p.a, p.b)
-    rho, phi, r = float(rho), float(phi), float(r)
-    sigma = 2.0 * phi / rho**2 if rho > 0 else None
-    return GaugeFrame(rho, phi, r, sigma)
-
-
-def retract(a_raw, b_raw) -> StiefelPoint:
-    """Polar retraction of two independent vectors to an orthonormal frame."""
-    a, b = retract_raw(np.asarray(a_raw, float), np.asarray(b_raw, float))
-    return StiefelPoint(a, b)
-
-
-def reeb_rotate(p: StiefelPoint, theta: float) -> StiefelPoint:
-    a, b = reeb_rotate_raw(p.a, p.b, theta)
-    return StiefelPoint(a, b)
-
-
-# ---------------------------------------------------------------------------
 # derived checks used by the identity suite
 
 
-def d_alpha_fd(p: StiefelPoint, x: StiefelTangent, y: StiefelTangent, step=1e-4):
-    """Finite-difference exterior derivative d alpha(X, Y).
+def d_alpha_fd_batch(a, b, xv, xw, yv, yw, step=1e-4):
+    """Finite-difference exterior derivative d alpha(X, Y) over stacked inputs.
 
     Extends X, Y as constant pairs, probes along retracted paths with central
     differences, and evaluates alpha by its bilinear formula at the probes.
     """
-    _check_base(p, x)
-    _check_base(p, y)
-
-    def probe(direction, other_v, other_w):
-        ap, bp = retract_raw(p.a + step * direction.v, p.b + step * direction.w)
-        am, bm = retract_raw(p.a - step * direction.v, p.b - step * direction.w)
-        fp = alpha_raw(ap, bp, other_v, other_w)
-        fm = alpha_raw(am, bm, other_v, other_w)
-        return (fp - fm) / (2.0 * step)
-
-    return float(probe(x, y.v, y.w) - probe(y, x.v, x.w))
-
-
-def d_alpha_fd_batch(a, b, xv, xw, yv, yw, step=1e-4):
-    """Vectorised version of :func:`d_alpha_fd` over stacked inputs."""
 
     def probe(dv, dw, ov, ow):
         ap, bp = retract_raw(a + step * dv, b + step * dw)
@@ -441,23 +229,6 @@ def d_alpha_fd_batch(a, b, xv, xw, yv, yw, step=1e-4):
         return (alpha_raw(ap, bp, ov, ow) - alpha_raw(am, bm, ov, ow)) / (2.0 * step)
 
     return probe(xv, xw, yv, yw) - probe(yv, yw, xv, xw)
-
-
-def volume_form_value(p: StiefelPoint, vectors):
-    """alpha ^ dalpha ^ dalpha evaluated on five tangent pairs (full antisymmetrisation)."""
-    vs = [np.concatenate([t.v, t.w]) for t in vectors]
-
-    def al(i):
-        return alpha_raw(p.a, p.b, vs[i][:4], vs[i][4:])
-
-    def da(i, j):
-        return d_alpha_raw(vs[i][:4], vs[i][4:], vs[j][:4], vs[j][4:])
-
-    total = 0.0
-    for perm in permutations(range(5)):
-        sign = _perm_sign(perm)
-        total += sign * al(perm[0]) * da(perm[1], perm[2]) * da(perm[3], perm[4])
-    return total / (1.0 * 2.0 * 2.0)
 
 
 def volume_sign_fast(a, b, e1v, e1w, e2v, e2w):
@@ -475,27 +246,6 @@ def volume_sign_fast(a, b, e1v, e1w, e2v, e2w):
         + d_alpha_raw(e1v, e1w, j2v, j2w) * d_alpha_raw(j1v, j1w, e2v, e2w)
     )
     return al_r * quad
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def random_point(rng) -> StiefelPoint:
-    return retract(rng.standard_normal(4), rng.standard_normal(4))
 
 
 def random_points_raw(rng, n):

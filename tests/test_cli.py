@@ -98,6 +98,40 @@ class TestConfigValidation:
         r = run_cli("energy", "--out", str(tmp_path))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("descend", {"epsilon_schedule": "abc"}),
+            ("descend", {"resolution": "x"}),
+            ("descend", {"max_iters": "x"}),
+            ("descend", {"tau_init": "x"}),
+            ("density", {"radii": "x"}),
+            ("density", {"family": "nope"}),
+            ("descend", None),  # a top-level list instead of an object
+        ],
+        ids=["schedule", "resolution", "max_iters", "tau_init", "radii", "family", "list"],
+    )
+    def test_malformed_value_rejected(self, tmp_path, command, bad):
+        r = run_cli(command, *self.config_args(tmp_path, command, bad))
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "config error" in r.stderr or "validation failure" in r.stderr
+
+    @pytest.mark.parametrize("command", ["descend", "density"])
+    def test_valid_base_config_accepted(self, tmp_path, command):
+        r = run_cli(command, *self.config_args(tmp_path, command, {}))
+        assert r.returncode == 0, r.stderr
+
+    @staticmethod
+    def config_args(tmp_path, command, bad):
+        """A small valid config for the command, with the bad values merged in."""
+        valid = {"family": "flat_patch", "resolution": 8}
+        if command == "descend":
+            valid.update({"epsilon_schedule": [0.2], "max_iters": 1})
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps([valid] if bad is None else {**valid, **bad}))
+        return "--config", str(config), "--out", str(tmp_path / "out")
+
 
 class TestDescendCommand:
     def test_end_to_end(self, tmp_path):

@@ -226,6 +226,31 @@ class TestDescend:
         for s in res.stages:
             assert s.to_json()["exp_bound_target"] == pytest.approx(np.exp(-1 / s.eps**2))
 
+    def test_stage_at_tolerance_needs_no_extra_gradient(self, monkeypatch):
+        # A stage that breaks at tolerance has already measured the gradient
+        # norm at its final mesh: one gradient per accepted step plus the one
+        # that stops the loop.
+        pc = corpus.perturbed_clifford(12, amplitude=1e-2, seed=3, target="stiefel")
+        calls = []
+        gradient = energy.EnergyAssembler.gradient
+
+        def counting(self, positions, eps):
+            calls.append(eps)
+            return gradient(self, positions, eps)
+
+        monkeypatch.setattr(energy.EnergyAssembler, "gradient", counting)
+        opts = energy.DescentOptions(max_iters=40, tol_scale=1e-2)
+        res = energy.descend(pc, [0.2], opts)
+        stage = res.stages[0]
+        assert stage.hit_tolerance and stage.grad_norm <= stage.tol
+        assert 0 < len(res.records) == stage.iters
+        assert len(calls) == len(res.records) + 1
+        # The reported norm is the one measured at the final mesh.
+        _, areas = immersion.cotangent_weights(pc)
+        grad = gradient(energy.EnergyAssembler(res.final), res.final.positions, 0.2)
+        _, w_proj = energy.hamiltonian_project(res.final, grad.covector)
+        assert stage.grad_norm == energy._grad_norm(res.final, areas, w_proj)
+
     def test_bad_schedule_rejected(self):
         fp = corpus.flat_patch(4)
         with pytest.raises(GeometryDomainError):

@@ -61,12 +61,14 @@ class TestGaugeFields:
 
     def test_pure_reeb_offset_limits(self):
         fp = corpus.flat_patch(16)
-        p0 = np.zeros(5)
-        p0[0] = -0.3  # pure Legendrian offset from the patch
-        gf = gl.gauge_fields(fp, p0)
         origin = np.argmin(np.sum(fp.mesh.uv**2, axis=1))
-        assert np.isnan(gf.sigma[origin])  # rho = 0 there
-        assert gf.arctan_sigma[origin] == pytest.approx(np.pi / 2)
+        # A pure Legendrian offset from the patch, on either side of it.
+        for offset, limit in ((-0.3, np.pi / 2), (0.3, -np.pi / 2)):
+            p0 = np.zeros(5)
+            p0[0] = offset
+            gf = gl.gauge_fields(fp, p0)
+            assert np.isnan(gf.sigma[origin])  # rho = 0 there
+            assert gf.arctan_sigma[origin] == pytest.approx(limit)
 
     def test_gradient_cap(self):
         n = 64

@@ -19,11 +19,11 @@ def clifford_grid(n, periodic=True):
 
 class TestContactForm:
     def test_dphi_direction(self):
-        q = hs.HeisenbergPoint(0.0, np.zeros(4))
+        q = np.zeros(5)
         assert hs.contact_form_h(q, [1, 0, 0, 0, 0]) == -1.0
 
     def test_dy2_direction(self):
-        q = hs.HeisenbergPoint(0.0, np.array([1.0, 0, 0, 0]))
+        q = np.array([0.0, 1.0, 0, 0, 0])
         assert hs.contact_form_h(q, [0, 0, 1, 0, 0]) == 1.0
 
     def test_horizontal_lift_annihilated(self):
@@ -82,28 +82,28 @@ class TestLegendrianLift:
 
 class TestDilate:
     def test_identity(self):
-        q = hs.HeisenbergPoint(1.5, np.array([1.0, 2, 3, 4]))
+        q = np.array([1.5, 1.0, 2, 3, 4])
         out = hs.dilate(q, 1.0)
-        assert out.phi == q.phi and np.allclose(out.y, q.y)
+        assert out[0] == q[0] and np.allclose(out[1:], q[1:])
 
     def test_example(self):
-        q = hs.HeisenbergPoint(4.0, np.array([2.0, 0, 0, 0]))
-        out = hs.dilate(q, 2.0)
-        assert out.phi == 1.0 and np.allclose(out.y, [1, 0, 0, 0])
+        out = hs.dilate(np.array([4.0, 2.0, 0, 0, 0]), 2.0)
+        assert out[0] == 1.0 and np.allclose(out[1:], [1, 0, 0, 0])
 
     def test_gauge_scales_linearly(self):
         rng = np.random.default_rng(1)
-        origin = hs.HeisenbergPoint(0.0, np.zeros(4))
-        for _ in range(20):
-            q = hs.HeisenbergPoint(rng.uniform(-1, 1), rng.uniform(-1, 1, 4))
-            r = float(rng.uniform(0.3, 3.0))
-            _, _, g = hs.gauge_h(origin, q)
-            _, _, gd = hs.gauge_h(origin, hs.dilate(q, r))
-            assert gd == pytest.approx(g / r, rel=1e-12)
+        origin = np.zeros(5)
+        q = rng.uniform(-1, 1, size=(20, 5))
+        r = rng.uniform(0.3, 3.0, size=20)
+        _, _, g = hs.gauge_scalars(origin, q)
+        _, _, gd = hs.gauge_scalars(origin, hs.dilate(q, r))
+        assert gd == pytest.approx(g / r, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(GeometryDomainError):
-            hs.dilate(hs.HeisenbergPoint(0.0, np.zeros(4)), 0.0)
+            hs.dilate(np.zeros(5), 0.0)
+        with pytest.raises(GeometryDomainError):
+            hs.dilate(np.zeros((2, 5)), np.array([1.0, -1.0]))
 
 
 class TestHamiltonianField:
@@ -169,10 +169,11 @@ class TestHamiltonianField:
 class TestNonIntegrability:
     def test_volume_constant(self):
         rng = np.random.default_rng(6)
-        for _ in range(20):
-            q = fields.HEISENBERG.random_point(rng)
-            val = hs.volume_form_value_h(q, list(np.eye(5)))
-            assert val == pytest.approx(-8.0, abs=1e-12)
+        q = np.stack([fields.HEISENBERG.random_point(rng) for _ in range(20)])
+        basis = np.eye(5)
+        al = hs.contact_form_h(q[:, None, :], basis)
+        dal = 2.0 * hs.omega0(basis[:, None, 1:], basis[None, :, 1:])
+        assert checks.alpha_dalpha_dalpha(al, dal) == pytest.approx(-8.0, abs=1e-12)
 
 
 class TestGridRoundTrip:
