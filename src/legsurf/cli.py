@@ -72,8 +72,11 @@ def load_config(path, overrides, schema):
     """
     data = {}
     if path:
-        with open(path) as f:
-            data = json.load(f)
+        try:
+            with open(path) as f:
+                data = json.load(f)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("a config file must hold a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
@@ -128,19 +131,25 @@ def _generate(config):
     family = config["family"]
     if family not in corpus.FAMILIES:
         raise ConfigError(f"unknown corpus family {family!r}")
+    target = config.get("target", "heisenberg")
     kw = {}
     if family in ("flat_patch", "double_sheet"):
         kw = {"n": config["resolution"]}
     elif family == "clifford_lift":
-        kw = {"n": config["resolution"], "target": config.get("target", "heisenberg")}
+        kw = {"n": config["resolution"], "target": target}
     elif family == "perturbed_clifford":
         kw = {
             "n": config["resolution"],
             "amplitude": config.get("amplitude", 1e-2),
             "seed": config.get("seed", 0),
-            "target": config.get("target", "heisenberg"),
+            "target": target,
         }
-    return corpus.generate(family, **kw)
+    imm = corpus.generate(family, **kw)
+    if imm.target != target:
+        raise ConfigError(
+            f"family {family!r} is built on the {imm.target} target only, not on {target!r}"
+        )
+    return imm
 
 
 def _load_or_generate(config):
@@ -258,6 +267,11 @@ def cmd_density(config, out_dir):
     curve = gauge_lab.density_curve(
         imm, p0, config["radii"], min_radius=config["min_radius"]
     )
+    if not curve.radii.size:
+        raise ResolutionError(
+            f"no resolvable radius: every radius {curve.excluded} is below "
+            f"min_radius {curve.min_radius!r}"
+        )
     theta0, mult, dist, eta = gauge_lab.theta0_estimate(imm, p0)
     out = Path(out_dir)
     header = report_header(config)
@@ -484,7 +498,8 @@ def main(argv=None):
         return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](config, args.out)
-    except (GeometryDomainError, ConstraintViolationError, DegenerateFrameError, ConfigError) as exc:
+    except (GeometryDomainError, ConstraintViolationError, DegenerateFrameError, ConfigError,
+            ResolutionError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageAbortedError as exc:

@@ -131,8 +131,17 @@ def _block_gram(x, y):
     return out
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class EnergyAssembler:
-    """Constant mesh data plus energy/gradient evaluation at given positions."""
+    """Constant mesh data plus energy/gradient evaluation at given positions.
+
+    The face state and Gauss gradients of the last positions evaluated are
+    kept (see :meth:`evaluate`), so the energy, gradient, first variation and
+    Hamiltonian projection of one descent iterate share one evaluation.
+    """
 
     def __init__(self, imm: DiscreteImmersion):
         m = imm.mesh
@@ -151,6 +160,7 @@ class EnergyAssembler:
         self._pairs = np.asarray(wedge_pairs(self.k), int)
         # (vertex, component) slot of each entry of a (F, 3, k) corner array
         self._corner_slots = (self.tri[..., None] * self.k + np.arange(self.k)).ravel()
+        self._evaluated = None  # (positions copy, face state, Gauss gradients) of the last evaluate
 
     # -- forward pieces ------------------------------------------------------
 
@@ -169,13 +179,34 @@ class EnergyAssembler:
         quad = np.einsum("fab,fab->f", state["ginv"], aat)
         return a_list, aat, quad
 
+    def evaluate(self, positions):
+        """The face state and Gauss gradients (A, P, |dT|^2_g) at ``positions``.
+
+        The result of the last call is kept, keyed by a copy of its positions,
+        and returned again while ``positions`` is bitwise equal to that copy;
+        its arrays are read-only.  Neither depends on eps.
+        """
+        kept = self._evaluated
+        if kept is None or not _same_bits(kept[0], positions):
+            state = self.face_state(positions)
+            grads = self._gauss_gradients(state)
+            for arr in (*state.values(), *grads):
+                arr.flags.writeable = False
+            kept = self._evaluated = (positions.copy(), state, grads)
+        return kept[1], kept[2]
+
+    def face_data(self, imm: DiscreteImmersion) -> FaceData:
+        """:class:`FaceData` of ``imm`` (a copy of the template at new positions)
+        from :meth:`evaluate`; degenerate faces are rejected as FaceData does."""
+        state, _ = self.evaluate(imm.positions)
+        return FaceData.of_state(imm, self.minv, self.uv_area, state)
+
     # -- public evaluations -----------------------------------------------
 
     def energy(self, positions, eps, check_degenerate=False):
-        state = self.face_state(positions)
+        state, (_, _, quad) = self.evaluate(positions)
         if check_degenerate:
             reject_degenerate(state)
-        _, _, quad = self._gauss_gradients(state)
         area = float(np.sum(state["area"]))
         penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * state["area"]))
         log_term = np.log(1.0 / eps) if eps < 1.0 else 1.0
@@ -189,8 +220,7 @@ class EnergyAssembler:
         variation dT = (d_u w ^ d_v L + d_u L ^ d_v w)/|W| - <...> T.
         """
         w_field = self.geometry.tangent(positions, np.asarray(w_field, float))
-        state = self.face_state(positions)
-        a_list, aat, quad = self._gauss_gradients(state)
+        state, (a_list, aat, quad) = self.evaluate(positions)
         wc = w_field[self.tri]
         base = state["base_pos"]
         e1_dot = self.geometry.frame_dot(base, state["d1"], wc[:, 0], wc[:, 1] - wc[:, 0])
@@ -228,8 +258,7 @@ class EnergyAssembler:
 
     def gradient(self, positions, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
-        state = self.face_state(positions)
-        a_list, aat, quad = self._gauss_gradients(state)
+        state, (a_list, aat, quad) = self.evaluate(positions)
         n_f = len(self.tri)
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
         s_quad = eps**4 * 2.0 * (1.0 + quad) * state["area"]
@@ -449,7 +478,6 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
     fd = fd or FaceData(imm)
     b_op = hamiltonian_map(imm, fd)
     m = imm.mesh
-    n_v = m.n_vertices
     geo = imm.geometry
     gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
     rhs = b_op.rmatvec(gtilde)
@@ -459,19 +487,8 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
     # hence the covector pairs nonnegatively with B u and -B u descends.
     # Symmetric, so the solve orders its columns on the pattern of A + A^T.
     weights, areas = cotangent_weights(imm, fd)
-    tails, heads = m.edges[:, 0], m.edges[:, 1]
-    lap = sp.coo_matrix(
-        (
-            np.concatenate([weights, weights, -weights, -weights]),
-            (
-                np.concatenate([tails, heads, tails, heads]),
-                np.concatenate([tails, heads, heads, tails]),
-            ),
-        ),
-        shape=(n_v, n_v),
-    ).tocsr()
     # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
-    a_mat = (2.0 * lap + sp.diags((-4.0 / geo.alpha_reeb) * areas)).tocsc()
+    a_mat = m.stiffness(2.0 * weights, (-4.0 / geo.alpha_reeb) * areas)
     u = spla.spsolve(a_mat, rhs, permc_spec="MMD_AT_PLUS_A")
     w_frame = b_op.matvec(u).reshape(imm.positions.shape)
     return u, geo.unframe(imm.positions, w_frame)
@@ -559,7 +576,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
         it = 0
         for it in range(1, opts.max_iters + 1):
             grad = assembler.gradient(current.positions, eps)
-            _, w_proj = hamiltonian_project(current, grad.covector)
+            _, w_proj = hamiltonian_project(current, grad.covector, assembler.face_data(current))
             gnorm = _grad_norm(current, areas, w_proj)
             if gnorm <= tol_k:
                 hit = True
@@ -605,7 +622,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
             )
         if not hit:  # ended at max_iters: gnorm is not yet measured at current
             grad = assembler.gradient(current.positions, eps)
-            _, w_proj = hamiltonian_project(current, grad.covector)
+            _, w_proj = hamiltonian_project(current, grad.covector, assembler.face_data(current))
             gnorm = _grad_norm(current, areas, w_proj)
         stages.append(
             StageReport(

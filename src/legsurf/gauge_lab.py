@@ -409,6 +409,7 @@ class DensityCurve:
     ratios: np.ndarray
     counts: np.ndarray
     excluded: list  # radii below the resolvable scale, with a warning
+    min_radius: float  # the cut that excluded them
 
 
 def tri_sublevel_fraction(r_vals, s):
@@ -463,6 +464,7 @@ def density_curve(imm: DiscreteImmersion, p0, radii, min_radius=None) -> Density
         ratios=np.asarray(ratios),
         counts=np.asarray(counts, int),
         excluded=excluded,
+        min_radius=min_s,
     )
 
 

@@ -120,6 +120,16 @@ class FaceData:
             reject_degenerate(state)
         vars(self).update(state)
 
+    @classmethod
+    def of_state(cls, imm: DiscreteImmersion, minv, uv_area, state):
+        """FaceData from :func:`face_state` already evaluated at ``imm.positions``
+        with the face constants of :func:`face_params`; rejects degenerate faces."""
+        reject_degenerate(state)
+        fd = cls.__new__(cls)
+        fd.imm, fd.minv, fd.uv_area = imm, minv, uv_area
+        vars(fd).update(state)
+        return fd
+
     def grad_scalar(self, values):
         """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""
         tri = self.imm.mesh.triangles

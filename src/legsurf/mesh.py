@@ -126,6 +126,35 @@ class SurfaceMesh:
             shape=(n_e, self.n_vertices),
         )
 
+    @functools.cached_property
+    def _stiffness_pattern(self):
+        """CSC structure (indptr, indices) of a vertex matrix on the edge graph,
+        and the data slot of each entry of :meth:`stiffness`'s value list."""
+        n_v = self.n_vertices
+        tails, heads, diag = self.edges[:, 0], self.edges[:, 1], np.arange(n_v)
+        rows = np.concatenate([tails, heads, tails, heads, diag])
+        cols = np.concatenate([tails, heads, heads, tails, diag])
+        keys, slots = np.unique(cols * n_v + rows, return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_v, minlength=n_v))])
+        return indptr.astype(np.int32), (keys % n_v).astype(np.int32), slots
+
+    def stiffness(self, edge_weights, diagonal):
+        """CSC matrix of sum_e w_e (1_tail - 1_head)(1_tail - 1_head)^T + diag(diagonal).
+
+        Filled into a pattern each mesh builds once.  A diagonal entry sums its
+        edge weights in edge order (tail ends, then head ends), then adds
+        ``diagonal``, and exact zeros are dropped, so the matrix is bitwise the
+        sparse sum of the COO Laplacian and the diagonal.
+        """
+        indptr, indices, slots = self._stiffness_pattern
+        values = np.concatenate([edge_weights, edge_weights, -edge_weights, -edge_weights, diagonal])
+        data = np.bincount(slots, weights=values, minlength=len(indices))
+        mat = sp.csc_matrix(
+            (data, indices.copy(), indptr.copy()), shape=(self.n_vertices, self.n_vertices)
+        )
+        mat.eliminate_zeros()  # a sparse sum drops exact zeros (right angles give zero cot weights)
+        return mat
+
     def restoration_factor(self, slopes):
         """LU factor of D^T diag(slopes^2) D + 1e-14 I, D the :attr:`edge_incidence`.
 
@@ -255,14 +284,14 @@ class DiscreteImmersion:
         m = self.mesh
         data = {
             "target": self.target,
-            "vertices": [[float(c) for c in row] for row in self.positions],
-            "triangles": [[int(i) for i in row] for row in m.triangles],
+            "vertices": self.positions.tolist(),
+            "triangles": m.triangles.tolist(),
             "genus": m.genus,
             "boundary_loops": m.boundary_loops,
             "legendrian_tol": self.legendrian_tol,
         }
         if m.uv is not None:
-            data["uv"] = [[float(c) for c in row] for row in m.uv]
+            data["uv"] = m.uv.tolist()
         if m.uv_periods is not None:
             data["uv_periods"] = list(m.uv_periods)
         if self.phi_monodromy != (0.0, 0.0):
@@ -273,8 +302,7 @@ class DiscreteImmersion:
 
     def save(self, path):
         with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
 
     @staticmethod
     def from_json(data):

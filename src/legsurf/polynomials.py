@@ -35,13 +35,16 @@ class Polynomial:
             table[..., e] = table[..., e - 1] * x
         return table
 
-    def _powers(self, table, exponents):
-        """(..., n_terms, n_vars) x_i ** exponents[k, i], gathered from the table."""
-        return np.ascontiguousarray(table[..., np.arange(self.n_vars), exponents])
+    def _monomials(self, table, exponents):
+        """(..., n_terms) prod_i x_i ** exponents[k, i] from the table, multiplied
+        left to right over i.  C order, so that sums over terms round alike."""
+        out = np.ascontiguousarray(table[..., 0, exponents[:, 0]])
+        for i in range(1, self.n_vars):
+            out *= table[..., i, exponents[:, i]]
+        return out
 
     def __call__(self, x):
-        powers = self._powers(self._power_table(x), self.exponents)
-        return np.sum(self.coeffs * np.prod(powers, axis=-1), axis=-1)
+        return np.sum(self.coeffs * self._monomials(self._power_table(x), self.exponents), axis=-1)
 
     def grad(self, x):
         table = self._power_table(x)
@@ -53,9 +56,8 @@ class Polynomial:
                 continue
             exps = self.exponents[mask].copy()
             exps[:, i] -= 1
-            powers = self._powers(table, exps)
             out[..., i] = np.sum(
-                self.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1
+                self.coeffs[mask] * e[mask] * self._monomials(table, exps), axis=-1
             )
         return out
 

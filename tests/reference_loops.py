@@ -2,9 +2,13 @@
 
 They are the implementations the package used before its stencils became
 sparse operators and its 2x2 algebra closed-form (batched SVD, multi-operand
-einsums, np.add.at scatters), kept here only as oracles for the equivalence
-tests.
+einsums, np.add.at scatters), before polynomial monomials were multiplied
+gather by gather, the projection stiffness was filled into a kept pattern and
+meshes were written through the C JSON encoder, kept here only as oracles for
+the equivalence tests.
 """
+
+import json
 
 import numpy as np
 
@@ -170,6 +174,64 @@ def polynomial_grad(poly, x):
         powers = x[..., None, :] ** exps
         out[..., i] = np.sum(poly.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1)
     return out
+
+
+def _gathered_powers(poly, table, exponents):
+    return np.ascontiguousarray(table[..., np.arange(poly.n_vars), exponents])
+
+
+def polynomial_prod_value(poly, x):
+    """Polynomial.__call__ through np.prod over (..., n_terms, n_vars) gathered powers."""
+    powers = _gathered_powers(poly, poly._power_table(x), poly.exponents)
+    return np.sum(poly.coeffs * np.prod(powers, axis=-1), axis=-1)
+
+
+def polynomial_prod_grad(poly, x):
+    """Polynomial.grad through np.prod over gathered powers."""
+    table = poly._power_table(x)
+    out = np.zeros(table.shape[:-1])
+    for i in range(poly.n_vars):
+        e = poly.exponents[:, i]
+        mask = e > 0
+        if not np.any(mask):
+            continue
+        exps = poly.exponents[mask].copy()
+        exps[:, i] -= 1
+        powers = _gathered_powers(poly, table, exps)
+        out[..., i] = np.sum(poly.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1)
+    return out
+
+
+def stiffness_coo(imm, weights, areas):
+    """The projection's 2 L + diag(-4 / alpha(R) areas) as a COO Laplacian plus a diagonal."""
+    import scipy.sparse as sp
+
+    m = imm.mesh
+    n_v = m.n_vertices
+    tails, heads = m.edges[:, 0], m.edges[:, 1]
+    lap = sp.coo_matrix(
+        (
+            np.concatenate([weights, weights, -weights, -weights]),
+            (
+                np.concatenate([tails, heads, tails, heads]),
+                np.concatenate([tails, heads, heads, tails]),
+            ),
+        ),
+        shape=(n_v, n_v),
+    ).tocsr()
+    return (2.0 * lap + sp.diags((-4.0 / imm.geometry.alpha_reeb) * areas)).tocsc()
+
+
+def save_json_dump(imm, path):
+    """DiscreteImmersion.save through json.dump with per-element conversions."""
+    data = imm.to_json()
+    data["vertices"] = [[float(c) for c in row] for row in imm.positions]
+    data["triangles"] = [[int(i) for i in row] for row in imm.mesh.triangles]
+    if imm.mesh.uv is not None:
+        data["uv"] = [[float(c) for c in row] for row in imm.mesh.uv]
+    with open(path, "w") as f:
+        json.dump(data, f, sort_keys=True)
+        f.write("\n")
 
 
 def hamiltonian_matrix(imm, fd):

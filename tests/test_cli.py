@@ -117,6 +117,23 @@ class TestConfigValidation:
         assert "Traceback" not in r.stderr
         assert "config error" in r.stderr or "validation failure" in r.stderr
 
+    def test_missing_config_file_rejected(self, tmp_path):
+        r = run_cli("energy", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "config error" in r.stderr and "missing.json" in r.stderr
+
+    @pytest.mark.parametrize("family", ["flat_patch", "double_sheet"])
+    def test_flat_only_family_rejects_frame_target(self, tmp_path, family):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(
+            {"family": family, "target": "stiefel", "resolution": 8, "epsilon": 0.2}
+        ))
+        r = run_cli("energy", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert family in r.stderr and "stiefel" in r.stderr
+        assert not (tmp_path / "out" / "energy.json").exists()
+
     @pytest.mark.parametrize("command", ["descend", "density"])
     def test_valid_base_config_accepted(self, tmp_path, command):
         r = run_cli(command, *self.config_args(tmp_path, command, {}))
@@ -128,6 +145,8 @@ class TestConfigValidation:
         valid = {"family": "flat_patch", "resolution": 8}
         if command == "descend":
             valid.update({"epsilon_schedule": [0.2], "max_iters": 1})
+        if command == "density":
+            valid["min_radius"] = 0.05  # the default cut at n=8 excludes every default radius
         config = tmp_path / "c.json"
         config.write_text(json.dumps([valid] if bad is None else {**valid, **bad}))
         return "--config", str(config), "--out", str(tmp_path / "out")
@@ -194,6 +213,14 @@ class TestDensityCommand:
         assert text.startswith("#")
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == "s,ratio,n_components"
+
+    def test_no_resolvable_radius_rejected(self, tmp_path):
+        r = run_cli(
+            "density", "--family", "flat_patch", "--resolution", "8", "--out", str(tmp_path),
+        )
+        assert r.returncode == 2
+        assert "[0.1, 0.075, 0.05]" in r.stderr and "min_radius" in r.stderr
+        assert not (tmp_path / "density.csv").exists()
 
     def test_density_determinism(self, tmp_path):
         blobs = []
