@@ -263,16 +263,12 @@ def cmd_descend(config, out_dir):
 
 def cmd_density(config, out_dir):
     imm = _load_or_generate(config)
-    p0 = _base_point(imm, config)
-    curve = gauge_lab.density_curve(
-        imm, p0, config["radii"], min_radius=config["min_radius"]
-    )
-    if not curve.radii.size:
-        raise ResolutionError(
-            f"no resolvable radius: every radius {curve.excluded} is below "
-            f"min_radius {curve.min_radius!r}"
-        )
-    theta0, mult, dist, eta = gauge_lab.theta0_estimate(imm, p0)
+    gf = gauge_lab.gauge_fields(imm, _base_point(imm, config))
+    eta = gauge_lab.resolvable_radius(imm)
+    min_radius = eta if config["min_radius"] is None else config["min_radius"]
+    curve = gauge_lab.density_curve(gf, config["radii"], min_radius=min_radius)
+    _require_resolved(curve)
+    theta0, mult, dist, eta = gauge_lab.theta0_estimate(gf, eta=eta)
     out = Path(out_dir)
     header = report_header(config)
     write_csv(
@@ -351,10 +347,12 @@ def cmd_clifford_demo(config, out_dir):
     from .immersion import legendrian_residual, mean_curvature_one_form
 
     res = legendrian_residual(imm)
-    mcf = mean_curvature_one_form(imm)
-    p0 = imm.positions[(n // 2) * n + n // 2]
+    gf = gauge_lab.gauge_fields(imm, imm.positions[(n // 2) * n + n // 2])
+    mcf = mean_curvature_one_form(imm, gf.face_data)
+    # Radii of 4, 5 and 6 grid steps clear the 3-step cut of a resolvable density.
     h = 2 * np.pi / n
-    curve = gauge_lab.density_curve(imm, p0, [0.4, 0.5, 0.6], min_radius=3 * h)
+    curve = gauge_lab.density_curve(gf, [4 * h, 5 * h, 6 * h], min_radius=3 * h)
+    _require_resolved(curve)
     payload = report_header(config)
     payload.update(
         {
@@ -370,6 +368,15 @@ def cmd_clifford_demo(config, out_dir):
     write_json(out / "clifford_demo.json", payload)
     print(json.dumps(payload, sort_keys=True, indent=1))
     return EXIT_OK
+
+
+def _require_resolved(curve):
+    """Raise ResolutionError when every radius of ``curve`` fell below its cut."""
+    if not curve.radii.size:
+        raise ResolutionError(
+            f"no resolvable radius: every radius {curve.excluded} is below "
+            f"min_radius {curve.min_radius!r}"
+        )
 
 
 def _base_point(imm, config):

@@ -32,21 +32,18 @@ def consistency_tol(h_param):
 
 
 def _grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
-    """Two positively oriented triangles per cell of an (n1, n2) vertex grid."""
-    tris = []
-    c1 = n1 if wrap1 else n1 - 1
-    c2 = n2 if wrap2 else n2 - 1
+    """Two positively oriented triangles per cell of an (n1, n2) vertex grid,
+    as an (F, 3) array, cells in row-major order."""
+    i, j = np.meshgrid(
+        np.arange(n1 if wrap1 else n1 - 1), np.arange(n2 if wrap2 else n2 - 1), indexing="ij"
+    )
+    i, j = i.ravel(), j.ravel()
 
-    def vid(i, j):
-        return offset + (i % n1) * n2 + (j % n2)
+    def vid(a, b):
+        return offset + (a % n1) * n2 + (b % n2)
 
-    for i in range(c1):
-        for j in range(c2):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return tris
+    v00, v10, v11, v01 = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
 
 def _square_boundary_loop(n1, n2, offset=0):
@@ -157,7 +154,9 @@ def double_sheet(n=16, extent=1.0):
     pos[:n_v, 3] = uv_one[:, 1]
     pos[n_v:, 2] = uv_one[:, 0]
     pos[n_v:, 4] = uv_one[:, 1]
-    tris = _grid_triangles(n + 1, n + 1) + _grid_triangles(n + 1, n + 1, offset=n_v)
+    tris = np.concatenate(
+        [_grid_triangles(n + 1, n + 1), _grid_triangles(n + 1, n + 1, offset=n_v)]
+    )
     loops = [
         _square_boundary_loop(n + 1, n + 1),
         _square_boundary_loop(n + 1, n + 1, offset=n_v),

@@ -86,9 +86,10 @@ def _gauss_stencil(m, uv):
     """The (2F, F) neighbour-differencing stencil of the Gauss-map gradient.
 
     Face f with neighbours n_j (in face-edge order) gets the least-squares
-    weights q_f = pinv(bary[n_j] - bary[f]), the parameter differences
-    unwrapped across the seam; row 2f + a holds q_f[a, j] at column n_j and
-    -sum_j q_f[a, j] at column f, so (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).
+    weights q_f = pinv(bary[n_j] - bary[f]) (see :func:`_lsq_weights`), the
+    parameter differences unwrapped across the seam; row 2f + a holds
+    q_f[a, j] at column n_j and -sum_j q_f[a, j] at column f, so
+    (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).
     Faces without neighbours get empty rows.
     """
     n_f = len(m.triangles)
@@ -109,7 +110,7 @@ def _gauss_stencil(m, uv):
             continue
         slots = np.argsort(~has[faces], axis=1, kind="stable")[:, :c]  # keep edge order
         cols_c = np.take_along_axis(nbrs[faces], slots, axis=1)  # (n, c)
-        q = np.linalg.pinv(np.take_along_axis(delta[faces], slots[..., None], axis=1))  # (n, 2, c)
+        q = _lsq_weights(np.take_along_axis(delta[faces], slots[..., None], axis=1))  # (n, 2, c)
         row = 2 * faces[:, None] + np.arange(2)  # (n, 2)
         rows += [np.repeat(row, c, axis=1).ravel(), row.ravel()]
         cols += [np.broadcast_to(cols_c[:, None, :], q.shape).ravel(), np.repeat(faces, 2)]
@@ -119,6 +120,31 @@ def _gauss_stencil(m, uv):
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n_f, n_f)
     )
+
+
+#: Gram determinant, relative to the squared trace, below which a stencil block
+#: counts as collinear.  The closed form's relative error is about
+#: eps * trace^2 / det, so above the cut it stays near 1e-12.
+COLLINEAR_GRAM = 1e-4
+
+
+def _lsq_weights(delta):
+    """Pseudo-inverses (n, 2, c) of the (c, 2) blocks of ``delta`` (n, c, 2).
+
+    Each is (d^T d)^-1 d^T with the 2x2 inverse written out.  A block whose
+    Gram determinant is below ``COLLINEAR_GRAM`` times its squared trace (a
+    single row, or collinear rows) goes to ``np.linalg.pinv``.
+    """
+    x, y = delta[..., 0], delta[..., 1]
+    g11, g12, g22 = np.sum(x * x, axis=1), np.sum(x * y, axis=1), np.sum(y * y, axis=1)
+    det = g11 * g22 - g12 * g12
+    collinear = det <= COLLINEAR_GRAM * (g11 + g22) ** 2
+    det = np.where(collinear, 1.0, det)[:, None]
+    q = np.stack([(g22[:, None] * x - g12[:, None] * y) / det,
+                  (g11[:, None] * y - g12[:, None] * x) / det], axis=1)
+    if np.any(collinear):
+        q[collinear] = np.linalg.pinv(delta[collinear])
+    return q
 
 
 def _block_gram(x, y):

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import FaceData, mean_curvature_one_form
+from .immersion import FaceData, mean_curvature_one_form, scatter_rows
 from .mesh import DiscreteImmersion
 from .stiefel import arctan_sigma
 
@@ -157,13 +157,9 @@ def vertex_tangent_frames(imm: DiscreteImmersion, fd: FaceData | None = None):
     """Orthonormal tangent pairs per vertex from area-weighted face partials."""
     fd = fd or FaceData(imm)
     m = imm.mesh
-    n_v = m.n_vertices
-    k = imm.positions.shape[1]
-    acc_u = np.zeros((n_v, k))
-    acc_v = np.zeros((n_v, k))
-    for c in range(3):
-        np.add.at(acc_u, m.triangles[:, c], fd.area[:, None] * fd.du)
-        np.add.at(acc_v, m.triangles[:, c], fd.area[:, None] * fd.dv)
+    corners = m.triangles.T.ravel()
+    acc_u = scatter_rows(corners, np.tile(fd.area[:, None] * fd.du, (3, 1)), m.n_vertices)
+    acc_v = scatter_rows(corners, np.tile(fd.area[:, None] * fd.dv, (3, 1)), m.n_vertices)
     t1 = imm.geometry.horizontal(imm.positions, acc_u)
     n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
     t1 = t1 / np.maximum(n1, 1e-300)
@@ -323,7 +319,7 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float, min_
             f"annulus eta < r < 2 r0 holds only {n_annulus} faces (< {min_faces})"
         )
 
-    mcf = mean_curvature_one_form(imm)
+    mcf = mean_curvature_one_form(imm, fd)
     dbeta = _face_one_form(imm, fd, 0.5 * mcf.gamma)
     spec = hamiltonian_arctan(imm.target, p0, r0, eta)
     h_vals = spec.h(imm.positions)
@@ -435,17 +431,17 @@ def resolvable_radius(imm: DiscreteImmersion):
     return 3.0 * float(np.median(np.linalg.norm(chords, axis=-1)))
 
 
-def density_curve(imm: DiscreteImmersion, p0, radii, min_radius=None) -> DensityCurve:
-    """s -> Area({r_gauge < s}) / s^2 by exact clipping of linear interpolants.
+def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
+    """s -> Area({r_gauge < s}) / s^2 by exact clipping of linear interpolants,
+    on the gauge fields of an immersion about its base point.
 
-    Radii under three median edge lengths are excluded with a warning entry;
-    pass ``min_radius`` to override the cut (coarse-resolution studies).
+    Radii under three median edge lengths (:func:`resolvable_radius`) are
+    excluded with a warning entry; pass ``min_radius`` to override the cut
+    (coarse-resolution studies).
     """
-    p0c = imm.geometry.point(p0)
-    gf = gauge_fields(imm, p0c)
     fd = gf.face_data
-    tri = imm.mesh.triangles
-    r_corners = gf.r[tri]
+    imm = fd.imm
+    r_corners = gf.r[imm.mesh.triangles]
     radii = np.asarray(sorted(radii, reverse=True), float)
     min_s = resolvable_radius(imm) if min_radius is None else float(min_radius)
     ratios, counts, kept, excluded = [], [], [], []
@@ -459,7 +455,7 @@ def density_curve(imm: DiscreteImmersion, p0, radii, min_radius=None) -> Density
         counts.append(_component_count(imm, gf.r, s))
         kept.append(float(s))
     return DensityCurve(
-        base_point=p0c,
+        base_point=gf.base_p0,
         radii=np.asarray(kept),
         ratios=np.asarray(ratios),
         counts=np.asarray(counts, int),
@@ -509,21 +505,20 @@ DEFAULT_KERNELS = {
 }
 
 
-def theta0_estimate(imm: DiscreteImmersion, p0, kernel=None, eta=None):
-    """Kernel-weighted gauge density at the smallest resolvable scale.
+def theta0_estimate(gf: GaugeFields, kernel=None, eta=None):
+    """Kernel-weighted gauge density at the smallest resolvable scale, on the
+    gauge fields of an immersion about its base point.
 
-    Returns (theta0, multiplicity_estimate, distance_to_integer, eta_used).
+    ``eta`` defaults to :func:`resolvable_radius` of the immersion.  Returns
+    (theta0, multiplicity_estimate, distance_to_integer, eta_used).
     """
-    p0c = imm.geometry.point(p0)
     if kernel is None:
         kernel = polynomial_kernel(*DEFAULT_KERNELS["half_to_three_half"])
-    gf = gauge_fields(imm, p0c)
-    fd = gf.face_data
     if eta is None:
-        eta = resolvable_radius(imm)
+        eta = resolvable_radius(gf.face_data.imm)
     rr = np.maximum(gf.face_r, 1e-300)
     vals = (eta / rr) * kernel(rr / eta) * gf.face_sigma_weight
-    theta0 = float(np.sum(np.where(gf.face_ok, vals, 0.0) * fd.area) / eta**2)
+    theta0 = float(np.sum(np.where(gf.face_ok, vals, 0.0) * gf.face_data.area) / eta**2)
     mult = theta0 / (2.0 * np.pi)
     return theta0, mult, abs(mult - round(mult)), float(eta)
 

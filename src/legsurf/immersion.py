@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateFaceError, GeometryDomainError
 from .mesh import DiscreteImmersion
@@ -354,16 +356,12 @@ def _edge_chords(imm):
     return geo.frame(imm.positions[tails], delta), geo.frame(imm.positions[heads], -delta)
 
 
-def laplacian_positions(imm: DiscreteImmersion, weights, areas):
-    """Cot-Laplacian of the immersion per vertex, in frame components at the vertex."""
-    m = imm.mesh
-    tails, heads = m.edges[:, 0], m.edges[:, 1]
-    chords_t, chords_h = _edge_chords(imm)
-    k = imm.positions.shape[1]
-    acc = np.zeros((m.n_vertices, k))
-    np.add.at(acc, tails, weights[:, None] * chords_t)
-    np.add.at(acc, heads, weights[:, None] * chords_h)
-    return acc / areas[:, None]
+def scatter_rows(index, values, n_rows):
+    """(n_rows, k) sums of the rows of ``values`` (N, k) at ``index`` (N,), added
+    in input order (bitwise what ``np.add.at`` gives)."""
+    k = values.shape[1]
+    slots = (np.asarray(index)[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(slots, weights=values.ravel(), minlength=n_rows * k).reshape(n_rows, k)
 
 
 @dataclass
@@ -377,20 +375,31 @@ class MeanCurvatureForm:
     vertex_areas: np.ndarray
 
 
-def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
+def mean_curvature_one_form(
+    imm: DiscreteImmersion, fd: FaceData | None = None
+) -> MeanCurvatureForm:
     """Edge samples of the mean-curvature one-form and the integrated angle.
 
     The angle beta satisfies d beta = gamma / 2; its Laplacian (assembled from
     the edge one-form, so branch jumps never enter) is the minimality defect.
+    beta is summed along a breadth-first spanning tree of each component,
+    rooted at its smallest vertex.  ``fd`` is the immersion's
+    :class:`FaceData`, built here when not given.
     """
     m = imm.mesh
-    fd = FaceData(imm)
+    if fd is None:
+        fd = FaceData(imm)
     weights, areas = cotangent_weights(imm, fd)
-    lap = laplacian_positions(imm, weights, areas)
+    chords_t, chords_h = _edge_chords(imm)
+    # cot-Laplacian of the immersion per vertex, in frame components at the vertex
+    lap = scatter_rows(
+        m.edges.T.ravel(),
+        np.concatenate([weights[:, None] * chords_t, weights[:, None] * chords_h]),
+        m.n_vertices,
+    ) / areas[:, None]
     g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
 
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    chords_t, chords_h = _edge_chords(imm)
     gamma = -0.5 * (
         np.sum(g_vec[tails] * chords_t, axis=-1) - np.sum(g_vec[heads] * chords_h, axis=-1)
     )
@@ -404,44 +413,24 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
         sign = np.where(m.edges[e, 0] == a, 1.0, -1.0)
         curl += sign * gamma[e]
 
-    # spanning-tree integration of d beta = gamma / 2 per component
-    beta = np.zeros(m.n_vertices)
-    roots = []
-    visited = np.zeros(m.n_vertices, bool)
-    adj = [[] for _ in range(m.n_vertices)]
-    for e, (a, b) in enumerate(m.edges):
-        adj[a].append((int(b), e, 1.0))
-        adj[b].append((int(a), e, -1.0))
-    for comp in m.components():
-        root = min(comp)
-        roots.append(root)
-        visited[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u, e, sign in adj[v]:
-                if not visited[u]:
-                    visited[u] = True
-                    beta[u] = beta[v] + sign * 0.5 * gamma[e]
-                    stack.append(u)
+    beta, roots = _integrate_on_tree(m, 0.5 * gamma)
 
-    edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(m.edges)}
     periods = []
     for loop in m.generator_loops:
-        total = 0.0
-        for i in range(len(loop)):
-            a, b = loop[i], loop[(i + 1) % len(loop)]
-            if (a, b) in edge_index:
-                total += 0.5 * gamma[edge_index[(a, b)]]
-            elif (b, a) in edge_index:
-                total -= 0.5 * gamma[edge_index[(b, a)]]
-            else:
-                raise GeometryDomainError(f"generator loop uses missing edge ({a}, {b})")
-        periods.append(float(total))
+        a = np.asarray(loop, int)
+        b = np.roll(a, -1)
+        e = m.edge_ids(a, b)
+        if np.any(e < 0):
+            i = int(np.argmax(e < 0))
+            raise GeometryDomainError(f"generator loop uses missing edge ({a[i]}, {b[i]})")
+        steps = np.where(a < b, 0.5, -0.5) * gamma[e]
+        # a running total from 0.0, added in loop order
+        periods.append(float(np.cumsum(np.append(0.0, steps))[-1]))
 
-    lap_beta = np.zeros(m.n_vertices)
-    np.add.at(lap_beta, tails, weights * 0.5 * gamma)
-    np.add.at(lap_beta, heads, -weights * 0.5 * gamma)
+    half = weights * 0.5 * gamma
+    lap_beta = np.bincount(
+        m.edges.T.ravel(), weights=np.concatenate([half, -half]), minlength=m.n_vertices
+    )
     lap_beta /= areas
 
     return MeanCurvatureForm(
@@ -453,3 +442,33 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
         component_roots=roots,
         vertex_areas=areas,
     )
+
+
+def _integrate_on_tree(m, edge_values):
+    """Vertex values f with f[head] - f[tail] = edge_values along a breadth-first
+    spanning tree of each component, and f = 0 at its root, the component's
+    smallest vertex.  Returns (f, roots in ascending order)."""
+    n_v = m.n_vertices
+    adj = sp.csr_matrix(
+        (np.ones(len(m.edges)), (m.edges[:, 0], m.edges[:, 1])), shape=(n_v, n_v)
+    )
+    parent = np.full(n_v, -1)
+    roots = []
+    while (unreached := np.flatnonzero(parent < 0)).size:
+        root = int(unreached[0])
+        order, pred = breadth_first_order(adj, root, directed=False, return_predecessors=True)
+        parent[order] = pred[order]
+        parent[root] = root
+        roots.append(root)
+    child = np.flatnonzero(parent != np.arange(n_v))
+    step = np.zeros(n_v)
+    step[child] = np.where(parent[child] < child, 1.0, -1.0) * edge_values[
+        m.edge_ids(parent[child], child)
+    ]
+    # Pointer doubling: f[v] holds the steps from v up to (not including)
+    # up[v]; each round doubles that path until it reaches the root.
+    f, up = step, parent
+    while np.any(up[up] != up):
+        f = f + f[up]
+        up = up[up]
+    return f, roots

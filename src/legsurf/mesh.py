@@ -75,6 +75,7 @@ class SurfaceMesh:
         # and face->edge incidence; slot k * F + f is local edge k of face f.
         raw = np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]])
         keys, inverse = np.unique(raw.min(axis=1) * n_v + raw.max(axis=1), return_inverse=True)
+        self.edge_keys = keys  # sorted; edge e joins a < b with key a * V + b
         self.edges = np.stack([keys // n_v, keys % n_v], axis=1)
         self.face_edges = inverse.reshape(3, -1).T  # face f, local edge k (opposite corner k)
         self._edge_face_counts = np.bincount(inverse, minlength=len(keys))
@@ -116,6 +117,14 @@ class SurfaceMesh:
             (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])), shape=(n_v, n_v)
         )
         return connected_components(adj, directed=False)
+
+    def edge_ids(self, a, b):
+        """Canonical edge index of each vertex pair (a, b), in either order;
+        -1 where the mesh has no such edge."""
+        a, b = np.asarray(a, int), np.asarray(b, int)
+        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+        e = np.minimum(np.searchsorted(self.edge_keys, keys), len(self.edge_keys) - 1)
+        return np.where(self.edge_keys[e] == keys, e, -1)
 
     @functools.cached_property
     def edge_incidence(self):

@@ -3,16 +3,26 @@
 They are the implementations the package used before its stencils became
 sparse operators and its 2x2 algebra closed-form (batched SVD, multi-operand
 einsums, np.add.at scatters), before polynomial monomials were multiplied
-gather by gather, the projection stiffness was filled into a kept pattern and
-meshes were written through the C JSON encoder, kept here only as oracles for
-the equivalence tests.
+gather by gather, the projection stiffness was filled into a kept pattern,
+meshes were written through the C JSON encoder, the mean-curvature one-form
+lost its Python spanning-tree walk and edge dict, grid triangles were built
+by index arithmetic and the Gauss stencil weights were written out in closed
+form, kept here only as oracles for the equivalence tests.
 """
 
 import json
 
 import numpy as np
+import scipy.sparse as sp
 
-from legsurf.immersion import wedge_nd, wedge_pairs
+from legsurf.errors import GeometryDomainError
+from legsurf.immersion import (
+    FaceData,
+    MeanCurvatureForm,
+    _edge_chords,
+    wedge_nd,
+    wedge_pairs,
+)
 
 
 def mesh_adjacency(mesh):
@@ -436,3 +446,141 @@ def frame_reeb_slope(p_tail, delta):
     db = normal[..., 1] + w[:, None] * qa
     return (st.alpha_raw(da, db, delta[:, :4], delta[:, 4:])
             - st.alpha_raw(qa, qb, reeb[:, :4], reeb[:, 4:]))
+
+
+def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
+    """Two triangles per grid cell, one cell at a time, as a list of tuples."""
+    tris = []
+    c1 = n1 if wrap1 else n1 - 1
+    c2 = n2 if wrap2 else n2 - 1
+
+    def vid(i, j):
+        return offset + (i % n1) * n2 + (j % n2)
+
+    for i in range(c1):
+        for j in range(c2):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return tris
+
+
+def gauss_stencil_pinv(m, uv):
+    """The (2F, F) Gauss-map stencil with every block's weights from np.linalg.pinv."""
+    n_f = len(m.triangles)
+    bary = uv.mean(axis=1)
+    nbrs = m.face_neighbors
+    has = nbrs >= 0
+    delta = bary[np.where(has, nbrs, 0)] - bary[:, None, :]
+    if m.uv_periods is not None:
+        for axis in (0, 1):
+            p = m.uv_periods[axis]
+            if p:
+                delta[..., axis] -= p * np.round(delta[..., axis] / p)
+    count = has.sum(axis=1)
+    rows, cols, vals = [], [], []
+    for c in (1, 2, 3):
+        faces = np.where(count == c)[0]
+        if not faces.size:
+            continue
+        slots = np.argsort(~has[faces], axis=1, kind="stable")[:, :c]
+        cols_c = np.take_along_axis(nbrs[faces], slots, axis=1)
+        q = np.linalg.pinv(np.take_along_axis(delta[faces], slots[..., None], axis=1))
+        row = 2 * faces[:, None] + np.arange(2)
+        rows += [np.repeat(row, c, axis=1).ravel(), row.ravel()]
+        cols += [np.broadcast_to(cols_c[:, None, :], q.shape).ravel(), np.repeat(faces, 2)]
+        vals += [q.ravel(), -q.sum(axis=2).ravel()]
+    if not rows:
+        return sp.csr_matrix((2 * n_f, n_f))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n_f, n_f)
+    )
+
+
+def vertex_tangent_frames(imm, fd):
+    """gauge_lab.vertex_tangent_frames with np.add.at scatters."""
+    m = imm.mesh
+    n_v = m.n_vertices
+    k = imm.positions.shape[1]
+    acc_u = np.zeros((n_v, k))
+    acc_v = np.zeros((n_v, k))
+    for c in range(3):
+        np.add.at(acc_u, m.triangles[:, c], fd.area[:, None] * fd.du)
+        np.add.at(acc_v, m.triangles[:, c], fd.area[:, None] * fd.dv)
+    t1 = imm.geometry.horizontal(imm.positions, acc_u)
+    n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
+    t1 = t1 / np.maximum(n1, 1e-300)
+    t2 = imm.geometry.horizontal(imm.positions, acc_v)
+    t2 = t2 - np.sum(t2 * t1, axis=-1, keepdims=True) * t1
+    n2 = np.linalg.norm(t2, axis=-1, keepdims=True)
+    t2 = t2 / np.maximum(n2, 1e-300)
+    return t1, t2
+
+
+def mean_curvature_one_form(imm):
+    """The mean-curvature one-form with a depth-first Python spanning-tree walk,
+    a dict of edges for the generator loops and np.add.at scatters."""
+    m = imm.mesh
+    fd = FaceData(imm)
+    weights, areas = cotangent_weights(imm, fd)
+    tails, heads = m.edges[:, 0], m.edges[:, 1]
+    chords_t, chords_h = _edge_chords(imm)
+    lap = np.zeros((m.n_vertices, imm.positions.shape[1]))
+    np.add.at(lap, tails, weights[:, None] * chords_t)
+    np.add.at(lap, heads, weights[:, None] * chords_h)
+    lap /= areas[:, None]
+    g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
+    gamma = -0.5 * (
+        np.sum(g_vec[tails] * chords_t, axis=-1) - np.sum(g_vec[heads] * chords_h, axis=-1)
+    )
+
+    curl = np.zeros(len(m.triangles))
+    for k in range(3):
+        a = m.triangles[:, (k + 1) % 3]
+        e = m.face_edges[:, k]
+        sign = np.where(m.edges[e, 0] == a, 1.0, -1.0)
+        curl += sign * gamma[e]
+
+    beta = np.zeros(m.n_vertices)
+    roots = []
+    visited = np.zeros(m.n_vertices, bool)
+    adj = [[] for _ in range(m.n_vertices)]
+    for e, (a, b) in enumerate(m.edges):
+        adj[a].append((int(b), e, 1.0))
+        adj[b].append((int(a), e, -1.0))
+    for comp in m.components():
+        root = min(comp)
+        roots.append(root)
+        visited[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, e, sign in adj[v]:
+                if not visited[u]:
+                    visited[u] = True
+                    beta[u] = beta[v] + sign * 0.5 * gamma[e]
+                    stack.append(u)
+
+    edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(m.edges)}
+    periods = []
+    for loop in m.generator_loops:
+        total = 0.0
+        for i in range(len(loop)):
+            a, b = loop[i], loop[(i + 1) % len(loop)]
+            if (a, b) in edge_index:
+                total += 0.5 * gamma[edge_index[(a, b)]]
+            elif (b, a) in edge_index:
+                total -= 0.5 * gamma[edge_index[(b, a)]]
+            else:
+                raise GeometryDomainError(f"generator loop uses missing edge ({a}, {b})")
+        periods.append(float(total))
+
+    lap_beta = np.zeros(m.n_vertices)
+    np.add.at(lap_beta, tails, weights * 0.5 * gamma)
+    np.add.at(lap_beta, heads, -weights * 0.5 * gamma)
+    lap_beta /= areas
+    return MeanCurvatureForm(
+        gamma=gamma, curl=curl, beta=beta, periods=periods, laplace_beta_residual=lap_beta,
+        component_roots=roots, vertex_areas=areas,
+    )

@@ -196,16 +196,17 @@ class TestCriterion5DensityQuantization:
         fp = corpus.flat_patch(256, center=True)
         ds = corpus.double_sheet(128)
         p0 = np.zeros(5)
-        flat = gl.density_curve(fp, p0, [0.05, 0.075, 0.1])
-        dbl = gl.density_curve(ds, p0, [0.05, 0.075, 0.1])
+        gf_flat, gf_dbl = gl.gauge_fields(fp, p0), gl.gauge_fields(ds, p0)
+        flat = gl.density_curve(gf_flat, [0.05, 0.075, 0.1])
+        dbl = gl.density_curve(gf_dbl, [0.05, 0.075, 0.1])
         flat_ok = np.all(np.abs(flat.ratios / np.pi - 1.0) <= 0.02)
         dbl_ok = np.all(np.abs(dbl.ratios / (2 * np.pi) - 1.0) <= 0.03)
         theta_ok = True
         details = []
         for name, (ka, kb) in gl.DEFAULT_KERNELS.items():
             kern = gl.polynomial_kernel(ka, kb)
-            _, m1, _, _ = gl.theta0_estimate(fp, p0, kernel=kern)
-            _, m2, _, _ = gl.theta0_estimate(ds, p0, kernel=kern)
+            _, m1, _, _ = gl.theta0_estimate(gf_flat, kernel=kern)
+            _, m2, _, _ = gl.theta0_estimate(gf_dbl, kernel=kern)
             theta_ok &= abs(m1 - 1.0) <= 0.03 and abs(m2 - 2.0) <= 0.03
             details.append(f"{name}: {m1:.4f}/{m2:.4f}")
         ok = flat_ok and dbl_ok and theta_ok
@@ -261,7 +262,7 @@ class TestCriterion7QuasiMonotonicity:
         for n in (64, 128):
             cl = corpus.clifford_lift(n)
             p0 = cl.positions[(n // 2) * n + n // 2]
-            dc = gl.density_curve(cl, p0, radii, min_radius=2 * (2 * np.pi / n))
+            dc = gl.density_curve(gl.gauge_fields(cl, p0), radii, min_radius=2 * (2 * np.pi / n))
             cemp = 0.0
             for i, s in enumerate(dc.radii):
                 for j, r in enumerate(dc.radii):

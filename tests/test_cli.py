@@ -265,6 +265,8 @@ class TestCliffordDemo:
         assert r.returncode == 0
         payload = json.loads((tmp_path / "clifford_demo.json").read_text())
         assert abs(payload["maslov_periods"][0] - np.pi) < 0.05
+        ratios = payload["density_ratios_over_pi"]
+        assert len(ratios) == 3 and all(np.isfinite(ratios))
 
 
 class TestSolverAbortExit:

@@ -194,24 +194,24 @@ class TestMonotonicityBalance:
 class TestDensity:
     def test_flat_patch_pi(self):
         fp = corpus.flat_patch(256, center=True)
-        dc = gl.density_curve(fp, np.zeros(5), [0.05, 0.075, 0.1])
+        dc = gl.density_curve(gl.gauge_fields(fp, np.zeros(5)), [0.05, 0.075, 0.1])
         assert np.all(np.abs(dc.ratios / np.pi - 1.0) < 0.02)
         assert np.all(dc.counts == 1)
 
     def test_double_sheet_two_pi(self):
         ds = corpus.double_sheet(128)
-        dc = gl.density_curve(ds, np.zeros(5), [0.05, 0.075, 0.1])
+        dc = gl.density_curve(gl.gauge_fields(ds, np.zeros(5)), [0.05, 0.075, 0.1])
         assert np.all(np.abs(dc.ratios / (2 * np.pi) - 1.0) < 0.03)
         assert np.all(dc.counts == 2)
 
     def test_theta0_both_kernels(self):
-        fp = corpus.flat_patch(256, center=True)
-        ds = corpus.double_sheet(128)
+        gf_flat = gl.gauge_fields(corpus.flat_patch(256, center=True), np.zeros(5))
+        gf_dbl = gl.gauge_fields(corpus.double_sheet(128), np.zeros(5))
         for a, b in gl.DEFAULT_KERNELS.values():
             k = gl.polynomial_kernel(a, b)
-            _, mult, dist, _ = gl.theta0_estimate(fp, np.zeros(5), kernel=k)
+            _, mult, dist, _ = gl.theta0_estimate(gf_flat, kernel=k)
             assert abs(mult - 1.0) < 0.03
-            _, mult2, _, _ = gl.theta0_estimate(ds, np.zeros(5), kernel=k)
+            _, mult2, _, _ = gl.theta0_estimate(gf_dbl, kernel=k)
             assert abs(mult2 - 2.0) < 0.03
 
     def test_kernel_normalisation(self):
@@ -223,7 +223,7 @@ class TestDensity:
 
     def test_small_radii_excluded_with_warning(self):
         fp = corpus.flat_patch(16, center=True)
-        dc = gl.density_curve(fp, np.zeros(5), [0.5, 0.01])
+        dc = gl.density_curve(gl.gauge_fields(fp, np.zeros(5)), [0.5, 0.01])
         assert 0.01 in dc.excluded
         assert len(dc.radii) == 1
 
@@ -242,7 +242,7 @@ class TestQuasiMonotonicity:
         for n in (64, 128):
             cl = corpus.clifford_lift(n)
             dc = gl.density_curve(
-                cl, center_vertex(cl, n), radii, min_radius=2 * 2 * np.pi / n
+                gl.gauge_fields(cl, center_vertex(cl, n)), radii, min_radius=2 * 2 * np.pi / n
             )
             cemp = 0.0
             for i, s in enumerate(dc.radii):
@@ -273,8 +273,8 @@ class TestReebRotationInvariance:
         gf1 = gl.gauge_fields(rotated, p0r)
         assert np.allclose(gf0.r, gf1.r, atol=1e-10)
         assert np.allclose(gf0.phi, gf1.phi, atol=1e-10)
-        d0 = gl.density_curve(stt, p0, [0.3, 0.4], min_radius=0.1)
-        d1 = gl.density_curve(rotated, p0r, [0.3, 0.4], min_radius=0.1)
+        d0 = gl.density_curve(gf0, [0.3, 0.4], min_radius=0.1)
+        d1 = gl.density_curve(gf1, [0.3, 0.4], min_radius=0.1)
         assert np.allclose(d0.ratios, d1.ratios, atol=1e-10)
         r0 = gl.monotonicity_balance(stt, p0, 0.3, 0.08, min_faces=50)
         r1 = gl.monotonicity_balance(rotated, p0r, 0.3, 0.08, min_faces=50)
