@@ -468,36 +468,38 @@ COMMANDS = {
 }
 
 
+def _int_list(text):
+    return [int(x) for x in text.split(",")]
+
+
+#: Command-line flags, by the config key each sets (``--resolution-ladder``
+#: sets ``resolution_ladder``); a command takes the flags of its schema's keys.
+FLAGS = {
+    "seed": {"type": int},
+    "resolution_ladder": {"type": _int_list},
+    "grid": {},
+    "mesh": {},
+    "epsilon": {"type": float},
+    "family": {},
+    "resolution": {"type": int},
+    "inject_bug": {"action": "store_true"},
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="legsurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="out")
-        p.add_argument("--resolution-ladder", default=None)
-        p.add_argument("--grid", default=None)
-        p.add_argument("--mesh", default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--family", default=None)
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--inject-bug", action="store_true", default=None)
+        for key, options in FLAGS.items():
+            if key in SCHEMAS[name]:
+                p.add_argument("--" + key.replace("_", "-"), default=None, **options)
     args = parser.parse_args(argv)
 
-    overrides = {
-        "seed": args.seed,
-        "grid": args.grid,
-        "mesh": args.mesh,
-        "epsilon": args.epsilon,
-        "family": args.family,
-        "resolution": args.resolution,
-        "inject_bug": args.inject_bug,
-    }
-    if args.resolution_ladder:
-        overrides["resolution_ladder"] = [int(x) for x in args.resolution_ladder.split(",")]
     schema = SCHEMAS[args.command]
-    overrides = {k: v for k, v in overrides.items() if k in schema}
+    overrides = {key: getattr(args, key) for key in FLAGS if key in schema}
     try:
         config = load_config(args.config, overrides, schema)
     except (ConfigError, json.JSONDecodeError) as exc:

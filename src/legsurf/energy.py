@@ -671,7 +671,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
 # weak stationarity
 
 
-def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: HamiltonianSpec, f_vals, lam, convention="thm1", support_tol=0.0):
+def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: HamiltonianSpec, f_vals, lam, convention="thm1"):
     """The cut-domain pairing of dL against d(X_h o L).
 
     Faces enter by majority vertex membership in {f > lam}; faces straddling
@@ -686,13 +686,13 @@ def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: Hamiltonian
     counts = above[tri].sum(axis=1)
     included = counts >= 2
     straddling = (counts > 0) & (counts < 3)
-    h_abs = np.abs(spec.h(imm.positions))
-    for fidx in np.where(straddling)[0]:
-        if np.any(h_abs[tri[fidx]] > support_tol):
-            raise LocalisationError(
-                f"face {fidx} straddles the cut level inside the Hamiltonian support",
-                face_id=int(fidx),
-            )
+    in_support = np.abs(spec.h(imm.positions)) > 0.0
+    offending = np.flatnonzero(straddling & np.any(in_support[tri], axis=1))
+    if offending.size:
+        raise LocalisationError(
+            f"face {offending[0]} straddles the cut level inside the Hamiltonian support",
+            face_id=int(offending[0]),
+        )
     w_field = hamiltonian_deformation(imm, spec, convention)
     fd = FaceData(imm)
     wc = imm.geometry.frame(imm.positions, w_field)[tri]

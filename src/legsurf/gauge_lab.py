@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import fields
@@ -21,7 +20,6 @@ from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
 from .immersion import FaceData, mean_curvature_one_form, scatter_rows
 from .mesh import DiscreteImmersion
-from .stiefel import arctan_sigma
 
 # ---------------------------------------------------------------------------
 # cut-off bump: quintic smoothstep, C^2, chi' <= 0, -chi' > 1/2 on [5/4, 7/4]
@@ -88,6 +86,28 @@ class GaugeFields:
     base_p0: np.ndarray = None
 
 
+def _gauge(geo, p0, points):
+    """rho, phi, r, sigma, arctan sigma and the ambient gradients of r and of
+    arctan sigma at stacked points about p0.  sigma is nan at rho = 0, where
+    arctan sigma takes its limits +-pi/2 (the sign of phi); both gradients
+    are 0 where r = 0."""
+    rho, phi, r = geo.gauge_scalars(p0, points)
+    grad_rho2, grad_phi = geo.gauge_gradients(p0, points)
+    r_safe = np.maximum(r, 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma = np.where(rho > 0, 2.0 * phi / np.maximum(rho, 1e-300) ** 2, np.nan)
+        arctan = np.where(rho > 0, np.arctan(np.nan_to_num(sigma)), np.sign(phi) * (np.pi / 2))
+        # d r = (rho^2 d rho^2 + 4 phi d phi) / (2 r^3)
+        grad_r = (rho[:, None] ** 2 * grad_rho2 + 4.0 * phi[:, None] * grad_phi) / (
+            2.0 * r_safe[:, None] ** 3
+        )
+        # d arctan sigma = 2 (rho^2 / r^4) d phi - (2 / r^4) phi d rho^2
+        grad_at = (
+            2.0 * rho[:, None] ** 2 * grad_phi - 2.0 * phi[:, None] * grad_rho2
+        ) / r_safe[:, None] ** 4
+    return rho, phi, r, sigma, arctan, np.nan_to_num(grad_r), np.nan_to_num(grad_at)
+
+
 def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
     geo = imm.geometry
     p0 = geo.point(p0)
@@ -102,25 +122,8 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
         phis = np.stack([geo.gauge_scalars(p0, pos - d)[1] for d in decks], axis=1)
         branch = np.argmin(np.abs(phis), axis=1)
         pos = pos - decks[branch]
-    rho, phi, r = geo.gauge_scalars(p0, pos)
+    rho, phi, r, sigma, arctan, grad_r_amb, grad_at_amb = _gauge(geo, p0, pos)
     singular = r < 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(rho > 0, 2.0 * phi / np.maximum(rho, 1e-300) ** 2, np.nan)
-    arctan = arctan_sigma(rho, phi)
-
-    grad_rho2, grad_phi = geo.gauge_gradients(p0, pos)
-    r_safe = np.maximum(r, 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # d r = (rho^2 d rho^2 + 4 phi d phi) / (2 r^3)
-        grad_r_amb = (rho[:, None] ** 2 * grad_rho2 + 4.0 * phi[:, None] * grad_phi) / (
-            2.0 * r_safe[:, None] ** 3
-        )
-        # d arctan sigma = 2 (rho^2 / r^4) d phi - (2 / r^4) phi d rho^2
-        grad_at_amb = (
-            2.0 * rho[:, None] ** 2 * grad_phi - 2.0 * phi[:, None] * grad_rho2
-        ) / r_safe[:, None] ** 4
-    grad_r_amb = np.nan_to_num(grad_r_amb)
-    grad_at_amb = np.nan_to_num(grad_at_amb)
     grad_h_r = geo.horizontal_gradient(pos, grad_r_amb)
     grad_h_arctan = geo.horizontal_gradient(pos, grad_at_amb)
     grad_h_r[singular] = np.nan
@@ -237,37 +240,15 @@ def hamiltonian_arctan(target, p0, r0: float, eta: float) -> HamiltonianSpec:
     geo = fields.geometry(target)
     p0 = geo.point(p0)
 
+    def gauge(points):
+        return _gauge(geo, p0, np.atleast_2d(np.asarray(points, float)))
+
     def value(points):
-        points = np.atleast_2d(np.asarray(points, float))
-        rho, phi, r = geo.gauge_scalars(p0, points)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            atan = np.where(
-                rho > 0,
-                np.arctan(2.0 * phi / np.maximum(rho, 1e-300) ** 2),
-                np.where(phi > 0, np.pi / 2, np.where(phi < 0, -np.pi / 2, 0.0)),
-            )
+        _, _, r, _, atan, _, _ = gauge(points)
         return (chi(r / r0) - chi(r / eta)) * atan
 
     def grad(points):
-        points = np.atleast_2d(np.asarray(points, float))
-        rho, phi, r = geo.gauge_scalars(p0, points)
-        grad_rho2, grad_phi = geo.gauge_gradients(p0, points)
-        r_safe = np.maximum(r, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grad_r = (rho[:, None] ** 2 * grad_rho2 + 4.0 * phi[:, None] * grad_phi) / (
-                2.0 * r_safe[:, None] ** 3
-            )
-            grad_at = (
-                2.0 * rho[:, None] ** 2 * grad_phi - 2.0 * phi[:, None] * grad_rho2
-            ) / r_safe[:, None] ** 4
-        grad_r = np.nan_to_num(grad_r)
-        grad_at = np.nan_to_num(grad_at)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            atan = np.where(
-                rho > 0,
-                np.arctan(2.0 * phi / np.maximum(rho, 1e-300) ** 2),
-                np.where(phi > 0, np.pi / 2, np.where(phi < 0, -np.pi / 2, 0.0)),
-            )
+        _, _, r, _, atan, grad_r, grad_at = gauge(points)
         bump = chi(r / r0) - chi(r / eta)
         dbump = chi_prime(r / r0) / r0 - chi_prime(r / eta) / eta
         out = dbump[:, None] * atan[:, None] * grad_r + bump[:, None] * grad_at
@@ -321,8 +302,7 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float, min_
 
     mcf = mean_curvature_one_form(imm, fd)
     dbeta = _face_one_form(imm, fd, 0.5 * mcf.gamma)
-    spec = hamiltonian_arctan(imm.target, p0, r0, eta)
-    h_vals = spec.h(imm.positions)
+    h_vals = (chi(gf.r / r0) - chi(gf.r / eta)) * gf.arctan_sigma  # hamiltonian_arctan's h
     dh = fd.grad_scalar(np.where(gf.singular, 0.0, h_vals))
     pair_dh_dbeta = fd.pairing(dh, dbeta)
 
@@ -466,18 +446,10 @@ def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
 
 def _component_count(imm, r_vals, s):
     """Connected components of the subgraph induced by the vertices with r < s."""
-    inside = r_vals < s
-    idx = np.flatnonzero(inside)
+    idx = np.flatnonzero(r_vals < s)
     if len(idx) == 0:
         return 0
-    remap = -np.ones(imm.mesh.n_vertices, int)
-    remap[idx] = np.arange(len(idx))
-    a, b = imm.mesh.edges.T
-    keep = inside[a] & inside[b]
-    adj = sp.coo_matrix(
-        (np.ones(int(keep.sum())), (remap[a[keep]], remap[b[keep]])), shape=(len(idx), len(idx))
-    )
-    return int(connected_components(adj, directed=False)[0])
+    return int(connected_components(imm.mesh.vertex_graph[idx][:, idx], directed=False)[0])
 
 
 # ---------------------------------------------------------------------------

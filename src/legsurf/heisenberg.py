@@ -122,21 +122,13 @@ class LiftResult:
     tol: float
 
 
-def _edge_increment(ua, ub):
-    """Trapezoidal integral of u1 du2 - u2 du1 + u3 du4 - u4 du3 along a segment."""
-    return (
-        ua[..., 0] * ub[..., 1]
-        - ua[..., 1] * ub[..., 0]
-        + ua[..., 2] * ub[..., 3]
-        - ua[..., 3] * ub[..., 2]
-    )
-
-
 def lagrangian_cell_residuals(grid: LagrangianSampleGrid):
     """Loop integrals of the lift one-form around each grid cell.
 
     These are (twice) the discrete symplectic areas of the cells; they vanish
-    exactly when the sampled map is Lagrangian for the trapezoidal rule.
+    exactly when the sampled map is Lagrangian for the trapezoidal rule.  The
+    trapezoidal integral of u1 du2 - u2 du1 + u3 du4 - u4 du3 along a segment
+    ua -> ub is omega0(ua, ub).
     """
     u = grid.u
     n1c = grid.n1 if grid.periodic[0] else grid.n1 - 1
@@ -147,12 +139,7 @@ def lagrangian_cell_residuals(grid: LagrangianSampleGrid):
     u10 = u[i1][:, :n2c]
     u01 = u[:n1c][:, i2]
     u11 = u[i1][:, i2]
-    return (
-        _edge_increment(u00, u10)
-        + _edge_increment(u10, u11)
-        - _edge_increment(u01, u11)
-        - _edge_increment(u00, u01)
-    )
+    return omega0(u00, u10) + omega0(u10, u11) - omega0(u01, u11) - omega0(u00, u01)
 
 
 def lagrangian_tolerance(grid: LagrangianSampleGrid):
@@ -190,15 +177,15 @@ def legendrian_lift(grid: LagrangianSampleGrid, base_value=0.0, tol_lag=None) ->
     u = grid.u
     phi = np.empty((grid.n1, grid.n2))
     phi[0, 0] = base_value
-    inc_rows = _edge_increment(u[:-1, 0], u[1:, 0])
+    inc_rows = omega0(u[:-1, 0], u[1:, 0])
     phi[1:, 0] = base_value + np.cumsum(inc_rows)
-    inc_cols = _edge_increment(u[:, :-1], u[:, 1:])
+    inc_cols = omega0(u[:, :-1], u[:, 1:])
     phi[:, 1:] = phi[:, [0]] + np.cumsum(inc_cols, axis=1)
 
     period1 = 0.0
     period2 = 0.0
     if grid.periodic[0]:
-        period1 = float(np.sum(inc_rows) + _edge_increment(u[-1, 0], u[0, 0]))
+        period1 = float(np.sum(inc_rows) + omega0(u[-1, 0], u[0, 0]))
     if grid.periodic[1]:
-        period2 = float(np.sum(inc_cols[0]) + _edge_increment(u[0, -1], u[0, 0]))
+        period2 = float(np.sum(inc_cols[0]) + omega0(u[0, -1], u[0, 0]))
     return LiftResult(phi=phi, periods=(period1, period2), cell_residuals=res, tol=tol)

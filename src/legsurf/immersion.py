@@ -112,14 +112,13 @@ def reject_degenerate(state):
 class FaceData:
     """Struct-of-arrays face geometry for a whole immersion (see :func:`face_state`)."""
 
-    def __init__(self, imm: DiscreteImmersion, check_degenerate=True):
+    def __init__(self, imm: DiscreteImmersion):
         self.imm = imm
         corner_shift, self.minv, self.uv_area = face_params(imm)
         corners = imm.positions[imm.mesh.triangles]
         corners += corner_shift
         state = face_state(imm.geometry, corners, self.minv, self.uv_area)
-        if check_degenerate:
-            reject_degenerate(state)
+        reject_degenerate(state)
         vars(self).update(state)
 
     @classmethod
@@ -146,48 +145,41 @@ class FaceData:
 
 @dataclass
 class FaceFrame:
-    """Single-face view: partials, metric, induced data, normal-space basis."""
+    """Per-face frames as (F, ...) arrays: partials, metric, induced data,
+    normal-space basis."""
 
     partial_u: np.ndarray
     partial_v: np.ndarray
     metric: np.ndarray
-    conformal_factor: float
-    area: float
+    conformal_factor: np.ndarray
+    area: np.ndarray
     gauss: np.ndarray
     normal_vertical: np.ndarray
     normal_ju: np.ndarray
     normal_jv: np.ndarray
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.gauss) - 1.0) > 1e-12:
+        if np.any(np.abs(np.linalg.norm(self.gauss, axis=-1) - 1.0) > 1e-12):
             raise GeometryDomainError("gauss 2-vector is not unit")
 
 
-def face_frames(imm: DiscreteImmersion):
-    """Per-face frames; raises DegenerateFaceError naming a collapsed face."""
+def face_frames(imm: DiscreteImmersion) -> FaceFrame:
+    """The frames of every face; raises DegenerateFaceError naming a collapsed face."""
     fd = FaceData(imm)
     geo = imm.geometry
-    vert = geo.reeb_unit(fd.base_pos)
     ju = geo.j(geo.horizontal(fd.base_pos, fd.du))
     jv = geo.j(geo.horizontal(fd.base_pos, fd.dv))
-    ju = ju / np.linalg.norm(ju, axis=-1, keepdims=True)
-    jv = jv / np.linalg.norm(jv, axis=-1, keepdims=True)
-    frames = []
-    for f in range(len(fd.area)):
-        frames.append(
-            FaceFrame(
-                partial_u=fd.du[f],
-                partial_v=fd.dv[f],
-                metric=fd.g[f],
-                conformal_factor=0.5 * (fd.g[f, 0, 0] + fd.g[f, 1, 1]),
-                area=float(fd.area[f]),
-                gauss=fd.gauss[f],
-                normal_vertical=vert[f],
-                normal_ju=ju[f],
-                normal_jv=jv[f],
-            )
-        )
-    return frames
+    return FaceFrame(
+        partial_u=fd.du,
+        partial_v=fd.dv,
+        metric=fd.g,
+        conformal_factor=0.5 * (fd.g[:, 0, 0] + fd.g[:, 1, 1]),
+        area=fd.area,
+        gauss=fd.gauss,
+        normal_vertical=geo.reeb_unit(fd.base_pos),
+        normal_ju=ju / np.linalg.norm(ju, axis=-1, keepdims=True),
+        normal_jv=jv / np.linalg.norm(jv, axis=-1, keepdims=True),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +226,22 @@ class CurvatureData:
     warnings: list
 
 
-def _vertex_chords(imm, v, nbrs):
-    """Seam-corrected frame chords from v to the vertices nbrs."""
-    delta = imm.positions[nbrs] - imm.positions[v] + imm.seam_shift(v, nbrs)
-    return imm.geometry.frame(imm.positions[v], delta)
+#: Interior vertices of lower valence fit on their 2-ring; a fit needs as
+#: many chords as the quadratic jet has coefficients.
+MIN_VALENCE = 5
 
 
-def second_fundamental_form(imm: DiscreteImmersion, min_valence=5) -> CurvatureData:
+def second_fundamental_form(imm: DiscreteImmersion) -> CurvatureData:
     """Per-vertex |II|^2 and mean curvature from local quadratic fits.
 
-    Interior vertices with valence below ``min_valence`` fall back to the
-    2-ring and are recorded in the warnings list; vertices whose fit stays
-    rank-deficient are marked invalid.
+    Each interior vertex fits the frame chords to its neighbours in ascending
+    order.  Below ``MIN_VALENCE`` neighbours it falls back to the 2-ring
+    (the neighbours of its neighbours, without itself), recorded in the
+    warnings list; vertices whose fit stays rank-deficient are marked
+    invalid.  Vertices with equally many neighbours are fitted together.
     """
     m = imm.mesh
-    k = imm.positions.shape[1]
-    n = m.n_vertices
+    n, k = imm.positions.shape
     out = CurvatureData(
         abs_ii_sq=np.full(n, np.nan),
         mean_curvature=np.full((n, k), np.nan),
@@ -257,56 +249,65 @@ def second_fundamental_form(imm: DiscreteImmersion, min_valence=5) -> CurvatureD
         valid=np.zeros(n, bool),
         warnings=[],
     )
-    geo = imm.geometry
-    vert_all = geo.reeb_unit(imm.positions)
-    for v in range(n):
-        if v in m.boundary_vertices:
-            continue
-        nbrs = sorted(m.vertex_neighbors[v])
-        if len(nbrs) < min_valence:
-            out.warnings.append((v, f"valence {len(nbrs)} < {min_valence}; using 2-ring"))
-            two_ring = set()
-            for u in nbrs:
-                two_ring.update(m.vertex_neighbors[u])
-            two_ring.discard(v)
-            nbrs = sorted(two_ring)
-        chords = _vertex_chords(imm, v, nbrs)
-        if len(nbrs) < 5:
-            out.warnings.append((v, "fit rank deficient even on the 2-ring"))
-            continue
-        # Tangent plane estimate: dominant directions of the horizontal chords.
-        hz = geo.horizontal(imm.positions[v][None], chords)
-        _, _, vt = np.linalg.svd(hz, full_matrices=False)
-        t1, t2 = vt[0], vt[1]
-        t1 = geo.horizontal(imm.positions[v], t1)
-        t1 /= np.linalg.norm(t1)
-        t2 = geo.horizontal(imm.positions[v], t2)
-        t2 -= (t2 @ t1) * t1
-        t2 /= np.linalg.norm(t2)
-        xi = np.stack([chords @ t1, chords @ t2], axis=-1)
-        a_mat = np.stack(
-            [xi[:, 0], xi[:, 1], 0.5 * xi[:, 0] ** 2, xi[:, 0] * xi[:, 1], 0.5 * xi[:, 1] ** 2],
-            axis=-1,
-        )
-        sol, _, rank, _ = np.linalg.lstsq(a_mat, chords, rcond=None)
-        if rank < 5:
-            out.warnings.append((v, "fit rank deficient even on the 2-ring"))
-            continue
-        q11, q12, q22 = sol[2], sol[3], sol[4]
-        u_r = vert_all[v]
-        n1 = geo.j(t1)
-        n2 = geo.j(t2)
-        basis = [u_r, n1, n2]
-
-        def proj(vec):
-            return sum((vec @ e) * e for e in basis)
-
-        ii11, ii12, ii22 = proj(q11), proj(q12), proj(q22)
-        out.abs_ii_sq[v] = ii11 @ ii11 + 2.0 * (ii12 @ ii12) + ii22 @ ii22
-        out.mean_curvature[v] = 0.5 * (ii11 + ii22)
-        out.reeb_component[v] = max(abs(q11 @ u_r), abs(q12 @ u_r), abs(q22 @ u_r))
-        out.valid[v] = True
+    adj = m.vertex_graph + m.vertex_graph.T
+    valence = np.diff(adj.indptr)
+    interior = np.ones(n, bool)
+    interior[m.edges[m.boundary_edge_mask]] = False
+    low = interior & (valence < MIN_VALENCE)
+    hood = sp.diags((interior & ~low) * 1.0) @ adj + sp.diags(low * 1.0) @ adj @ adj
+    hood = (hood - sp.diags(hood.diagonal())).tocsr()  # drops the 2-ring's centre
+    hood.sort_indices()
+    sizes = np.diff(hood.indptr)
+    deficient = [np.flatnonzero(interior & (sizes < MIN_VALENCE))]
+    for size in np.unique(sizes[interior & (sizes >= MIN_VALENCE)]):
+        verts = np.flatnonzero(interior & (sizes == size))
+        nbrs = hood.indices[hood.indptr[verts, None] + np.arange(size)]
+        q, basis, full = _quadratic_fits(imm, verts, nbrs)
+        deficient.append(verts[~full])
+        verts, q, basis = verts[full], q[full], basis[full]
+        ii = q @ np.swapaxes(basis, 1, 2) @ basis  # q11, q12, q22 in the normal basis
+        sq = np.sum(ii * ii, axis=-1)
+        out.abs_ii_sq[verts] = sq[:, 0] + 2.0 * sq[:, 1] + sq[:, 2]
+        out.mean_curvature[verts] = 0.5 * (ii[:, 0] + ii[:, 2])
+        out.reeb_component[verts] = np.max(np.abs(np.sum(q * basis[:, :1], axis=-1)), axis=1)
+        out.valid[verts] = True
+    fallback = [(int(u), f"valence {valence[u]} < {MIN_VALENCE}; using 2-ring")
+                for u in np.flatnonzero(low)]
+    failed = [(int(u), "fit rank deficient even on the 2-ring")
+              for u in np.sort(np.concatenate(deficient))]
+    out.warnings = sorted(fallback + failed, key=lambda w: w[0])  # stable: fallback entry first
     return out
+
+
+def _quadratic_fits(imm, verts, nbrs):
+    """Least-squares quadratic jets of the frame chords from each vertex of
+    ``verts`` (n,) to its neighbours ``nbrs`` (n, c).
+
+    Returns the second-derivative coefficients (n, 3, K) of
+    0.5 q11 x^2 + q12 x y + 0.5 q22 y^2 in the estimated tangent frame
+    (t1, t2), the normal basis (R, J t1, J t2) (n, 3, K) and whether each
+    fit has full rank (``np.linalg.lstsq``'s cut, singular values above
+    eps * max(c, 5) times the largest).
+    """
+    geo = imm.geometry
+    base = imm.positions[verts]
+    delta = imm.positions[nbrs] - base[:, None] + imm.seam_shift(verts[:, None], nbrs)
+    chords = geo.frame(base[:, None], delta)
+    # Tangent plane: the dominant directions of the horizontal chords.
+    _, _, vt = np.linalg.svd(geo.horizontal(base[:, None], chords), full_matrices=False)
+    t1 = geo.horizontal(base, vt[:, 0])
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    t2 = geo.horizontal(base, vt[:, 1])
+    t2 -= np.sum(t2 * t1, axis=-1, keepdims=True) * t1
+    t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
+    x, y = np.moveaxis(chords @ np.stack([t1, t2], axis=-1), -1, 0)
+    design = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=-1)
+    u, s, wt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape[1:]) * s[:, :1]
+    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    coef = np.swapaxes(wt, 1, 2) @ (inv_s[..., None] * (np.swapaxes(u, 1, 2) @ chords))
+    basis = np.stack([geo.reeb_unit(base), geo.j(t1), geo.j(t2)], axis=1)
+    return coef[:, 2:], basis, keep.all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +450,13 @@ def _integrate_on_tree(m, edge_values):
     spanning tree of each component, and f = 0 at its root, the component's
     smallest vertex.  Returns (f, roots in ascending order)."""
     n_v = m.n_vertices
-    adj = sp.csr_matrix(
-        (np.ones(len(m.edges)), (m.edges[:, 0], m.edges[:, 1])), shape=(n_v, n_v)
-    )
     parent = np.full(n_v, -1)
     roots = []
     while (unreached := np.flatnonzero(parent < 0)).size:
         root = int(unreached[0])
-        order, pred = breadth_first_order(adj, root, directed=False, return_predecessors=True)
+        order, pred = breadth_first_order(
+            m.vertex_graph, root, directed=False, return_predecessors=True
+        )
         parent[order] = pred[order]
         parent[root] = root
         roots.append(root)

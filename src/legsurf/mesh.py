@@ -102,7 +102,7 @@ class SurfaceMesh:
             raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
         # An edge on three or more faces repeats a directed edge, so it is caught above.
         chi = self.n_vertices - len(self.edges) + len(tri)
-        n_comp, _ = self._component_labels()
+        n_comp, _ = connected_components(self.vertex_graph, directed=False)
         expected = 2 * n_comp - 2 * self.genus - len(self.boundary_loops)
         if chi != expected:
             raise GeometryDomainError(
@@ -111,12 +111,14 @@ class SurfaceMesh:
                 f"(expected {expected})"
             )
 
-    def _component_labels(self):
+    @functools.cached_property
+    def vertex_graph(self):
+        """(V, V) CSR matrix with a 1 at (tail, head) of each canonical edge;
+        ``vertex_graph + vertex_graph.T`` is the symmetric adjacency."""
         n_v = self.n_vertices
-        adj = sp.coo_matrix(
+        return sp.csr_matrix(
             (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])), shape=(n_v, n_v)
         )
-        return connected_components(adj, directed=False)
 
     def edge_ids(self, a, b):
         """Canonical edge index of each vertex pair (a, b), in either order;
@@ -179,15 +181,6 @@ class SurfaceMesh:
             )
         return cached[1]
 
-    @functools.cached_property
-    def vertex_neighbors(self):
-        """Per-vertex sets of edge-adjacent vertices."""
-        out = [set() for _ in range(self.n_vertices)]
-        for a, b in self.edges.tolist():
-            out[a].add(b)
-            out[b].add(a)
-        return out
-
     # -- parameter-domain unwrapping ----------------------------------------
 
     def wraps(self, uv_from, uv_to):
@@ -217,12 +210,9 @@ class SurfaceMesh:
             wraps = w
         return uv, wraps.astype(int)
 
-    def interior_vertices(self):
-        return [v for v in range(self.n_vertices) if v not in self.boundary_vertices]
-
     def components(self):
         """Connected components as ascending vertex-index lists, ordered by smallest vertex."""
-        n_comp, labels = self._component_labels()
+        n_comp, labels = connected_components(self.vertex_graph, directed=False)
         by_label = np.argsort(labels, kind="stable")
         sizes = np.bincount(labels, minlength=n_comp)
         ends = np.cumsum(sizes)

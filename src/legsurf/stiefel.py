@@ -197,15 +197,6 @@ def gauge_scalars(a0, b0, a, b):
     return np.sqrt(rho2), phi, r4**0.25
 
 
-def arctan_sigma(rho, phi):
-    """arctan of sigma = 2 phi / rho^2, with its limits +-pi/2 (sign of phi) at rho = 0."""
-    rho, phi = np.asarray(rho, float), np.asarray(phi, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = 2.0 * phi / np.where(rho > 0, rho, 1.0) ** 2
-    inner = np.arctan(np.where(np.isnan(sigma), 0.0, sigma))
-    return np.where(rho > 0, inner, np.sign(phi) * (np.pi / 2))
-
-
 def reeb_rotate_raw(a, b, theta):
     """The circle action (a, b) -> (cos a + sin b, -sin a + cos b)."""
     c, s = np.cos(theta), np.sin(theta)

@@ -117,6 +117,15 @@ class TestConfigValidation:
         assert "Traceback" not in r.stderr
         assert "config error" in r.stderr or "validation failure" in r.stderr
 
+    def test_flags_outside_the_schema_rejected(self, tmp_path):
+        # density takes neither an epsilon, a grid nor --inject-bug.
+        for flag in (["--epsilon", "0.5"], ["--grid", "nope.json"], ["--inject-bug"]):
+            r = run_cli("density", "--family", "flat_patch", "--resolution", "32", *flag,
+                        "--out", str(tmp_path / "out"))
+            assert r.returncode == 2, r.stderr
+            assert "unrecognized arguments: " + flag[0] in r.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_rejected(self, tmp_path):
         r = run_cli("energy", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path))
         assert r.returncode == 2

@@ -124,8 +124,8 @@ class TestFirstVariation:
     def test_flat_patch_area_gradient_zero_interior(self):
         fp = corpus.flat_patch(8)
         grad = energy.gradient(fp, 1e-9).covector
-        interior = fp.mesh.interior_vertices()
-        assert np.abs(grad[interior]).max() < 1e-9
+        interior = np.delete(grad, sorted(fp.mesh.boundary_vertices), axis=0)
+        assert np.abs(interior).max() < 1e-9
 
 
 class TestHamiltonianDeformation:

@@ -106,6 +106,13 @@ class TestHamiltonianArctan:
         inside_core = gf.r < 0.05 * (1 - 1e-9)
         assert np.abs(h[inside_core]).max() == 0.0
 
+    def test_arctan_limits_on_the_reeb_axis(self):
+        # rho = 0 and r = sqrt(2 |phi|) = 0.2 inside the band, where h = arctan sigma
+        spec = gl.hamiltonian_arctan("heisenberg", np.zeros(5), 0.3, 0.05)
+        points = np.zeros((2, 5))
+        points[:, 0] = [0.02, -0.02]
+        assert spec.h(points) == pytest.approx([np.pi / 2, -np.pi / 2])
+
     def test_value_formula_midband(self):
         # at r = 1.5 eta the outer cut-off is 1, so h = (1 - chi(1.5)) arctan sigma
         fp = corpus.flat_patch(64, center=True)
@@ -285,6 +292,24 @@ class TestReebRotationInvariance:
 
 
 class TestBalanceAssembly:
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_pairing_slot_uses_the_arctan_hamiltonian(self, n):
+        # The balance takes h from its gauge fields; about the centre of the
+        # lifted torus that is bitwise hamiltonian_arctan's h.
+        from legsurf.immersion import mean_curvature_one_form
+
+        cl = corpus.clifford_lift(n)
+        p0 = center_vertex(cl, n)
+        rep = gl.monotonicity_balance(cl, p0, r0=0.3, eta=0.08)
+        gf = gl.gauge_fields(cl, p0)
+        fd = gf.face_data
+        h = gl.hamiltonian_arctan(cl.target, p0, 0.3, 0.08).h(cl.positions)
+        dh = fd.grad_scalar(np.where(gf.singular, 0.0, h))
+        dbeta = gl._face_one_form(cl, fd, 0.5 * mean_curvature_one_form(cl, fd).gamma)
+        area = np.where(gf.face_ok, fd.area, 0.0)
+        expected = float(np.sum(np.where(gf.face_ok, fd.pairing(dh, dbeta), 0.0) * area))
+        assert rep.lhs_terms["dh_dbeta"] == expected
+
     def test_pairing_slot_matches_assembly_on_clifford(self):
         # The dh.dbeta slot must match the rest of the truncated assembly;
         # the mismatch is quadrature error and shrinks under refinement.

@@ -20,15 +20,14 @@ def stretched_patch(n=8):
 class TestFaceFrames:
     def test_flat_patch_metric(self):
         fp = corpus.flat_patch(4)
-        frames = immersion.face_frames(fp)
-        total = sum(f.area for f in frames)
-        assert total == pytest.approx(1.0, abs=1e-14)
-        for f in frames:
-            assert np.allclose(f.metric, np.eye(2), atol=1e-14)
-            assert abs(np.linalg.norm(f.gauss) - 1.0) < 1e-12
-            for n in (f.normal_vertical, f.normal_ju, f.normal_jv):
-                assert abs(n @ f.partial_u) < 1e-10
-                assert abs(n @ f.partial_v) < 1e-10
+        f = immersion.face_frames(fp)
+        assert f.area.shape == (len(fp.mesh.triangles),)
+        assert f.area.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(f.metric, np.eye(2), atol=1e-14)
+        assert np.all(np.abs(np.linalg.norm(f.gauss, axis=-1) - 1.0) < 1e-12)
+        for n in (f.normal_vertical, f.normal_ju, f.normal_jv):
+            assert np.all(np.abs(np.sum(n * f.partial_u, axis=-1)) < 1e-10)
+            assert np.all(np.abs(np.sum(n * f.partial_v, axis=-1)) < 1e-10)
 
     def test_clifford_metric_near_identity(self):
         cl = corpus.clifford_lift(64)

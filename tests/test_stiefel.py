@@ -205,10 +205,6 @@ class TestGauge:
         # Empirical smallest constant for the quasi triangle inequality.
         assert 0.0 < c0 < 10.0
 
-    def test_arctan_limits(self):
-        assert st.arctan_sigma(0.0, 0.5) == pytest.approx(np.pi / 2)
-        assert st.arctan_sigma(0.0, -0.5) == pytest.approx(-np.pi / 2)
-
 
 class TestRetract:
     def test_idempotent(self):
