@@ -257,6 +257,12 @@ def cmd_descend(config, out_dir):
             "max_leg_residual": last["max_leg_residual"],
         }
     write_json(out / "summary.json", summary)
+    for stage in stages:
+        if stage.stopped_by == "max_iters":
+            print(
+                f"warning: stage eps={stage.eps} stopped at max_iters ({stage.iters}) with "
+                f"grad_norm {stage.grad_norm:.3e} > tol {stage.tol:.3e}"
+            )
     print(f"descent: {len(records)} accepted steps over {len(stages)} stages")
     return status
 

@@ -282,6 +282,16 @@ class EnergyAssembler:
         )
         return float(de)
 
+    def _wedge_adjoint(self, w_bar, du, dv):
+        """Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
+        matrix Wb of w_bar, du_bar = Wb dv and dv_bar = -Wb du.  The (F, k, k)
+        Wb lives only here, so it is freed before the gradient goes on."""
+        i_idx, j_idx = self._pairs[:, 0], self._pairs[:, 1]
+        w_mat = np.zeros((len(w_bar), self.k, self.k))
+        w_mat[:, i_idx, j_idx] = w_bar
+        w_mat[:, j_idx, i_idx] = -w_bar
+        return np.einsum("fij,fj->fi", w_mat, dv), -np.einsum("fij,fj->fi", w_mat, du)
+
     def gradient(self, positions, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
         state, (a_list, aat, quad) = self.evaluate(positions)
@@ -290,27 +300,22 @@ class EnergyAssembler:
         s_quad = eps**4 * 2.0 * (1.0 + quad) * state["area"]
         ginv = state["ginv"]
 
-        # d|dT|^2/dA and the inverse-metric adjoint.
-        a_bar = (2.0 * s_quad)[:, None, None] * (ginv @ a_list)
+        # d|dT|^2/dA through the differencing stencil into per-face Gauss
+        # adjoints, and the inverse-metric adjoint.
+        t_bar = self.stencil_t @ (
+            (2.0 * s_quad)[:, None, None] * (ginv @ a_list)
+        ).reshape(2 * n_f, self.k2)
         g_bar_mat = -s_quad[:, None, None] * (ginv @ aat @ ginv)
 
-        # Through the differencing stencil into per-face Gauss adjoints.
-        t_bar = self.stencil_t @ a_bar.reshape(2 * n_f, self.k2)
-
+        # Through the normalisation T = W / |W|, updating t_bar in place.
         t = state["gauss"]
-        wnorm = state["wnorm"]
-        w_bar = (t_bar - np.sum(t_bar * t, axis=-1, keepdims=True) * t) / wnorm[:, None]
+        w_bar = t_bar
+        w_bar -= np.sum(t_bar * t, axis=-1, keepdims=True) * t
+        w_bar /= state["wnorm"][:, None]
         w_bar += (s_area * self.uv_area)[:, None] * t
 
-        # Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
-        # matrix Wb of w_bar, du_bar = Wb dv and dv_bar = -Wb du.
         du, dv = state["du"], state["dv"]
-        i_idx, j_idx = self._pairs[:, 0], self._pairs[:, 1]
-        w_mat = np.zeros((n_f, self.k, self.k))
-        w_mat[:, i_idx, j_idx] = w_bar
-        w_mat[:, j_idx, i_idx] = -w_bar
-        du_bar = np.einsum("fij,fj->fi", w_mat, dv)
-        dv_bar = -np.einsum("fij,fj->fi", w_mat, du)
+        du_bar, dv_bar = self._wedge_adjoint(w_bar, du, dv)
 
         g11_bar = g_bar_mat[:, 0, 0]
         g12_bar = g_bar_mat[:, 0, 1] + g_bar_mat[:, 1, 0]
@@ -472,21 +477,22 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     gcoef = hat_minv @ fd.ginv  # (F, 3, 2); ginv is symmetric
     gvecs = gcoef[..., 0, None] * fd.du[:, None] + gcoef[..., 1, None] * fd.dv[:, None]
 
-    # J o horizontal at each vertex as a (V, k, k) block; row i is the image of e_i.
-    jh = geo.j(geo.horizontal(imm.positions[:, None], np.broadcast_to(np.eye(k), (n_v, k, k))))
-    vert = (2.0 / geo.alpha_reeb) * geo.reeb(imm.positions)
+    q = imm.positions
+    vert = (2.0 / geo.alpha_reeb) * geo.reeb(q)
     slots = (tri[..., None] * k + np.arange(k)).ravel()  # (vertex, component) of each (F, 3, k) entry
 
+    # J o horizontal is applied row-wise; its transpose is -horizontal o J,
+    # as horizontal is an orthogonal projection and J is antisymmetric.
     def matvec(u):
         u = np.ravel(u)
         face_grad = np.einsum("fck,fc->fk", gvecs, u[tri])
         spread = (weight[..., None] * face_grad[:, None]).ravel()
         avg = np.bincount(slots, weights=spread, minlength=n_v * k).reshape(n_v, k)
-        return (np.einsum("vi,vij->vj", avg, jh) + vert * u[:, None]).ravel()
+        return (geo.j(geo.horizontal(q, avg)) + vert * u[:, None]).ravel()
 
     def rmatvec(y):
         y = np.reshape(y, (n_v, k))
-        z = np.einsum("vij,vj->vi", jh, y)
+        z = -geo.horizontal(q, geo.j(y))
         face_bar = np.einsum("fc,fck->fk", weight, z[tri])
         src = np.einsum("fck,fk->fc", gvecs, face_bar)
         return np.bincount(tri.ravel(), weights=src.ravel(), minlength=n_v) + np.sum(vert * y, axis=1)
@@ -494,28 +500,38 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
 
 
-def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = None):
-    """Project the energy differential onto Hamiltonian fields, area-weighted L2.
+def projection_factor(imm: DiscreteImmersion, fd: FaceData | None = None):
+    """LU factor of the Hamiltonian projection's system at ``imm``, and its vertex areas.
 
-    Solves min_u sum_v A_v |(B u)_v - cov_v / A_v|^2 so the result is the
-    Riesz gradient field within the Hamiltonian family; pairing the covector
-    against it equals u' (B' D_A B) u >= 0, so its negative always descends.
+    The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
+    pairing identity <dA, X_u> = 2 int <du, d beta>), so the cot stiffness
+    plus scaled mass, 2 L + (-4 / alpha(R)) M, is a natural quasi-Newton
+    preconditioner.  It is SPD, so any such factor, even one taken at an
+    earlier mesh, gives a descent direction.  Symmetric, so the factor orders
+    its columns on the pattern of A + A^T.
     """
-    fd = fd or FaceData(imm)
-    b_op = hamiltonian_map(imm, fd)
-    m = imm.mesh
-    geo = imm.geometry
-    gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
-    rhs = b_op.rmatvec(gtilde)
-    # The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
-    # pairing identity <dA, X_u> = 2 int <du, d beta>), so the cot stiffness
-    # plus scaled mass is a natural quasi-Newton preconditioner; it is SPD,
-    # hence the covector pairs nonnegatively with B u and -B u descends.
-    # Symmetric, so the solve orders its columns on the pattern of A + A^T.
     weights, areas = cotangent_weights(imm, fd)
     # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
-    a_mat = m.stiffness(2.0 * weights, (-4.0 / geo.alpha_reeb) * areas)
-    u = spla.spsolve(a_mat, rhs, permc_spec="MMD_AT_PLUS_A")
+    a_mat = imm.mesh.stiffness(2.0 * weights, (-4.0 / imm.geometry.alpha_reeb) * areas)
+    return spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A"), areas
+
+
+def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = None, factor=None):
+    """Project the energy differential onto Hamiltonian fields, preconditioned.
+
+    Solves A u = B^T cov~ with A the SPD system of :func:`projection_factor`,
+    so -B u descends: pairing the covector against B u gives
+    u^T A u >= 0.  ``factor`` is a factor of A from :func:`projection_factor`,
+    possibly at an earlier mesh; without one, A is built and factored at
+    ``imm``.  Returns u and the field B u in ambient components.
+    """
+    fd = fd or FaceData(imm)
+    if factor is None:
+        factor, _ = projection_factor(imm, fd)
+    b_op = hamiltonian_map(imm, fd)
+    geo = imm.geometry
+    gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
+    u = factor.solve(b_op.rmatvec(gtilde))
     w_frame = b_op.matvec(u).reshape(imm.positions.shape)
     return u, geo.unframe(imm.positions, w_frame)
 
@@ -540,7 +556,14 @@ class StageReport:
     energy: EnergyBreakdown
     grad_norm: float
     tol: float
-    hit_tolerance: bool
+    # Why the stage stopped: "tolerance" (the gradient norm reached tol),
+    # "stationary" (the projected direction no longer descends) or
+    # "max_iters" (neither, within max_iters iterations).
+    stopped_by: str
+
+    @property
+    def hit_tolerance(self):
+        return self.stopped_by != "max_iters"
 
     def to_json(self):
         return {
@@ -553,6 +576,7 @@ class StageReport:
             "grad_norm": self.grad_norm,
             "tol": self.tol,
             "hit_tolerance": self.hit_tolerance,
+            "stopped_by": self.stopped_by,
             "exp_bound_target": float(np.exp(-1.0 / self.eps**2)),
         }
 
@@ -575,10 +599,15 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
 
     Each stage runs Armijo line searches along Hamiltonian-projected negative
     gradients until the projected gradient norm reaches the stage tolerance
-    max(1e-8, tol_scale * eps^2).  A trial step whose restoration stalls, or
-    which collapses a face or a vertex frame, is retried at half the step.
-    The whole schedule stops early when the entropy indicator increases on
-    two consecutive stages.
+    max(1e-8, tol_scale * eps^2).  The projection's system (see
+    :func:`projection_factor`) is built from the stage-start mesh and
+    factored once per stage; every projection of the stage reuses it, and the
+    gradient norm is measured in that frozen metric, with the stage-start
+    vertex areas.  A trial step whose restoration stalls, or which collapses
+    a face or a vertex frame, is retried at half the step.  Each stage
+    reports why it stopped (``StageReport.stopped_by``).  The whole schedule
+    stops early when the entropy indicator increases on two consecutive
+    stages.
     """
     opts = opts or DescentOptions()
     schedule = list(schedule)
@@ -593,34 +622,49 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
     entropy_rises = 0
     stopped = False
     assembler = EnergyAssembler(current)
-    _, areas = cotangent_weights(current)
     for k, eps in enumerate(schedule):
         tol_k = max(1e-8, opts.tol_scale * eps**2)
         tau = opts.tau_init
         e_cur = assembler.energy(current.positions, eps)
-        hit = False
+        factor = None  # release the last stage's factor before building this one
+        factor, areas = projection_factor(current, assembler.face_data(current))
+
+        def projected_gradient():
+            grad = assembler.gradient(current.positions, eps)
+            fd = assembler.face_data(current)
+            _, w_proj = hamiltonian_project(current, grad.covector, fd, factor)
+            return w_proj, _grad_norm(current, areas, w_proj)
+
+        stopped_by = "max_iters"
         it = 0
         for it in range(1, opts.max_iters + 1):
-            grad = assembler.gradient(current.positions, eps)
-            _, w_proj = hamiltonian_project(current, grad.covector, assembler.face_data(current))
-            gnorm = _grad_norm(current, areas, w_proj)
+            w_proj, gnorm = projected_gradient()
             if gnorm <= tol_k:
-                hit = True
+                stopped_by = "tolerance"
                 it -= 1
                 break
             direction = -w_proj
             slope = assembler.first_variation(current.positions, eps, direction)
             if slope >= 0:
-                hit = True  # projected direction no longer descends: stationary
+                stopped_by = "stationary"  # projected direction no longer descends
                 it -= 1
                 break
             accepted = False
             report = {}
             tau = min(max(tau * 2.0, opts.tau_min), 1e3)
+            tried = None
             while tau >= opts.tau_min:
+                tried = tau
                 try:
                     candidate = flow_step(current, direction, tau, report)
-                except (StepRejectedError, DegenerateFaceError, DegenerateFrameError):
+                except StepRejectedError as exc:
+                    report.update(
+                        residual_before_restore=exc.residual_before,
+                        residual_after_restore=exc.residual_after,
+                    )
+                    tau *= 0.5
+                    continue
+                except (DegenerateFaceError, DegenerateFrameError):
                     tau *= 0.5
                     continue
                 e_new = assembler.energy(candidate.positions, eps)
@@ -631,7 +675,14 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
             if not accepted:
                 raise StageAbortedError(
                     f"stage eps={eps}: no admissible step above tau_min",
-                    diagnostics={"eps": eps, "iter": it, "grad_norm": gnorm},
+                    diagnostics={
+                        "eps": eps,
+                        "iter": it,
+                        "grad_norm": gnorm,
+                        "tau": tried,
+                        "residual_before_restore": report.get("residual_before_restore"),
+                        "residual_after_restore": report.get("residual_after_restore"),
+                    },
                 )
             current = candidate
             e_cur = e_new
@@ -646,14 +697,13 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                     "entropy_indicator": e_cur.entropy_indicator,
                 }
             )
-        if not hit:  # ended at max_iters: gnorm is not yet measured at current
-            grad = assembler.gradient(current.positions, eps)
-            _, w_proj = hamiltonian_project(current, grad.covector, assembler.face_data(current))
-            gnorm = _grad_norm(current, areas, w_proj)
+        if stopped_by == "max_iters":  # gnorm is not yet measured at current
+            _, gnorm = projected_gradient()
+            if gnorm <= tol_k:
+                stopped_by = "tolerance"
         stages.append(
             StageReport(
-                eps=eps, iters=it, energy=e_cur, grad_norm=gnorm, tol=tol_k,
-                hit_tolerance=hit or gnorm <= tol_k,
+                eps=eps, iters=it, energy=e_cur, grad_norm=gnorm, tol=tol_k, stopped_by=stopped_by
             )
         )
         if entropy_prev is not None and e_cur.entropy_indicator > entropy_prev:

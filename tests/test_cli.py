@@ -190,6 +190,19 @@ class TestDescendCommand:
         assert summary["stages"]
         assert (out / "final_mesh.json").exists()
 
+    def test_max_iters_stage_warns(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "family": "perturbed_clifford", "resolution": 12, "amplitude": 1e-2,
+            "epsilon_schedule": [0.2], "max_iters": 2, "seed": 3,
+        }))
+        out = tmp_path / "out"
+        r = run_cli("descend", "--config", str(config), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        (stage,) = json.loads((out / "summary.json").read_text())["stages"]
+        assert stage["stopped_by"] == "max_iters" and not stage["hit_tolerance"]
+        assert "warning: stage eps=0.2 stopped at max_iters (2)" in r.stdout
+
     def test_trajectory_determinism(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(

@@ -245,11 +245,18 @@ class TestDescend:
         assert stage.hit_tolerance and stage.grad_norm <= stage.tol
         assert 0 < len(res.records) == stage.iters
         assert len(calls) == len(res.records) + 1
-        # The reported norm is the one measured at the final mesh.
-        _, areas = immersion.cotangent_weights(pc)
+        # The reported norm is the one measured at the final mesh, in the
+        # stage's frozen metric: the factor and areas of the stage-start mesh.
+        factor, areas = energy.projection_factor(pc)
         grad = gradient(energy.EnergyAssembler(res.final), res.final.positions, 0.2)
-        _, w_proj = energy.hamiltonian_project(res.final, grad.covector)
+        _, w_proj = energy.hamiltonian_project(res.final, grad.covector, factor=factor)
         assert stage.grad_norm == energy._grad_norm(res.final, areas, w_proj)
+
+    def test_frame_stage_stops_at_tolerance(self):
+        pc = corpus.perturbed_clifford(24, amplitude=1e-2, seed=3, target="stiefel")
+        (stage,) = energy.descend(pc, [0.2], energy.DescentOptions(max_iters=20)).stages
+        assert stage.stopped_by == "tolerance" and stage.grad_norm <= stage.tol
+        assert stage.to_json()["stopped_by"] == "tolerance" and stage.hit_tolerance
 
     def test_bad_schedule_rejected(self):
         fp = corpus.flat_patch(4)
@@ -373,6 +380,20 @@ class TestStageAbort:
                 energy.DescentOptions(armijo=2.0, tau_min=1e-8, max_iters=5),
             )
         assert "eps" in exc.value.diagnostics
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_abort_carries_last_step_and_residuals(self, target):
+        # tau_min above tau_init: the only step tried is tau_min, and it fails.
+        from legsurf.errors import StageAbortedError
+
+        pc = corpus.perturbed_clifford(10, amplitude=1e-2, seed=3, target=target)
+        opts = energy.DescentOptions(tau_init=1e-2, tau_min=5.0, max_iters=3)
+        with pytest.raises(StageAbortedError) as exc:
+            energy.descend(pc, [0.2], opts)
+        diag = exc.value.diagnostics
+        assert diag["tau"] == 5.0 and diag["iter"] == 1
+        assert diag["residual_before_restore"] > pc.legendrian_tol
+        assert 0 <= diag["residual_after_restore"] < diag["residual_before_restore"]
 
 
 def _lagrangian_graph(n):

@@ -137,9 +137,10 @@ def test_descent_evaluates_each_iterate_once(target, monkeypatch):
     monkeypatch.setattr(energy, "flow_step", counting_flow_step)
     res = energy.descend(pc, [0.2, 0.1], energy.DescentOptions(max_iters=3))
     assert res.records
-    # The vertex areas at the start build the only FaceData; the start and each
-    # restored candidate are evaluated once, whatever is asked of them.
-    assert len(face_data_inits) == 1
+    # No FaceData is built from scratch (the stage's projection factor and
+    # areas come from the assembler's state); the start and each restored
+    # candidate are evaluated once, whatever is asked of them.
+    assert len(face_data_inits) == 0
     assert len(face_states) == 1 + len(candidates)
 
 

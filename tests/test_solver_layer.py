@@ -40,6 +40,54 @@ def test_hamiltonian_map_matches_coo_assembly(family, kw):
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_hamiltonian_map_adjoint(target):
+    imm = corpus.perturbed_clifford(12, amplitude=5e-2, seed=4, target=target)
+    b_op = energy.hamiltonian_map(imm)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        u = rng.standard_normal(b_op.shape[1])
+        y = rng.standard_normal(b_op.shape[0])
+        bu = b_op.matvec(u)
+        gap = abs(bu @ y - u @ b_op.rmatvec(y))
+        assert gap <= 1e-12 * np.linalg.norm(bu) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_projection_with_own_factor_matches_fresh(target):
+    imm = corpus.perturbed_clifford(12, amplitude=5e-2, seed=4, target=target)
+    grad = energy.EnergyAssembler(imm).gradient(imm.positions, 0.2)
+    factor, _ = energy.projection_factor(imm)
+    u, w = energy.hamiltonian_project(imm, grad.covector, factor=factor)
+    u_fresh, w_fresh = energy.hamiltonian_project(imm, grad.covector)
+    assert np.array_equal(u, u_fresh) and np.array_equal(w, w_fresh)
+    # Pairing the covector with the field is u^T A u > 0, so -w descends.
+    assert np.sum(grad.covector * w) > 0
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_descent_factors_projection_once_per_stage(target, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    callers = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        return splu(*args, **kwargs)
+
+    def no_spsolve(*args, **kwargs):
+        raise AssertionError("the descent must not call spsolve")
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "spsolve", no_spsolve)
+    imm = corpus.perturbed_clifford(8, amplitude=1e-2, seed=3, target=target)
+    schedule = [0.3, 0.2, 0.1]
+    res = energy.descend(imm, schedule, energy.DescentOptions(max_iters=2))
+    assert len(res.stages) == len(schedule) and res.records
+    assert sum(c == energy.__file__ for c in callers) == len(schedule)
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
 def test_reeb_slope_matches_central_differences(target):
     imm = corpus.perturbed_clifford(12, amplitude=5e-2, seed=2, target=target)
     geo = imm.geometry
