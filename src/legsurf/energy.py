@@ -375,7 +375,9 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None):
     of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
     the mesh's signed edge incidence.  Its normal matrix is factored by
     :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
-    is unchanged (always, on the flat target, where c = 1).
+    is unchanged (always, on the flat target, where c = 1).  The edges' seam
+    offsets come from :meth:`DiscreteImmersion.edge_shift`, whose wraps the
+    mesh caches (:attr:`SurfaceMesh.edge_wraps`), like its vertex graph.
 
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
@@ -384,7 +386,7 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None):
     m = imm.mesh
     geo = imm.geometry
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    shift = imm.seam_shift(tails, heads)
+    shift = imm.edge_shift()
 
     def residual(positions):
         delta = positions[heads] - positions[tails] + shift
@@ -540,6 +542,12 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
 # descent
 
 
+#: Largest step a line search starts from.  Each search first tries twice the
+#: step accepted before it (``tau_init`` at a stage's start), clipped to
+#: [tau_min, TAU_MAX], and halves it down to ``tau_min``.
+TAU_MAX = 1e3
+
+
 @dataclass
 class DescentOptions:
     tau_init: float = 1e-2
@@ -599,7 +607,13 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
 
     Each stage runs Armijo line searches along Hamiltonian-projected negative
     gradients until the projected gradient norm reaches the stage tolerance
-    max(1e-8, tol_scale * eps^2).  The projection's system (see
+    max(1e-8, tol_scale * eps^2).  The Armijo slope is the pairing of the
+    iterate's gradient, already assembled for the projection, with the
+    direction (``FirstVariation.pair``); no separate first variation is
+    assembled.  Each line search starts from twice the step accepted before
+    it, clipped to [tau_min, TAU_MAX], so ``0 < tau_min <= TAU_MAX`` and
+    ``tau_init > 0`` are required (``GeometryDomainError`` otherwise).  The
+    projection's system (see
     :func:`projection_factor`) is built from the stage-start mesh and
     factored once per stage; every projection of the stage reuses it, and the
     gradient norm is measured in that frozen metric, with the stage-start
@@ -615,6 +629,11 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
         b >= a for a, b in zip(schedule, schedule[1:])
     ):
         raise GeometryDomainError("eps schedule must be positive and decreasing")
+    if not (opts.tau_init > 0 and 0 < opts.tau_min <= TAU_MAX):
+        raise GeometryDomainError(
+            f"need tau_init > 0 and 0 < tau_min <= {TAU_MAX:g}, "
+            f"got tau_init={opts.tau_init!r}, tau_min={opts.tau_min!r}"
+        )
     current = imm
     records = []
     stages = []
@@ -633,25 +652,25 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
             grad = assembler.gradient(current.positions, eps)
             fd = assembler.face_data(current)
             _, w_proj = hamiltonian_project(current, grad.covector, fd, factor)
-            return w_proj, _grad_norm(current, areas, w_proj)
+            return grad, w_proj, _grad_norm(current, areas, w_proj)
 
         stopped_by = "max_iters"
         it = 0
         for it in range(1, opts.max_iters + 1):
-            w_proj, gnorm = projected_gradient()
+            grad, w_proj, gnorm = projected_gradient()
             if gnorm <= tol_k:
                 stopped_by = "tolerance"
                 it -= 1
                 break
             direction = -w_proj
-            slope = assembler.first_variation(current.positions, eps, direction)
+            slope = grad.pair(direction)
             if slope >= 0:
                 stopped_by = "stationary"  # projected direction no longer descends
                 it -= 1
                 break
             accepted = False
             report = {}
-            tau = min(max(tau * 2.0, opts.tau_min), 1e3)
+            tau = min(max(tau * 2.0, opts.tau_min), TAU_MAX)
             tried = None
             while tau >= opts.tau_min:
                 tried = tau
@@ -698,7 +717,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 }
             )
         if stopped_by == "max_iters":  # gnorm is not yet measured at current
-            _, gnorm = projected_gradient()
+            _, _, gnorm = projected_gradient()
             if gnorm <= tol_k:
                 stopped_by = "tolerance"
         stages.append(

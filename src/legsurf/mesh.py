@@ -195,6 +195,18 @@ class SurfaceMesh:
                 w[..., axis] = np.round(d[..., axis] / p)
         return w.astype(int)
 
+    @functools.cached_property
+    def edge_wraps(self):
+        """(E, 2) read-only :meth:`wraps` taking each canonical edge's head into
+        its tail's chart (zeros without uv), built on first use."""
+        tails, heads = self.edges[:, 0], self.edges[:, 1]
+        if self.uv is None:
+            out = np.zeros((len(self.edges), 2), int)
+        else:
+            out = self.wraps(self.uv[tails], self.uv[heads])
+        out.flags.writeable = False
+        return out
+
     def corner_uv_local(self):
         """(F, 3, 2) per-face uv with corners 1, 2 unwrapped into corner 0's chart,
         and the matching (F, 3, 2) integer wraps that were removed."""
@@ -267,10 +279,15 @@ class DiscreteImmersion:
             wraps = m.wraps(m.uv[tails], m.uv[heads])
         return self.geometry.seam_shift(wraps, self.phi_monodromy)
 
+    def edge_shift(self):
+        """:meth:`seam_shift` of the canonical edges (tail -> head), from the
+        mesh's cached :attr:`SurfaceMesh.edge_wraps`."""
+        return self.geometry.seam_shift(self.mesh.edge_wraps, self.phi_monodromy)
+
     def edge_vectors(self):
         """Seam-corrected coordinate differences along canonical edges (tail -> head)."""
         tails, heads = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
-        return self.positions[heads] - self.positions[tails] + self.seam_shift(tails, heads)
+        return self.positions[heads] - self.positions[tails] + self.edge_shift()
 
     def corner_positions(self):
         """(F, 3, dim) positions with corners 1, 2 moved into corner 0's branch."""

@@ -35,13 +35,27 @@ class Polynomial:
             table[..., e] = table[..., e - 1] * x
         return table
 
-    def _monomials(self, table, exponents):
-        """(..., n_terms) prod_i x_i ** exponents[k, i] from the table, multiplied
-        left to right over i.  C order, so that sums over terms round alike."""
-        out = np.ascontiguousarray(table[..., 0, exponents[:, 0]])
-        for i in range(1, self.n_vars):
-            out *= table[..., i, exponents[:, i]]
-        return out
+    @staticmethod
+    def _monomials(table, exponents):
+        """(..., n_terms) prod_i x_i ** exponents[k, i] from the table.
+
+        Each term multiplies, left to right over i, the powers of the
+        variables it uses (exponent > 0), all gathered at once; a term using
+        fewer variables than the widest term is padded with x ** 0 = 1.0, and
+        one using none is 1.0.  As x ** 0 is exactly 1.0 and x * 1.0 == x, the
+        result is bitwise the product over every i.  The products run in the
+        gather's memory order; the result is C order, so that sums over terms
+        round alike.
+        """
+        used = exponents > 0
+        width = max(int(used.sum(axis=1).max(initial=0)), 1)
+        var = np.argsort(~used, axis=1, kind="stable")[:, :width]  # used variables first, in order
+        col = var * table.shape[-1] + exponents[np.arange(len(exponents))[:, None], var]
+        factors = table.reshape(table.shape[:-2] + (-1,))[..., col.T]  # (..., width, n_terms)
+        out = factors[..., 0, :].copy(order="K")
+        for j in range(1, width):
+            out *= factors[..., j, :]
+        return np.ascontiguousarray(out)
 
     def __call__(self, x):
         return np.sum(self.coeffs * self._monomials(self._power_table(x), self.exponents), axis=-1)

@@ -3,12 +3,13 @@
 They are the implementations the package used before its stencils became
 sparse operators and its 2x2 algebra closed-form (batched SVD, multi-operand
 einsums, np.add.at scatters), before polynomial monomials were multiplied
-gather by gather, the projection stiffness was filled into a kept pattern,
-meshes were written through the C JSON encoder, the mean-curvature one-form
-lost its Python spanning-tree walk and edge dict, grid triangles were built
-by index arithmetic, the Gauss stencil weights were written out in closed
-form and the quadratic-fit curvature was batched by neighbourhood size, kept
-here only as oracles for the equivalence tests.
+gather by gather and then only over the variables each term uses, the
+projection stiffness was filled into a kept pattern, meshes were written
+through the C JSON encoder, the mean-curvature one-form lost its Python
+spanning-tree walk and edge dict, grid triangles were built by index
+arithmetic, the Gauss stencil weights were written out in closed form and
+the quadratic-fit curvature was batched by neighbourhood size, kept here
+only as oracles for the equivalence tests.
 """
 
 import json
@@ -185,6 +186,15 @@ def polynomial_grad(poly, x):
         exps[:, i] -= 1
         powers = x[..., None, :] ** exps
         out[..., i] = np.sum(poly.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1)
+    return out
+
+
+def polynomial_monomials_full(table, exponents):
+    """Polynomial._monomials multiplying the gathered power of every variable,
+    x ** 0 = 1.0 of the unused ones included, left to right over i."""
+    out = np.ascontiguousarray(table[..., 0, exponents[:, 0]])
+    for i in range(1, exponents.shape[1]):
+        out *= table[..., i, exponents[:, i]]
     return out
 
 

@@ -203,6 +203,17 @@ class TestDescendCommand:
         assert stage["stopped_by"] == "max_iters" and not stage["hit_tolerance"]
         assert "warning: stage eps=0.2 stopped at max_iters (2)" in r.stdout
 
+    @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+    def test_tau_min_above_cap_exits_two(self, tmp_path, target):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "family": "perturbed_clifford", "target": target, "resolution": 10,
+            "epsilon_schedule": [0.2], "max_iters": 3, "seed": 3, "tau_min": 2000.0,
+        }))
+        r = run_cli("descend", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2, r.stderr
+        assert "tau_min" in r.stderr
+
     def test_trajectory_determinism(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(

@@ -263,6 +263,60 @@ class TestDescend:
         with pytest.raises(GeometryDomainError):
             energy.descend(fp, [0.1, 0.2])
 
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_slope_is_gradient_pairing(self, target):
+        # The Armijo slope at the first iterate: the gradient that the
+        # projection used, paired with the descent direction.
+        pc = corpus.perturbed_clifford(12, amplitude=1e-2, seed=3, target=target)
+        asm = energy.EnergyAssembler(pc)
+        fd = asm.face_data(pc)
+        factor, _ = energy.projection_factor(pc, fd)
+        grad = asm.gradient(pc.positions, 0.2)
+        _, w_proj = energy.hamiltonian_project(pc, grad.covector, fd, factor)
+        slope = grad.pair(-w_proj)
+        assert slope < 0
+        assert slope == pytest.approx(asm.first_variation(pc.positions, 0.2, -w_proj), rel=1e-12)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_descent_assembles_no_first_variation(self, target, monkeypatch):
+        pc = corpus.perturbed_clifford(12, amplitude=1e-2, seed=3, target=target)
+        opts = energy.DescentOptions(max_iters=4)
+        want = energy.descend(pc, [0.2, 0.1], opts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("descend assembled a first variation")
+
+        monkeypatch.setattr(energy.EnergyAssembler, "first_variation", refuse)
+        got = energy.descend(pc, [0.2, 0.1], opts)
+        assert got.records and got.records == want.records
+        assert [s.to_json() for s in got.stages] == [s.to_json() for s in want.stages]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize(
+        "tau_init,tau_min",
+        [
+            (1e-2, 2e3), (1e-2, 0.0), (1e-2, -1e-10), (1e-2, float("nan")),
+            (0.0, 1e-10), (-1e-2, 1e-10),
+        ],
+    )
+    def test_step_bounds_rejected(self, target, tau_init, tau_min):
+        # A tau_min above the cap on the first step would abort every stage
+        # before any step is tried.
+        pc = corpus.perturbed_clifford(10, amplitude=1e-2, seed=3, target=target)
+        opts = energy.DescentOptions(tau_init=tau_init, tau_min=tau_min, max_iters=3)
+        with pytest.raises(GeometryDomainError, match="tau_min"):
+            energy.descend(pc, [0.2], opts)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_tau_min_at_cap_is_tried(self, target):
+        from legsurf.errors import StageAbortedError
+
+        pc = corpus.perturbed_clifford(10, amplitude=1e-2, seed=3, target=target)
+        opts = energy.DescentOptions(tau_min=energy.TAU_MAX, max_iters=3)
+        with pytest.raises(StageAbortedError) as exc:
+            energy.descend(pc, [0.2], opts)
+        assert exc.value.diagnostics["tau"] == energy.TAU_MAX
+
 
 class TestPairingIdentity:
     def test_area_variation_pairs_with_angle_form(self):

@@ -2,9 +2,10 @@
 
 The assembler keeps the face state of the last positions it evaluated; every
 result computed from that kept state must equal a fresh evaluation bitwise,
-and changed positions must never be served stale.  The stiffness fill, the
-polynomial monomials and the mesh writer must reproduce the bodies they
-replaced (``reference_loops``) exactly.
+and changed positions must never be served stale.  A mesh keeps its edges'
+seam wraps, and the edge offsets built from them must equal the per-call
+ones bitwise.  The stiffness fill, the polynomial monomials and the mesh
+writer must reproduce the bodies they replaced (``reference_loops``) exactly.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ import reference_loops as ref
 from legsurf import corpus, energy, immersion
 from legsurf.errors import DegenerateFaceError
 from legsurf.immersion import cotangent_weights
+from legsurf.mesh import DiscreteImmersion, SurfaceMesh
 from legsurf.polynomials import Polynomial
 
 TARGETS = ["heisenberg", "stiefel"]
@@ -163,6 +165,92 @@ def test_stiffness_equals_coo_assembly(family, kw):
         assert got.format == want.format
         for attr in ("indptr", "indices", "data"):
             assert _bits(getattr(got, attr)) == _bits(getattr(want, attr))
+
+
+def _flat_patch_without_uv():
+    fp = corpus.flat_patch(6)
+    m = fp.mesh
+    mesh = SurfaceMesh(m.triangles, m.n_vertices, boundary_loops=m.boundary_loops)
+    return DiscreteImmersion(mesh=mesh, target="heisenberg", positions=fp.positions)
+
+
+EDGE_SHIFT_CASES = [
+    ("flat_patch", dict(n=6)),
+    ("clifford_lift", dict(n=8, target="heisenberg")),
+    ("clifford_lift", dict(n=8, target="heisenberg", warp=0.3)),
+    ("clifford_lift", dict(n=8, target="stiefel")),
+    ("clifford_lift", dict(n=8, target="stiefel", warp=0.3)),
+    ("double_sheet", dict(n=6)),
+    ("perturbed_clifford", dict(n=8, amplitude=5e-2, seed=1)),
+    ("perturbed_clifford", dict(n=8, amplitude=5e-2, seed=1, target="stiefel")),
+    ("no uv", None),
+]
+
+
+def _edge_seam_shift(imm):
+    """The edge offsets as they were computed before the mesh kept its wraps."""
+    return imm.seam_shift(imm.mesh.edges[:, 0], imm.mesh.edges[:, 1])
+
+
+@pytest.mark.parametrize("family,kw", EDGE_SHIFT_CASES)
+def test_edge_shift_equals_seam_shift(family, kw, monkeypatch):
+    imm = _flat_patch_without_uv() if kw is None else corpus.generate(family, **kw)
+    m = imm.mesh
+    assert _bits(imm.edge_shift()) == _bits(_edge_seam_shift(imm))
+    assert m.edge_wraps is m.edge_wraps and not m.edge_wraps.flags.writeable
+    # Random Reeb moves break every edge's residual, and restoration undoes them.
+    p, geo = imm.positions, imm.geometry
+    s = np.random.default_rng(7).standard_normal(len(p))
+    moved = imm.with_positions(geo.move(p, 1e-2 * s[:, None] * geo.reeb(p)))
+
+    def restored_and_residual():
+        out, before, after, passes = energy.restore_constraint(moved)
+        assert passes >= 1
+        values = immersion.legendrian_residual(moved).values
+        return _bits(out.positions), before, after, passes, _bits(values)
+
+    got = restored_and_residual()
+    monkeypatch.setattr(DiscreteImmersion, "edge_shift", _edge_seam_shift)
+    assert got == restored_and_residual()
+
+
+MONOMIAL_EXPONENTS = {
+    "constant terms": [[0, 0, 0, 0], [2, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]],
+    "unused variable": [[1, 0, 2, 1], [0, 0, 1, 3], [2, 0, 0, 0]],
+    "degree 0": [[0, 0, 0, 0], [0, 0, 0, 0]],
+    "one variable per term": [[0, 0, 0, 3], [1, 0, 0, 0], [0, 2, 0, 0]],
+    "no terms": np.zeros((0, 4), int),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_EXPONENTS))
+def test_monomials_equal_full_product(name):
+    exponents = np.asarray(MONOMIAL_EXPONENTS[name], int)
+    rng = np.random.default_rng(11)
+    poly = Polynomial(rng.uniform(-1.0, 1.0, len(exponents)), exponents)
+    x = rng.uniform(-2.0, 2.0, size=(6, 4))
+    x[0, 1], x[1, 2] = 0.0, -0.0
+    for pts in (x, x[1], x.reshape(2, 3, 4)):  # a batch, a single (0-d) point, a 2-d batch
+        table = poly._power_table(pts)
+        got = poly._monomials(table, poly.exponents)
+        assert _bits(got) == _bits(ref.polynomial_monomials_full(table, poly.exponents))
+        assert got.flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data())
+def test_monomials_equal_full_product_random(data):
+    n_vars = data.draw(hst.integers(1, 8), label="n_vars")
+    degree = data.draw(hst.integers(0, 4), label="degree")
+    n_terms = data.draw(hst.integers(0, 12), label="n_terms")
+    exponents = data.draw(arrays(np.int64, (n_terms, n_vars), elements=hst.integers(0, degree)))
+    n_points = data.draw(hst.integers(1, 20), label="n_points")
+    x = data.draw(arrays(np.float64, (n_points, n_vars), elements=hst.floats(-3.0, 3.0)))
+    poly = Polynomial(np.ones(n_terms), exponents)
+    for pts in (x, x[0]):
+        table = poly._power_table(pts)
+        got = poly._monomials(table, exponents)
+        assert _bits(got) == _bits(ref.polynomial_monomials_full(table, exponents))
 
 
 @settings(max_examples=80, deadline=None)
