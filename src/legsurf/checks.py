@@ -67,9 +67,9 @@ def lie_derivative_fd(target, q, x, field_fn, tau=1e-4, delta=1e-5):
 
 def polynomial_scale(poly, q):
     """Size proxy for a polynomial Hamiltonian near q: value, gradient, Hessian."""
-    g = poly.grad(q)
+    value, g = poly.value_and_grad(q)
     h = poly.hess(q)
-    return max(1.0, abs(float(poly(q))), float(np.linalg.norm(g)), float(np.linalg.norm(h)))
+    return max(1.0, abs(float(value)), float(np.linalg.norm(g)), float(np.linalg.norm(h)))
 
 
 def hamiltonian_lie_defects(target, rng, n_cases=25, convention="thm1", tau=1e-4):
@@ -82,7 +82,7 @@ def hamiltonian_lie_defects(target, rng, n_cases=25, convention="thm1", tau=1e-4
         x = geo.random_horizontal(rng, q)
 
         def field(p, poly=poly):
-            return geo.hamiltonian_field(poly(p), poly.grad(p), p, convention)
+            return geo.hamiltonian_field(*poly.value_and_grad(p), p, convention)
 
         val = lie_derivative_fd(target, q, x, field, tau=tau)
         out.append(abs(val) / polynomial_scale(poly, q))
@@ -104,7 +104,7 @@ def flow_order_slopes(target, rng, n_cases=8, convention="thm1"):
         x = geo.random_horizontal(rng, q)
 
         def field(p, poly=poly):
-            return geo.hamiltonian_field(poly(p), poly.grad(p), p, convention)
+            return geo.hamiltonian_field(*poly.value_and_grad(p), p, convention)
 
         const = rng.standard_normal(q.size)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import heisenberg as hs
 from .mesh import DiscreteImmersion, SurfaceMesh
-from .polynomials import random_polynomial
+from .polynomials import Polynomial, random_polynomial
 
 FAMILIES = (
     "flat_patch",
@@ -203,10 +203,7 @@ def _gauge_bump_hamiltonian(rng, scale):
     the deck translation of lifted tori and the stored monodromy stays valid.
     """
     poly = random_polynomial(rng, 4, degree=3, n_terms=8, scale=scale)
-    exps = np.zeros((len(poly.coeffs), 5), int)
-    exps[:, 1:] = poly.exponents
-    poly.exponents = exps
-    return poly
+    return Polynomial(poly.coeffs, np.pad(poly.exponents, ((0, 0), (1, 0))))
 
 
 def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64, convention="thm1"):
@@ -221,7 +218,7 @@ def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64, conven
     geo = imm.geometry
 
     def vel(p):
-        return geo.hamiltonian_field(poly(p), poly.grad(p), p, convention)
+        return geo.hamiltonian_field(*poly.value_and_grad(p), p, convention)
 
     for _ in range(nsteps):
         k1 = vel(pos)
@@ -240,7 +237,7 @@ def perturbed_clifford(n=32, amplitude=1e-2, seed=0, target="heisenberg"):
         rng, 8, degree=2, n_terms=8, scale=1.0
     )
     p = imm.positions
-    speed = imm.geometry.hamiltonian_field(poly(p), poly.grad(p), p)
+    speed = imm.geometry.hamiltonian_field(*poly.value_and_grad(p), p)
     vmax = float(np.max(np.linalg.norm(speed, axis=-1)))
     out = flow_exact_hamiltonian(imm, poly, amplitude / max(vmax, 1e-9), nsteps=16)
     from .immersion import legendrian_residual

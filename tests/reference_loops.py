@@ -2,14 +2,14 @@
 
 They are the implementations the package used before its stencils became
 sparse operators and its 2x2 algebra closed-form (batched SVD, multi-operand
-einsums, np.add.at scatters), before polynomial monomials were multiplied
-gather by gather and then only over the variables each term uses, the
-projection stiffness was filled into a kept pattern, meshes were written
-through the C JSON encoder, the mean-curvature one-form lost its Python
-spanning-tree walk and edge dict, grid triangles were built by index
-arithmetic, the Gauss stencil weights were written out in closed form and
-the quadratic-fit curvature was batched by neighbourhood size, kept here
-only as oracles for the equivalence tests.
+einsums, np.add.at scatters), before a polynomial and its gradient were
+evaluated by one planned gather and contraction, the projection stiffness
+was filled into a kept pattern, meshes were written through the C JSON
+encoder, the mean-curvature one-form lost its Python spanning-tree walk and
+edge dict, grid triangles were built by index arithmetic, the Gauss stencil
+weights were written out in closed form and the quadratic-fit curvature was
+batched by neighbourhood size, kept here only as oracles for the equivalence
+tests.
 """
 
 import json
@@ -189,39 +189,19 @@ def polynomial_grad(poly, x):
     return out
 
 
-def polynomial_monomials_full(table, exponents):
-    """Polynomial._monomials multiplying the gathered power of every variable,
-    x ** 0 = 1.0 of the unused ones included, left to right over i."""
-    out = np.ascontiguousarray(table[..., 0, exponents[:, 0]])
-    for i in range(1, exponents.shape[1]):
-        out *= table[..., i, exponents[:, i]]
-    return out
-
-
-def _gathered_powers(poly, table, exponents):
-    return np.ascontiguousarray(table[..., np.arange(poly.n_vars), exponents])
-
-
-def polynomial_prod_value(poly, x):
-    """Polynomial.__call__ through np.prod over (..., n_terms, n_vars) gathered powers."""
-    powers = _gathered_powers(poly, poly._power_table(x), poly.exponents)
-    return np.sum(poly.coeffs * np.prod(powers, axis=-1), axis=-1)
-
-
-def polynomial_prod_grad(poly, x):
-    """Polynomial.grad through np.prod over gathered powers."""
-    table = poly._power_table(x)
-    out = np.zeros(table.shape[:-1])
-    for i in range(poly.n_vars):
-        e = poly.exponents[:, i]
-        mask = e > 0
-        if not np.any(mask):
-            continue
-        exps = poly.exponents[mask].copy()
-        exps[:, i] -= 1
-        powers = _gathered_powers(poly, table, exps)
-        out[..., i] = np.sum(poly.coeffs[mask] * e[mask] * np.prod(powers, axis=-1), axis=-1)
-    return out
+def assert_polynomial_close(poly, x, value, grad):
+    """value and grad within 1e-14 of polynomial_value and polynomial_grad at x,
+    relative to the sums of the absolute terms (the rounding scale of any
+    product and summation order), plus a few subnormal ulps for terms that
+    underflow, where relative rounding bounds do not hold."""
+    abs_poly = type(poly)(np.abs(poly.coeffs), poly.exponents)
+    floor = 64 * np.finfo(float).smallest_subnormal
+    for got, want, scale in (
+        (value, polynomial_value(poly, x), polynomial_value(abs_poly, np.abs(x))),
+        (grad, polynomial_grad(poly, x), polynomial_grad(abs_poly, np.abs(x))),
+    ):
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale + floor)
 
 
 def stiffness_coo(imm, weights, areas):

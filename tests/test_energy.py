@@ -6,7 +6,7 @@ import pytest
 from legsurf import corpus, energy, gauge_lab, immersion
 from legsurf.checks import fit_loglog_slope
 from legsurf.errors import GeometryDomainError, LocalisationError
-from legsurf.polynomials import random_polynomial
+from legsurf.polynomials import Polynomial, random_polynomial
 
 TARGETS = ("heisenberg", "stiefel")
 
@@ -15,10 +15,7 @@ def quadratic_bump(seed=5):
     """phi-independent quadratic Hamiltonian (flows commute with the deck map)."""
     rng = np.random.default_rng(seed)
     poly = random_polynomial(rng, 4, degree=2, n_terms=8, scale=1.0)
-    exps = np.zeros((len(poly.coeffs), 5), int)
-    exps[:, 1:] = poly.exponents
-    poly.exponents = exps
-    return poly
+    return Polynomial(poly.coeffs, np.pad(poly.exponents, ((0, 0), (1, 0))))
 
 
 def spec_of(poly):
@@ -481,7 +478,6 @@ class TestReebFlow:
     def test_constant_hamiltonian_flow_is_reeb_rotation(self):
         # h = 1 gives -2R; its time-t flow is the frame rotation by -2t.
         from legsurf import stiefel as st
-        from legsurf.polynomials import Polynomial
 
         stt = corpus.clifford_lift(8, target="stiefel")
         one = Polynomial(np.array([1.0]), np.zeros((1, 8), int))

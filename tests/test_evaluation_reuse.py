@@ -4,8 +4,9 @@ The assembler keeps the face state of the last positions it evaluated; every
 result computed from that kept state must equal a fresh evaluation bitwise,
 and changed positions must never be served stale.  A mesh keeps its edges'
 seam wraps, and the edge offsets built from them must equal the per-call
-ones bitwise.  The stiffness fill, the polynomial monomials and the mesh
-writer must reproduce the bodies they replaced (``reference_loops``) exactly.
+ones bitwise.  The stiffness fill and the mesh writer must reproduce the
+bodies they replaced (``reference_loops``) exactly; a polynomial's planned
+value and gradient must match the product of powers per term to rounding.
 """
 
 import numpy as np
@@ -231,10 +232,7 @@ def test_monomials_equal_full_product(name):
     x = rng.uniform(-2.0, 2.0, size=(6, 4))
     x[0, 1], x[1, 2] = 0.0, -0.0
     for pts in (x, x[1], x.reshape(2, 3, 4)):  # a batch, a single (0-d) point, a 2-d batch
-        table = poly._power_table(pts)
-        got = poly._monomials(table, poly.exponents)
-        assert _bits(got) == _bits(ref.polynomial_monomials_full(table, poly.exponents))
-        assert got.flags.c_contiguous
+        ref.assert_polynomial_close(poly, pts, *poly.value_and_grad(pts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,9 +246,7 @@ def test_monomials_equal_full_product_random(data):
     x = data.draw(arrays(np.float64, (n_points, n_vars), elements=hst.floats(-3.0, 3.0)))
     poly = Polynomial(np.ones(n_terms), exponents)
     for pts in (x, x[0]):
-        table = poly._power_table(pts)
-        got = poly._monomials(table, exponents)
-        assert _bits(got) == _bits(ref.polynomial_monomials_full(table, exponents))
+        ref.assert_polynomial_close(poly, pts, *poly.value_and_grad(pts))
 
 
 @settings(max_examples=80, deadline=None)
@@ -264,8 +260,7 @@ def test_polynomial_equals_product_of_gathered_powers(data):
     x = data.draw(arrays(np.float64, (n_points, n_vars), elements=hst.floats(-3.0, 3.0)))
     poly = Polynomial(coeffs, exponents)
     for pts in (x, x[0]):
-        assert _bits(poly(pts)) == _bits(ref.polynomial_prod_value(poly, pts))
-        assert _bits(poly.grad(pts)) == _bits(ref.polynomial_prod_grad(poly, pts))
+        ref.assert_polynomial_close(poly, pts, poly(pts), poly.grad(pts))
 
 
 @pytest.mark.parametrize(
