@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, checks, corpus, energy, gauge_lab, heisenberg as hs
 from .errors import (
     ConstraintViolationError,
+    DegenerateFaceError,
     DegenerateFrameError,
     GeometryDomainError,
     ResolutionError,
@@ -459,7 +460,6 @@ SCHEMAS = {
     },
     "clifford-demo": {
         "resolution": (False, 24),
-        "seed": (False, 0),
     },
 }
 
@@ -513,8 +513,8 @@ def main(argv=None):
         return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](config, args.out)
-    except (GeometryDomainError, ConstraintViolationError, DegenerateFrameError, ConfigError,
-            ResolutionError) as exc:
+    except (GeometryDomainError, ConstraintViolationError, DegenerateFaceError,
+            DegenerateFrameError, ConfigError, ResolutionError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageAbortedError as exc:

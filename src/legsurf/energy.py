@@ -31,9 +31,7 @@ from .immersion import (
     FaceData,
     cotangent_weights,
     face_params,
-    face_state,
     legendrian_residual,
-    reject_degenerate,
     wedge_nd,
     wedge_pairs,
 )
@@ -96,12 +94,10 @@ def _gauss_stencil(m, uv):
     bary = uv.mean(axis=1)
     nbrs = m.face_neighbors
     has = nbrs >= 0
-    delta = bary[np.where(has, nbrs, 0)] - bary[:, None, :]  # (F, 3, 2)
+    nbr_bary = bary[np.where(has, nbrs, 0)]
+    delta = nbr_bary - bary[:, None, :]  # (F, 3, 2)
     if m.uv_periods is not None:
-        for axis in (0, 1):
-            p = m.uv_periods[axis]
-            if p:
-                delta[..., axis] -= p * np.round(delta[..., axis] / p)
+        delta -= m.wraps(bary[:, None, :], nbr_bary) * m.uv_periods
     count = has.sum(axis=1)
     rows, cols, vals = [], [], []
     for c in (1, 2, 3):
@@ -164,9 +160,9 @@ def _same_bits(a, b):
 class EnergyAssembler:
     """Constant mesh data plus energy/gradient evaluation at given positions.
 
-    The face state and Gauss gradients of the last positions evaluated are
-    kept (see :meth:`evaluate`), so the energy, gradient, first variation and
-    Hamiltonian projection of one descent iterate share one evaluation.
+    The :class:`FaceData` and Gauss gradients of the last positions evaluated
+    are kept (see :meth:`evaluate`), so the energy, gradient, first variation
+    and Hamiltonian projection of one descent iterate share one evaluation.
     """
 
     def __init__(self, imm: DiscreteImmersion):
@@ -176,7 +172,7 @@ class EnergyAssembler:
         self.template = imm
         self.tri = m.triangles
         self.geometry = imm.geometry
-        self.corner_shift, self.minv, self.uv_area = face_params(imm)
+        self.face_params = face_params(imm)
 
         # Fixed neighbour differencing stencil for the Gauss-map gradient.
         self.stencil = _gauss_stencil(m, m.corner_uv_local()[0])
@@ -186,55 +182,44 @@ class EnergyAssembler:
         self._pairs = np.asarray(wedge_pairs(self.k), int)
         # (vertex, component) slot of each entry of a (F, 3, k) corner array
         self._corner_slots = (self.tri[..., None] * self.k + np.arange(self.k)).ravel()
-        self._evaluated = None  # (positions copy, face state, Gauss gradients) of the last evaluate
+        self._evaluated = None  # (FaceData, Gauss gradients) of the last evaluate
 
     # -- forward pieces ------------------------------------------------------
 
-    def face_state(self, positions):
-        """:func:`immersion.face_state` at the given positions."""
-        corners = positions[self.tri]
-        corners += self.corner_shift
-        return face_state(self.geometry, corners, self.minv, self.uv_area)
-
-    def _gauss_gradients(self, state):
+    def _gauss_gradients(self, fd):
         """Per-face parameter gradient A (2, K2) of the Gauss field, its Gram
         matrix P = A A^T (2, 2) and |dT|^2_g = sum(ginv * P)."""
-        t = state["gauss"]
+        t = fd.gauss
         a_list = (self.stencil @ t).reshape(len(t), 2, self.k2)
         aat = _block_gram(a_list, a_list)
-        quad = np.einsum("fab,fab->f", state["ginv"], aat)
+        quad = np.einsum("fab,fab->f", fd.ginv, aat)
         return a_list, aat, quad
 
     def evaluate(self, positions):
-        """The face state and Gauss gradients (A, P, |dT|^2_g) at ``positions``.
+        """The :class:`FaceData` and Gauss gradients (A, P, |dT|^2_g) at ``positions``.
 
-        The result of the last call is kept, keyed by a copy of its positions,
-        and returned again while ``positions`` is bitwise equal to that copy;
-        its arrays are read-only.  Neither depends on eps.
+        The FaceData is built with the assembler's per-mesh face constants on
+        a copy of the template at a copy of ``positions``; degenerate faces
+        raise DegenerateFaceError.  The result of the last call is kept and
+        returned again while ``positions`` is bitwise equal to that copy; its
+        arrays are read-only.  Neither depends on eps.
         """
         kept = self._evaluated
-        if kept is None or not _same_bits(kept[0], positions):
-            state = self.face_state(positions)
-            grads = self._gauss_gradients(state)
-            for arr in (*state.values(), *grads):
-                arr.flags.writeable = False
-            kept = self._evaluated = (positions.copy(), state, grads)
-        return kept[1], kept[2]
-
-    def face_data(self, imm: DiscreteImmersion) -> FaceData:
-        """:class:`FaceData` of ``imm`` (a copy of the template at new positions)
-        from :meth:`evaluate`; degenerate faces are rejected as FaceData does."""
-        state, _ = self.evaluate(imm.positions)
-        return FaceData.of_state(imm, self.minv, self.uv_area, state)
+        if kept is None or not _same_bits(kept[0].imm.positions, positions):
+            fd = FaceData(self.template.with_positions(positions.copy()), self.face_params)
+            grads = self._gauss_gradients(fd)
+            for arr in (fd.imm.positions, *vars(fd).values(), *grads):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            kept = self._evaluated = (fd, grads)
+        return kept
 
     # -- public evaluations -----------------------------------------------
 
-    def energy(self, positions, eps, check_degenerate=False):
-        state, (_, _, quad) = self.evaluate(positions)
-        if check_degenerate:
-            reject_degenerate(state)
-        area = float(np.sum(state["area"]))
-        penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * state["area"]))
+    def energy(self, positions, eps):
+        fd, (_, _, quad) = self.evaluate(positions)
+        area = float(np.sum(fd.area))
+        penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * fd.area))
         log_term = np.log(1.0 / eps) if eps < 1.0 else 1.0
         return EnergyBreakdown(area, penalty, area + penalty, penalty * log_term)
 
@@ -246,26 +231,26 @@ class EnergyAssembler:
         variation dT = (d_u w ^ d_v L + d_u L ^ d_v w)/|W| - <...> T.
         """
         w_field = self.geometry.tangent(positions, np.asarray(w_field, float))
-        state, (a_list, aat, quad) = self.evaluate(positions)
+        fd, (a_list, aat, quad) = self.evaluate(positions)
         wc = w_field[self.tri]
-        base = state["base_pos"]
-        e1_dot = self.geometry.frame_dot(base, state["d1"], wc[:, 0], wc[:, 1] - wc[:, 0])
-        e2_dot = self.geometry.frame_dot(base, state["d2"], wc[:, 0], wc[:, 2] - wc[:, 0])
-        du_dot = self.minv[:, 0, 0, None] * e1_dot + self.minv[:, 1, 0, None] * e2_dot
-        dv_dot = self.minv[:, 0, 1, None] * e1_dot + self.minv[:, 1, 1, None] * e2_dot
-        du, dv = state["du"], state["dv"]
+        base, minv = fd.base_pos, fd.minv
+        e1_dot = self.geometry.frame_dot(base, fd.d1, wc[:, 0], wc[:, 1] - wc[:, 0])
+        e2_dot = self.geometry.frame_dot(base, fd.d2, wc[:, 0], wc[:, 2] - wc[:, 0])
+        du_dot = minv[:, 0, 0, None] * e1_dot + minv[:, 1, 0, None] * e2_dot
+        dv_dot = minv[:, 0, 1, None] * e1_dot + minv[:, 1, 1, None] * e2_dot
+        du, dv = fd.du, fd.dv
         g11_dot = 2.0 * np.sum(du_dot * du, axis=-1)
         g12_dot = np.sum(du_dot * dv, axis=-1) + np.sum(du * dv_dot, axis=-1)
         g22_dot = 2.0 * np.sum(dv_dot * dv, axis=-1)
         w_dot = wedge_nd(du_dot, dv) + wedge_nd(du, dv_dot)
-        t = state["gauss"]
+        t = fd.gauss
         wnorm_dot = np.sum(t * w_dot, axis=-1)
-        area_dot = self.uv_area * wnorm_dot
-        t_dot = (w_dot - wnorm_dot[:, None] * t) / state["wnorm"][:, None]
+        area_dot = fd.uv_area * wnorm_dot
+        t_dot = (w_dot - wnorm_dot[:, None] * t) / fd.wnorm[:, None]
         # dT gradient variation: neighbour differences of t_dot, then the
         # inverse-metric variation.
         a_dot = (self.stencil @ t_dot).reshape(a_list.shape)
-        ginv = state["ginv"]
+        ginv = fd.ginv
         g_dot = np.stack(
             [
                 np.stack([g11_dot, g12_dot], axis=-1),
@@ -278,7 +263,7 @@ class EnergyAssembler:
         quad_dot += 2.0 * np.einsum("fab,fab->f", ginv, _block_gram(a_dot, a_list))
         de = np.sum(area_dot)
         de += eps**4 * np.sum(
-            2.0 * (1.0 + quad) * quad_dot * state["area"] + (1.0 + quad) ** 2 * area_dot
+            2.0 * (1.0 + quad) * quad_dot * fd.area + (1.0 + quad) ** 2 * area_dot
         )
         return float(de)
 
@@ -294,11 +279,11 @@ class EnergyAssembler:
 
     def gradient(self, positions, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
-        state, (a_list, aat, quad) = self.evaluate(positions)
+        fd, (a_list, aat, quad) = self.evaluate(positions)
         n_f = len(self.tri)
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
-        s_quad = eps**4 * 2.0 * (1.0 + quad) * state["area"]
-        ginv = state["ginv"]
+        s_quad = eps**4 * 2.0 * (1.0 + quad) * fd.area
+        ginv = fd.ginv
 
         # d|dT|^2/dA through the differencing stencil into per-face Gauss
         # adjoints, and the inverse-metric adjoint.
@@ -308,13 +293,13 @@ class EnergyAssembler:
         g_bar_mat = -s_quad[:, None, None] * (ginv @ aat @ ginv)
 
         # Through the normalisation T = W / |W|, updating t_bar in place.
-        t = state["gauss"]
+        t = fd.gauss
         w_bar = t_bar
         w_bar -= np.sum(t_bar * t, axis=-1, keepdims=True) * t
-        w_bar /= state["wnorm"][:, None]
-        w_bar += (s_area * self.uv_area)[:, None] * t
+        w_bar /= fd.wnorm[:, None]
+        w_bar += (s_area * fd.uv_area)[:, None] * t
 
-        du, dv = state["du"], state["dv"]
+        du, dv = fd.du, fd.dv
         du_bar, dv_bar = self._wedge_adjoint(w_bar, du, dv)
 
         g11_bar = g_bar_mat[:, 0, 0]
@@ -323,13 +308,14 @@ class EnergyAssembler:
         du_bar += 2.0 * g11_bar[:, None] * du + g12_bar[:, None] * dv
         dv_bar += 2.0 * g22_bar[:, None] * dv + g12_bar[:, None] * du
 
-        e1_bar = self.minv[:, 0, 0, None] * du_bar + self.minv[:, 0, 1, None] * dv_bar
-        e2_bar = self.minv[:, 1, 0, None] * du_bar + self.minv[:, 1, 1, None] * dv_bar
+        minv = fd.minv
+        e1_bar = minv[:, 0, 0, None] * du_bar + minv[:, 0, 1, None] * dv_bar
+        e2_bar = minv[:, 1, 0, None] * du_bar + minv[:, 1, 1, None] * dv_bar
 
         # Through the frame map of each edge onto its two end corners.
-        base = state["base_pos"]
-        b1_bar, d1_bar = self.geometry.frame_adjoint(base, state["d1"], e1_bar)
-        b2_bar, d2_bar = self.geometry.frame_adjoint(base, state["d2"], e2_bar)
+        base = fd.base_pos
+        b1_bar, d1_bar = self.geometry.frame_adjoint(base, fd.d1, e1_bar)
+        b2_bar, d2_bar = self.geometry.frame_adjoint(base, fd.d2, e2_bar)
         corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
         grad = np.bincount(
             self._corner_slots, weights=corner_bar.ravel(), minlength=positions.size
@@ -344,7 +330,7 @@ class EnergyAssembler:
 def energy(imm: DiscreteImmersion, eps: float) -> EnergyBreakdown:
     if not eps > 0:
         raise GeometryDomainError("eps must be positive")
-    return EnergyAssembler(imm).energy(imm.positions, eps, check_degenerate=True)
+    return EnergyAssembler(imm).energy(imm.positions, eps)
 
 
 def first_variation(imm: DiscreteImmersion, eps: float, w_field) -> float:
@@ -461,8 +447,9 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     form the family J grad^S(u) + vertical(2u), vertical(s) = (s / alpha(R)) R
     being the Reeb multiple with alpha-value s.  B u is that family in
     per-vertex frame components: the face-wise surface gradient of u,
-    averaged onto each vertex with area weights, then J o horizontal at the
-    vertex.  Returned as a ``LinearOperator`` of shape (V k, V) with
+    averaged onto each vertex with area weights (each face's third of its
+    area over the vertex area, :attr:`FaceData.vertex_areas`), then
+    J o horizontal at the vertex.  Returned as a ``LinearOperator`` of shape (V k, V) with
     ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).
     """
     m = imm.mesh
@@ -470,8 +457,7 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     fd = fd or FaceData(imm)
     tri = m.triangles
     n_v, k = imm.positions.shape
-    wsum = np.bincount(tri.T.ravel(), weights=np.tile(fd.area, 3), minlength=n_v)
-    weight = fd.area[:, None] / np.maximum(wsum, 1e-300)[tri]  # (F, 3): face share at each corner
+    weight = (fd.area / 3.0)[:, None] / fd.vertex_areas[tri]  # (F, 3): face share at each corner
 
     # hat-function surface gradients per face and corner, frame components
     # rows of hat_params @ minv, hat_params = [[-1, -1], [1, 0], [0, 1]]
@@ -646,11 +632,11 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
         tau = opts.tau_init
         e_cur = assembler.energy(current.positions, eps)
         factor = None  # release the last stage's factor before building this one
-        factor, areas = projection_factor(current, assembler.face_data(current))
+        factor, areas = projection_factor(current, assembler.evaluate(current.positions)[0])
 
         def projected_gradient():
             grad = assembler.gradient(current.positions, eps)
-            fd = assembler.face_data(current)
+            fd, _ = assembler.evaluate(current.positions)
             _, w_proj = hamiltonian_project(current, grad.covector, fd, factor)
             return grad, w_proj, _grad_norm(current, areas, w_proj)
 
@@ -676,6 +662,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 tried = tau
                 try:
                     candidate = flow_step(current, direction, tau, report)
+                    e_new = assembler.energy(candidate.positions, eps)
                 except StepRejectedError as exc:
                     report.update(
                         residual_before_restore=exc.residual_before,
@@ -686,7 +673,6 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 except (DegenerateFaceError, DegenerateFrameError):
                     tau *= 0.5
                     continue
-                e_new = assembler.energy(candidate.positions, eps)
                 if e_new.total <= e_cur.total + opts.armijo * tau * slope:
                     accepted = True
                     break

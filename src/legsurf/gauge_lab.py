@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import FaceData, mean_curvature_one_form, scatter_rows
+from .immersion import FaceData, edge_chords, mean_curvature_one_form, scatter_rows
 from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
@@ -407,8 +407,7 @@ def tri_sublevel_fraction(r_vals, s):
 
 def resolvable_radius(imm: DiscreteImmersion):
     """Three median frame edge lengths: the smallest radius worth measuring."""
-    chords = imm.geometry.frame(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
-    return 3.0 * float(np.median(np.linalg.norm(chords, axis=-1)))
+    return 3.0 * float(np.median(np.linalg.norm(edge_chords(imm), axis=-1)))
 
 
 def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:

@@ -8,6 +8,7 @@ uses the global trivialisation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,64 +73,58 @@ def face_params(imm: DiscreteImmersion):
     return corner_shift, minv, 0.5 * det_uv
 
 
-def face_state(geometry, corners, minv, uv_area):
-    """Per-face geometry from corner positions already in corner 0's branch.
+class FaceData:
+    """Struct-of-arrays face geometry for a whole immersion.
 
-    Returns the ambient edge differences d1, d2 (corner 0 -> 1, 2), the frame
+    From the corner positions, with corners 1, 2 moved into corner 0's
+    branch: corner 0's position ``base_pos``, the ambient edge differences
+    d1, d2 (corner 0 -> 1, 2) and their frame chords e1, e2, the frame
     partials du, dv, the metric g and its inverse, |W| = sqrt(det g) for the
     wedge W = du ^ dv, the unit Gauss vector W / |W| and the area
-    |W| * uv_area.  Degenerate faces are not rejected here (see
-    :func:`reject_degenerate`).
+    |W| * uv_area.  ``params`` are the face constants of :func:`face_params`
+    (an :class:`~legsurf.energy.EnergyAssembler` passes its per-mesh ones);
+    they are computed here when not given.  Raises DegenerateFaceError naming
+    the first face with |W| <= 1e-12 trace(g).
     """
-    base = corners[:, 0]
-    d1, d2 = corners[:, 1] - base, corners[:, 2] - base
-    e1, e2 = geometry.frame(base, d1), geometry.frame(base, d2)
-    du = minv[:, 0, 0, None] * e1 + minv[:, 1, 0, None] * e2
-    dv = minv[:, 0, 1, None] * e1 + minv[:, 1, 1, None] * e2
-    g11 = np.sum(du * du, axis=-1)
-    g12 = np.sum(du * dv, axis=-1)
-    g22 = np.sum(dv * dv, axis=-1)
-    g = np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
-    ginv = np.stack([np.stack([g22, -g12], axis=-1), np.stack([-g12, g11], axis=-1)], axis=-2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ginv /= (g11 * g22 - g12 * g12)[:, None, None]
-    wedge = wedge_nd(du, dv)
-    wnorm = np.sqrt(np.maximum(np.sum(wedge * wedge, axis=-1), 1e-300))
-    return dict(
-        base_pos=base, d1=d1, d2=d2, du=du, dv=dv, g=g, ginv=ginv,
-        wnorm=wnorm, gauss=wedge / wnorm[:, None], area=uv_area * wnorm,
-    )
 
-
-def reject_degenerate(state):
-    """Raise DegenerateFaceError naming the first face with |W| <= 1e-12 trace(g)."""
-    scale = np.maximum(state["g"][:, 0, 0] + state["g"][:, 1, 1], 1e-300)
-    bad = np.flatnonzero(state["wnorm"] <= 1e-12 * scale)
-    if bad.size:
-        raise DegenerateFaceError(int(bad[0]))
-
-
-class FaceData:
-    """Struct-of-arrays face geometry for a whole immersion (see :func:`face_state`)."""
-
-    def __init__(self, imm: DiscreteImmersion):
+    def __init__(self, imm: DiscreteImmersion, params=None):
         self.imm = imm
-        corner_shift, self.minv, self.uv_area = face_params(imm)
+        corner_shift, self.minv, self.uv_area = face_params(imm) if params is None else params
         corners = imm.positions[imm.mesh.triangles]
         corners += corner_shift
-        state = face_state(imm.geometry, corners, self.minv, self.uv_area)
-        reject_degenerate(state)
-        vars(self).update(state)
+        base = self.base_pos = corners[:, 0]
+        self.d1, self.d2 = corners[:, 1] - base, corners[:, 2] - base
+        e1 = self.e1 = imm.geometry.frame(base, self.d1)
+        e2 = self.e2 = imm.geometry.frame(base, self.d2)
+        minv = self.minv
+        du = self.du = minv[:, 0, 0, None] * e1 + minv[:, 1, 0, None] * e2
+        dv = self.dv = minv[:, 0, 1, None] * e1 + minv[:, 1, 1, None] * e2
+        g11 = np.sum(du * du, axis=-1)
+        g12 = np.sum(du * dv, axis=-1)
+        g22 = np.sum(dv * dv, axis=-1)
+        self.g = np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
+        ginv = np.stack([np.stack([g22, -g12], axis=-1), np.stack([-g12, g11], axis=-1)], axis=-2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ginv /= (g11 * g22 - g12 * g12)[:, None, None]
+        self.ginv = ginv
+        wedge = wedge_nd(du, dv)
+        wnorm = self.wnorm = np.sqrt(np.maximum(np.sum(wedge * wedge, axis=-1), 1e-300))
+        self.gauss = wedge / wnorm[:, None]
+        self.area = self.uv_area * wnorm
+        bad = np.flatnonzero(wnorm <= 1e-12 * np.maximum(g11 + g22, 1e-300))
+        if bad.size:
+            raise DegenerateFaceError(int(bad[0]))
 
-    @classmethod
-    def of_state(cls, imm: DiscreteImmersion, minv, uv_area, state):
-        """FaceData from :func:`face_state` already evaluated at ``imm.positions``
-        with the face constants of :func:`face_params`; rejects degenerate faces."""
-        reject_degenerate(state)
-        fd = cls.__new__(cls)
-        fd.imm, fd.minv, fd.uv_area = imm, minv, uv_area
-        vars(fd).update(state)
-        return fd
+    @functools.cached_property
+    def vertex_areas(self):
+        """(V,) read-only barycentric vertex areas: a third of each face's area
+        at each of its corners."""
+        m = self.imm.mesh
+        out = np.bincount(
+            m.triangles.T.ravel(), weights=np.tile(self.area / 3.0, 3), minlength=m.n_vertices
+        )
+        out.flags.writeable = False
+        return out
 
     def grad_scalar(self, values):
         """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""
@@ -327,34 +322,35 @@ def hopf_differential(imm: DiscreteImmersion):
 
 
 def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
-    """Per-edge cotangent weights and barycentric vertex areas."""
+    """Per-edge cotangent weights and barycentric vertex areas
+    (:attr:`FaceData.vertex_areas`) from the immersion's :class:`FaceData`.
+
+    Corner k's angle sits between its chords to the two other corners and
+    weights the opposite edge (local edge k).  A chord framed at its head is
+    minus the chord framed at its tail, so with the face's chords e1, e2 from
+    corner 0 and e3 from corner 1 to corner 2, corner 0's pair is (e1, e2),
+    corner 1's (e3, -e1) and corner 2's (-e2, -e3).
+    """
     m = imm.mesh
-    corners = imm.corner_positions()
-    half_cot = np.empty((3, len(m.triangles)))
-    for k in range(3):
-        # Corner k's angle sits between its chords to the two other corners
-        # and weights the opposite edge (local edge k).
-        base = corners[:, k]
-        a = imm.geometry.frame(base, corners[:, (k + 1) % 3] - base)
-        b = imm.geometry.frame(base, corners[:, (k + 2) % 3] - base)
-        dot = np.sum(a * b, axis=-1)
-        cross_sq = np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1) - dot**2
-        half_cot[k] = 0.5 * dot / np.sqrt(np.maximum(cross_sq, 1e-300))
+    fd = fd or FaceData(imm)
+    e1, e2 = fd.e1, fd.e2
+    e3 = imm.geometry.frame(fd.base_pos + fd.d1, fd.d2 - fd.d1)
+    sq1, sq2, sq3 = (np.sum(e * e, axis=-1) for e in (e1, e2, e3))
+    dot = np.stack([np.sum(e1 * e2, axis=-1), -np.sum(e3 * e1, axis=-1), np.sum(e2 * e3, axis=-1)])
+    cross_sq = np.stack([sq1 * sq2, sq3 * sq1, sq2 * sq3]) - dot**2
+    half_cot = 0.5 * dot / np.sqrt(np.maximum(cross_sq, 1e-300))
     w = np.bincount(m.face_edges.T.ravel(), weights=half_cot.ravel(), minlength=len(m.edges))
-    if fd is None:
-        fd = FaceData(imm)
-    areas = np.bincount(
-        m.triangles.T.ravel(), weights=np.tile(fd.area / 3.0, 3), minlength=m.n_vertices
-    )
-    return w, areas
+    return w, fd.vertex_areas
 
 
-def _edge_chords(imm):
-    """Frame chords of every edge seen from its tail and from its head."""
-    tails, heads = imm.mesh.edges[:, 0], imm.mesh.edges[:, 1]
-    delta = imm.edge_vectors()
-    geo = imm.geometry
-    return geo.frame(imm.positions[tails], delta), geo.frame(imm.positions[heads], -delta)
+def edge_chords(imm: DiscreteImmersion):
+    """(E, k) frame chords of the canonical edges, framed at their tails.
+
+    Framed at its head, an edge's chord is minus this one: on the frame
+    manifold the frame map is the identity, and in the flat model
+    omega0(d, d) = 0.
+    """
+    return imm.geometry.frame(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
 
 
 def scatter_rows(index, values, n_rows):
@@ -391,19 +387,12 @@ def mean_curvature_one_form(
     if fd is None:
         fd = FaceData(imm)
     weights, areas = cotangent_weights(imm, fd)
-    chords_t, chords_h = _edge_chords(imm)
+    chords = edge_chords(imm)  # minus these framed at the heads
     # cot-Laplacian of the immersion per vertex, in frame components at the vertex
-    lap = scatter_rows(
-        m.edges.T.ravel(),
-        np.concatenate([weights[:, None] * chords_t, weights[:, None] * chords_h]),
-        m.n_vertices,
-    ) / areas[:, None]
+    wc = weights[:, None] * chords
+    lap = scatter_rows(m.edges.T.ravel(), np.concatenate([wc, -wc]), m.n_vertices) / areas[:, None]
     g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
-
-    tails, heads = m.edges[:, 0], m.edges[:, 1]
-    gamma = -0.5 * (
-        np.sum(g_vec[tails] * chords_t, axis=-1) - np.sum(g_vec[heads] * chords_h, axis=-1)
-    )
+    gamma = -0.5 * np.sum((g_vec[m.edges[:, 0]] + g_vec[m.edges[:, 1]]) * chords, axis=-1)
 
     # discrete curl: oriented boundary sum per face
     curl = np.zeros(len(m.triangles))

@@ -289,11 +289,6 @@ class DiscreteImmersion:
         tails, heads = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
         return self.positions[heads] - self.positions[tails] + self.edge_shift()
 
-    def corner_positions(self):
-        """(F, 3, dim) positions with corners 1, 2 moved into corner 0's branch."""
-        tri = self.mesh.triangles
-        return self.positions[tri] + self.seam_shift(tri[:, [0]], tri)
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self):

@@ -92,9 +92,14 @@ class Polynomial:
         return Polynomial(self.coeffs[keep] * self.exponents[keep, i],
                           self.exponents[keep] - np.eye(self.n_vars, dtype=int)[i])
 
+    @cached_property
+    def _partials(self):
+        """The partials d/dx_i, built once, so each keeps its own plan."""
+        return tuple(self.partial(i) for i in range(self.n_vars))
+
     def hess(self, x):
         """(..., n_vars, n_vars) Hessian; row i is the gradient of d/dx_i."""
-        return np.stack([self.partial(i).grad(x) for i in range(self.n_vars)], axis=-2)
+        return np.stack([p.grad(x) for p in self._partials], axis=-2)
 
 
 def random_polynomial(rng, n_vars, degree=3, n_terms=12, scale=1.0):

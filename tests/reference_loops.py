@@ -22,7 +22,6 @@ from legsurf.immersion import (
     CurvatureData,
     FaceData,
     MeanCurvatureForm,
-    _edge_chords,
     wedge_nd,
     wedge_pairs,
 )
@@ -284,31 +283,36 @@ def retract_svd(a_raw, b_raw):
     return q[..., 0], q[..., 1]
 
 
-def gauss_gradients(asm, state):
+def gauss_gradients(asm, fd):
     """Gauss-field parameter gradients and |dT|^2_g by a three-operand einsum."""
-    t = state["gauss"]
+    t = fd.gauss
     a_list = (asm.stencil @ t).reshape(len(t), 2, asm.k2)
-    quad = np.einsum("fab,fai,fbi->f", state["ginv"], a_list, a_list)
+    quad = np.einsum("fab,fai,fbi->f", fd.ginv, a_list, a_list)
     return a_list, quad
+
+
+def _face_data(asm, positions):
+    """FaceData of the assembler's mesh at ``positions``, not the assembler's kept one."""
+    return FaceData(asm.template.with_positions(positions), asm.face_params)
 
 
 def energy_gradient(asm, positions, eps):
     """EnergyAssembler.gradient with multi-operand einsums and np.add.at scatters."""
-    state = asm.face_state(positions)
-    a_list, quad = gauss_gradients(asm, state)
+    fd = _face_data(asm, positions)
+    a_list, quad = gauss_gradients(asm, fd)
     n_f = len(asm.tri)
     s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
-    s_quad = eps**4 * 2.0 * (1.0 + quad) * state["area"]
-    ginv = state["ginv"]
+    s_quad = eps**4 * 2.0 * (1.0 + quad) * fd.area
+    ginv = fd.ginv
     a_bar = 2.0 * s_quad[:, None, None] * np.einsum("fab,fbi->fai", ginv, a_list)
     aat = np.einsum("fai,fbi->fab", a_list, a_list)
     g_bar_mat = -np.einsum("f,fab,fbc,fcd->fad", s_quad, ginv, aat, ginv)
     t_bar = asm.stencil_t @ a_bar.reshape(2 * n_f, asm.k2)
-    t = state["gauss"]
-    wnorm = state["wnorm"]
+    t = fd.gauss
+    wnorm = fd.wnorm
     w_bar = (t_bar - np.sum(t_bar * t, axis=-1, keepdims=True) * t) / wnorm[:, None]
-    w_bar += (s_area * asm.uv_area)[:, None] * t
-    du, dv = state["du"], state["dv"]
+    w_bar += (s_area * fd.uv_area)[:, None] * t
+    du, dv = fd.du, fd.dv
     du_bar = np.zeros_like(du)
     dv_bar = np.zeros_like(dv)
     pairs = np.asarray(wedge_pairs(asm.k), int)
@@ -322,11 +326,11 @@ def energy_gradient(asm, positions, eps):
     g22_bar = g_bar_mat[:, 1, 1]
     du_bar += 2.0 * g11_bar[:, None] * du + g12_bar[:, None] * dv
     dv_bar += 2.0 * g22_bar[:, None] * dv + g12_bar[:, None] * du
-    e1_bar = asm.minv[:, 0, 0, None] * du_bar + asm.minv[:, 0, 1, None] * dv_bar
-    e2_bar = asm.minv[:, 1, 0, None] * du_bar + asm.minv[:, 1, 1, None] * dv_bar
-    base = state["base_pos"]
-    b1_bar, d1_bar = asm.geometry.frame_adjoint(base, state["d1"], e1_bar)
-    b2_bar, d2_bar = asm.geometry.frame_adjoint(base, state["d2"], e2_bar)
+    e1_bar = fd.minv[:, 0, 0, None] * du_bar + fd.minv[:, 0, 1, None] * dv_bar
+    e2_bar = fd.minv[:, 1, 0, None] * du_bar + fd.minv[:, 1, 1, None] * dv_bar
+    base = fd.base_pos
+    b1_bar, d1_bar = asm.geometry.frame_adjoint(base, fd.d1, e1_bar)
+    b2_bar, d2_bar = asm.geometry.frame_adjoint(base, fd.d2, e2_bar)
     corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
     grad = np.zeros_like(positions)
     np.add.at(grad, asm.tri, corner_bar)
@@ -336,25 +340,25 @@ def energy_gradient(asm, positions, eps):
 def energy_first_variation(asm, positions, eps, w_field):
     """EnergyAssembler.first_variation with the metric algebra as three-index einsums."""
     w_field = asm.geometry.tangent(positions, np.asarray(w_field, float))
-    state = asm.face_state(positions)
-    a_list, quad = gauss_gradients(asm, state)
+    fd = _face_data(asm, positions)
+    a_list, quad = gauss_gradients(asm, fd)
     wc = w_field[asm.tri]
-    base = state["base_pos"]
-    e1_dot = asm.geometry.frame_dot(base, state["d1"], wc[:, 0], wc[:, 1] - wc[:, 0])
-    e2_dot = asm.geometry.frame_dot(base, state["d2"], wc[:, 0], wc[:, 2] - wc[:, 0])
-    du_dot = asm.minv[:, 0, 0, None] * e1_dot + asm.minv[:, 1, 0, None] * e2_dot
-    dv_dot = asm.minv[:, 0, 1, None] * e1_dot + asm.minv[:, 1, 1, None] * e2_dot
-    du, dv = state["du"], state["dv"]
+    base = fd.base_pos
+    e1_dot = asm.geometry.frame_dot(base, fd.d1, wc[:, 0], wc[:, 1] - wc[:, 0])
+    e2_dot = asm.geometry.frame_dot(base, fd.d2, wc[:, 0], wc[:, 2] - wc[:, 0])
+    du_dot = fd.minv[:, 0, 0, None] * e1_dot + fd.minv[:, 1, 0, None] * e2_dot
+    dv_dot = fd.minv[:, 0, 1, None] * e1_dot + fd.minv[:, 1, 1, None] * e2_dot
+    du, dv = fd.du, fd.dv
     g11_dot = 2.0 * np.sum(du_dot * du, axis=-1)
     g12_dot = np.sum(du_dot * dv, axis=-1) + np.sum(du * dv_dot, axis=-1)
     g22_dot = 2.0 * np.sum(dv_dot * dv, axis=-1)
     w_dot = wedge_nd(du_dot, dv) + wedge_nd(du, dv_dot)
-    t = state["gauss"]
+    t = fd.gauss
     wnorm_dot = np.sum(t * w_dot, axis=-1)
-    area_dot = asm.uv_area * wnorm_dot
-    t_dot = (w_dot - wnorm_dot[:, None] * t) / state["wnorm"][:, None]
+    area_dot = fd.uv_area * wnorm_dot
+    t_dot = (w_dot - wnorm_dot[:, None] * t) / fd.wnorm[:, None]
     a_dot = (asm.stencil @ t_dot).reshape(a_list.shape)
-    ginv = state["ginv"]
+    ginv = fd.ginv
     g_dot = np.stack(
         [np.stack([g11_dot, g12_dot], axis=-1), np.stack([g12_dot, g22_dot], axis=-1)], axis=-2
     )
@@ -363,7 +367,7 @@ def energy_first_variation(asm, positions, eps, w_field):
     quad_dot += 2.0 * np.einsum("fab,fai,fbi->f", ginv, a_dot, a_list)
     de = np.sum(area_dot)
     de += eps**4 * np.sum(
-        2.0 * (1.0 + quad) * quad_dot * state["area"] + (1.0 + quad) ** 2 * area_dot
+        2.0 * (1.0 + quad) * quad_dot * fd.area + (1.0 + quad) ** 2 * area_dot
     )
     return float(de)
 
@@ -402,9 +406,11 @@ def hamiltonian_operator(imm, fd):
 
 
 def cotangent_weights(imm, fd):
-    """Per-edge cotangent weights and barycentric vertex areas through np.add.at."""
+    """Per-edge cotangent weights and barycentric vertex areas through np.add.at,
+    framing both chords at each of the three corners (six frame maps per face)."""
     m = imm.mesh
-    corners = imm.corner_positions()
+    tri = m.triangles
+    corners = imm.positions[tri] + imm.seam_shift(tri[:, [0]], tri)
     w = np.zeros(len(m.edges))
     for k in range(3):
         base = corners[:, k]
@@ -508,6 +514,14 @@ def vertex_tangent_frames(imm, fd):
     n2 = np.linalg.norm(t2, axis=-1, keepdims=True)
     t2 = t2 / np.maximum(n2, 1e-300)
     return t1, t2
+
+
+def _edge_chords(imm):
+    """Frame chords of every edge seen from its tail and from its head."""
+    tails, heads = imm.mesh.edges[:, 0], imm.mesh.edges[:, 1]
+    delta = imm.edge_vectors()
+    geo = imm.geometry
+    return geo.frame(imm.positions[tails], delta), geo.frame(imm.positions[heads], -delta)
 
 
 def mean_curvature_one_form(imm):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from legsurf import corpus
 from legsurf import heisenberg as hs
 
 
@@ -281,6 +282,26 @@ class TestMonotonicityCommand:
         assert "residuals" in summary and len(summary["residuals"]) == 2
 
 
+def write_collapsed_patch(path):
+    """flat_patch(4) with face 0 collapsed onto one of its edges."""
+    fp = corpus.flat_patch(4)
+    pos = fp.positions.copy()
+    a, b, c = fp.mesh.triangles[0]
+    pos[c] = pos[a] + 0.5 * (pos[b] - pos[a])
+    fp.with_positions(pos).save(path)
+
+
+@pytest.mark.parametrize("command", [["energy", "--epsilon", "0.2"], ["density"]],
+                         ids=["energy", "density"])
+def test_collapsed_face_exits_two(tmp_path, command):
+    mesh = tmp_path / "m.json"
+    write_collapsed_patch(mesh)
+    r = run_cli(command[0], "--mesh", str(mesh), *command[1:], "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "validation failure: degenerate face 0" in r.stderr
+
+
 class TestEnergyCommand:
     def test_energy_file(self, tmp_path):
         r = run_cli(
@@ -300,6 +321,18 @@ class TestCliffordDemo:
         assert abs(payload["maslov_periods"][0] - np.pi) < 0.05
         ratios = payload["density_ratios_over_pi"]
         assert len(ratios) == 3 and all(np.isfinite(ratios))
+
+    def test_seed_is_not_a_key(self, tmp_path):
+        # clifford_lift is deterministic, so the demo takes no seed.
+        r = run_cli("clifford-demo", "--resolution", "8", "--seed", "1", "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "unrecognized arguments: --seed" in r.stderr
+        config = tmp_path / "c.json"
+        config.write_text('{"resolution": 8, "seed": 1}')
+        r = run_cli("clifford-demo", "--config", str(config), "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "unknown config keys: ['seed']" in r.stderr
+        assert not (tmp_path / "clifford_demo.json").exists()
 
 
 class TestSolverAbortExit:

@@ -266,7 +266,7 @@ class TestDescend:
         # projection used, paired with the descent direction.
         pc = corpus.perturbed_clifford(12, amplitude=1e-2, seed=3, target=target)
         asm = energy.EnergyAssembler(pc)
-        fd = asm.face_data(pc)
+        fd, _ = asm.evaluate(pc.positions)
         factor, _ = energy.projection_factor(pc, fd)
         grad = asm.gradient(pc.positions, 0.2)
         _, w_proj = energy.hamiltonian_project(pc, grad.covector, fd, factor)
@@ -498,6 +498,33 @@ class TestDegenerateFaces:
         pos[tri[1]] = pos[tri[0]]
         with pytest.raises(DegenerateFaceError):
             energy.energy(fp.with_positions(pos), 0.1)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_collapsed_candidate_is_retried_at_half_the_step(self, target, monkeypatch):
+        from legsurf.errors import DegenerateFaceError
+
+        pc = corpus.perturbed_clifford(8, amplitude=1e-2, seed=3, target=target)
+        a, _, c = pc.mesh.triangles[0]
+
+        def collapsed(imm):
+            pos = imm.positions.copy()
+            pos[c] = pos[a]  # face 0 collapses onto its edge a-b
+            return imm.with_positions(pos)
+
+        with pytest.raises(DegenerateFaceError):
+            energy.EnergyAssembler(pc).energy(collapsed(pc).positions, 0.2)
+        flow_step, taus = energy.flow_step, []
+
+        def collapsing_first(imm, w_field, tau, report=None):
+            taus.append(tau)
+            if len(taus) == 1:
+                return collapsed(imm)
+            return flow_step(imm, w_field, tau, report)
+
+        monkeypatch.setattr(energy, "flow_step", collapsing_first)
+        res = energy.descend(pc, [0.2], energy.DescentOptions(max_iters=2))
+        assert res.records and len(res.stages) == 1
+        assert taus[1] == 0.5 * taus[0]
 
     def test_flow_step_reports_residuals(self):
         cl = corpus.clifford_lift(16)

@@ -1,7 +1,7 @@
 """One evaluation per descent iterate, and the kernels rewritten for speed.
 
-The assembler keeps the face state of the last positions it evaluated; every
-result computed from that kept state must equal a fresh evaluation bitwise,
+The assembler keeps the FaceData of the last positions it evaluated; every
+result computed from that kept FaceData must equal a fresh evaluation bitwise,
 and changed positions must never be served stale.  A mesh keeps its edges'
 seam wraps, and the edge offsets built from them must equal the per-call
 ones bitwise.  The stiffness fill and the mesh writer must reproduce the
@@ -35,29 +35,31 @@ def _perturbed(target):
     return corpus.perturbed_clifford(8, amplitude=5e-2, seed=2, target=target)
 
 
-def _counting_face_state(asm):
+def _counting_evaluations(asm, monkeypatch):
+    """Counts the FaceData builds of ``asm``'s evaluations (those with its face constants)."""
     calls = []
-    face_state = asm.face_state
+    init = immersion.FaceData.__init__
 
-    def counting(positions):
-        calls.append(1)
-        return face_state(positions)
+    def counting(self, imm, params=None):
+        if params is asm.face_params:
+            calls.append(1)
+        init(self, imm, params)
 
-    asm.face_state = counting
+    monkeypatch.setattr(immersion.FaceData, "__init__", counting)
     return calls
 
 
 @pytest.mark.parametrize("target", TARGETS)
-def test_evaluations_after_energy_equal_fresh_ones(target):
+def test_evaluations_after_energy_equal_fresh_ones(target, monkeypatch):
     imm = _perturbed(target)
     p = imm.positions
     w = np.random.default_rng(4).standard_normal(p.shape)
     asm = energy.EnergyAssembler(imm)
-    calls = _counting_face_state(asm)
+    calls = _counting_evaluations(asm, monkeypatch)
     e = asm.energy(p, EPS)
     grad = asm.gradient(p, EPS)
     fv = asm.first_variation(p, EPS, w)
-    u, w_proj = energy.hamiltonian_project(imm, grad.covector, asm.face_data(imm))
+    u, w_proj = energy.hamiltonian_project(imm, grad.covector, asm.evaluate(p)[0])
     e_next = asm.energy(p, 0.1)  # the next stage's first energy
     assert len(calls) == 1
 
@@ -75,10 +77,10 @@ def test_evaluations_after_energy_equal_fresh_ones(target):
 
 
 @pytest.mark.parametrize("target", TARGETS)
-def test_changed_positions_are_evaluated_again(target):
+def test_changed_positions_are_evaluated_again(target, monkeypatch):
     imm = _perturbed(target)
     asm = energy.EnergyAssembler(imm)
-    calls = _counting_face_state(asm)
+    calls = _counting_evaluations(asm, monkeypatch)
     p = imm.positions.copy()
     e0 = asm.energy(p, EPS)
     asm.energy(p.copy(), EPS)  # equal bits in another array: reused
@@ -98,8 +100,8 @@ def test_changed_positions_are_evaluated_again(target):
 def test_kept_state_is_read_only():
     imm = _perturbed("heisenberg")
     asm = energy.EnergyAssembler(imm)
-    state, (a_list, _, quad) = asm.evaluate(imm.positions)
-    for arr in (state["area"], state["ginv"], a_list, quad):
+    fd, (a_list, _, quad) = asm.evaluate(imm.positions)
+    for arr in (fd.area, fd.ginv, a_list, quad):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -111,24 +113,19 @@ def test_face_data_rejects_degenerate_faces():
     pos[c] = pos[a] + 0.5 * (pos[b] - pos[a])  # collapse face 0 onto its edge
     flat = fp.with_positions(pos)
     with pytest.raises(DegenerateFaceError):
-        energy.EnergyAssembler(fp).face_data(flat)
+        energy.EnergyAssembler(fp).evaluate(flat.positions)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_descent_evaluates_each_iterate_once(target, monkeypatch):
     pc = corpus.perturbed_clifford(8, amplitude=1e-2, seed=3, target=target)
     face_data_inits, face_states, candidates = [], [], []
-    init, face_state, flow_step = (
-        immersion.FaceData.__init__, energy.EnergyAssembler.face_state, energy.flow_step,
-    )
+    init, flow_step = immersion.FaceData.__init__, energy.flow_step
 
-    def counting_init(self, *args, **kwargs):
-        face_data_inits.append(1)
-        init(self, *args, **kwargs)
-
-    def counting_face_state(self, positions):
-        face_states.append(1)
-        return face_state(self, positions)
+    def counting_init(self, imm, params=None):
+        # with the face constants given: an assembler's evaluation
+        (face_data_inits if params is None else face_states).append(1)
+        init(self, imm, params)
 
     def counting_flow_step(*args, **kwargs):
         out = flow_step(*args, **kwargs)
@@ -136,12 +133,11 @@ def test_descent_evaluates_each_iterate_once(target, monkeypatch):
         return out
 
     monkeypatch.setattr(immersion.FaceData, "__init__", counting_init)
-    monkeypatch.setattr(energy.EnergyAssembler, "face_state", counting_face_state)
     monkeypatch.setattr(energy, "flow_step", counting_flow_step)
     res = energy.descend(pc, [0.2, 0.1], energy.DescentOptions(max_iters=3))
     assert res.records
     # No FaceData is built from scratch (the stage's projection factor and
-    # areas come from the assembler's state); the start and each restored
+    # areas come from the assembler's FaceData); the start and each restored
     # candidate are evaluated once, whatever is asked of them.
     assert len(face_data_inits) == 0
     assert len(face_states) == 1 + len(candidates)

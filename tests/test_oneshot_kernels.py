@@ -10,6 +10,8 @@ closed form; each is compared with the body it replaced
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.sparse.csgraph import shortest_path
 
 import reference_loops as ref
@@ -82,6 +84,28 @@ class TestMeanCurvatureOneForm:
             immersion.mean_curvature_one_form(cl)
         with pytest.raises(GeometryDomainError, match=r"missing edge \(0, 2\)"):
             ref.mean_curvature_one_form(cl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=hst.sampled_from(["heisenberg", "stiefel"]),
+    n=hst.integers(4, 12),
+    warp=hst.floats(0.0, 0.45),
+    amplitude=hst.floats(0.0, 0.1),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_chord_framed_at_head_is_minus_chord_framed_at_tail(target, n, warp, amplitude, seed):
+    # The Clifford lift is a torus whose seam edges carry wraps (and, in the
+    # flat model, a Legendrian monodromy); the random tangent move perturbs it.
+    imm = corpus.clifford_lift(n, target=target, warp=warp)
+    geo = imm.geometry
+    noise = np.random.default_rng(seed).standard_normal(imm.positions.shape)
+    imm = imm.with_positions(geo.move(imm.positions, amplitude * geo.tangent(imm.positions, noise)))
+    chords = immersion.edge_chords(imm)
+    at_tail, at_head = ref._edge_chords(imm)
+    np.testing.assert_array_equal(chords, at_tail)
+    largest = np.max(np.linalg.norm(chords, axis=-1))
+    assert np.max(np.abs(at_head + chords)) <= 1e-14 * largest
 
 
 class TestEdgeIds:

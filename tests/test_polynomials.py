@@ -2,6 +2,7 @@
 value-and-gradient kernel against per-term products and Richardson differences."""
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -92,6 +93,31 @@ def test_gradient_and_hessian_match_richardson_differences(n_vars):
         assert np.max(np.abs(poly.grad(x) - _richardson(poly, x))) <= 1e-9 * scale
         fd_hess = _richardson(poly.grad, x)  # row i differentiates along x_i
         assert np.max(np.abs(poly.hess(x) - fd_hess.T)) <= 1e-8 * scale
+
+
+def test_hessian_builds_its_partials_once(monkeypatch):
+    plans = []
+    plan = Polynomial._plan.func
+
+    def counting(self):
+        plans.append(1)
+        return plan(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Polynomial, "_plan")
+    monkeypatch.setattr(Polynomial, "_plan", counted)
+    rng = np.random.default_rng(11)
+    poly = random_polynomial(rng, 5, degree=4, n_terms=10)
+    x, y = rng.uniform(-1.5, 1.5, (2, 5))
+    first = poly.hess(x)
+    built = len(plans)
+    assert 0 < built <= poly.n_vars
+    second = poly.hess(y)
+    assert len(plans) == built  # no partial and no plan built again
+    assert np.array_equal(poly.hess(x), first)
+    abs_poly = Polynomial(np.abs(poly.coeffs), poly.exponents)
+    scale = 1.0 + ref.polynomial_value(abs_poly, np.abs(y) + 1.0)
+    assert np.max(np.abs(second - _richardson(poly.grad, y).T)) <= 1e-8 * scale
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
