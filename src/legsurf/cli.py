@@ -293,7 +293,7 @@ def cmd_density(config, out_dir):
             for s, ratio, c in zip(curve.radii, curve.ratios, curve.counts)
         ],
     )
-    print(f"density ratios: {[round(x, 4) for x in curve.ratios]}")
+    print(f"density ratios: {np.round(curve.ratios, 4).tolist()}")
     return EXIT_OK
 
 
@@ -355,7 +355,7 @@ def cmd_clifford_demo(config, out_dir):
 
     res = legendrian_residual(imm)
     gf = gauge_lab.gauge_fields(imm, imm.positions[(n // 2) * n + n // 2])
-    mcf = mean_curvature_one_form(imm, gf.face_data)
+    mcf = mean_curvature_one_form(imm)
     # Radii of 4, 5 and 6 grid steps clear the 3-step cut of a resolvable density.
     h = 2 * np.pi / n
     curve = gauge_lab.density_curve(gf, [4 * h, 5 * h, 6 * h], min_radius=3 * h)

@@ -6,12 +6,12 @@ gradient is estimated from neighbour-face differences with fixed
 parameter-space weights.  Because those weights are constant, the discrete
 energy is a smooth closed-form function of the vertex positions; the
 gradient returned here is its exact differential (assembled in reverse),
-and the directional first variation mirrors the classical formulas for the
-metric, volume-form and Gauss-map variations term by term.
+and the directional first variation is that gradient paired with the field.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +27,7 @@ from .errors import (
     StageAbortedError,
     StepRejectedError,
 )
-from .immersion import (
-    FaceData,
-    cotangent_weights,
-    face_params,
-    legendrian_residual,
-    wedge_nd,
-    wedge_pairs,
-)
+from .immersion import cotangent_weights, legendrian_residual, wedge_pairs
 from .mesh import DiscreteImmersion
 
 
@@ -153,26 +146,21 @@ def _block_gram(x, y):
     return out
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class EnergyAssembler:
-    """Constant mesh data plus energy/gradient evaluation at given positions.
+    """Constant mesh data plus energy/gradient evaluation at immersions of the mesh.
 
-    The :class:`FaceData` and Gauss gradients of the last positions evaluated
-    are kept (see :meth:`evaluate`), so the energy, gradient, first variation
-    and Hamiltonian projection of one descent iterate share one evaluation.
+    The face state of an iterate is its own :attr:`DiscreteImmersion.face_data`;
+    the assembler keeps the Gauss gradients of the last one it saw (see
+    :meth:`evaluate`), so the energy, gradient and first variation of one
+    descent iterate share one evaluation.
     """
 
     def __init__(self, imm: DiscreteImmersion):
         m = imm.mesh
         if m.uv is None:
             raise GeometryDomainError("the energy functional requires uv parameters")
-        self.template = imm
         self.tri = m.triangles
         self.geometry = imm.geometry
-        self.face_params = face_params(imm)
 
         # Fixed neighbour differencing stencil for the Gauss-map gradient.
         self.stencil = _gauss_stencil(m, m.corner_uv_local()[0])
@@ -182,90 +170,50 @@ class EnergyAssembler:
         self._pairs = np.asarray(wedge_pairs(self.k), int)
         # (vertex, component) slot of each entry of a (F, 3, k) corner array
         self._corner_slots = (self.tri[..., None] * self.k + np.arange(self.k)).ravel()
-        self._evaluated = None  # (FaceData, Gauss gradients) of the last evaluate
+        # (weak reference to the last FaceData seen, its Gauss gradients): a
+        # rejected line-search candidate's face state is not kept alive here.
+        self._evaluated = None
 
     # -- forward pieces ------------------------------------------------------
 
     def _gauss_gradients(self, fd):
         """Per-face parameter gradient A (2, K2) of the Gauss field, its Gram
-        matrix P = A A^T (2, 2) and |dT|^2_g = sum(ginv * P)."""
+        matrix P = A A^T (2, 2) and |dT|^2_g = sum(ginv * P), read-only."""
         t = fd.gauss
         a_list = (self.stencil @ t).reshape(len(t), 2, self.k2)
         aat = _block_gram(a_list, a_list)
         quad = np.einsum("fab,fab->f", fd.ginv, aat)
+        for arr in (a_list, aat, quad):
+            arr.flags.writeable = False
         return a_list, aat, quad
 
-    def evaluate(self, positions):
-        """The :class:`FaceData` and Gauss gradients (A, P, |dT|^2_g) at ``positions``.
+    def evaluate(self, imm):
+        """The :class:`FaceData` of ``imm`` and its Gauss gradients (A, P, |dT|^2_g).
 
-        The FaceData is built with the assembler's per-mesh face constants on
-        a copy of the template at a copy of ``positions``; degenerate faces
-        raise DegenerateFaceError.  The result of the last call is kept and
-        returned again while ``positions`` is bitwise equal to that copy; its
-        arrays are read-only.  Neither depends on eps.
+        Degenerate faces raise DegenerateFaceError.  The gradients of the last
+        FaceData seen are kept and returned again while ``imm`` brings that
+        same object.  Neither depends on eps.
         """
+        fd = imm.face_data
         kept = self._evaluated
-        if kept is None or not _same_bits(kept[0].imm.positions, positions):
-            fd = FaceData(self.template.with_positions(positions.copy()), self.face_params)
-            grads = self._gauss_gradients(fd)
-            for arr in (fd.imm.positions, *vars(fd).values(), *grads):
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
-            kept = self._evaluated = (fd, grads)
-        return kept
+        if kept is None or kept[0]() is not fd:
+            kept = self._evaluated = (weakref.ref(fd), self._gauss_gradients(fd))
+        return fd, kept[1]
 
     # -- public evaluations -----------------------------------------------
 
-    def energy(self, positions, eps):
-        fd, (_, _, quad) = self.evaluate(positions)
+    def energy(self, imm, eps):
+        fd, (_, _, quad) = self.evaluate(imm)
         area = float(np.sum(fd.area))
         penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * fd.area))
         log_term = np.log(1.0 / eps) if eps < 1.0 else 1.0
         return EnergyBreakdown(area, penalty, area + penalty, penalty * log_term)
 
-    def first_variation(self, positions, eps, w_field):
-        """Directional derivative along a (tangent-projected) vertex field.
-
-        Assembled from the metric variation dg_ab = <d_a w, d_b L> + <d_a L,
-        d_b w>, the volume variation <dw . dL>_g dvol, and the Gauss-map
-        variation dT = (d_u w ^ d_v L + d_u L ^ d_v w)/|W| - <...> T.
-        """
-        w_field = self.geometry.tangent(positions, np.asarray(w_field, float))
-        fd, (a_list, aat, quad) = self.evaluate(positions)
-        wc = w_field[self.tri]
-        base, minv = fd.base_pos, fd.minv
-        e1_dot = self.geometry.frame_dot(base, fd.d1, wc[:, 0], wc[:, 1] - wc[:, 0])
-        e2_dot = self.geometry.frame_dot(base, fd.d2, wc[:, 0], wc[:, 2] - wc[:, 0])
-        du_dot = minv[:, 0, 0, None] * e1_dot + minv[:, 1, 0, None] * e2_dot
-        dv_dot = minv[:, 0, 1, None] * e1_dot + minv[:, 1, 1, None] * e2_dot
-        du, dv = fd.du, fd.dv
-        g11_dot = 2.0 * np.sum(du_dot * du, axis=-1)
-        g12_dot = np.sum(du_dot * dv, axis=-1) + np.sum(du * dv_dot, axis=-1)
-        g22_dot = 2.0 * np.sum(dv_dot * dv, axis=-1)
-        w_dot = wedge_nd(du_dot, dv) + wedge_nd(du, dv_dot)
-        t = fd.gauss
-        wnorm_dot = np.sum(t * w_dot, axis=-1)
-        area_dot = fd.uv_area * wnorm_dot
-        t_dot = (w_dot - wnorm_dot[:, None] * t) / fd.wnorm[:, None]
-        # dT gradient variation: neighbour differences of t_dot, then the
-        # inverse-metric variation.
-        a_dot = (self.stencil @ t_dot).reshape(a_list.shape)
-        ginv = fd.ginv
-        g_dot = np.stack(
-            [
-                np.stack([g11_dot, g12_dot], axis=-1),
-                np.stack([g12_dot, g22_dot], axis=-1),
-            ],
-            axis=-2,
-        )
-        ginv_dot = -(ginv @ g_dot @ ginv)
-        quad_dot = np.einsum("fab,fab->f", ginv_dot, aat)
-        quad_dot += 2.0 * np.einsum("fab,fab->f", ginv, _block_gram(a_dot, a_list))
-        de = np.sum(area_dot)
-        de += eps**4 * np.sum(
-            2.0 * (1.0 + quad) * quad_dot * fd.area + (1.0 + quad) ** 2 * area_dot
-        )
-        return float(de)
+    def first_variation(self, imm, eps, w_field):
+        """Directional derivative along a vertex field, projected to tangents:
+        the pairing of :meth:`gradient` with it."""
+        w_field = self.geometry.tangent(imm.positions, np.asarray(w_field, float))
+        return self.gradient(imm, eps).pair(w_field)
 
     def _wedge_adjoint(self, w_bar, du, dv):
         """Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
@@ -277,9 +225,9 @@ class EnergyAssembler:
         w_mat[:, j_idx, i_idx] = -w_bar
         return np.einsum("fij,fj->fi", w_mat, dv), -np.einsum("fij,fj->fi", w_mat, du)
 
-    def gradient(self, positions, eps) -> FirstVariation:
+    def gradient(self, imm, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
-        fd, (a_list, aat, quad) = self.evaluate(positions)
+        fd, (a_list, aat, quad) = self.evaluate(imm)
         n_f = len(self.tri)
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
         s_quad = eps**4 * 2.0 * (1.0 + quad) * fd.area
@@ -317,6 +265,7 @@ class EnergyAssembler:
         b1_bar, d1_bar = self.geometry.frame_adjoint(base, fd.d1, e1_bar)
         b2_bar, d2_bar = self.geometry.frame_adjoint(base, fd.d2, e2_bar)
         corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
+        positions = imm.positions
         grad = np.bincount(
             self._corner_slots, weights=corner_bar.ravel(), minlength=positions.size
         ).reshape(positions.shape)
@@ -330,15 +279,15 @@ class EnergyAssembler:
 def energy(imm: DiscreteImmersion, eps: float) -> EnergyBreakdown:
     if not eps > 0:
         raise GeometryDomainError("eps must be positive")
-    return EnergyAssembler(imm).energy(imm.positions, eps)
+    return EnergyAssembler(imm).energy(imm, eps)
 
 
 def first_variation(imm: DiscreteImmersion, eps: float, w_field) -> float:
-    return EnergyAssembler(imm).first_variation(imm.positions, eps, w_field)
+    return EnergyAssembler(imm).first_variation(imm, eps, w_field)
 
 
 def gradient(imm: DiscreteImmersion, eps: float) -> FirstVariation:
-    return EnergyAssembler(imm).gradient(imm.positions, eps)
+    return EnergyAssembler(imm).gradient(imm, eps)
 
 
 def hamiltonian_deformation(imm: DiscreteImmersion, spec: HamiltonianSpec, convention="thm1"):
@@ -351,8 +300,13 @@ def hamiltonian_deformation(imm: DiscreteImmersion, spec: HamiltonianSpec, conve
 # constrained flow
 
 
-def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None):
-    """Gauss-Newton restoration of the per-edge Legendrian residuals.
+#: Gauss-Newton passes of a constraint restoration.
+RESTORE_PASSES = 5
+
+
+def restore_constraint(imm: DiscreteImmersion):
+    """Gauss-Newton restoration of the per-edge Legendrian residuals, to the
+    immersion's ``legendrian_tol`` within ``RESTORE_PASSES`` passes.
 
     Corrections move vertices along the Reeb direction, the one direction the
     contact form does not annihilate, so each edge residual is first-order
@@ -368,7 +322,7 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None):
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
     """
-    tol = imm.legendrian_tol if tol is None else tol
+    tol = imm.legendrian_tol
     m = imm.mesh
     geo = imm.geometry
     tails, heads = m.edges[:, 0], m.edges[:, 1]
@@ -379,12 +333,12 @@ def restore_constraint(imm: DiscreteImmersion, max_iters=5, tol=None):
         r = geo.edge_residual(positions[tails], delta)
         return r, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 
-    positions = imm.positions.copy()
+    positions = imm.positions
     r, delta, res_max = residual(positions)
     before = res_max
     last_norm = np.inf
     passes = 0
-    while passes < max_iters:
+    while passes < RESTORE_PASSES:
         r_norm = float(np.linalg.norm(r))
         if res_max <= tol or r_norm > 0.999 * last_norm:
             break  # done, or at the least-squares floor of vertical corrections
@@ -440,7 +394,7 @@ def pre_restoration_residual(imm: DiscreteImmersion, w_field, tau: float) -> flo
 # Hamiltonian projection of descent directions
 
 
-def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
+def hamiltonian_map(imm: DiscreteImmersion):
     """The map B from a vertex scalar u to the normal Hamiltonian field.
 
     The normal parts of Hamiltonian deformations along a Legendrian surface
@@ -454,7 +408,7 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     """
     m = imm.mesh
     geo = imm.geometry
-    fd = fd or FaceData(imm)
+    fd = imm.face_data
     tri = m.triangles
     n_v, k = imm.positions.shape
     weight = (fd.area / 3.0)[:, None] / fd.vertex_areas[tri]  # (F, 3): face share at each corner
@@ -488,7 +442,7 @@ def hamiltonian_map(imm: DiscreteImmersion, fd: FaceData | None = None):
     return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
 
 
-def projection_factor(imm: DiscreteImmersion, fd: FaceData | None = None):
+def projection_factor(imm: DiscreteImmersion):
     """LU factor of the Hamiltonian projection's system at ``imm``, and its vertex areas.
 
     The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
@@ -498,13 +452,13 @@ def projection_factor(imm: DiscreteImmersion, fd: FaceData | None = None):
     earlier mesh, gives a descent direction.  Symmetric, so the factor orders
     its columns on the pattern of A + A^T.
     """
-    weights, areas = cotangent_weights(imm, fd)
+    weights, areas = cotangent_weights(imm)
     # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
     a_mat = imm.mesh.stiffness(2.0 * weights, (-4.0 / imm.geometry.alpha_reeb) * areas)
     return spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A"), areas
 
 
-def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = None, factor=None):
+def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
     """Project the energy differential onto Hamiltonian fields, preconditioned.
 
     Solves A u = B^T cov~ with A the SPD system of :func:`projection_factor`,
@@ -513,10 +467,9 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, fd: FaceData | None = 
     possibly at an earlier mesh; without one, A is built and factored at
     ``imm``.  Returns u and the field B u in ambient components.
     """
-    fd = fd or FaceData(imm)
     if factor is None:
-        factor, _ = projection_factor(imm, fd)
-    b_op = hamiltonian_map(imm, fd)
+        factor, _ = projection_factor(imm)
+    b_op = hamiltonian_map(imm)
     geo = imm.geometry
     gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
     u = factor.solve(b_op.rmatvec(gtilde))
@@ -620,7 +573,10 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
             f"need tau_init > 0 and 0 < tau_min <= {TAU_MAX:g}, "
             f"got tau_init={opts.tau_init!r}, tau_min={opts.tau_min!r}"
         )
-    current = imm
+    # Iterates own their face state.  Starting from a new immersion at the
+    # same (read-only) positions keeps the caller's one from holding a
+    # FaceData for the whole descent.
+    current = imm.with_positions(imm.positions)
     records = []
     stages = []
     entropy_prev = None
@@ -630,14 +586,13 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
     for k, eps in enumerate(schedule):
         tol_k = max(1e-8, opts.tol_scale * eps**2)
         tau = opts.tau_init
-        e_cur = assembler.energy(current.positions, eps)
+        e_cur = assembler.energy(current, eps)
         factor = None  # release the last stage's factor before building this one
-        factor, areas = projection_factor(current, assembler.evaluate(current.positions)[0])
+        factor, areas = projection_factor(current)
 
         def projected_gradient():
-            grad = assembler.gradient(current.positions, eps)
-            fd, _ = assembler.evaluate(current.positions)
-            _, w_proj = hamiltonian_project(current, grad.covector, fd, factor)
+            grad = assembler.gradient(current, eps)
+            _, w_proj = hamiltonian_project(current, grad.covector, factor)
             return grad, w_proj, _grad_norm(current, areas, w_proj)
 
         stopped_by = "max_iters"
@@ -662,7 +617,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 tried = tau
                 try:
                     candidate = flow_step(current, direction, tau, report)
-                    e_new = assembler.energy(candidate.positions, eps)
+                    e_new = assembler.energy(candidate, eps)
                 except StepRejectedError as exc:
                     report.update(
                         residual_before_restore=exc.residual_before,
@@ -676,6 +631,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
                 if e_new.total <= e_cur.total + opts.armijo * tau * slope:
                     accepted = True
                     break
+                candidate = None  # frees its face state before the next trial
                 tau *= 0.5
             if not accepted:
                 raise StageAbortedError(
@@ -749,7 +705,7 @@ def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: Hamiltonian
             face_id=int(offending[0]),
         )
     w_field = hamiltonian_deformation(imm, spec, convention)
-    fd = FaceData(imm)
+    fd = imm.face_data
     wc = imm.geometry.frame(imm.positions, w_field)[tri]
     dw1 = wc[:, 1] - wc[:, 0]
     dw2 = wc[:, 2] - wc[:, 0]

@@ -39,8 +39,8 @@ class Target:
     Per target: ``dim``, ``alpha_reeb`` (alpha(R)) and ``invariant_defect``;
     the frame map ``frame(base, delta)``, its inverse ``unframe``, the
     adjoint of the inverse ``frame_covector`` (ambient covector to frame
-    covector), the derivative ``frame_dot`` and its adjoint ``frame_adjoint``
-    (whose ``base_bar`` may be the scalar 0); the ``tangent`` and
+    covector) and the adjoint of its derivative ``frame_adjoint`` (whose
+    ``base_bar`` may be the scalar 0); the ``tangent`` and
     ``horizontal`` projections, ``j``, ``reeb`` and ``alpha``;
     ``edge_residual`` and its Reeb derivative ``reeb_slope``,
     ``gauge_scalars``, ``gauge_gradients`` and ``seam_shift``; ``move``
@@ -116,9 +116,6 @@ class FrameTarget(Target):
 
     def frame_covector(self, base, cov):
         return np.asarray(cov, float)
-
-    def frame_dot(self, base, delta, base_dot, delta_dot):
-        return delta_dot
 
     def frame_adjoint(self, base, delta, c_bar):
         return 0.0, c_bar
@@ -223,17 +220,10 @@ class FlatTarget(Target):
         out[..., 1:] += out[..., 0, None] * hs.jc2(base[..., 1:])
         return out
 
-    def frame_dot(self, base, delta, base_dot, delta_dot):
-        """Derivative of frame(base, delta) along (base_dot, delta_dot)."""
-        c0 = (
-            delta_dot[..., 0]
-            - hs.omega0(base_dot[..., 1:], delta[..., 1:])
-            - hs.omega0(base[..., 1:], delta_dot[..., 1:])
-        )
-        return np.concatenate([c0[..., None], delta_dot[..., 1:]], axis=-1)
-
     def frame_adjoint(self, base, delta, c_bar):
-        """(base_bar, delta_bar): the adjoint of :meth:`frame_dot` applied to c_bar."""
+        """(base_bar, delta_bar): the adjoint of the derivative of
+        frame(base, delta), c0 = delta_dot_0 - omega0(base_dot, delta) -
+        omega0(base, delta_dot) and c_i = delta_dot_i, applied to c_bar."""
         f0 = c_bar[..., 0, None]
         base_bar = np.concatenate([np.zeros_like(f0), f0 * hs.jc2(delta[..., 1:])], axis=-1)
         delta_bar = np.concatenate([f0, c_bar[..., 1:] - f0 * hs.jc2(base[..., 1:])], axis=-1)

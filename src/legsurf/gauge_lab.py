@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import FaceData, edge_chords, mean_curvature_one_form, scatter_rows
+from .immersion import edge_chords, mean_curvature_one_form, scatter_rows
 from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def sigma_weight(sigma):
 
 @dataclass
 class GaugeFields:
-    """Per-vertex gauge quantities and per-face tangential gradients."""
+    """Per-vertex gauge quantities and per-face tangential gradients of ``imm``."""
 
     rho: np.ndarray
     phi: np.ndarray
@@ -82,7 +82,7 @@ class GaugeFields:
     face_r: np.ndarray  # face averages
     face_sigma_weight: np.ndarray
     face_arctan: np.ndarray
-    face_data: FaceData
+    imm: DiscreteImmersion
     base_p0: np.ndarray = None
 
 
@@ -129,7 +129,7 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
     grad_h_r[singular] = np.nan
     grad_h_arctan[singular] = np.nan
 
-    fd = FaceData(imm)
+    fd = imm.face_data
     tri = imm.mesh.triangles
     face_ok = ~np.any(singular[tri], axis=1)
     # Faces mixing deck branches carry meaningless interpolated gradients.
@@ -145,20 +145,20 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
         grad_h_r=grad_h_r, grad_h_arctan=grad_h_arctan,
         face_grad_r=face_grad_r, face_grad_arctan=face_grad_arctan,
         face_ok=face_ok, face_r=face_r, face_sigma_weight=face_sigma_weight,
-        face_arctan=face_arctan, face_data=fd, base_p0=p0,
+        face_arctan=face_arctan, imm=imm, base_p0=p0,
     )
 
 
 def gradient_cap_defects(gf: GaugeFields):
     """|grad^S arctan sigma| - 2 / r per face (should stay below an h-slack)."""
-    fd = gf.face_data
-    norms = np.sqrt(np.einsum("fa,fab,fb->f", gf.face_grad_arctan, fd.ginv, gf.face_grad_arctan))
+    ginv = gf.imm.face_data.ginv
+    norms = np.sqrt(np.einsum("fa,fab,fb->f", gf.face_grad_arctan, ginv, gf.face_grad_arctan))
     return norms - 2.0 / np.maximum(gf.face_r, 1e-300)
 
 
-def vertex_tangent_frames(imm: DiscreteImmersion, fd: FaceData | None = None):
+def vertex_tangent_frames(imm: DiscreteImmersion):
     """Orthonormal tangent pairs per vertex from area-weighted face partials."""
-    fd = fd or FaceData(imm)
+    fd = imm.face_data
     m = imm.mesh
     corners = m.triangles.T.ravel()
     acc_u = scatter_rows(corners, np.tile(fd.area[:, None] * fd.du, (3, 1)), m.n_vertices)
@@ -180,7 +180,7 @@ def structure_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
     approximate, so the defect is not polluted by interpolation noise near
     the base point.
     """
-    t1, t2 = vertex_tangent_frames(imm, gf.face_data)
+    t1, t2 = vertex_tangent_frames(imm)
     rho = np.maximum(gf.rho, 1e-300)
     geo = imm.geometry
     # Ambient gradients of rho^2 and phi are independent of the branch shift.
@@ -197,7 +197,7 @@ def structure_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
 
 def perp_gradient_identity_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
     """Vertex version of the perpendicular-gradient identity defect."""
-    t1, t2 = vertex_tangent_frames(imm, gf.face_data)
+    t1, t2 = vertex_tangent_frames(imm)
     gh = gf.grad_h_r
     tang = (
         np.sum(gh * t1, axis=-1, keepdims=True) * t1
@@ -279,29 +279,34 @@ class MonotonicityReport:
         return sum(self.rhs_terms.values())
 
 
-def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float, min_faces=100) -> MonotonicityReport:
+#: Fewest faces the annulus eta < r < 2 r0 of a balance must hold.
+MIN_ANNULUS_FACES = 100
+
+
+def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> MonotonicityReport:
     """Evaluate every displayed term of the truncated balance at scales (r0, eta).
 
     The order-one and order-r bookkeeping bounds are reported separately with
-    explicit constant one; the residual compares only the exact terms.
+    explicit constant one; the residual compares only the exact terms.  An
+    annulus of fewer than ``MIN_ANNULUS_FACES`` faces raises ResolutionError.
     """
     if not 0 < eta < r0:
         raise GeometryDomainError("need 0 < eta < r0")
     gf = gauge_fields(imm, p0)
-    fd = gf.face_data
+    fd = imm.face_data
     ok = gf.face_ok
     area = np.where(ok, fd.area, 0.0)
     rr = np.maximum(gf.face_r, 1e-300)
 
     in_annulus = (rr > eta) & (rr < 2 * r0) & ok
     n_annulus = int(np.count_nonzero(in_annulus))
-    if n_annulus < min_faces:
+    if n_annulus < MIN_ANNULUS_FACES:
         raise ResolutionError(
-            f"annulus eta < r < 2 r0 holds only {n_annulus} faces (< {min_faces})"
+            f"annulus eta < r < 2 r0 holds only {n_annulus} faces (< {MIN_ANNULUS_FACES})"
         )
 
-    mcf = mean_curvature_one_form(imm, fd)
-    dbeta = _face_one_form(imm, fd, 0.5 * mcf.gamma)
+    mcf = mean_curvature_one_form(imm)
+    dbeta = _face_one_form(imm, 0.5 * mcf.gamma)
     h_vals = (chi(gf.r / r0) - chi(gf.r / eta)) * gf.arctan_sigma  # hamiltonian_arctan's h
     dh = fd.grad_scalar(np.where(gf.singular, 0.0, h_vals))
     pair_dh_dbeta = fd.pairing(dh, dbeta)
@@ -364,14 +369,14 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float, min_
     )
 
 
-def _face_one_form(imm, fd: FaceData, edge_values):
+def _face_one_form(imm, edge_values):
     """Per-face parameter coefficients of a one-form given by edge integrals."""
     m = imm.mesh
     d = []
     for e in (m.face_edges[:, 2], m.face_edges[:, 1]):  # corner 0 -> 1, corner 0 -> 2
         sign = np.where(m.edges[e, 0] == m.triangles[:, 0], 1.0, -1.0)
         d.append(sign * edge_values[e])
-    return np.einsum("fij,fi->fj", fd.minv, np.stack(d, axis=-1))
+    return np.einsum("fij,fi->fj", imm.face_data.minv, np.stack(d, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +423,8 @@ def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
     excluded with a warning entry; pass ``min_radius`` to override the cut
     (coarse-resolution studies).
     """
-    fd = gf.face_data
-    imm = fd.imm
+    imm = gf.imm
+    fd = imm.face_data
     r_corners = gf.r[imm.mesh.triangles]
     radii = np.asarray(sorted(radii, reverse=True), float)
     min_s = resolvable_radius(imm) if min_radius is None else float(min_radius)
@@ -486,10 +491,10 @@ def theta0_estimate(gf: GaugeFields, kernel=None, eta=None):
     if kernel is None:
         kernel = polynomial_kernel(*DEFAULT_KERNELS["half_to_three_half"])
     if eta is None:
-        eta = resolvable_radius(gf.face_data.imm)
+        eta = resolvable_radius(gf.imm)
     rr = np.maximum(gf.face_r, 1e-300)
     vals = (eta / rr) * kernel(rr / eta) * gf.face_sigma_weight
-    theta0 = float(np.sum(np.where(gf.face_ok, vals, 0.0) * gf.face_data.area) / eta**2)
+    theta0 = float(np.sum(np.where(gf.face_ok, vals, 0.0) * gf.imm.face_data.area) / eta**2)
     mult = theta0 / (2.0 * np.pi)
     return theta0, mult, abs(mult - round(mult)), float(eta)
 

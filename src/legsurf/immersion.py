@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateFaceError, GeometryDomainError
-from .mesh import DiscreteImmersion
+from .mesh import DiscreteImmersion, parameter_inverse
 
 _PAIR_CACHE = {}
 
@@ -33,44 +33,21 @@ def wedge_nd(x, y):
     return np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], axis=-1)
 
 
-def face_params(imm: DiscreteImmersion):
-    """Per-mesh face constants: corner seam offsets (F, 3, dim), the inverse
-    parameter-edge matrices minv (F, 2, 2) and the parameter areas (F,).
-
-    Without uv the parameters are intrinsic per-face coordinates from the
-    current edge lengths.
-    """
-    m = imm.mesh
+def _intrinsic_uv(imm: DiscreteImmersion):
+    """(F, 3, 2) intrinsic per-face corner parameters from the current frame
+    edge lengths: corner 0 at the origin, corner 1 on the first axis."""
     geo = imm.geometry
-    if m.uv is not None:
-        uv, wraps = m.corner_uv_local()
-        corner_shift = geo.seam_shift(wraps, imm.phi_monodromy)
-    else:
-        corner_shift = np.zeros((len(m.triangles), 3, geo.dim))
-        corners = imm.positions[m.triangles]
-        base = corners[:, 0]
-        e1 = geo.frame(base, corners[:, 1] - base)
-        e2 = geo.frame(base, corners[:, 2] - base)
-        l1 = np.linalg.norm(e1, axis=-1)
-        x2 = np.where(l1 > 0, np.sum(e1 * e2, axis=-1) / np.maximum(l1, 1e-300), 0.0)
-        uv = np.zeros((len(corners), 3, 2))
-        uv[:, 1, 0] = l1
-        uv[:, 2, 0] = x2
-        uv[:, 2, 1] = np.sqrt(np.maximum(np.sum(e2 * e2, axis=-1) - x2**2, 0.0))
-    d1 = uv[:, 1] - uv[:, 0]
-    d2 = uv[:, 2] - uv[:, 0]
-    det_uv = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(det_uv <= 0):
-        bad = int(np.argmin(det_uv))
-        raise GeometryDomainError(f"face {bad} has non-positive parameter orientation")
-    # [du dv] = [e1 e2] minv with M columns the parameter edge vectors.
-    minv = np.empty((len(d1), 2, 2))
-    minv[:, 0, 0] = d2[:, 1]
-    minv[:, 0, 1] = -d2[:, 0]
-    minv[:, 1, 0] = -d1[:, 1]
-    minv[:, 1, 1] = d1[:, 0]
-    minv /= det_uv[:, None, None]
-    return corner_shift, minv, 0.5 * det_uv
+    corners = imm.positions[imm.mesh.triangles]
+    base = corners[:, 0]
+    e1 = geo.frame(base, corners[:, 1] - base)
+    e2 = geo.frame(base, corners[:, 2] - base)
+    l1 = np.linalg.norm(e1, axis=-1)
+    x2 = np.where(l1 > 0, np.sum(e1 * e2, axis=-1) / np.maximum(l1, 1e-300), 0.0)
+    uv = np.zeros((len(corners), 3, 2))
+    uv[:, 1, 0] = l1
+    uv[:, 2, 0] = x2
+    uv[:, 2, 1] = np.sqrt(np.maximum(np.sum(e2 * e2, axis=-1) - x2**2, 0.0))
+    return uv
 
 
 class FaceData:
@@ -81,17 +58,22 @@ class FaceData:
     d1, d2 (corner 0 -> 1, 2) and their frame chords e1, e2, the frame
     partials du, dv, the metric g and its inverse, |W| = sqrt(det g) for the
     wedge W = du ^ dv, the unit Gauss vector W / |W| and the area
-    |W| * uv_area.  ``params`` are the face constants of :func:`face_params`
-    (an :class:`~legsurf.energy.EnergyAssembler` passes its per-mesh ones);
-    they are computed here when not given.  Raises DegenerateFaceError naming
+    |W| * uv_area.  The parameter constants minv and uv_area are the mesh's
+    (:attr:`SurfaceMesh.face_uv`); a mesh without uv gets intrinsic per-face
+    parameters from the current edge lengths.  The arrays are read-only and
+    the object holds the mesh, not the immersion: an immersion keeps its own
+    (:attr:`DiscreteImmersion.face_data`).  Raises DegenerateFaceError naming
     the first face with |W| <= 1e-12 trace(g).
     """
 
-    def __init__(self, imm: DiscreteImmersion, params=None):
-        self.imm = imm
-        corner_shift, self.minv, self.uv_area = face_params(imm) if params is None else params
-        corners = imm.positions[imm.mesh.triangles]
-        corners += corner_shift
+    def __init__(self, imm: DiscreteImmersion):
+        m = self.mesh = imm.mesh
+        corners = imm.positions[m.triangles]
+        if m.uv is None:
+            self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
+        else:
+            wraps, self.minv, self.uv_area = m.face_uv
+            corners += imm.geometry.seam_shift(wraps, imm.phi_monodromy)
         base = self.base_pos = corners[:, 0]
         self.d1, self.d2 = corners[:, 1] - base, corners[:, 2] - base
         e1 = self.e1 = imm.geometry.frame(base, self.d1)
@@ -114,12 +96,15 @@ class FaceData:
         bad = np.flatnonzero(wnorm <= 1e-12 * np.maximum(g11 + g22, 1e-300))
         if bad.size:
             raise DegenerateFaceError(int(bad[0]))
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     @functools.cached_property
     def vertex_areas(self):
         """(V,) read-only barycentric vertex areas: a third of each face's area
         at each of its corners."""
-        m = self.imm.mesh
+        m = self.mesh
         out = np.bincount(
             m.triangles.T.ravel(), weights=np.tile(self.area / 3.0, 3), minlength=m.n_vertices
         )
@@ -128,7 +113,7 @@ class FaceData:
 
     def grad_scalar(self, values):
         """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""
-        tri = self.imm.mesh.triangles
+        tri = self.mesh.triangles
         s0 = values[tri[:, 0]]
         ds = np.stack([values[tri[:, 1]] - s0, values[tri[:, 2]] - s0], axis=-1)
         return np.einsum("fij,fi->fj", self.minv, ds)
@@ -160,7 +145,7 @@ class FaceFrame:
 
 def face_frames(imm: DiscreteImmersion) -> FaceFrame:
     """The frames of every face; raises DegenerateFaceError naming a collapsed face."""
-    fd = FaceData(imm)
+    fd = imm.face_data
     geo = imm.geometry
     ju = geo.j(geo.horizontal(fd.base_pos, fd.du))
     jv = geo.j(geo.horizontal(fd.base_pos, fd.dv))
@@ -199,7 +184,7 @@ def validate_immersion(imm: DiscreteImmersion):
     defect = imm.geometry.invariant_defect(imm.positions)
     if defect > 1e-11:
         raise GeometryDomainError(f"vertex frames violate target invariants: {defect:.2e}")
-    FaceData(imm)  # raises on degenerate faces
+    imm.face_data  # raises on degenerate faces
     res = legendrian_residual(imm)
     if res.max > imm.legendrian_tol:
         raise GeometryDomainError(
@@ -313,7 +298,7 @@ def hopf_differential(imm: DiscreteImmersion):
     """Per-face (|d_u|^2 - |d_v|^2)/4 - i (d_u . d_v)/2 in parameter coordinates."""
     if imm.mesh.uv is None:
         raise GeometryDomainError("hopf differential requires uv parameters")
-    fd = FaceData(imm)
+    fd = imm.face_data
     return (fd.g[:, 0, 0] - fd.g[:, 1, 1]) / 4.0 - 1j * fd.g[:, 0, 1] / 2.0
 
 
@@ -321,7 +306,7 @@ def hopf_differential(imm: DiscreteImmersion):
 # mean-curvature one-form, Lagrangian angle
 
 
-def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
+def cotangent_weights(imm: DiscreteImmersion):
     """Per-edge cotangent weights and barycentric vertex areas
     (:attr:`FaceData.vertex_areas`) from the immersion's :class:`FaceData`.
 
@@ -332,7 +317,7 @@ def cotangent_weights(imm: DiscreteImmersion, fd: FaceData | None = None):
     corner 1's (e3, -e1) and corner 2's (-e2, -e3).
     """
     m = imm.mesh
-    fd = fd or FaceData(imm)
+    fd = imm.face_data
     e1, e2 = fd.e1, fd.e2
     e3 = imm.geometry.frame(fd.base_pos + fd.d1, fd.d2 - fd.d1)
     sq1, sq2, sq3 = (np.sum(e * e, axis=-1) for e in (e1, e2, e3))
@@ -372,21 +357,16 @@ class MeanCurvatureForm:
     vertex_areas: np.ndarray
 
 
-def mean_curvature_one_form(
-    imm: DiscreteImmersion, fd: FaceData | None = None
-) -> MeanCurvatureForm:
+def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
     """Edge samples of the mean-curvature one-form and the integrated angle.
 
     The angle beta satisfies d beta = gamma / 2; its Laplacian (assembled from
     the edge one-form, so branch jumps never enter) is the minimality defect.
     beta is summed along a breadth-first spanning tree of each component,
-    rooted at its smallest vertex.  ``fd`` is the immersion's
-    :class:`FaceData`, built here when not given.
+    rooted at its smallest vertex.
     """
     m = imm.mesh
-    if fd is None:
-        fd = FaceData(imm)
-    weights, areas = cotangent_weights(imm, fd)
+    weights, areas = cotangent_weights(imm)
     chords = edge_chords(imm)  # minus these framed at the heads
     # cot-Laplacian of the immersion per vertex, in frame components at the vertex
     wc = weights[:, None] * chords

@@ -36,6 +36,29 @@ def _float_array(values, shape, what):
     return out
 
 
+def parameter_inverse(uv):
+    """The inverse parameter-edge matrices minv (F, 2, 2) and the parameter
+    areas (F,) of per-face corner parameters ``uv`` (F, 3, 2).
+
+    With M's columns the parameter edge vectors from corner 0, a face's frame
+    partials are [du dv] = [e1 e2] minv, minv = M^-1.  Raises
+    GeometryDomainError naming the first face of non-positive orientation.
+    """
+    d1 = uv[:, 1] - uv[:, 0]
+    d2 = uv[:, 2] - uv[:, 0]
+    det_uv = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    if np.any(det_uv <= 0):
+        bad = int(np.argmin(det_uv))
+        raise GeometryDomainError(f"face {bad} has non-positive parameter orientation")
+    minv = np.empty((len(d1), 2, 2))
+    minv[:, 0, 0] = d2[:, 1]
+    minv[:, 0, 1] = -d2[:, 0]
+    minv[:, 1, 0] = -d1[:, 1]
+    minv[:, 1, 1] = d1[:, 0]
+    minv /= det_uv[:, None, None]
+    return minv, 0.5 * det_uv
+
+
 class SurfaceMesh:
     """Oriented manifold triangle mesh with optional parameter coordinates."""
 
@@ -222,6 +245,17 @@ class SurfaceMesh:
             wraps = w
         return uv, wraps.astype(int)
 
+    @functools.cached_property
+    def face_uv(self):
+        """Read-only per-face parameter constants, built on first use: the
+        (F, 3, 2) wraps of :meth:`corner_uv_local` and the minv (F, 2, 2) and
+        parameter areas (F,) of :func:`parameter_inverse`."""
+        uv, wraps = self.corner_uv_local()
+        out = (wraps, *parameter_inverse(uv))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
     def components(self):
         """Connected components as ascending vertex-index lists, ordered by smallest vertex."""
         n_comp, labels = connected_components(self.vertex_graph, directed=False)
@@ -237,6 +271,8 @@ class DiscreteImmersion:
     """A mesh with vertex images in one of the two targets.
 
     ``target`` is the target's name; ``geometry`` is its :class:`fields.Target`.
+    ``positions`` is read-only (a writable array passed in is copied), so the
+    face state derived from it, :attr:`face_data`, is built once and kept.
     """
 
     mesh: SurfaceMesh
@@ -247,9 +283,13 @@ class DiscreteImmersion:
 
     def __post_init__(self):
         self.geometry = fields.geometry(self.target)
-        self.positions = _float_array(
+        positions = _float_array(
             self.positions, (self.mesh.n_vertices, self.geometry.dim), "positions"
         )
+        if positions.flags.writeable:  # never alias, nor freeze, the caller's array
+            positions = positions.copy()
+            positions.flags.writeable = False
+        self.positions = positions
         self.phi_monodromy = (float(self.phi_monodromy[0]), float(self.phi_monodromy[1]))
         if any(self.phi_monodromy) and not self.geometry.carries_monodromy:
             raise GeometryDomainError(
@@ -258,6 +298,14 @@ class DiscreteImmersion:
             )
         if not np.all(np.isfinite(self.positions)):
             raise GeometryDomainError("positions contain non-finite values")
+
+    @functools.cached_property
+    def face_data(self):
+        """The immersion's :class:`~legsurf.immersion.FaceData`, built on first
+        use; DegenerateFaceError names a collapsed face on every access."""
+        from .immersion import FaceData  # immersion imports this module
+
+        return FaceData(self)
 
     def with_positions(self, positions):
         return DiscreteImmersion(

@@ -7,9 +7,9 @@ evaluated by one planned gather and contraction, the projection stiffness
 was filled into a kept pattern, meshes were written through the C JSON
 encoder, the mean-curvature one-form lost its Python spanning-tree walk and
 edge dict, grid triangles were built by index arithmetic, the Gauss stencil
-weights were written out in closed form and the quadratic-fit curvature was
-batched by neighbourhood size, kept here only as oracles for the equivalence
-tests.
+weights were written out in closed form, the quadratic-fit curvature was
+batched by neighbourhood size and the first variation became the gradient's
+pairing, kept here only as oracles for the equivalence tests.
 """
 
 import json
@@ -17,6 +17,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
+from legsurf import heisenberg as hs
 from legsurf.errors import GeometryDomainError
 from legsurf.immersion import (
     CurvatureData,
@@ -291,14 +292,11 @@ def gauss_gradients(asm, fd):
     return a_list, quad
 
 
-def _face_data(asm, positions):
-    """FaceData of the assembler's mesh at ``positions``, not the assembler's kept one."""
-    return FaceData(asm.template.with_positions(positions), asm.face_params)
-
-
-def energy_gradient(asm, positions, eps):
-    """EnergyAssembler.gradient with multi-operand einsums and np.add.at scatters."""
-    fd = _face_data(asm, positions)
+def energy_gradient(asm, imm, eps):
+    """EnergyAssembler.gradient with multi-operand einsums and np.add.at scatters,
+    on a FaceData built here rather than the immersion's kept one."""
+    positions = imm.positions
+    fd = FaceData(imm)
     a_list, quad = gauss_gradients(asm, fd)
     n_f = len(asm.tri)
     s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
@@ -337,15 +335,31 @@ def energy_gradient(asm, positions, eps):
     return asm.geometry.tangent(positions, grad)
 
 
-def energy_first_variation(asm, positions, eps, w_field):
-    """EnergyAssembler.first_variation with the metric algebra as three-index einsums."""
-    w_field = asm.geometry.tangent(positions, np.asarray(w_field, float))
-    fd = _face_data(asm, positions)
+def _frame_dot(geo, base, delta, base_dot, delta_dot):
+    """Derivative of geo.frame(base, delta) along (base_dot, delta_dot): the
+    identity on the frame manifold; in the flat model the Reeb component
+    delta_0 - omega0(base, delta) also varies with the base."""
+    if geo.name == "stiefel":
+        return delta_dot
+    c0 = (
+        delta_dot[..., 0]
+        - hs.omega0(base_dot[..., 1:], delta[..., 1:])
+        - hs.omega0(base[..., 1:], delta_dot[..., 1:])
+    )
+    return np.concatenate([c0[..., None], delta_dot[..., 1:]], axis=-1)
+
+
+def energy_first_variation(asm, imm, eps, w_field):
+    """The directional derivative of the energy assembled forward, term by term
+    from the metric, volume-form and Gauss-map variations, with the metric
+    algebra as three-index einsums; an oracle independent of the gradient."""
+    w_field = asm.geometry.tangent(imm.positions, np.asarray(w_field, float))
+    fd = FaceData(imm)
     a_list, quad = gauss_gradients(asm, fd)
     wc = w_field[asm.tri]
     base = fd.base_pos
-    e1_dot = asm.geometry.frame_dot(base, fd.d1, wc[:, 0], wc[:, 1] - wc[:, 0])
-    e2_dot = asm.geometry.frame_dot(base, fd.d2, wc[:, 0], wc[:, 2] - wc[:, 0])
+    e1_dot = _frame_dot(asm.geometry, base, fd.d1, wc[:, 0], wc[:, 1] - wc[:, 0])
+    e2_dot = _frame_dot(asm.geometry, base, fd.d2, wc[:, 0], wc[:, 2] - wc[:, 0])
     du_dot = fd.minv[:, 0, 0, None] * e1_dot + fd.minv[:, 1, 0, None] * e2_dot
     dv_dot = fd.minv[:, 0, 1, None] * e1_dot + fd.minv[:, 1, 1, None] * e2_dot
     du, dv = fd.du, fd.dv

@@ -117,11 +117,11 @@ class TestCriterion3GradientCorrectness:
                 w = energy.project_field(
                     pc.target, pc.positions, rng.standard_normal(pc.positions.shape)
                 )
-                analytic = asm.first_variation(pc.positions, 0.25, w)
+                analytic = asm.first_variation(pc, 0.25, w)
 
                 def central(t):
-                    ep = asm.energy(pc.positions + t * w, 0.25).total
-                    em = asm.energy(pc.positions - t * w, 0.25).total
+                    ep = asm.energy(pc.with_positions(pc.positions + t * w), 0.25).total
+                    em = asm.energy(pc.with_positions(pc.positions - t * w), 0.25).total
                     return (ep - em) / (2 * t)
 
                 # Steps sized for rough random directions: the quartic

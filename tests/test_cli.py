@@ -248,6 +248,17 @@ class TestDensityCommand:
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == "s,ratio,n_components"
 
+    def test_stdout_prints_plain_floats(self, tmp_path):
+        r = run_cli(
+            "density", "--family", "flat_patch", "--resolution", "64", "--out", str(tmp_path),
+        )
+        assert r.returncode == 0
+        (line,) = [l for l in r.stdout.splitlines() if l.startswith("density ratios: ")]
+        printed = json.loads(line.removeprefix("density ratios: "))
+        text = (tmp_path / "density.csv").read_text()
+        rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+        assert printed == [round(float(ratio), 4) for _, ratio, _ in rows]
+
     def test_no_resolvable_radius_rejected(self, tmp_path):
         r = run_cli(
             "density", "--family", "flat_patch", "--resolution", "8", "--out", str(tmp_path),

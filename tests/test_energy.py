@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from legsurf import corpus, energy, gauge_lab, immersion
 from legsurf.checks import fit_loglog_slope
 from legsurf.errors import GeometryDomainError, LocalisationError
@@ -22,10 +23,10 @@ def spec_of(poly):
     return energy.HamiltonianSpec(h=lambda p: poly(p), grad=lambda p: poly.grad(p))
 
 
-def richardson_directional(asm, positions, eps, w, t1=1e-3, t2=1e-4):
+def richardson_directional(asm, imm, eps, w, t1=1e-3, t2=1e-4):
     def central(t):
-        ep = asm.energy(positions + t * w, eps).total
-        em = asm.energy(positions - t * w, eps).total
+        ep = asm.energy(imm.with_positions(imm.positions + t * w), eps).total
+        em = asm.energy(imm.with_positions(imm.positions - t * w), eps).total
         return (ep - em) / (2 * t)
 
     d1, d2 = central(t1), central(t2)
@@ -62,6 +63,7 @@ class TestEnergy:
 
 class TestFirstVariation:
     def test_directional_equals_pairing(self):
+        # The gradient's pairing against the forward-mode oracle.
         for target in TARGETS:
             rng = np.random.default_rng(0)
             pc = corpus.perturbed_clifford(12, amplitude=2e-2, seed=3, target=target)
@@ -69,9 +71,9 @@ class TestFirstVariation:
             w = energy.project_field(
                 pc.target, pc.positions, rng.standard_normal(pc.positions.shape)
             )
-            direct = asm.first_variation(pc.positions, 0.3, w)
-            paired = float(np.sum(asm.gradient(pc.positions, 0.3).covector * w))
-            assert direct == pytest.approx(paired, rel=1e-12), target
+            direct = asm.first_variation(pc, 0.3, w)
+            oracle = ref.energy_first_variation(asm, pc, 0.3, w)
+            assert direct == pytest.approx(oracle, rel=1e-12), target
 
     def test_gradient_matches_richardson_fd(self):
         for target in TARGETS:
@@ -82,8 +84,8 @@ class TestFirstVariation:
                 w = energy.project_field(
                     pc.target, pc.positions, rng.standard_normal(pc.positions.shape)
                 )
-                analytic = asm.first_variation(pc.positions, 0.25, w)
-                fd = richardson_directional(asm, pc.positions, 0.25, w)
+                analytic = asm.first_variation(pc, 0.25, w)
+                fd = richardson_directional(asm, pc, 0.25, w)
                 assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic)), target
 
     def test_area_variation_matches_fd_interior_bump(self):
@@ -98,8 +100,8 @@ class TestFirstVariation:
         bump[uv[:, 1] > 1 - 1e-9] = 0.0
         w = np.zeros_like(fp.positions)
         w[:, 1] = bump
-        analytic = asm.first_variation(fp.positions, 1e-8, w)
-        fd = richardson_directional(asm, fp.positions, 1e-8, w)
+        analytic = asm.first_variation(fp, 1e-8, w)
+        fd = richardson_directional(asm, fp, 1e-8, w)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic))
 
     def test_reeb_rotation_invariance_on_stiefel_torus(self):
@@ -231,9 +233,9 @@ class TestDescend:
         calls = []
         gradient = energy.EnergyAssembler.gradient
 
-        def counting(self, positions, eps):
+        def counting(self, imm, eps):
             calls.append(eps)
-            return gradient(self, positions, eps)
+            return gradient(self, imm, eps)
 
         monkeypatch.setattr(energy.EnergyAssembler, "gradient", counting)
         opts = energy.DescentOptions(max_iters=40, tol_scale=1e-2)
@@ -245,7 +247,7 @@ class TestDescend:
         # The reported norm is the one measured at the final mesh, in the
         # stage's frozen metric: the factor and areas of the stage-start mesh.
         factor, areas = energy.projection_factor(pc)
-        grad = gradient(energy.EnergyAssembler(res.final), res.final.positions, 0.2)
+        grad = gradient(energy.EnergyAssembler(res.final), res.final, 0.2)
         _, w_proj = energy.hamiltonian_project(res.final, grad.covector, factor=factor)
         assert stage.grad_norm == energy._grad_norm(res.final, areas, w_proj)
 
@@ -263,16 +265,16 @@ class TestDescend:
     @pytest.mark.parametrize("target", TARGETS)
     def test_slope_is_gradient_pairing(self, target):
         # The Armijo slope at the first iterate: the gradient that the
-        # projection used, paired with the descent direction.
+        # projection used, paired with the descent direction, is the
+        # directional derivative of the forward-mode oracle.
         pc = corpus.perturbed_clifford(12, amplitude=1e-2, seed=3, target=target)
         asm = energy.EnergyAssembler(pc)
-        fd, _ = asm.evaluate(pc.positions)
-        factor, _ = energy.projection_factor(pc, fd)
-        grad = asm.gradient(pc.positions, 0.2)
-        _, w_proj = energy.hamiltonian_project(pc, grad.covector, fd, factor)
+        factor, _ = energy.projection_factor(pc)
+        grad = asm.gradient(pc, 0.2)
+        _, w_proj = energy.hamiltonian_project(pc, grad.covector, factor)
         slope = grad.pair(-w_proj)
         assert slope < 0
-        assert slope == pytest.approx(asm.first_variation(pc.positions, 0.2, -w_proj), rel=1e-12)
+        assert slope == pytest.approx(ref.energy_first_variation(asm, pc, 0.2, -w_proj), rel=1e-12)
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_descent_assembles_no_first_variation(self, target, monkeypatch):
@@ -329,7 +331,7 @@ class TestPairingIdentity:
             lhs = energy.first_variation(cl, 1e-9, w)
             fd = immersion.FaceData(cl)
             mcf = immersion.mean_curvature_one_form(cl)
-            dbeta = energy_face_one_form(cl, fd, 0.5 * mcf.gamma)
+            dbeta = energy_face_one_form(cl, 0.5 * mcf.gamma)
             h_vals = spec.h(cl.positions)
             dh = fd.grad_scalar(h_vals)
             rhs = 2.0 * float(np.sum(fd.pairing(dh, dbeta) * fd.area))
@@ -364,10 +366,10 @@ def _stretched(n):
     return fp.with_positions(pos)
 
 
-def energy_face_one_form(imm, fd, edge_values):
+def energy_face_one_form(imm, edge_values):
     from legsurf.gauge_lab import _face_one_form
 
-    return _face_one_form(imm, fd, edge_values)
+    return _face_one_form(imm, edge_values)
 
 
 class TestWeakStationarity:
@@ -512,7 +514,7 @@ class TestDegenerateFaces:
             return imm.with_positions(pos)
 
         with pytest.raises(DegenerateFaceError):
-            energy.EnergyAssembler(pc).energy(collapsed(pc).positions, 0.2)
+            energy.EnergyAssembler(pc).energy(collapsed(pc), 0.2)
         flow_step, taus = energy.flow_step, []
 
         def collapsing_first(imm, w_field, tau, report=None):

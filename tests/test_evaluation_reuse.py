@@ -1,13 +1,16 @@
 """One evaluation per descent iterate, and the kernels rewritten for speed.
 
-The assembler keeps the FaceData of the last positions it evaluated; every
-result computed from that kept FaceData must equal a fresh evaluation bitwise,
-and changed positions must never be served stale.  A mesh keeps its edges'
+An immersion keeps its FaceData and its positions are read-only; every result
+computed from that kept FaceData must equal a fresh evaluation bitwise, and
+changed positions must never be served stale.  A mesh keeps its edges'
 seam wraps, and the edge offsets built from them must equal the per-call
 ones bitwise.  The stiffness fill and the mesh writer must reproduce the
 bodies they replaced (``reference_loops``) exactly; a polynomial's planned
 value and gradient must match the product of powers per term to rounding.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,15 +38,14 @@ def _perturbed(target):
     return corpus.perturbed_clifford(8, amplitude=5e-2, seed=2, target=target)
 
 
-def _counting_evaluations(asm, monkeypatch):
-    """Counts the FaceData builds of ``asm``'s evaluations (those with its face constants)."""
+def _counting_face_data(monkeypatch):
+    """Counts the FaceData builds."""
     calls = []
     init = immersion.FaceData.__init__
 
-    def counting(self, imm, params=None):
-        if params is asm.face_params:
-            calls.append(1)
-        init(self, imm, params)
+    def counting(self, imm):
+        calls.append(1)
+        init(self, imm)
 
     monkeypatch.setattr(immersion.FaceData, "__init__", counting)
     return calls
@@ -55,23 +57,21 @@ def test_evaluations_after_energy_equal_fresh_ones(target, monkeypatch):
     p = imm.positions
     w = np.random.default_rng(4).standard_normal(p.shape)
     asm = energy.EnergyAssembler(imm)
-    calls = _counting_evaluations(asm, monkeypatch)
-    e = asm.energy(p, EPS)
-    grad = asm.gradient(p, EPS)
-    fv = asm.first_variation(p, EPS, w)
-    u, w_proj = energy.hamiltonian_project(imm, grad.covector, asm.evaluate(p)[0])
-    e_next = asm.energy(p, 0.1)  # the next stage's first energy
+    calls = _counting_face_data(monkeypatch)
+    e = asm.energy(imm, EPS)
+    grad = asm.gradient(imm, EPS)
+    fv = asm.first_variation(imm, EPS, w)
+    u, w_proj = energy.hamiltonian_project(imm, grad.covector)
+    e_next = asm.energy(imm, 0.1)  # the next stage's first energy
     assert len(calls) == 1
 
-    def fresh():
-        return energy.EnergyAssembler(imm)
-
-    assert e == fresh().energy(p, EPS)
-    assert e_next == fresh().energy(p, 0.1)
-    fresh_grad = fresh().gradient(p, EPS)
+    # Fresh evaluations: new assemblers at new immersions of the same positions.
+    assert e == energy.energy(imm.with_positions(p), EPS)
+    assert e_next == energy.energy(imm.with_positions(p), 0.1)
+    fresh_grad = energy.gradient(imm.with_positions(p), EPS)
     assert _bits(grad.covector) == _bits(fresh_grad.covector)
-    assert fv == fresh().first_variation(p, EPS, w)
-    u_ref, w_ref = energy.hamiltonian_project(imm, fresh_grad.covector)
+    assert fv == energy.first_variation(imm.with_positions(p), EPS, w)
+    u_ref, w_ref = energy.hamiltonian_project(imm.with_positions(p), fresh_grad.covector)
     assert _bits(u) == _bits(u_ref)
     assert _bits(w_proj) == _bits(w_ref)
 
@@ -80,28 +80,32 @@ def test_evaluations_after_energy_equal_fresh_ones(target, monkeypatch):
 def test_changed_positions_are_evaluated_again(target, monkeypatch):
     imm = _perturbed(target)
     asm = energy.EnergyAssembler(imm)
-    calls = _counting_evaluations(asm, monkeypatch)
+    calls = _counting_face_data(monkeypatch)
     p = imm.positions.copy()
-    e0 = asm.energy(p, EPS)
-    asm.energy(p.copy(), EPS)  # equal bits in another array: reused
+    e0 = asm.energy(imm, EPS)
+    asm.energy(imm, EPS)  # the same immersion: its face state is reused
     assert len(calls) == 1
-    p[3] += 1e-3 * imm.geometry.reeb(p[3])  # moved in place
-    grad = asm.gradient(p, EPS)
-    e1 = asm.energy(p, EPS)
+    with pytest.raises(ValueError):
+        imm.positions[3] = p[3]  # an immersion's positions are never moved in place
+    p[3] += 1e-3 * imm.geometry.reeb(p[3])
+    moved = imm.with_positions(p)
+    grad = asm.gradient(moved, EPS)
+    e1 = asm.energy(moved, EPS)
     assert len(calls) == 2
-    assert e1 != e0
-    assert e1 == energy.EnergyAssembler(imm).energy(p, EPS)
-    assert _bits(grad.covector) == _bits(energy.EnergyAssembler(imm).gradient(p, EPS).covector)
-    other = imm.positions + 1e-3  # a new array
-    assert asm.energy(other, EPS) == energy.EnergyAssembler(imm).energy(other, EPS)
+    other = imm.with_positions(imm.positions + 1e-3)
+    e_other = asm.energy(other, EPS)
     assert len(calls) == 3
+    assert e1 != e0
+    assert e1 == energy.energy(imm.with_positions(p), EPS)
+    assert _bits(grad.covector) == _bits(energy.gradient(imm.with_positions(p), EPS).covector)
+    assert e_other == energy.energy(imm.with_positions(other.positions), EPS)
 
 
 def test_kept_state_is_read_only():
     imm = _perturbed("heisenberg")
     asm = energy.EnergyAssembler(imm)
-    fd, (a_list, _, quad) = asm.evaluate(imm.positions)
-    for arr in (fd.area, fd.ginv, a_list, quad):
+    fd, (a_list, _, quad) = asm.evaluate(imm)
+    for arr in (imm.positions, fd.area, fd.ginv, a_list, quad):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -113,34 +117,62 @@ def test_face_data_rejects_degenerate_faces():
     pos[c] = pos[a] + 0.5 * (pos[b] - pos[a])  # collapse face 0 onto its edge
     flat = fp.with_positions(pos)
     with pytest.raises(DegenerateFaceError):
-        energy.EnergyAssembler(fp).evaluate(flat.positions)
+        energy.EnergyAssembler(fp).evaluate(flat)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_descent_evaluates_each_iterate_once(target, monkeypatch):
     pc = corpus.perturbed_clifford(8, amplitude=1e-2, seed=3, target=target)
-    face_data_inits, face_states, candidates = [], [], []
-    init, flow_step = immersion.FaceData.__init__, energy.flow_step
-
-    def counting_init(self, imm, params=None):
-        # with the face constants given: an assembler's evaluation
-        (face_data_inits if params is None else face_states).append(1)
-        init(self, imm, params)
+    candidates = []
+    flow_step = energy.flow_step
 
     def counting_flow_step(*args, **kwargs):
         out = flow_step(*args, **kwargs)
         candidates.append(1)
         return out
 
-    monkeypatch.setattr(immersion.FaceData, "__init__", counting_init)
+    face_states = _counting_face_data(monkeypatch)
     monkeypatch.setattr(energy, "flow_step", counting_flow_step)
     res = energy.descend(pc, [0.2, 0.1], energy.DescentOptions(max_iters=3))
     assert res.records
-    # No FaceData is built from scratch (the stage's projection factor and
-    # areas come from the assembler's FaceData); the start and each restored
-    # candidate are evaluated once, whatever is asked of them.
-    assert len(face_data_inits) == 0
+    # The stage's projection factor and areas come from the iterate's own
+    # FaceData; the start and each restored candidate are evaluated once,
+    # whatever is asked of them.
     assert len(face_states) == 1 + len(candidates)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_immersion_keeps_one_face_data(target):
+    imm = _perturbed(target)
+    with pytest.raises(ValueError):
+        imm.positions[0, 0] = 0.0
+    fd = imm.face_data
+    assert imm.face_data is fd
+    moved = imm.with_positions(imm.positions)
+    assert moved.face_data is not fd
+    fresh = immersion.FaceData(imm)
+    for name, value in vars(fresh).items():
+        if isinstance(value, np.ndarray):
+            assert _bits(getattr(fd, name)) == _bits(value), name
+    assert _bits(fd.vertex_areas) == _bits(fresh.vertex_areas)
+    # A writable array handed in is copied, never frozen or aliased.
+    pos = imm.positions.copy()
+    other = imm.with_positions(pos)
+    pos[0] += 1.0
+    assert pos.flags.writeable and _bits(other.positions) == _bits(imm.positions)
+
+
+def test_dropped_immersion_frees_its_face_data():
+    # FaceData holds the mesh, not the immersion: no reference cycle, so a
+    # rejected line-search candidate is freed without the cycle collector.
+    imm = _perturbed("heisenberg")
+    refs = weakref.ref(imm), weakref.ref(imm.face_data)
+    gc.disable()
+    try:
+        del imm
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 STIFFNESS_CASES = [

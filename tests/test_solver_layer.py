@@ -29,7 +29,7 @@ def test_hamiltonian_map_matches_coo_assembly(family, kw):
     imm = corpus.generate(family, **kw)
     fd = FaceData(imm)
     b_ref = ref.hamiltonian_matrix(imm, fd)
-    b_op = energy.hamiltonian_map(imm, fd)
+    b_op = energy.hamiltonian_map(imm)
     assert b_op.shape == b_ref.shape
     n_rows, n_v = b_ref.shape
     assert _rel_err(b_op @ np.eye(n_v), b_ref.toarray()) <= 1e-13
@@ -55,7 +55,7 @@ def test_hamiltonian_map_adjoint(target):
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
 def test_projection_with_own_factor_matches_fresh(target):
     imm = corpus.perturbed_clifford(12, amplitude=5e-2, seed=4, target=target)
-    grad = energy.EnergyAssembler(imm).gradient(imm.positions, 0.2)
+    grad = energy.EnergyAssembler(imm).gradient(imm, 0.2)
     factor, _ = energy.projection_factor(imm)
     u, w = energy.hamiltonian_project(imm, grad.covector, factor=factor)
     u_fresh, w_fresh = energy.hamiltonian_project(imm, grad.covector)
@@ -111,7 +111,7 @@ def test_reeb_slope_matches_central_differences(target):
 
 def test_restoration_adds_no_uniform_phi_translation():
     imm = corpus.perturbed_clifford(48)
-    grad = energy.EnergyAssembler(imm).gradient(imm.positions, 0.2)
+    grad = energy.EnergyAssembler(imm).gradient(imm, 0.2)
     _, w_proj = energy.hamiltonian_project(imm, grad.covector)
     moved = imm.with_positions(imm.geometry.move(imm.positions, -1.0 * w_proj))
     restored, _, _, passes = energy.restore_constraint(moved)
@@ -134,7 +134,7 @@ def test_flow_step_reports_restore_iters():
     report = {}
     energy.flow_step(imm, np.zeros_like(imm.positions), 1e-2, report=report)
     assert report["restore_iters"] == 0
-    grad = energy.EnergyAssembler(imm).gradient(imm.positions, 0.2)
+    grad = energy.EnergyAssembler(imm).gradient(imm, 0.2)
     _, w_proj = energy.hamiltonian_project(imm, grad.covector)
     energy.flow_step(imm, -w_proj, 1.0, report=report)
     assert report["residual_before_restore"] > imm.legendrian_tol
