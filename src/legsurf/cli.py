@@ -233,22 +233,22 @@ def cmd_descend(config, out_dir):
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    status = EXIT_OK
+    status, aborted = EXIT_OK, None
     try:
         result = energy.descend(imm, config["epsilon_schedule"], opts)
-        records, stages, final = result.records, result.stages, result.final
-        stopped = result.stopped_by_entropy
     except StageAbortedError as exc:
         print(f"stage aborted: {exc}")
-        records, stages, final, stopped = [], [], imm, False
-        status = EXIT_SOLVER
+        status, result, aborted = EXIT_SOLVER, exc.result, exc.diagnostics
+    records, stages = result.records, result.stages
     with open(out / "trajectory.jsonl", "w") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-    final.save(out / "final_mesh.json")
+    result.final.save(out / "final_mesh.json")
     summary = report_header(config)
     summary["stages"] = [s.to_json() for s in stages]
-    summary["stopped_by_entropy"] = stopped
+    summary["stopped_by_entropy"] = result.stopped_by_entropy
+    if aborted is not None:
+        summary["aborted"] = aborted
     if records:
         last = records[-1]
         summary["final"] = {

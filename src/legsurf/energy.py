@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import fields
 from .errors import (
     DegenerateFaceError,
     DegenerateFrameError,
@@ -62,11 +61,6 @@ class HamiltonianSpec:
 
     h: callable
     grad: callable
-
-
-def project_field(target, positions, w):
-    """Project an ambient per-vertex field onto the target tangent spaces."""
-    return fields.geometry(target).tangent(positions, np.asarray(w, float))
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +351,20 @@ def restore_constraint(imm: DiscreteImmersion):
     return imm.with_positions(positions), before, res_max, passes
 
 
-def flow_step(imm: DiscreteImmersion, w_field, tau: float, report: dict = None) -> DiscreteImmersion:
+def flow_step(imm: DiscreteImmersion, w_field, tau: float):
     """Move vertices by tau * w, retract, and restore the Legendrian gate.
 
-    When ``report`` is a dict it receives the residuals before and after the
-    restoration and the number of Gauss-Newton passes, ``restore_iters``.
+    Returns :func:`restore_constraint`'s (restored immersion, residual before,
+    residual after, Gauss-Newton passes); a zero field returns
+    (imm, r, r, 0) with r the residual of ``imm``.
     """
     if not tau > 0:
         raise GeometryDomainError("step size must be positive")
     w_field = np.asarray(w_field, float)
     if not w_field.any():
-        if report is not None:
-            base = legendrian_residual(imm).max
-            report.update(
-                residual_before_restore=base, residual_after_restore=base, restore_iters=0
-            )
-        return imm
-    moved = imm.with_positions(imm.geometry.move(imm.positions, tau * w_field))
-    restored, before, after, passes = restore_constraint(moved)
-    if report is not None:
-        report.update(
-            residual_before_restore=before, residual_after_restore=after, restore_iters=passes
-        )
-    return restored
+        r = legendrian_residual(imm).max
+        return imm, r, r, 0
+    return restore_constraint(imm.with_positions(imm.geometry.move(imm.positions, tau * w_field)))
 
 
 def pre_restoration_residual(imm: DiscreteImmersion, w_field, tau: float) -> float:
@@ -443,7 +428,7 @@ def hamiltonian_map(imm: DiscreteImmersion):
 
 
 def projection_factor(imm: DiscreteImmersion):
-    """LU factor of the Hamiltonian projection's system at ``imm``, and its vertex areas.
+    """LU factor of the Hamiltonian projection's system at ``imm``.
 
     The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
     pairing identity <dA, X_u> = 2 int <du, d beta>), so the cot stiffness
@@ -455,7 +440,7 @@ def projection_factor(imm: DiscreteImmersion):
     weights, areas = cotangent_weights(imm)
     # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
     a_mat = imm.mesh.stiffness(2.0 * weights, (-4.0 / imm.geometry.alpha_reeb) * areas)
-    return spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A"), areas
+    return spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A")
 
 
 def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
@@ -468,7 +453,7 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
     ``imm``.  Returns u and the field B u in ambient components.
     """
     if factor is None:
-        factor, _ = projection_factor(imm)
+        factor = projection_factor(imm)
     b_op = hamiltonian_map(imm)
     geo = imm.geometry
     gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
@@ -530,6 +515,8 @@ class StageReport:
 
 @dataclass
 class DescentResult:
+    """A descent so far: last accepted iterate, step records, finished stages."""
+
     final: DiscreteImmersion
     records: list
     stages: list
@@ -541,26 +528,99 @@ def _grad_norm(imm, areas, w):
     return float(np.sqrt(np.sum(areas * wn) / np.sum(areas)))
 
 
+def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps: float,
+                  opts: DescentOptions) -> StageReport:
+    """Stage ``k`` of :func:`descend`, at ``eps``, from ``result.final``.
+
+    Armijo line searches (see ``TAU_MAX``) along Hamiltonian-projected
+    negative gradients, until the projected gradient norm reaches
+    max(1e-8, tol_scale * eps^2).  The projection's system
+    (:func:`projection_factor`) is factored once, at the stage-start mesh,
+    and the gradient norm is measured in that frozen metric, with the
+    stage-start vertex areas.  The Armijo slope is the pairing of the
+    gradient the projection used with the direction.  A trial step whose
+    restoration stalls, or which collapses a face or a vertex frame, is
+    retried at half the step.
+
+    Each accepted step replaces ``result.final`` and appends its record to
+    ``result.records``; a ``StageAbortedError`` carries ``result`` as it
+    stands.  Returns the stage's report.
+    """
+    tol = max(1e-8, opts.tol_scale * eps**2)
+    current = result.final
+    factor = projection_factor(current)
+    areas = current.face_data.vertex_areas
+    e_cur = assembler.energy(current, eps)
+    tau = opts.tau_init
+    for it in range(opts.max_iters + 1):  # it: steps accepted so far
+        grad = assembler.gradient(current, eps)
+        _, w_proj = hamiltonian_project(current, grad.covector, factor)
+        gnorm = _grad_norm(current, areas, w_proj)
+        if gnorm <= tol:
+            stopped_by = "tolerance"
+            break
+        if it == opts.max_iters:
+            stopped_by = "max_iters"
+            break
+        direction = -w_proj
+        slope = grad.pair(direction)
+        if slope >= 0:
+            stopped_by = "stationary"  # projected direction no longer descends
+            break
+        tau = min(max(tau * 2.0, opts.tau_min), TAU_MAX)
+        before = after = None
+        while True:
+            try:
+                candidate, before, after, _ = flow_step(current, direction, tau)
+                e_new = assembler.energy(candidate, eps)
+                if e_new.total <= e_cur.total + opts.armijo * tau * slope:
+                    break
+            except StepRejectedError as exc:
+                before, after = exc.residual_before, exc.residual_after
+            except (DegenerateFaceError, DegenerateFrameError):
+                pass
+            candidate = None  # frees its face state before the next trial
+            if 0.5 * tau < opts.tau_min:
+                raise StageAbortedError(
+                    f"stage eps={eps}: no admissible step above tau_min",
+                    diagnostics={
+                        "eps": eps,
+                        "iter": it + 1,
+                        "grad_norm": gnorm,
+                        "tau": tau,
+                        "residual_before_restore": before,
+                        "residual_after_restore": after,
+                    },
+                    result=result,
+                )
+            tau *= 0.5
+        result.final = current = candidate
+        e_cur = e_new
+        result.records.append(
+            {
+                "k": k,
+                "iter": it + 1,
+                "area": e_cur.area,
+                "penalty": e_cur.penalty,
+                "grad_norm": gnorm,
+                "max_leg_residual": after,
+                "entropy_indicator": e_cur.entropy_indicator,
+            }
+        )
+    return StageReport(
+        eps=eps, iters=it, energy=e_cur, grad_norm=gnorm, tol=tol, stopped_by=stopped_by
+    )
+
+
 def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> DescentResult:
     """Constraint-preserving descent of the penalized energy over an eps ladder.
 
-    Each stage runs Armijo line searches along Hamiltonian-projected negative
-    gradients until the projected gradient norm reaches the stage tolerance
-    max(1e-8, tol_scale * eps^2).  The Armijo slope is the pairing of the
-    iterate's gradient, already assembled for the projection, with the
-    direction (``FirstVariation.pair``); no separate first variation is
-    assembled.  Each line search starts from twice the step accepted before
-    it, clipped to [tau_min, TAU_MAX], so ``0 < tau_min <= TAU_MAX`` and
-    ``tau_init > 0`` are required (``GeometryDomainError`` otherwise).  The
-    projection's system (see
-    :func:`projection_factor`) is built from the stage-start mesh and
-    factored once per stage; every projection of the stage reuses it, and the
-    gradient norm is measured in that frozen metric, with the stage-start
-    vertex areas.  A trial step whose restoration stalls, or which collapses
-    a face or a vertex frame, is retried at half the step.  Each stage
-    reports why it stopped (``StageReport.stopped_by``).  The whole schedule
-    stops early when the entropy indicator increases on two consecutive
-    stages.
+    One :func:`descent_stage` per eps of the positive, decreasing
+    ``schedule``; the schedule stops early when the entropy indicator rises
+    on two consecutive stages.  ``0 < tau_min <= TAU_MAX`` and
+    ``tau_init > 0`` are required (``GeometryDomainError`` otherwise).  A
+    stage without an admissible step raises ``StageAbortedError``, whose
+    ``result`` is the descent up to its last accepted step.
     """
     opts = opts or DescentOptions()
     schedule = list(schedule)
@@ -576,106 +636,21 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
     # Iterates own their face state.  Starting from a new immersion at the
     # same (read-only) positions keeps the caller's one from holding a
     # FaceData for the whole descent.
-    current = imm.with_positions(imm.positions)
-    records = []
-    stages = []
-    entropy_prev = None
+    result = DescentResult(imm.with_positions(imm.positions), [], [], stopped_by_entropy=False)
+    assembler = EnergyAssembler(result.final)
     entropy_rises = 0
-    stopped = False
-    assembler = EnergyAssembler(current)
     for k, eps in enumerate(schedule):
-        tol_k = max(1e-8, opts.tol_scale * eps**2)
-        tau = opts.tau_init
-        e_cur = assembler.energy(current, eps)
-        factor = None  # release the last stage's factor before building this one
-        factor, areas = projection_factor(current)
-
-        def projected_gradient():
-            grad = assembler.gradient(current, eps)
-            _, w_proj = hamiltonian_project(current, grad.covector, factor)
-            return grad, w_proj, _grad_norm(current, areas, w_proj)
-
-        stopped_by = "max_iters"
-        it = 0
-        for it in range(1, opts.max_iters + 1):
-            grad, w_proj, gnorm = projected_gradient()
-            if gnorm <= tol_k:
-                stopped_by = "tolerance"
-                it -= 1
-                break
-            direction = -w_proj
-            slope = grad.pair(direction)
-            if slope >= 0:
-                stopped_by = "stationary"  # projected direction no longer descends
-                it -= 1
-                break
-            accepted = False
-            report = {}
-            tau = min(max(tau * 2.0, opts.tau_min), TAU_MAX)
-            tried = None
-            while tau >= opts.tau_min:
-                tried = tau
-                try:
-                    candidate = flow_step(current, direction, tau, report)
-                    e_new = assembler.energy(candidate, eps)
-                except StepRejectedError as exc:
-                    report.update(
-                        residual_before_restore=exc.residual_before,
-                        residual_after_restore=exc.residual_after,
-                    )
-                    tau *= 0.5
-                    continue
-                except (DegenerateFaceError, DegenerateFrameError):
-                    tau *= 0.5
-                    continue
-                if e_new.total <= e_cur.total + opts.armijo * tau * slope:
-                    accepted = True
-                    break
-                candidate = None  # frees its face state before the next trial
-                tau *= 0.5
-            if not accepted:
-                raise StageAbortedError(
-                    f"stage eps={eps}: no admissible step above tau_min",
-                    diagnostics={
-                        "eps": eps,
-                        "iter": it,
-                        "grad_norm": gnorm,
-                        "tau": tried,
-                        "residual_before_restore": report.get("residual_before_restore"),
-                        "residual_after_restore": report.get("residual_after_restore"),
-                    },
-                )
-            current = candidate
-            e_cur = e_new
-            records.append(
-                {
-                    "k": k,
-                    "iter": it,
-                    "area": e_cur.area,
-                    "penalty": e_cur.penalty,
-                    "grad_norm": gnorm,
-                    "max_leg_residual": report["residual_after_restore"],
-                    "entropy_indicator": e_cur.entropy_indicator,
-                }
-            )
-        if stopped_by == "max_iters":  # gnorm is not yet measured at current
-            _, _, gnorm = projected_gradient()
-            if gnorm <= tol_k:
-                stopped_by = "tolerance"
-        stages.append(
-            StageReport(
-                eps=eps, iters=it, energy=e_cur, grad_norm=gnorm, tol=tol_k, stopped_by=stopped_by
-            )
-        )
-        if entropy_prev is not None and e_cur.entropy_indicator > entropy_prev:
+        stage = descent_stage(result, assembler, k, eps, opts)
+        entropy = stage.energy.entropy_indicator
+        if result.stages and entropy > result.stages[-1].energy.entropy_indicator:
             entropy_rises += 1
-            if entropy_rises >= 2:
-                stopped = True
-                break
         else:
             entropy_rises = 0
-        entropy_prev = e_cur.entropy_indicator
-    return DescentResult(final=current, records=records, stages=stages, stopped_by_entropy=stopped)
+        result.stages.append(stage)
+        if entropy_rises >= 2:
+            result.stopped_by_entropy = True
+            break
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,10 @@ class StepRejectedError(RuntimeError):
 
 
 class StageAbortedError(RuntimeError):
-    """A descent stage ran out of admissible step sizes."""
+    """A descent stage ran out of admissible step sizes; ``result`` is the
+    descent up to its last accepted step."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics=None, result=None):
         self.diagnostics = diagnostics or {}
+        self.result = result
         super().__init__(message)

@@ -173,13 +173,14 @@ def vertex_tangent_frames(imm: DiscreteImmersion):
     return t1, t2
 
 
-def structure_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
-    """Vertex version of the structural identity, using analytic gradients.
+def structure_defects_vertex(gf: GaugeFields):
+    """Vertex version of the structural identity on ``gf.imm``, using analytic gradients.
 
     The ambient gauge gradients are exact; only the discrete tangent plane is
     approximate, so the defect is not polluted by interpolation noise near
     the base point.
     """
+    imm = gf.imm
     t1, t2 = vertex_tangent_frames(imm)
     rho = np.maximum(gf.rho, 1e-300)
     geo = imm.geometry
@@ -195,9 +196,9 @@ def structure_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
     return out
 
 
-def perp_gradient_identity_defects_vertex(imm: DiscreteImmersion, gf: GaugeFields):
-    """Vertex version of the perpendicular-gradient identity defect."""
-    t1, t2 = vertex_tangent_frames(imm)
+def perp_gradient_identity_defects_vertex(gf: GaugeFields):
+    """Vertex version of the perpendicular-gradient identity defect on ``gf.imm``."""
+    t1, t2 = vertex_tangent_frames(gf.imm)
     gh = gf.grad_h_r
     tang = (
         np.sum(gh * t1, axis=-1, keepdims=True) * t1
@@ -209,7 +210,7 @@ def perp_gradient_identity_defects_vertex(imm: DiscreteImmersion, gf: GaugeField
         np.sum(gat * t1, axis=-1, keepdims=True) * t1
         + np.sum(gat * t2, axis=-1, keepdims=True) * t2
     )
-    j_at = imm.geometry.j(tang_at)
+    j_at = gf.imm.geometry.j(tang_at)
     diff = perp / np.maximum(gf.r, 1e-300)[:, None] - 0.5 * j_at
     out = np.linalg.norm(diff, axis=-1)
     out[gf.singular] = np.nan

@@ -170,13 +170,12 @@ def face_frames(imm: DiscreteImmersion) -> FaceFrame:
 class EdgeResiduals:
     values: np.ndarray  # per canonical edge, tail -> head
     max: float
-    l2: float
 
 
 def legendrian_residual(imm: DiscreteImmersion) -> EdgeResiduals:
     """Contact-form residual of every edge, evaluated at the midpoint retraction."""
     vals = imm.geometry.edge_residual(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
-    return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0, float(np.sqrt(np.sum(vals**2))))
+    return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0)
 
 
 def validate_immersion(imm: DiscreteImmersion):

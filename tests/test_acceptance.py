@@ -114,9 +114,7 @@ class TestCriterion3GradientCorrectness:
             asm = energy.EnergyAssembler(pc)
             rng = np.random.default_rng(100 + case)
             for _ in range(5):
-                w = energy.project_field(
-                    pc.target, pc.positions, rng.standard_normal(pc.positions.shape)
-                )
+                w = pc.geometry.tangent(pc.positions, rng.standard_normal(pc.positions.shape))
                 analytic = asm.first_variation(pc, 0.25, w)
 
                 def central(t):
@@ -227,7 +225,7 @@ class TestCriterion6GaugeStructure:
             p0 = cl.positions[(n // 2) * n + n // 2]
             gf = gl.gauge_fields(cl, p0)
             band_v = (~gf.singular) & (gf.r > 0.05) & (gf.r < 0.3)
-            sdv = gl.structure_defects_vertex(cl, gf)
+            sdv = gl.structure_defects_vertex(gf)
             c_struct = float(
                 np.sum(np.abs(sdv[band_v]) * gf.r[band_v] ** 2) / np.sum(gf.r[band_v] ** 4)
             )

@@ -367,3 +367,49 @@ class TestSolverAbortExit:
         assert r.returncode == 4
         # partial outputs still land on disk
         assert (out / "summary.json").exists()
+
+    def test_abort_keeps_the_work_before_it(self, tmp_path, monkeypatch, capsys):
+        # flow_step rejects every trial from its fourth call on: the first
+        # stage takes its two steps, the second one step, then aborts.
+        from legsurf import cli, energy
+        from legsurf.errors import StepRejectedError
+        from legsurf.mesh import DiscreteImmersion
+
+        flow_step, accepted = energy.flow_step, []
+
+        def rejecting_from_fourth(imm, w_field, tau):
+            if len(accepted) == 3:
+                raise StepRejectedError("rejected", residual_before=1.0, residual_after=0.5)
+            step = flow_step(imm, w_field, tau)
+            accepted.append(step[0])
+            return step
+
+        monkeypatch.setattr(energy, "flow_step", rejecting_from_fourth)
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "family": "perturbed_clifford",
+                    "resolution": 12,
+                    "epsilon_schedule": [0.2, 0.1],
+                    "max_iters": 2,
+                    "seed": 3,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        status = cli.main(["descend", "--config", str(config), "--out", str(out)])
+        assert status == cli.EXIT_SOLVER
+        assert "descent: 3 accepted steps over 1 stages" in capsys.readouterr().out
+        records = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+        assert [(r["k"], r["iter"]) for r in records] == [(0, 1), (0, 2), (1, 1)]
+        summary = json.loads((out / "summary.json").read_text())
+        (stage,) = summary["stages"]
+        assert stage["eps"] == 0.2 and stage["iters"] == 2 and stage["stopped_by"] == "max_iters"
+        assert summary["final"]["area"] == records[-1]["area"]
+        aborted = summary["aborted"]
+        assert aborted["eps"] == 0.1 and aborted["iter"] == 2
+        assert aborted["residual_before_restore"] == 1.0
+        assert aborted["residual_after_restore"] == 0.5
+        final = DiscreteImmersion.load(out / "final_mesh.json")
+        assert np.array_equal(final.positions, accepted[-1].positions)

@@ -183,7 +183,7 @@ class TestMonotonicityBalance:
         n = 64
         cl = corpus.clifford_lift(n)
         gf = gl.gauge_fields(cl, center_vertex(cl, n))
-        pg = gl.perp_gradient_identity_defects_vertex(cl, gf)
+        pg = gl.perp_gradient_identity_defects_vertex(gf)
         band = (~gf.singular) & (gf.r > 0.05) & (gf.r < 0.3)
         c_fit = np.nanmax(pg[band] / (1.0 + gf.r[band]))
         assert np.isfinite(c_fit) and c_fit < 5.0

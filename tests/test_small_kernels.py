@@ -159,20 +159,20 @@ def test_descent_halves_step_on_degenerate_frame(monkeypatch):
     real_step = energy.flow_step
     taus = []
 
-    def counting(imm_, w, tau, report=None):
+    def counting(imm_, w, tau):
         taus.append(tau)
-        return real_step(imm_, w, tau, report)
+        return real_step(imm_, w, tau)
 
     monkeypatch.setattr(energy, "flow_step", counting)
     baseline = energy.descend(imm, [0.2], opts)
     base_taus = list(taus)
     taus.clear()
 
-    def collapse_once(imm_, w, tau, report=None):
+    def collapse_once(imm_, w, tau):
         if not taus:
             taus.append(tau)
             raise DegenerateFrameError("frame vectors are (numerically) linearly dependent")
-        return counting(imm_, w, tau, report)
+        return counting(imm_, w, tau)
 
     monkeypatch.setattr(energy, "flow_step", collapse_once)
     result = energy.descend(imm, [0.2], opts)
