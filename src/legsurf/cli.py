@@ -65,21 +65,35 @@ KINDS = {
 KIND_OF = {key: kind for kind, (_, keys) in KINDS.items() for key in keys}
 
 
+def read_json_object(path, what, parse=dict):
+    """``parse`` of the JSON object in the ``what`` file at ``path``.
+
+    A file that cannot be read, that is not JSON, that holds no JSON object,
+    or whose object ``parse`` rejects (a missing field, a value of the wrong
+    type) raises ConfigError naming ``what`` and ``path``.
+    """
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or no JSON
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ConfigError(f"{what} file {path} lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} file {path}: {exc}") from exc
+
+
 def load_config(path, overrides, schema):
     """Merge a JSON config with CLI overrides and validate against a schema.
 
     Every value must be of its key's kind (:data:`KINDS`); an optional key
     whose default is None may also be null.
     """
-    data = {}
-    if path:
-        try:
-            with open(path) as f:
-                data = json.load(f)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("a config file must hold a JSON object")
+    data = read_json_object(path, "config") if path else {}
     data.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(data) - set(schema)
     if unknown:
@@ -155,7 +169,7 @@ def _generate(config):
 
 def _load_or_generate(config):
     if config.get("mesh"):
-        return DiscreteImmersion.load(config["mesh"])
+        return read_json_object(config["mesh"], "mesh", DiscreteImmersion.from_json)
     if config.get("family"):
         return _generate(config)
     raise ConfigError("config needs either a mesh path or a generator family")
@@ -186,8 +200,7 @@ def cmd_verify_identities(config, out_dir):
 
 
 def cmd_lift(config, out_dir):
-    with open(config["grid"]) as f:
-        grid = hs.LagrangianSampleGrid.from_json(json.load(f))
+    grid = read_json_object(config["grid"], "grid", hs.LagrangianSampleGrid.from_json)
     try:
         lift = hs.legendrian_lift(grid, base_value=config["base_value"])
     except ConstraintViolationError as exc:
@@ -508,7 +521,7 @@ def main(argv=None):
     overrides = {key: getattr(args, key) for key in FLAGS if key in schema}
     try:
         config = load_config(args.config, overrides, schema)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

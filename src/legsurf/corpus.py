@@ -206,7 +206,7 @@ def _gauge_bump_hamiltonian(rng, scale):
     return Polynomial(poly.coeffs, np.pad(poly.exponents, ((0, 0), (1, 0))))
 
 
-def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64, convention="thm1"):
+def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64):
     """Transport vertex positions along a Hamiltonian flow with RK4 steps.
 
     The continuum flow preserves the Legendrian constraint exactly, so the
@@ -218,7 +218,7 @@ def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64, conven
     geo = imm.geometry
 
     def vel(p):
-        return geo.hamiltonian_field(*poly.value_and_grad(p), p, convention)
+        return geo.hamiltonian_field(*poly.value_and_grad(p), p)
 
     for _ in range(nsteps):
         k1 = vel(pos)

@@ -11,11 +11,9 @@ and the directional first variation is that gradient paired with the field.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -26,7 +24,7 @@ from .errors import (
     StageAbortedError,
     StepRejectedError,
 )
-from .immersion import cotangent_weights, legendrian_residual, wedge_pairs
+from .immersion import cotangent_weights, legendrian_residual, scatter_rows, wedge_pairs
 from .mesh import DiscreteImmersion
 
 
@@ -67,137 +65,23 @@ class HamiltonianSpec:
 # assembler
 
 
-def _gauss_stencil(m, uv):
-    """The (2F, F) neighbour-differencing stencil of the Gauss-map gradient.
-
-    Face f with neighbours n_j (in face-edge order) gets the least-squares
-    weights q_f = pinv(bary[n_j] - bary[f]) (see :func:`_lsq_weights`), the
-    parameter differences unwrapped across the seam; row 2f + a holds
-    q_f[a, j] at column n_j and -sum_j q_f[a, j] at column f, so
-    (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).
-    Faces without neighbours get empty rows.
-    """
-    n_f = len(m.triangles)
-    bary = uv.mean(axis=1)
-    nbrs = m.face_neighbors
-    has = nbrs >= 0
-    nbr_bary = bary[np.where(has, nbrs, 0)]
-    delta = nbr_bary - bary[:, None, :]  # (F, 3, 2)
-    if m.uv_periods is not None:
-        delta -= m.wraps(bary[:, None, :], nbr_bary) * m.uv_periods
-    count = has.sum(axis=1)
-    rows, cols, vals = [], [], []
-    for c in (1, 2, 3):
-        faces = np.where(count == c)[0]
-        if not faces.size:
-            continue
-        slots = np.argsort(~has[faces], axis=1, kind="stable")[:, :c]  # keep edge order
-        cols_c = np.take_along_axis(nbrs[faces], slots, axis=1)  # (n, c)
-        q = _lsq_weights(np.take_along_axis(delta[faces], slots[..., None], axis=1))  # (n, 2, c)
-        row = 2 * faces[:, None] + np.arange(2)  # (n, 2)
-        rows += [np.repeat(row, c, axis=1).ravel(), row.ravel()]
-        cols += [np.broadcast_to(cols_c[:, None, :], q.shape).ravel(), np.repeat(faces, 2)]
-        vals += [q.ravel(), -q.sum(axis=2).ravel()]
-    if not rows:
-        return sp.csr_matrix((2 * n_f, n_f))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n_f, n_f)
-    )
-
-
-#: Gram determinant, relative to the squared trace, below which a stencil block
-#: counts as collinear.  The closed form's relative error is about
-#: eps * trace^2 / det, so above the cut it stays near 1e-12.
-COLLINEAR_GRAM = 1e-4
-
-
-def _lsq_weights(delta):
-    """Pseudo-inverses (n, 2, c) of the (c, 2) blocks of ``delta`` (n, c, 2).
-
-    Each is (d^T d)^-1 d^T with the 2x2 inverse written out.  A block whose
-    Gram determinant is below ``COLLINEAR_GRAM`` times its squared trace (a
-    single row, or collinear rows) goes to ``np.linalg.pinv``.
-    """
-    x, y = delta[..., 0], delta[..., 1]
-    g11, g12, g22 = np.sum(x * x, axis=1), np.sum(x * y, axis=1), np.sum(y * y, axis=1)
-    det = g11 * g22 - g12 * g12
-    collinear = det <= COLLINEAR_GRAM * (g11 + g22) ** 2
-    det = np.where(collinear, 1.0, det)[:, None]
-    q = np.stack([(g22[:, None] * x - g12[:, None] * y) / det,
-                  (g11[:, None] * y - g12[:, None] * x) / det], axis=1)
-    if np.any(collinear):
-        q[collinear] = np.linalg.pinv(delta[collinear])
-    return q
-
-
-def _block_gram(x, y):
-    """x y^T of stacked (F, 2, K) blocks as (F, 2, 2), one row product at a time
-    (faster than a batched matmul or a three-index einsum at these shapes)."""
-    out = np.empty((len(x), 2, 2))
-    for a in range(2):
-        for b in range(2):
-            out[:, a, b] = np.einsum("fi,fi->f", x[:, a], y[:, b])
-    return out
-
-
 class EnergyAssembler:
-    """Constant mesh data plus energy/gradient evaluation at immersions of the mesh.
+    """Energy, gradient and first variation at immersions of one mesh.
 
-    The face state of an iterate is its own :attr:`DiscreteImmersion.face_data`;
-    the assembler keeps the Gauss gradients of the last one it saw (see
-    :meth:`evaluate`), so the energy, gradient and first variation of one
-    descent iterate share one evaluation.
+    It holds the mesh's triangles and the target geometry only.  The
+    Gauss-map stencil is the mesh's (:attr:`SurfaceMesh.gauss_stencil`) and
+    an iterate's Gauss gradients are its own FaceData's
+    (:attr:`FaceData.gauss_gradients`), so the energy, gradient and first
+    variation of one iterate share one evaluation, whoever asks for them.
     """
 
     def __init__(self, imm: DiscreteImmersion):
-        m = imm.mesh
-        if m.uv is None:
-            raise GeometryDomainError("the energy functional requires uv parameters")
-        self.tri = m.triangles
+        self.tri = imm.mesh.triangles
         self.geometry = imm.geometry
 
-        # Fixed neighbour differencing stencil for the Gauss-map gradient.
-        self.stencil = _gauss_stencil(m, m.corner_uv_local()[0])
-        self.stencil_t = self.stencil.T.tocsr()
-        self.k = imm.positions.shape[1]
-        self.k2 = len(wedge_pairs(self.k))
-        self._pairs = np.asarray(wedge_pairs(self.k), int)
-        # (vertex, component) slot of each entry of a (F, 3, k) corner array
-        self._corner_slots = (self.tri[..., None] * self.k + np.arange(self.k)).ravel()
-        # (weak reference to the last FaceData seen, its Gauss gradients): a
-        # rejected line-search candidate's face state is not kept alive here.
-        self._evaluated = None
-
-    # -- forward pieces ------------------------------------------------------
-
-    def _gauss_gradients(self, fd):
-        """Per-face parameter gradient A (2, K2) of the Gauss field, its Gram
-        matrix P = A A^T (2, 2) and |dT|^2_g = sum(ginv * P), read-only."""
-        t = fd.gauss
-        a_list = (self.stencil @ t).reshape(len(t), 2, self.k2)
-        aat = _block_gram(a_list, a_list)
-        quad = np.einsum("fab,fab->f", fd.ginv, aat)
-        for arr in (a_list, aat, quad):
-            arr.flags.writeable = False
-        return a_list, aat, quad
-
-    def evaluate(self, imm):
-        """The :class:`FaceData` of ``imm`` and its Gauss gradients (A, P, |dT|^2_g).
-
-        Degenerate faces raise DegenerateFaceError.  The gradients of the last
-        FaceData seen are kept and returned again while ``imm`` brings that
-        same object.  Neither depends on eps.
-        """
-        fd = imm.face_data
-        kept = self._evaluated
-        if kept is None or kept[0]() is not fd:
-            kept = self._evaluated = (weakref.ref(fd), self._gauss_gradients(fd))
-        return fd, kept[1]
-
-    # -- public evaluations -----------------------------------------------
-
     def energy(self, imm, eps):
-        fd, (_, _, quad) = self.evaluate(imm)
+        fd = imm.face_data
+        quad = fd.gauss_gradients[2]
         area = float(np.sum(fd.area))
         penalty = float(eps**4 * np.sum((1.0 + quad) ** 2 * fd.area))
         log_term = np.log(1.0 / eps) if eps < 1.0 else 1.0
@@ -209,29 +93,20 @@ class EnergyAssembler:
         w_field = self.geometry.tangent(imm.positions, np.asarray(w_field, float))
         return self.gradient(imm, eps).pair(w_field)
 
-    def _wedge_adjoint(self, w_bar, du, dv):
-        """Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
-        matrix Wb of w_bar, du_bar = Wb dv and dv_bar = -Wb du.  The (F, k, k)
-        Wb lives only here, so it is freed before the gradient goes on."""
-        i_idx, j_idx = self._pairs[:, 0], self._pairs[:, 1]
-        w_mat = np.zeros((len(w_bar), self.k, self.k))
-        w_mat[:, i_idx, j_idx] = w_bar
-        w_mat[:, j_idx, i_idx] = -w_bar
-        return np.einsum("fij,fj->fi", w_mat, dv), -np.einsum("fij,fj->fi", w_mat, du)
-
     def gradient(self, imm, eps) -> FirstVariation:
         """Exact differential of the discrete energy, projected to tangents."""
-        fd, (a_list, aat, quad) = self.evaluate(imm)
-        n_f = len(self.tri)
+        fd = imm.face_data
+        a_list, aat, quad = fd.gauss_gradients
+        n_f, k2 = fd.gauss.shape
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
         s_quad = eps**4 * 2.0 * (1.0 + quad) * fd.area
         ginv = fd.ginv
 
         # d|dT|^2/dA through the differencing stencil into per-face Gauss
         # adjoints, and the inverse-metric adjoint.
-        t_bar = self.stencil_t @ (
+        t_bar = imm.mesh.gauss_stencil_t @ (
             (2.0 * s_quad)[:, None, None] * (ginv @ a_list)
-        ).reshape(2 * n_f, self.k2)
+        ).reshape(2 * n_f, k2)
         g_bar_mat = -s_quad[:, None, None] * (ginv @ aat @ ginv)
 
         # Through the normalisation T = W / |W|, updating t_bar in place.
@@ -242,7 +117,7 @@ class EnergyAssembler:
         w_bar += (s_area * fd.uv_area)[:, None] * t
 
         du, dv = fd.du, fd.dv
-        du_bar, dv_bar = self._wedge_adjoint(w_bar, du, dv)
+        du_bar, dv_bar = _wedge_adjoint(w_bar, du, dv)
 
         g11_bar = g_bar_mat[:, 0, 0]
         g12_bar = g_bar_mat[:, 0, 1] + g_bar_mat[:, 1, 0]
@@ -260,10 +135,21 @@ class EnergyAssembler:
         b2_bar, d2_bar = self.geometry.frame_adjoint(base, fd.d2, e2_bar)
         corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
         positions = imm.positions
-        grad = np.bincount(
-            self._corner_slots, weights=corner_bar.ravel(), minlength=positions.size
-        ).reshape(positions.shape)
+        grad = scatter_rows(self.tri.ravel(), corner_bar.reshape(-1, positions.shape[1]),
+                            len(positions))
         return FirstVariation(covector=self.geometry.tangent(positions, grad))
+
+
+def _wedge_adjoint(w_bar, du, dv):
+    """Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
+    matrix Wb of w_bar, du_bar = Wb dv and dv_bar = -Wb du.  The (F, k, k)
+    Wb lives only here, so it is freed before the gradient goes on."""
+    k = du.shape[1]
+    i_idx, j_idx = np.asarray(wedge_pairs(k), int).T
+    w_mat = np.zeros((len(w_bar), k, k))
+    w_mat[:, i_idx, j_idx] = w_bar
+    w_mat[:, j_idx, i_idx] = -w_bar
+    return np.einsum("fij,fj->fi", w_mat, dv), -np.einsum("fij,fj->fi", w_mat, du)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +170,10 @@ def gradient(imm: DiscreteImmersion, eps: float) -> FirstVariation:
     return EnergyAssembler(imm).gradient(imm, eps)
 
 
-def hamiltonian_deformation(imm: DiscreteImmersion, spec: HamiltonianSpec, convention="thm1"):
+def hamiltonian_deformation(imm: DiscreteImmersion, spec: HamiltonianSpec):
     """The Hamiltonian field sampled at the vertices, tangent to the target."""
     p = imm.positions
-    return imm.geometry.hamiltonian_field(spec.h(p), spec.grad(p), p, convention)
+    return imm.geometry.hamiltonian_field(spec.h(p), spec.grad(p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +292,14 @@ def hamiltonian_map(imm: DiscreteImmersion):
 
     q = imm.positions
     vert = (2.0 / geo.alpha_reeb) * geo.reeb(q)
-    slots = (tri[..., None] * k + np.arange(k)).ravel()  # (vertex, component) of each (F, 3, k) entry
 
     # J o horizontal is applied row-wise; its transpose is -horizontal o J,
     # as horizontal is an orthogonal projection and J is antisymmetric.
     def matvec(u):
         u = np.ravel(u)
         face_grad = np.einsum("fck,fc->fk", gvecs, u[tri])
-        spread = (weight[..., None] * face_grad[:, None]).ravel()
-        avg = np.bincount(slots, weights=spread, minlength=n_v * k).reshape(n_v, k)
+        spread = weight[..., None] * face_grad[:, None]  # (F, 3, k)
+        avg = scatter_rows(tri.ravel(), spread.reshape(-1, k), n_v)
         return (geo.j(geo.horizontal(q, avg)) + vert * u[:, None]).ravel()
 
     def rmatvec(y):
@@ -657,7 +542,7 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
 # weak stationarity
 
 
-def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: HamiltonianSpec, f_vals, lam, convention="thm1"):
+def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: HamiltonianSpec, f_vals, lam):
     """The cut-domain pairing of dL against d(X_h o L).
 
     Faces enter by majority vertex membership in {f > lam}; faces straddling
@@ -672,16 +557,18 @@ def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: Hamiltonian
     counts = above[tri].sum(axis=1)
     included = counts >= 2
     straddling = (counts > 0) & (counts < 3)
-    in_support = np.abs(spec.h(imm.positions)) > 0.0
+    p = imm.positions
+    h = spec.h(p)
+    in_support = np.abs(h) > 0.0
     offending = np.flatnonzero(straddling & np.any(in_support[tri], axis=1))
     if offending.size:
         raise LocalisationError(
             f"face {offending[0]} straddles the cut level inside the Hamiltonian support",
             face_id=int(offending[0]),
         )
-    w_field = hamiltonian_deformation(imm, spec, convention)
+    w_field = imm.geometry.hamiltonian_field(h, spec.grad(p), p)
     fd = imm.face_data
-    wc = imm.geometry.frame(imm.positions, w_field)[tri]
+    wc = imm.geometry.frame(p, w_field)[tri]
     dw1 = wc[:, 1] - wc[:, 0]
     dw2 = wc[:, 2] - wc[:, 0]
     dwu = fd.minv[:, 0, 0, None] * dw1 + fd.minv[:, 1, 0, None] * dw2

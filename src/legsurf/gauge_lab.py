@@ -151,8 +151,7 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
 
 def gradient_cap_defects(gf: GaugeFields):
     """|grad^S arctan sigma| - 2 / r per face (should stay below an h-slack)."""
-    ginv = gf.imm.face_data.ginv
-    norms = np.sqrt(np.einsum("fa,fab,fb->f", gf.face_grad_arctan, ginv, gf.face_grad_arctan))
+    norms = np.sqrt(gf.imm.face_data.pairing(gf.face_grad_arctan, gf.face_grad_arctan))
     return norms - 2.0 / np.maximum(gf.face_r, 1e-300)
 
 
@@ -312,9 +311,8 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> M
     dh = fd.grad_scalar(np.where(gf.singular, 0.0, h_vals))
     pair_dh_dbeta = fd.pairing(dh, dbeta)
 
-    ginv = fd.ginv
-    grad_r_sq = np.einsum("fa,fab,fb->f", gf.face_grad_r, ginv, gf.face_grad_r)
-    grad_at_sq = np.einsum("fa,fab,fb->f", gf.face_grad_arctan, ginv, gf.face_grad_arctan)
+    grad_r_sq = fd.pairing(gf.face_grad_r, gf.face_grad_r)
+    grad_at_sq = fd.pairing(gf.face_grad_arctan, gf.face_grad_arctan)
     cross = fd.pairing(gf.face_grad_r, gf.face_grad_arctan)
     tri = imm.mesh.triangles
     # sigma arctan sigma / sqrt(1+sigma^2) = weight - 1/sqrt(1+sigma^2)
@@ -324,7 +322,7 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> M
     s_atan_w = gf.face_sigma_weight - inv_sqrt_face
 
     grad_h_face = np.nanmean(gf.grad_h_r[tri], axis=1)
-    coef = np.einsum("fab,fb->fa", ginv, gf.face_grad_r)
+    coef = np.einsum("fab,fb->fa", fd.ginv, gf.face_grad_r)
     grad_s_vec = coef[:, 0, None] * fd.du + coef[:, 1, None] * fd.dv
     perp_sq = np.maximum(
         np.sum(grad_h_face**2, axis=-1) - np.sum(grad_s_vec * grad_s_vec, axis=-1), 0.0

@@ -59,6 +59,31 @@ def parameter_inverse(uv):
     return minv, 0.5 * det_uv
 
 
+#: Gram determinant, relative to the squared trace, below which a stencil block
+#: counts as collinear.  The closed form's relative error is about
+#: eps * trace^2 / det, so above the cut it stays near 1e-12.
+COLLINEAR_GRAM = 1e-4
+
+
+def _lsq_weights(delta):
+    """Pseudo-inverses (n, 2, c) of the (c, 2) blocks of ``delta`` (n, c, 2).
+
+    Each is (d^T d)^-1 d^T with the 2x2 inverse written out.  A block whose
+    Gram determinant is below ``COLLINEAR_GRAM`` times its squared trace (a
+    single row, or collinear rows) goes to ``np.linalg.pinv``.
+    """
+    x, y = delta[..., 0], delta[..., 1]
+    g11, g12, g22 = np.sum(x * x, axis=1), np.sum(x * y, axis=1), np.sum(y * y, axis=1)
+    det = g11 * g22 - g12 * g12
+    collinear = det <= COLLINEAR_GRAM * (g11 + g22) ** 2
+    det = np.where(collinear, 1.0, det)[:, None]
+    q = np.stack([(g22[:, None] * x - g12[:, None] * y) / det,
+                  (g11[:, None] * y - g12[:, None] * x) / det], axis=1)
+    if np.any(collinear):
+        q[collinear] = np.linalg.pinv(delta[collinear])
+    return q
+
+
 class SurfaceMesh:
     """Oriented manifold triangle mesh with optional parameter coordinates."""
 
@@ -82,9 +107,12 @@ class SurfaceMesh:
             float(uv_periods[1]) if uv_periods[1] else 0.0,
         )
         self.generator_loops = [list(map(int, loop)) for loop in generator_loops]
-        tri = self.triangles
-        if tri.size and (tri.min() < 0 or tri.max() >= self.n_vertices):
-            raise GeometryDomainError("triangle index out of range")
+        for kind, index in (("triangle", self.triangles.ravel()),
+                            ("boundary loop", [v for loop in self.boundary_loops for v in loop]),
+                            ("generator loop", [v for loop in self.generator_loops for v in loop])):
+            index = np.asarray(index, int)
+            if index.size and (index.min() < 0 or index.max() >= self.n_vertices):
+                raise GeometryDomainError(f"{kind} index out of range")
         self._build_adjacency()
         self._validate()
         self._restoration = None  # (edge slopes, factor) of the last restoration_factor call
@@ -256,6 +284,53 @@ class SurfaceMesh:
             arr.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def gauss_stencil(self):
+        """The (2F, F) CSR neighbour-differencing stencil D of the Gauss-map
+        gradient, built on first use; GeometryDomainError without uv.
+
+        Face f with neighbours n_j (in face-edge order) gets the least-squares
+        weights q_f = pinv(bary[n_j] - bary[f]) (see :func:`_lsq_weights`) of
+        its :meth:`corner_uv_local` barycentres, the parameter differences
+        unwrapped across the seam; row 2f + a holds q_f[a, j] at column n_j and
+        -sum_j q_f[a, j] at column f, so
+        (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).
+        Faces without neighbours get empty rows.
+        """
+        if self.uv is None:
+            raise GeometryDomainError("the Gauss-map stencil requires uv parameters")
+        n_f = len(self.triangles)
+        bary = self.corner_uv_local()[0].mean(axis=1)
+        nbrs = self.face_neighbors
+        has = nbrs >= 0
+        nbr_bary = bary[np.where(has, nbrs, 0)]
+        delta = nbr_bary - bary[:, None, :]  # (F, 3, 2)
+        if self.uv_periods is not None:
+            delta -= self.wraps(bary[:, None, :], nbr_bary) * self.uv_periods
+        count = has.sum(axis=1)
+        rows, cols, vals = [], [], []
+        for c in (1, 2, 3):
+            faces = np.where(count == c)[0]
+            if not faces.size:
+                continue
+            slots = np.argsort(~has[faces], axis=1, kind="stable")[:, :c]  # keep edge order
+            cols_c = np.take_along_axis(nbrs[faces], slots, axis=1)  # (n, c)
+            q = _lsq_weights(np.take_along_axis(delta[faces], slots[..., None], axis=1))  # (n, 2, c)
+            row = 2 * faces[:, None] + np.arange(2)  # (n, 2)
+            rows += [np.repeat(row, c, axis=1).ravel(), row.ravel()]
+            cols += [np.broadcast_to(cols_c[:, None, :], q.shape).ravel(), np.repeat(faces, 2)]
+            vals += [q.ravel(), -q.sum(axis=2).ravel()]
+        if not rows:
+            return sp.csr_matrix((2 * n_f, n_f))
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n_f, n_f)
+        )
+
+    @functools.cached_property
+    def gauss_stencil_t(self):
+        """The CSR transpose of :attr:`gauss_stencil`, built on first use."""
+        return self.gauss_stencil.T.tocsr()
+
     def components(self):
         """Connected components as ascending vertex-index lists, ordered by smallest vertex."""
         n_comp, labels = connected_components(self.vertex_graph, directed=False)
@@ -382,8 +457,3 @@ class DiscreteImmersion:
             legendrian_tol=float(data.get("legendrian_tol", 1e-8)),
             phi_monodromy=tuple(data.get("phi_monodromy", (0.0, 0.0))),
         )
-
-    @staticmethod
-    def load(path):
-        with open(path) as f:
-            return DiscreteImmersion.from_json(json.load(f))

@@ -284,10 +284,10 @@ def retract_svd(a_raw, b_raw):
     return q[..., 0], q[..., 1]
 
 
-def gauss_gradients(asm, fd):
+def gauss_gradients(fd):
     """Gauss-field parameter gradients and |dT|^2_g by a three-operand einsum."""
     t = fd.gauss
-    a_list = (asm.stencil @ t).reshape(len(t), 2, asm.k2)
+    a_list = (fd.mesh.gauss_stencil @ t).reshape(len(t), 2, t.shape[1])
     quad = np.einsum("fab,fai,fbi->f", fd.ginv, a_list, a_list)
     return a_list, quad
 
@@ -297,7 +297,7 @@ def energy_gradient(asm, imm, eps):
     on a FaceData built here rather than the immersion's kept one."""
     positions = imm.positions
     fd = FaceData(imm)
-    a_list, quad = gauss_gradients(asm, fd)
+    a_list, quad = gauss_gradients(fd)
     n_f = len(asm.tri)
     s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
     s_quad = eps**4 * 2.0 * (1.0 + quad) * fd.area
@@ -305,7 +305,7 @@ def energy_gradient(asm, imm, eps):
     a_bar = 2.0 * s_quad[:, None, None] * np.einsum("fab,fbi->fai", ginv, a_list)
     aat = np.einsum("fai,fbi->fab", a_list, a_list)
     g_bar_mat = -np.einsum("f,fab,fbc,fcd->fad", s_quad, ginv, aat, ginv)
-    t_bar = asm.stencil_t @ a_bar.reshape(2 * n_f, asm.k2)
+    t_bar = imm.mesh.gauss_stencil_t @ a_bar.reshape(2 * n_f, fd.gauss.shape[1])
     t = fd.gauss
     wnorm = fd.wnorm
     w_bar = (t_bar - np.sum(t_bar * t, axis=-1, keepdims=True) * t) / wnorm[:, None]
@@ -313,7 +313,7 @@ def energy_gradient(asm, imm, eps):
     du, dv = fd.du, fd.dv
     du_bar = np.zeros_like(du)
     dv_bar = np.zeros_like(dv)
-    pairs = np.asarray(wedge_pairs(asm.k), int)
+    pairs = np.asarray(wedge_pairs(positions.shape[1]), int)
     i_idx, j_idx = pairs[:, 0], pairs[:, 1]
     np.add.at(du_bar, (slice(None), i_idx), w_bar * dv[:, j_idx])
     np.add.at(du_bar, (slice(None), j_idx), -w_bar * dv[:, i_idx])
@@ -355,7 +355,7 @@ def energy_first_variation(asm, imm, eps, w_field):
     algebra as three-index einsums; an oracle independent of the gradient."""
     w_field = asm.geometry.tangent(imm.positions, np.asarray(w_field, float))
     fd = FaceData(imm)
-    a_list, quad = gauss_gradients(asm, fd)
+    a_list, quad = gauss_gradients(fd)
     wc = w_field[asm.tri]
     base = fd.base_pos
     e1_dot = _frame_dot(asm.geometry, base, fd.d1, wc[:, 0], wc[:, 1] - wc[:, 0])
@@ -371,7 +371,7 @@ def energy_first_variation(asm, imm, eps, w_field):
     wnorm_dot = np.sum(t * w_dot, axis=-1)
     area_dot = fd.uv_area * wnorm_dot
     t_dot = (w_dot - wnorm_dot[:, None] * t) / fd.wnorm[:, None]
-    a_dot = (asm.stencil @ t_dot).reshape(a_list.shape)
+    a_dot = (imm.mesh.gauss_stencil @ t_dot).reshape(a_list.shape)
     ginv = fd.ginv
     g_dot = np.stack(
         [np.stack([g11_dot, g12_dot], axis=-1), np.stack([g12_dot, g22_dot], axis=-1)], axis=-2

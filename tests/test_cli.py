@@ -313,6 +313,77 @@ def test_collapsed_face_exits_two(tmp_path, command):
     assert "validation failure: degenerate face 0" in r.stderr
 
 
+def _without(key):
+    return lambda data: json.dumps({k: v for k, v in data.items() if k != key})
+
+
+def _with(**change):
+    return lambda data: json.dumps({**data, **change})
+
+
+#: Each malformed input file, as text made from a valid file's JSON object
+#: (None: no file at all).
+MALFORMED_MESHES = {
+    "missing file": None,
+    "not JSON": lambda data: "a mesh",
+    "truncated JSON": lambda data: json.dumps(data)[:60],
+    "JSON list": lambda data: json.dumps([data]),
+    "no target": _without("target"),
+    "non-integer triangle": lambda data: json.dumps(
+        {**data, "triangles": [["a", 1, 2]] + data["triangles"][1:]}),
+    "non-numeric tolerance": _with(legendrian_tol="x"),
+    "boundary loop vertex out of range": _with(boundary_loops=[[0, 1, 99999]]),
+    "generator loop vertex out of range": _with(generator_loops=[[0, -1]]),
+}
+MALFORMED_GRIDS = {
+    "missing file": None,
+    "not JSON": lambda data: "a grid",
+    "JSON list": lambda data: json.dumps([data]),
+    "no u": _without("u"),
+}
+MALFORMED_CASES = (
+    [(cmd, "mesh", name) for cmd in ("energy", "density") for name in MALFORMED_MESHES]
+    + [("lift", "grid", name) for name in MALFORMED_GRIDS]
+)
+
+
+@pytest.mark.parametrize("command,kind,name", MALFORMED_CASES,
+                         ids=[f"{c}-{n}" for c, _, n in MALFORMED_CASES])
+def test_malformed_input_file_exits_two(tmp_path, capsys, command, kind, name):
+    from legsurf import cli
+
+    path = tmp_path / f"{kind}.json"
+    if kind == "mesh":
+        valid, make = corpus.flat_patch(4).to_json(), MALFORMED_MESHES[name]
+    else:
+        write_clifford_grid(path, n=8)
+        valid, make = json.loads(path.read_text()), MALFORMED_GRIDS[name]
+        path.unlink()
+    if make is not None:
+        path.write_text(make(valid))
+    extra = ["--epsilon", "0.2"] if command == "energy" else []
+    status = cli.main([command, f"--{kind}", str(path), *extra, "--out", str(tmp_path / "out")])
+    assert status == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and str(path) in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mesh_without_uv_exits_two(tmp_path, capsys):
+    from legsurf import cli
+    from legsurf.mesh import DiscreteImmersion, SurfaceMesh
+
+    fp = corpus.flat_patch(6)
+    m = fp.mesh
+    mesh = SurfaceMesh(m.triangles, m.n_vertices, boundary_loops=m.boundary_loops)
+    path = tmp_path / "m.json"
+    DiscreteImmersion(mesh=mesh, target="heisenberg", positions=fp.positions).save(path)
+    status = cli.main(["energy", "--mesh", str(path), "--epsilon", "0.2",
+                       "--out", str(tmp_path / "out")])
+    assert status == cli.EXIT_VALIDATION
+    assert "requires uv parameters" in capsys.readouterr().err
+
+
 class TestEnergyCommand:
     def test_energy_file(self, tmp_path):
         r = run_cli(
@@ -411,5 +482,5 @@ class TestSolverAbortExit:
         assert aborted["eps"] == 0.1 and aborted["iter"] == 2
         assert aborted["residual_before_restore"] == 1.0
         assert aborted["residual_after_restore"] == 0.5
-        final = DiscreteImmersion.load(out / "final_mesh.json")
+        final = DiscreteImmersion.from_json(json.loads((out / "final_mesh.json").read_text()))
         assert np.array_equal(final.positions, accepted[-1].positions)

@@ -7,6 +7,7 @@ import reference_loops as ref
 from legsurf import corpus, energy, gauge_lab, immersion
 from legsurf.checks import fit_loglog_slope
 from legsurf.errors import GeometryDomainError, LocalisationError
+from legsurf.mesh import DiscreteImmersion, SurfaceMesh
 from legsurf.polynomials import Polynomial, random_polynomial
 
 TARGETS = ("heisenberg", "stiefel")
@@ -59,6 +60,21 @@ class TestEnergy:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(GeometryDomainError):
             energy.energy(corpus.flat_patch(4), 0.0)
+
+    def test_mesh_without_uv_rejected(self):
+        # The Gauss-map stencil differences parameter barycentres, so every
+        # evaluation of the penalty needs uv.
+        fp = corpus.flat_patch(6)
+        m = fp.mesh
+        mesh = SurfaceMesh(m.triangles, m.n_vertices, boundary_loops=m.boundary_loops)
+        imm = DiscreteImmersion(mesh=mesh, target="heisenberg", positions=fp.positions)
+        for evaluate in (
+            lambda: energy.energy(imm, 0.2),
+            lambda: energy.gradient(imm, 0.2),
+            lambda: energy.descend(imm, [0.2], energy.DescentOptions(max_iters=2)),
+        ):
+            with pytest.raises(GeometryDomainError, match="requires uv parameters"):
+                evaluate()
 
 
 class TestFirstVariation:
@@ -324,7 +340,7 @@ class TestPairingIdentity:
         for n in ns:
             cl = corpus.clifford_lift(n)
             spec = spec_of(poly)
-            w = energy.hamiltonian_deformation(cl, spec, convention="thm1")
+            w = energy.hamiltonian_deformation(cl, spec)
             lhs = energy.first_variation(cl, 1e-9, w)
             fd = immersion.FaceData(cl)
             mcf = immersion.mean_curvature_one_form(cl)

@@ -103,8 +103,8 @@ def test_changed_positions_are_evaluated_again(target, monkeypatch):
 
 def test_kept_state_is_read_only():
     imm = _perturbed("heisenberg")
-    asm = energy.EnergyAssembler(imm)
-    fd, (a_list, _, quad) = asm.evaluate(imm)
+    fd = imm.face_data
+    a_list, _, quad = fd.gauss_gradients
     for arr in (imm.positions, fd.area, fd.ginv, a_list, quad):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -117,7 +117,7 @@ def test_face_data_rejects_degenerate_faces():
     pos[c] = pos[a] + 0.5 * (pos[b] - pos[a])  # collapse face 0 onto its edge
     flat = fp.with_positions(pos)
     with pytest.raises(DegenerateFaceError):
-        energy.EnergyAssembler(fp).evaluate(flat)
+        energy.EnergyAssembler(fp).energy(flat, EPS)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -139,6 +139,43 @@ def test_descent_evaluates_each_iterate_once(target, monkeypatch):
     # FaceData; the start and each restored candidate are evaluated once,
     # whatever is asked of them.
     assert len(face_states) == 1 + len(candidates)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_gauss_gradients_are_built_once_per_face_data(target, monkeypatch):
+    builds = []
+    block_gram = immersion._block_gram
+
+    def counting(x, y):
+        builds.append(1)
+        return block_gram(x, y)
+
+    monkeypatch.setattr(immersion, "_block_gram", counting)
+    imm = _perturbed(target)
+    w = np.random.default_rng(4).standard_normal(imm.positions.shape)
+    # Module-level calls make a new assembler each; the iterate's FaceData
+    # keeps the gradients for all of them, at every eps.
+    energy.energy(imm, EPS)
+    energy.gradient(imm, EPS)
+    energy.first_variation(imm, EPS, w)
+    energy.EnergyAssembler(imm).energy(imm, 0.1)
+    assert len(builds) == 1
+    fd, stencil = imm.face_data, imm.mesh.gauss_stencil
+    assert fd.gauss_gradients is fd.gauss_gradients
+    assert imm.mesh.gauss_stencil_t is imm.mesh.gauss_stencil_t
+    # Another immersion of the mesh builds its own, with the mesh's stencil.
+    moved = imm.with_positions(imm.positions)
+    energy.energy(moved, EPS)
+    assert len(builds) == 2 and imm.mesh.gauss_stencil is stencil
+    for mine, theirs in zip(moved.face_data.gauss_gradients, fd.gauss_gradients):
+        assert _bits(mine) == _bits(theirs)
+
+    # A descent builds them once per iterate it evaluates.
+    builds.clear()
+    face_states = _counting_face_data(monkeypatch)
+    pc = corpus.perturbed_clifford(8, amplitude=1e-2, seed=3, target=target)
+    assert energy.descend(pc, [0.2, 0.1], energy.DescentOptions(max_iters=3)).records
+    assert len(builds) == len(face_states)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -166,6 +203,7 @@ def test_dropped_immersion_frees_its_face_data():
     # FaceData holds the mesh, not the immersion: no reference cycle, so a
     # rejected line-search candidate is freed without the cycle collector.
     imm = _perturbed("heisenberg")
+    imm.face_data.gauss_gradients  # kept on the FaceData, so freed with it
     refs = weakref.ref(imm), weakref.ref(imm.face_data)
     gc.disable()
     try:

@@ -1,5 +1,7 @@
 """Face frames, residuals, curvature, Hopf differential, angle one-form."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -232,7 +234,7 @@ class TestMeshValidation:
             cl = corpus.clifford_lift(8, target=target)
             path = tmp_path / f"{target}.json"
             cl.save(path)
-            back = DiscreteImmersion.load(path)
+            back = DiscreteImmersion.from_json(json.loads(path.read_text()))
             assert back.target == target
             assert np.allclose(back.positions, cl.positions)
             assert back.phi_monodromy == cl.phi_monodromy

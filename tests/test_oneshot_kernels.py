@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 from scipy.sparse.csgraph import shortest_path
 
 import reference_loops as ref
-from legsurf import cli, corpus, energy, gauge_lab, immersion
+from legsurf import cli, corpus, gauge_lab, immersion, mesh
 from legsurf.errors import GeometryDomainError
 
 MCF_CASES = [
@@ -135,7 +135,7 @@ class TestStencilWeights:
     def test_stencil_matches_pinv(self, imm):
         m = imm.mesh
         uv = m.corner_uv_local()[0]
-        new = energy._gauss_stencil(m, uv)
+        new = m.gauss_stencil
         old = ref.gauss_stencil_pinv(m, uv)
         np.testing.assert_array_equal(new.indptr, old.indptr)
         np.testing.assert_array_equal(new.indices, old.indices)
@@ -145,14 +145,14 @@ class TestStencilWeights:
         m = corpus.cone_fixture().mesh
         uv = m.corner_uv_local()[0]
         np.testing.assert_allclose(
-            energy._gauss_stencil(m, uv).toarray(), ref.gauss_stencil_pinv(m, uv).toarray(),
+            m.gauss_stencil.toarray(), ref.gauss_stencil_pinv(m, uv).toarray(),
             rtol=0, atol=1e-12,
         )
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_blocks_match_pinv(self, c):
         delta = np.random.default_rng(c).uniform(-1.0, 1.0, size=(500, c, 2))
-        q, expected = energy._lsq_weights(delta), np.linalg.pinv(delta)
+        q, expected = mesh._lsq_weights(delta), np.linalg.pinv(delta)
         if c == 1:  # a single row is always collinear
             np.testing.assert_array_equal(q, expected)
         err = np.abs(q - expected).max(axis=(1, 2)) / np.abs(expected).max(axis=(1, 2))
@@ -164,7 +164,7 @@ class TestStencilWeights:
             [[0.3, 0.0], [0.0, 0.2]],  # well conditioned
             [[0.1, 0.1], [0.1, 0.1 + 1e-12]],  # collinear up to rounding
         ])
-        q = energy._lsq_weights(delta)
+        q = mesh._lsq_weights(delta)
         expected = np.linalg.pinv(delta)
         np.testing.assert_array_equal(q[[0, 2]], expected[[0, 2]])
         np.testing.assert_allclose(q[1], expected[1], rtol=0, atol=1e-12)
