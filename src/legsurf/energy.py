@@ -353,8 +353,16 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
 
 #: Largest step a line search starts from.  Each search first tries twice the
 #: step accepted before it (``tau_init`` at a stage's start), clipped to
-#: [tau_min, TAU_MAX], and halves it down to ``tau_min``.
+#: [tau_min, TAU_MAX].  A trial that fails the Armijo test is retried at the
+#: minimiser of the quadratic through E(0), the slope s and E(tau): the step
+#: times -s tau / (2 (E(tau) - E(0) - s tau)), that ratio clamped to
+#: [BACKTRACK_MIN, BACKTRACK_MAX] (Nocedal and Wright, Numerical
+#: Optimization, 2nd ed., section 3.5).  A trial that raised, or whose
+#: curvature term E(tau) - E(0) - s tau is not positive, is halved.  No trial
+#: goes below ``tau_min``.
 TAU_MAX = 1e3
+BACKTRACK_MIN = 0.1
+BACKTRACK_MAX = 0.5
 
 
 @dataclass
@@ -423,13 +431,18 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
     (:func:`projection_factor`) is factored once, at the stage-start mesh,
     and the gradient norm is measured in that frozen metric, with the
     stage-start vertex areas.  The Armijo slope is the pairing of the
-    gradient the projection used with the direction.  A trial step whose
-    restoration stalls, or which collapses a face or a vertex frame, is
-    retried at half the step.
+    gradient the projection used with the direction.  A trial step that
+    fails the Armijo test is retried at the minimiser of the quadratic
+    through the stage energy, the slope and the trial energy, clamped to
+    [BACKTRACK_MIN, BACKTRACK_MAX] times the step (halved when that
+    quadratic is not convex).  A trial step whose restoration stalls, or
+    which collapses a face or a vertex frame, is retried at half the step.
+    The search aborts when half the step falls below ``tau_min``.
 
-    Each accepted step replaces ``result.final`` and appends its record to
-    ``result.records``; a ``StageAbortedError`` carries ``result`` as it
-    stands.  Returns the stage's report.
+    Each accepted step replaces ``result.final`` and appends its record,
+    with its step ``tau`` and the number of trials its search rejected
+    (``backtracks``), to ``result.records``; a ``StageAbortedError`` carries
+    ``result`` as it stands.  Returns the stage's report.
     """
     tol = max(1e-8, opts.tol_scale * eps**2)
     current = result.final
@@ -454,12 +467,18 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
             break
         tau = min(max(tau * 2.0, opts.tau_min), TAU_MAX)
         before = after = None
+        backtracks = 0
         while True:
+            shrink = 0.5
             try:
                 candidate, before, after, _ = flow_step(current, direction, tau)
                 e_new = assembler.energy(candidate, eps)
                 if e_new.total <= e_cur.total + opts.armijo * tau * slope:
                     break
+                curvature = e_new.total - e_cur.total - slope * tau
+                if curvature > 0:
+                    shrink = min(max(-slope * tau / (2.0 * curvature), BACKTRACK_MIN),
+                                 BACKTRACK_MAX)
             except StepRejectedError as exc:
                 before, after = exc.residual_before, exc.residual_after
             except (DegenerateFaceError, DegenerateFrameError):
@@ -478,7 +497,8 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
                     },
                     result=result,
                 )
-            tau *= 0.5
+            tau = max(shrink * tau, opts.tau_min)
+            backtracks += 1
         result.final = current = candidate
         e_cur = e_new
         result.records.append(
@@ -490,6 +510,8 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
                 "grad_norm": gnorm,
                 "max_leg_residual": after,
                 "entropy_indicator": e_cur.entropy_indicator,
+                "tau": tau,
+                "backtracks": backtracks,
             }
         )
     return StageReport(

@@ -78,7 +78,7 @@ class FaceData:
 
     def __init__(self, imm: DiscreteImmersion):
         m = self.mesh = imm.mesh
-        corners = imm.positions[m.triangles]
+        corners = np.take(imm.positions, m.triangles, axis=0)
         if m.uv is None:
             self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
         else:
@@ -94,8 +94,10 @@ class FaceData:
         g11 = np.sum(du * du, axis=-1)
         g12 = np.sum(du * dv, axis=-1)
         g22 = np.sum(dv * dv, axis=-1)
-        self.g = np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
-        ginv = np.stack([np.stack([g22, -g12], axis=-1), np.stack([-g12, g11], axis=-1)], axis=-2)
+        g = self.g = np.empty((len(g11), 2, 2))
+        g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1] = g11, g12, g12, g22
+        ginv = np.empty_like(g)
+        ginv[:, 0, 0], ginv[:, 0, 1], ginv[:, 1, 0], ginv[:, 1, 1] = g22, -g12, -g12, g11
         with np.errstate(divide="ignore", invalid="ignore"):
             ginv /= (g11 * g22 - g12 * g12)[:, None, None]
         self.ginv = ginv

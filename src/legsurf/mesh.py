@@ -348,6 +348,8 @@ class DiscreteImmersion:
     ``target`` is the target's name; ``geometry`` is its :class:`fields.Target`.
     ``positions`` is read-only (a writable array passed in is copied), so the
     face state derived from it, :attr:`face_data`, is built once and kept.
+    ``legendrian_tol``, the restoration's residual bound, must be finite and
+    positive.
     """
 
     mesh: SurfaceMesh
@@ -373,6 +375,11 @@ class DiscreteImmersion:
             )
         if not np.all(np.isfinite(self.positions)):
             raise GeometryDomainError("positions contain non-finite values")
+        self.legendrian_tol = float(self.legendrian_tol)
+        if not (np.isfinite(self.legendrian_tol) and self.legendrian_tol > 0):
+            raise GeometryDomainError(
+                f"legendrian_tol must be finite and positive, got {self.legendrian_tol!r}"
+            )
 
     @functools.cached_property
     def face_data(self):

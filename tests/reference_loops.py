@@ -9,7 +9,8 @@ encoder, the mean-curvature one-form lost its Python spanning-tree walk and
 edge dict, grid triangles were built by index arithmetic, the Gauss stencil
 weights were written out in closed form, the quadratic-fit curvature was
 batched by neighbourhood size and the first variation became the gradient's
-pairing, kept here only as oracles for the equivalence tests.
+pairing, and FaceData gathered its corners with ``np.take`` and filled its
+metrics in place, kept here only as oracles for the equivalence tests.
 """
 
 import json
@@ -23,9 +24,11 @@ from legsurf.immersion import (
     CurvatureData,
     FaceData,
     MeanCurvatureForm,
+    _intrinsic_uv,
     wedge_nd,
     wedge_pairs,
 )
+from legsurf.mesh import parameter_inverse
 
 
 def mesh_adjacency(mesh):
@@ -282,6 +285,33 @@ def retract_svd(a_raw, b_raw):
     u, _, vt = np.linalg.svd(m, full_matrices=False)
     q = u @ vt
     return q[..., 0], q[..., 1]
+
+
+def face_data_arrays(imm):
+    """FaceData's arrays, with corners gathered by fancy indexing and g, ginv
+    built from nested ``np.stack`` calls, keyed by attribute name."""
+    m = imm.mesh
+    corners = imm.positions[m.triangles]
+    if m.uv is None:
+        minv, uv_area = parameter_inverse(_intrinsic_uv(imm))
+    else:
+        wraps, minv, uv_area = m.face_uv
+        corners += imm.geometry.seam_shift(wraps, imm.phi_monodromy)
+    base = corners[:, 0]
+    d1, d2 = corners[:, 1] - base, corners[:, 2] - base
+    e1, e2 = imm.geometry.frame(base, d1), imm.geometry.frame(base, d2)
+    du = minv[:, 0, 0, None] * e1 + minv[:, 1, 0, None] * e2
+    dv = minv[:, 0, 1, None] * e1 + minv[:, 1, 1, None] * e2
+    g11, g12, g22 = np.sum(du * du, axis=-1), np.sum(du * dv, axis=-1), np.sum(dv * dv, axis=-1)
+    g = np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
+    ginv = np.stack([np.stack([g22, -g12], axis=-1), np.stack([-g12, g11], axis=-1)], axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ginv /= (g11 * g22 - g12 * g12)[:, None, None]
+    wedge = wedge_nd(du, dv)
+    wnorm = np.sqrt(np.maximum(np.sum(wedge * wedge, axis=-1), 1e-300))
+    return dict(minv=minv, uv_area=uv_area, base_pos=base, d1=d1, d2=d2, e1=e1, e2=e2,
+                du=du, dv=dv, g=g, ginv=ginv, wnorm=wnorm, gauss=wedge / wnorm[:, None],
+                area=uv_area * wnorm)
 
 
 def gauss_gradients(fd):

@@ -185,7 +185,7 @@ class TestDescendCommand:
         rec = json.loads(lines[0])
         assert set(rec) == {
             "k", "iter", "area", "penalty", "grad_norm",
-            "max_leg_residual", "entropy_indicator",
+            "max_leg_residual", "entropy_indicator", "tau", "backtracks",
         }
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stages"]
@@ -332,6 +332,8 @@ MALFORMED_MESHES = {
     "non-integer triangle": lambda data: json.dumps(
         {**data, "triangles": [["a", 1, 2]] + data["triangles"][1:]}),
     "non-numeric tolerance": _with(legendrian_tol="x"),
+    "negative tolerance": _with(legendrian_tol=-1.0),
+    "NaN tolerance": _with(legendrian_tol=float("nan")),
     "boundary loop vertex out of range": _with(boundary_loops=[[0, 1, 99999]]),
     "generator loop vertex out of range": _with(generator_loops=[[0, -1]]),
 }

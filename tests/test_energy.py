@@ -462,6 +462,92 @@ class TestStageAbort:
         assert 0 <= diag["residual_after_restore"] < diag["residual_before_restore"]
 
 
+class TestLineSearch:
+    """The backtrack after an Armijo failure interpolates; a rejection halves."""
+
+    @staticmethod
+    def _flat48():
+        # Smaller meshes accept every first trial, so nothing backtracks there.
+        return corpus.perturbed_clifford(48, amplitude=1e-2, seed=1)
+
+    def test_backtrack_is_clamped_quadratic_minimiser(self, monkeypatch):
+        real_step, trials = energy.flow_step, []
+        eps = 0.2
+
+        def recording(imm, w_field, tau):
+            out = real_step(imm, w_field, tau)
+            e0 = energy.energy(imm, eps).total
+            slope = energy.gradient(imm, eps).pair(w_field)
+            trials.append((imm, tau, e0, slope, energy.energy(out[0], eps).total))
+            return out
+
+        monkeypatch.setattr(energy, "flow_step", recording)
+        opts = energy.DescentOptions(max_iters=8)
+        energy.descend(self._flat48(), [eps], opts)
+        ratios = []
+        for (imm, tau, e0, slope, e_tau), nxt in zip(trials, trials[1:]):
+            if nxt[0] is not imm:
+                continue  # this trial was accepted
+            assert e_tau > e0 + opts.armijo * tau * slope
+            curvature = e_tau - e0 - slope * tau
+            assert curvature > 0
+            ratio = min(max(-slope * tau / (2.0 * curvature), energy.BACKTRACK_MIN),
+                        energy.BACKTRACK_MAX)
+            assert nxt[1] == pytest.approx(ratio * tau, rel=1e-12)
+            ratios.append(ratio)
+        # Some ratio lies inside the clamp, where halving would differ.
+        assert any(energy.BACKTRACK_MIN < r < energy.BACKTRACK_MAX for r in ratios)
+
+    def test_nonconvex_model_halves(self, monkeypatch):
+        # The first trial reads E(0) + 1.5 slope tau: with armijo 2 it fails
+        # the Armijo test, and its quadratic model is concave.
+        from legsurf.errors import StageAbortedError
+
+        eps = 0.2
+        real_step, real_energy = energy.flow_step, energy.EnergyAssembler.energy
+        taus, faked = [], []
+
+        def concave_first(imm, w_field, tau):
+            taus.append(tau)
+            out = real_step(imm, w_field, tau)
+            if len(taus) == 1:
+                total = (energy.energy(imm, eps).total
+                         + 1.5 * tau * energy.gradient(imm, eps).pair(w_field))
+                faked.append((out[0], energy.EnergyBreakdown(total, 0.0, total, 0.0)))
+            return out
+
+        def faking(self, imm, eps_):
+            for candidate, breakdown in faked:
+                if candidate is imm:
+                    return breakdown
+            return real_energy(self, imm, eps_)
+
+        monkeypatch.setattr(energy, "flow_step", concave_first)
+        monkeypatch.setattr(energy.EnergyAssembler, "energy", faking)
+        pc = corpus.perturbed_clifford(10, amplitude=1e-2, seed=3)
+        with pytest.raises(StageAbortedError):  # armijo 2 accepts no real step either
+            energy.descend(pc, [eps], energy.DescentOptions(armijo=2.0, max_iters=1))
+        assert taus[1] == 0.5 * taus[0]
+
+    def test_trial_count_and_records(self, monkeypatch):
+        real_step, taus = energy.flow_step, []
+
+        def counting(imm, w_field, tau):
+            taus.append(tau)
+            return real_step(imm, w_field, tau)
+
+        monkeypatch.setattr(energy, "flow_step", counting)
+        result = energy.descend(self._flat48(), [0.2, 0.1], energy.DescentOptions(max_iters=8))
+        records = result.records
+        assert len(records) == 16
+        # Halving from twice the last step made 31 trials here.
+        assert len(taus) < 28
+        assert all(type(r["backtracks"]) is int and r["backtracks"] >= 0 for r in records)
+        assert len(records) + sum(r["backtracks"] for r in records) == len(taus)
+        accepted = np.cumsum([r["backtracks"] + 1 for r in records]) - 1
+        assert [r["tau"] for r in records] == [taus[i] for i in accepted]
+
+
 def _lagrangian_graph(n):
     """Non-minimal Lagrangian graph (x1, dF/dx1, x2, dF/dx2), lifted."""
     from legsurf import heisenberg as hs

@@ -281,6 +281,17 @@ def test_edge_shift_equals_seam_shift(family, kw, monkeypatch):
     assert got == restored_and_residual()
 
 
+@pytest.mark.parametrize("family,kw", EDGE_SHIFT_CASES)
+def test_face_data_equals_stacked_build(family, kw):
+    imm = _flat_patch_without_uv() if kw is None else corpus.generate(family, **kw)
+    fd = immersion.FaceData(imm)
+    want = ref.face_data_arrays(imm)
+    got = {name: arr for name, arr in vars(fd).items() if isinstance(arr, np.ndarray)}
+    assert sorted(got) == sorted(want)
+    for name, arr in want.items():
+        assert _bits(got[name]) == _bits(arr), name
+
+
 MONOMIAL_EXPONENTS = {
     "constant terms": [[0, 0, 0, 0], [2, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]],
     "unused variable": [[1, 0, 2, 1], [0, 0, 1, 3], [2, 0, 0, 0]],

@@ -54,6 +54,16 @@ class TestFaceFrames:
         assert fd.area.sum() == pytest.approx(4 * np.pi**2, rel=4e-3)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_legendrian_tol_must_be_finite_and_positive(tol):
+    fp = corpus.flat_patch(4)
+    with pytest.raises(GeometryDomainError, match="legendrian_tol"):
+        DiscreteImmersion(fp.mesh, fp.target, fp.positions, legendrian_tol=tol)
+    data = {**fp.to_json(), "legendrian_tol": tol}
+    with pytest.raises(GeometryDomainError, match="legendrian_tol"):
+        DiscreteImmersion.from_json(data)
+
+
 class TestLegendrianResidual:
     def test_flat_patch_exact(self):
         res = immersion.legendrian_residual(corpus.flat_patch(8))
