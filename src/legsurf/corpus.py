@@ -6,9 +6,12 @@ family except the intentionally-degenerate cone produces a valid immersion.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from . import heisenberg as hs
+from .errors import GeometryDomainError
 from .mesh import DiscreteImmersion, SurfaceMesh
 from .polynomials import Polynomial, random_polynomial
 
@@ -247,6 +250,11 @@ def perturbed_clifford(n=32, amplitude=1e-2, seed=0, target="heisenberg"):
 
 
 def generate(family, **kw):
+    """The corpus mesh ``family`` built with keywords ``kw``; a resolution
+    ``n`` must be an integer >= 1 (GeometryDomainError otherwise)."""
+    n = kw.get("n", 1)
+    if not (isinstance(n, Integral) and n >= 1):
+        raise GeometryDomainError(f"resolution must be an integer >= 1, got {n!r}")
     if family == "flat_patch":
         return flat_patch(**kw)
     if family == "clifford_lift":

@@ -12,6 +12,7 @@ and the directional first variation is that gradient paired with the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -24,7 +25,7 @@ from .errors import (
     StageAbortedError,
     StepRejectedError,
 )
-from .immersion import cotangent_weights, legendrian_residual, scatter_rows, wedge_pairs
+from .immersion import cotangent_weights, legendrian_residual, wedge_rows_adjoint
 from .mesh import DiscreteImmersion
 
 
@@ -94,62 +95,67 @@ class EnergyAssembler:
         return self.gradient(imm, eps).pair(w_field)
 
     def gradient(self, imm, eps) -> FirstVariation:
-        """Exact differential of the discrete energy, projected to tangents."""
+        """Exact differential of the discrete energy, projected to tangents.
+
+        Reverse mode over :class:`FaceData`'s component-major rows.  The 2x2
+        contractions with component rows are two-operand einsums over the
+        contiguous face axis (faster than the same products written out
+        entry by entry); the 2x2 products of per-face scalars are written
+        out (:func:`_matmul2`)."""
         fd = imm.face_data
         a_list, aat, quad = fd.gauss_gradients
-        n_f, k2 = fd.gauss.shape
+        ginv = fd.ginv.T  # (2, 2, F), symmetric
         s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
         s_quad = eps**4 * 2.0 * (1.0 + quad) * fd.area
-        ginv = fd.ginv
 
-        # d|dT|^2/dA through the differencing stencil into per-face Gauss
-        # adjoints, and the inverse-metric adjoint.
-        t_bar = imm.mesh.gauss_stencil_t @ (
-            (2.0 * s_quad)[:, None, None] * (ginv @ a_list)
-        ).reshape(2 * n_f, k2)
-        g_bar_mat = -s_quad[:, None, None] * (ginv @ aat @ ginv)
+        # d|dT|^2/dA = 2 ginv A, then through the differencing stencil (its
+        # row 2f + a is derivative a of face f) into per-face Gauss adjoints.
+        a_bar = np.einsum("abf,ibf->iaf", (2.0 * s_quad) * ginv, a_list.T)
+        k2, _, n_f = a_bar.shape
+        t_bar = imm.mesh.gauss_stencil_t @ np.ascontiguousarray(a_bar.T).reshape(2 * n_f, k2)
 
-        # Through the normalisation T = W / |W|, updating t_bar in place.
-        t = fd.gauss
-        w_bar = t_bar
-        w_bar -= np.sum(t_bar * t, axis=-1, keepdims=True) * t
-        w_bar /= fd.wnorm[:, None]
-        w_bar += (s_area * fd.uv_area)[:, None] * t
+        # Through the normalisation T = W / |W|:
+        # W_bar = (T_bar - (T_bar . T) T) / |W| + s_area uv_area T.
+        t = fd.gauss.T
+        w_bar = np.ascontiguousarray(t_bar.T)
+        w_bar /= fd.wnorm
+        w_bar += (s_area * fd.uv_area - np.einsum("if,if->f", w_bar, t)) * t
 
-        du, dv = fd.du, fd.dv
-        du_bar, dv_bar = _wedge_adjoint(w_bar, du, dv)
+        # Through the wedge W = du ^ dv and the metric g of P = (du, dv).  The
+        # inverse-metric adjoint is G = -s_quad ginv (A A^T) ginv, and
+        # g_ab = <P_a, P_b> gives P_bar += 2 G P (G is symmetric).
+        partials = fd.partials
+        p_bar = wedge_rows_adjoint(w_bar, *partials)
+        g_bar = _matmul2(_matmul2(ginv, aat.T), ginv)
+        g_bar *= -2.0 * s_quad
+        p_bar += np.einsum("abf,bif->aif", g_bar, partials)
 
-        g11_bar = g_bar_mat[:, 0, 0]
-        g12_bar = g_bar_mat[:, 0, 1] + g_bar_mat[:, 1, 0]
-        g22_bar = g_bar_mat[:, 1, 1]
-        du_bar += 2.0 * g11_bar[:, None] * du + g12_bar[:, None] * dv
-        dv_bar += 2.0 * g22_bar[:, None] * dv + g12_bar[:, None] * du
+        # Through [du dv] = [e1 e2] minv: e_bar[b] = sum_a minv[:, b, a] P_bar[a].
+        e1_bar, e2_bar = np.einsum("abf,aif->bif", fd.minv.T, p_bar)
 
-        minv = fd.minv
-        e1_bar = minv[:, 0, 0, None] * du_bar + minv[:, 0, 1, None] * dv_bar
-        e2_bar = minv[:, 1, 0, None] * du_bar + minv[:, 1, 1, None] * dv_bar
-
-        # Through the frame map of each edge onto its two end corners.
+        # Through the frame map of each edge onto its two end corners, then
+        # onto the vertices one component at a time.
         base = fd.base_pos
-        b1_bar, d1_bar = self.geometry.frame_adjoint(base, fd.d1, e1_bar)
-        b2_bar, d2_bar = self.geometry.frame_adjoint(base, fd.d2, e2_bar)
-        corner_bar = np.stack([b1_bar + b2_bar - d1_bar - d2_bar, d1_bar, d2_bar], axis=1)
+        b1_bar, d1_bar = self.geometry.frame_adjoint(base, fd.d1, e1_bar.T)
+        b2_bar, d2_bar = self.geometry.frame_adjoint(base, fd.d2, e2_bar.T)
+        corner_bar = np.empty((len(e1_bar), 3, n_f))
+        corner_bar[:, 0] = (b1_bar + b2_bar - d1_bar - d2_bar).T
+        corner_bar[:, 1], corner_bar[:, 2] = d1_bar.T, d2_bar.T
         positions = imm.positions
-        grad = scatter_rows(self.tri.ravel(), corner_bar.reshape(-1, positions.shape[1]),
-                            len(positions))
+        corners = self.tri.T.ravel()
+        grad = np.stack([np.bincount(corners, weights=rows.reshape(-1), minlength=len(positions))
+                         for rows in corner_bar])
+        grad = np.ascontiguousarray(grad.T)
         return FirstVariation(covector=self.geometry.tangent(positions, grad))
 
 
-def _wedge_adjoint(w_bar, du, dv):
-    """Adjoint of the wedge W = du ^ dv: with the antisymmetric (k, k)
-    matrix Wb of w_bar, du_bar = Wb dv and dv_bar = -Wb du.  The (F, k, k)
-    Wb lives only here, so it is freed before the gradient goes on."""
-    k = du.shape[1]
-    i_idx, j_idx = np.asarray(wedge_pairs(k), int).T
-    w_mat = np.zeros((len(w_bar), k, k))
-    w_mat[:, i_idx, j_idx] = w_bar
-    w_mat[:, j_idx, i_idx] = -w_bar
-    return np.einsum("fij,fj->fi", w_mat, dv), -np.einsum("fij,fj->fi", w_mat, du)
+def _matmul2(x, y):
+    """Products of per-face 2x2 matrices, stacked as (2, 2, F), per entry."""
+    out = np.empty_like(x)
+    for a in range(2):
+        for c in range(2):
+            out[a, c] = x[a, 0] * y[0, c] + x[a, 1] * y[1, c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +281,28 @@ def hamiltonian_map(imm: DiscreteImmersion):
     averaged onto each vertex with area weights (each face's third of its
     area over the vertex area, :attr:`FaceData.vertex_areas`), then
     J o horizontal at the vertex.  Returned as a ``LinearOperator`` of shape (V k, V) with
-    ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).
+    ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).  The face gradients
+    are combinations of :attr:`FaceData.partials`, component-major, and are
+    spread onto the vertices one component at a time.
     """
-    m = imm.mesh
     geo = imm.geometry
     fd = imm.face_data
-    tri = m.triangles
+    tri = imm.mesh.triangles.T  # (3, F): corner c of every face
+    corners = tri.ravel()
     n_v, k = imm.positions.shape
-    weight = (fd.area / 3.0)[:, None] / fd.vertex_areas[tri]  # (F, 3): face share at each corner
+    weight = (fd.area / 3.0) / fd.vertex_areas[tri]  # (3, F): face share at each corner
 
-    # hat-function surface gradients per face and corner, frame components
-    # rows of hat_params @ minv, hat_params = [[-1, -1], [1, 0], [0, 1]]
-    hat_minv = np.stack([-(fd.minv[:, 0] + fd.minv[:, 1]), fd.minv[:, 0], fd.minv[:, 1]], axis=1)
-    gcoef = hat_minv @ fd.ginv  # (F, 3, 2); ginv is symmetric
-    gvecs = gcoef[..., 0, None] * fd.du[:, None] + gcoef[..., 1, None] * fd.dv[:, None]
+    # The hat function of corner c has parameter gradient hat_c minv, with
+    # hat = [[-1, -1], [1, 0], [0, 1]], and surface gradient
+    # gcoef[0, c] du + gcoef[1, c] dv, gcoef[a, c] = (hat_c minv ginv)_a.
+    m_t, g = fd.minv.T, fd.ginv.T  # m_t[b, a] = minv[:, a, b]; ginv is symmetric
+    gcoef = np.empty((2, 3, tri.shape[1]))
+    for c in (1, 2):
+        r0, r1 = m_t[:, c - 1]  # row c - 1 of minv
+        gcoef[0, c] = r0 * g[0, 0] + r1 * g[1, 0]
+        gcoef[1, c] = r0 * g[0, 1] + r1 * g[1, 1]
+    gcoef[:, 0] = -(gcoef[:, 1] + gcoef[:, 2])
+    partials = fd.partials  # (2, k, F): du, dv
 
     q = imm.positions
     vert = (2.0 / geo.alpha_reeb) * geo.reeb(q)
@@ -297,17 +311,17 @@ def hamiltonian_map(imm: DiscreteImmersion):
     # as horizontal is an orthogonal projection and J is antisymmetric.
     def matvec(u):
         u = np.ravel(u)
-        face_grad = np.einsum("fck,fc->fk", gvecs, u[tri])
-        spread = weight[..., None] * face_grad[:, None]  # (F, 3, k)
-        avg = scatter_rows(tri.ravel(), spread.reshape(-1, k), n_v)
-        return (geo.j(geo.horizontal(q, avg)) + vert * u[:, None]).ravel()
+        face_grad = np.einsum("af,aif->if", np.einsum("acf,cf->af", gcoef, u[tri]), partials)
+        avg = np.stack([np.bincount(corners, weights=(weight * row).reshape(-1), minlength=n_v)
+                        for row in face_grad])
+        return (geo.j(geo.horizontal(q, avg.T)) + vert * u[:, None]).ravel()
 
     def rmatvec(y):
         y = np.reshape(y, (n_v, k))
-        z = -geo.horizontal(q, geo.j(y))
-        face_bar = np.einsum("fc,fck->fk", weight, z[tri])
-        src = np.einsum("fck,fk->fc", gvecs, face_bar)
-        return np.bincount(tri.ravel(), weights=src.ravel(), minlength=n_v) + np.sum(vert * y, axis=1)
+        z = np.ascontiguousarray(-geo.horizontal(q, geo.j(y)).T)  # (k, V)
+        face_bar = np.einsum("cf,icf->if", weight, z[:, tri])
+        src = np.einsum("acf,af->cf", gcoef, np.einsum("aif,if->af", partials, face_bar))
+        return np.bincount(corners, weights=src.reshape(-1), minlength=n_v) + np.sum(vert * y, axis=1)
 
     return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
 
@@ -440,9 +454,12 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
     The search aborts when half the step falls below ``tau_min``.
 
     Each accepted step replaces ``result.final`` and appends its record,
-    with its step ``tau`` and the number of trials its search rejected
-    (``backtracks``), to ``result.records``; a ``StageAbortedError`` carries
-    ``result`` as it stands.  Returns the stage's report.
+    with its step ``tau``, the number of trials its search rejected
+    (``backtracks``), and its restoration's Gauss-Newton passes
+    (``restore_iters``) and residual before restoring
+    (``residual_before_restore``), to ``result.records``; a
+    ``StageAbortedError`` carries ``result`` as it stands.  Returns the
+    stage's report.
     """
     tol = max(1e-8, opts.tol_scale * eps**2)
     current = result.final
@@ -471,7 +488,7 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
         while True:
             shrink = 0.5
             try:
-                candidate, before, after, _ = flow_step(current, direction, tau)
+                candidate, before, after, passes = flow_step(current, direction, tau)
                 e_new = assembler.energy(candidate, eps)
                 if e_new.total <= e_cur.total + opts.armijo * tau * slope:
                     break
@@ -509,6 +526,8 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
                 "penalty": e_cur.penalty,
                 "grad_norm": gnorm,
                 "max_leg_residual": after,
+                "residual_before_restore": before,
+                "restore_iters": passes,
                 "entropy_indicator": e_cur.entropy_indicator,
                 "tau": tau,
                 "backtracks": backtracks,
@@ -522,24 +541,32 @@ def descent_stage(result: DescentResult, assembler: EnergyAssembler, k: int, eps
 def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> DescentResult:
     """Constraint-preserving descent of the penalized energy over an eps ladder.
 
-    One :func:`descent_stage` per eps of the positive, decreasing
-    ``schedule``; the schedule stops early when the entropy indicator rises
-    on two consecutive stages.  ``0 < tau_min <= TAU_MAX`` and
-    ``tau_init > 0`` are required (``GeometryDomainError`` otherwise).  A
+    One :func:`descent_stage` per eps of the non-empty, finite, positive,
+    decreasing ``schedule``; the schedule stops early when the entropy
+    indicator rises on two consecutive stages.  ``0 < tau_min <= TAU_MAX``,
+    ``tau_init > 0``, a finite ``armijo > 0`` and an integer
+    ``max_iters >= 0`` are required (``GeometryDomainError`` otherwise).  A
     stage without an admissible step raises ``StageAbortedError``, whose
-    ``result`` is the descent up to its last accepted step.
+    ``result`` is the descent up to its last accepted step; an ``armijo`` of
+    1 or more asks for more decrease than the slope predicts, so it ends
+    that way.
     """
     opts = opts or DescentOptions()
     schedule = list(schedule)
-    if any(e <= 0 for e in schedule) or any(
-        b >= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise GeometryDomainError("eps schedule must be positive and decreasing")
+    if not (schedule and all(0 < e < np.inf for e in schedule)
+            and all(b < a for a, b in zip(schedule, schedule[1:]))):
+        raise GeometryDomainError(
+            f"eps schedule must be non-empty, finite, positive and decreasing, got {schedule!r}"
+        )
     if not (opts.tau_init > 0 and 0 < opts.tau_min <= TAU_MAX):
         raise GeometryDomainError(
             f"need tau_init > 0 and 0 < tau_min <= {TAU_MAX:g}, "
             f"got tau_init={opts.tau_init!r}, tau_min={opts.tau_min!r}"
         )
+    if not (isinstance(opts.max_iters, Integral) and opts.max_iters >= 0):
+        raise GeometryDomainError(f"need an integer max_iters >= 0, got {opts.max_iters!r}")
+    if not 0 < opts.armijo < np.inf:
+        raise GeometryDomainError(f"need a finite armijo > 0, got {opts.armijo!r}")
     # Iterates own their face state.  Starting from a new immersion at the
     # same (read-only) positions keeps the caller's one from holding a
     # FaceData for the whole descent.

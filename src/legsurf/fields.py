@@ -204,15 +204,21 @@ class FlatTarget(Target):
     def invariant_defect(self, positions):
         return 0.0
 
+    # The frame map and its adjoints fill an output shaped and laid out like
+    # their last operand, one component at a time.
     def frame(self, base, delta):
         """Frame components of ambient vectors delta based at base."""
-        c0 = delta[..., 0] - hs.omega0(base[..., 1:], delta[..., 1:])
-        return np.concatenate([c0[..., None], delta[..., 1:]], axis=-1)
+        out = np.empty_like(delta, dtype=float)
+        out[..., 0] = delta[..., 0] - hs.omega0(base[..., 1:], delta[..., 1:])
+        out[..., 1:] = delta[..., 1:]
+        return out
 
     def unframe(self, base, c):
         """Inverse of :meth:`frame`."""
-        x0 = c[..., 0] + hs.omega0(base[..., 1:], c[..., 1:])
-        return np.concatenate([x0[..., None], c[..., 1:]], axis=-1)
+        out = np.empty_like(c, dtype=float)
+        out[..., 0] = c[..., 0] + hs.omega0(base[..., 1:], c[..., 1:])
+        out[..., 1:] = c[..., 1:]
+        return out
 
     def frame_covector(self, base, cov):
         """An ambient covector as a covector on frame components (adjoint of unframe)."""
@@ -224,9 +230,15 @@ class FlatTarget(Target):
         """(base_bar, delta_bar): the adjoint of the derivative of
         frame(base, delta), c0 = delta_dot_0 - omega0(base_dot, delta) -
         omega0(base, delta_dot) and c_i = delta_dot_i, applied to c_bar."""
-        f0 = c_bar[..., 0, None]
-        base_bar = np.concatenate([np.zeros_like(f0), f0 * hs.jc2(delta[..., 1:])], axis=-1)
-        delta_bar = np.concatenate([f0, c_bar[..., 1:] - f0 * hs.jc2(base[..., 1:])], axis=-1)
+        f0 = c_bar[..., 0]
+        base_bar = np.empty_like(c_bar, dtype=float)
+        delta_bar = np.empty_like(c_bar, dtype=float)
+        base_bar[..., 0] = 0.0
+        delta_bar[..., 0] = f0
+        # component i of jc2(v) is sign * v[src]
+        for i, (src, sign) in enumerate(hs.JC2_COLUMNS, start=1):
+            base_bar[..., i] = f0 * (sign * delta[..., 1 + src])
+            delta_bar[..., i] = c_bar[..., i] - f0 * (sign * base[..., 1 + src])
         return base_bar, delta_bar
 
     def tangent(self, q, x):

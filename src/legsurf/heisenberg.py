@@ -29,9 +29,13 @@ def omega0(y, v):
     )
 
 
+#: Component i of jc2(v) is sign * v[src], as (src, sign) pairs.
+JC2_COLUMNS = ((1, -1.0), (0, 1.0), (3, -1.0), (2, 1.0))
+
+
 def jc2(v):
     """Multiplication by i on R^4 = C^2: (v1, v2, v3, v4) -> (-v2, v1, -v4, v3)."""
-    return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
+    return np.stack([sign * v[..., src] for src, sign in JC2_COLUMNS], axis=-1)
 
 
 def contact_form_h(q, x):

@@ -18,19 +18,68 @@ from scipy.sparse.csgraph import breadth_first_order
 from .errors import DegenerateFaceError, GeometryDomainError
 from .mesh import DiscreteImmersion, parameter_inverse
 
-_PAIR_CACHE = {}
+
+def row_dot(x, y):
+    """sum_i x[i] * y[i] over (n, F) rows x, y, added in the order in which
+    ``np.sum(x * y, axis=-1)`` adds C-ordered (F, n) arrays: +0.0 plus the
+    products in sequence below eight rows, else +0.0 plus eight pairwise
+    accumulators followed by the products that do not fill a block of
+    eight.  So component-major sums are bitwise the row-major ones, signed
+    zeros included, and no (n, F) product is formed."""
+    n = len(x)
+    if n < 8:
+        out = x[0] * y[0]
+        out += 0.0
+        for xi, yi in zip(x[1:], y[1:]):
+            out += xi * yi
+        return out
+    acc = [x[j] * y[j] for j in range(8)]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            acc[j] += x[i + j] * y[i + j]
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for xi, yi in zip(x[tail:], y[tail:]):
+        out += xi * yi
+    out += 0.0
+    return out
 
 
-def wedge_pairs(k):
-    if k not in _PAIR_CACHE:
-        _PAIR_CACHE[k] = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    return _PAIR_CACHE[k]
+def wedge_rows(x, y):
+    """The (K2, F) coordinates of x ^ y from (k, F) rows x, y, in the pair
+    basis i < j ordered by i, then j: x_i y_j - x_j y_i, one block of pairs
+    per first index."""
+    k = len(x)
+    out = np.empty((k * (k - 1) // 2,) + x.shape[1:])
+    scratch = np.empty((k - 1,) + x.shape[1:])
+    p = 0
+    for i in range(k - 1):
+        block, tmp = out[p:p + k - 1 - i], scratch[:k - 1 - i]
+        np.multiply(x[i], y[i + 1:], out=block)
+        np.multiply(x[i + 1:], y[i], out=tmp)
+        block -= tmp
+        p += k - 1 - i
+    return out
 
 
-def wedge_nd(x, y):
-    """Coordinates of x ^ y, both (..., k), in the i<j pair basis."""
-    pairs = wedge_pairs(x.shape[-1])
-    return np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], axis=-1)
+def wedge_rows_adjoint(w_bar, x, y):
+    """The adjoint of :func:`wedge_rows` at (x, y) applied to w_bar (K2, F):
+    with Wb the antisymmetric (k, k) matrix of w_bar, x_bar = Wb y and
+    y_bar = -Wb x, returned as one (2, k, F) array, one block of pairs per
+    first index."""
+    k = len(x)
+    out = np.zeros((2,) + x.shape)
+    x_bar, y_bar = out
+    scratch = np.empty((k - 1,) + x.shape[1:])
+    p = 0
+    for i in range(k - 1):
+        block, tmp = w_bar[p:p + k - 1 - i], scratch[:k - 1 - i]  # the pairs (i, j > i)
+        x_bar[i] += np.einsum("jf,jf->f", block, y[i + 1:])
+        y_bar[i] -= np.einsum("jf,jf->f", block, x[i + 1:])
+        x_bar[i + 1:] -= np.multiply(block, y[i], out=tmp)
+        y_bar[i + 1:] += np.multiply(block, x[i], out=tmp)
+        p += k - 1 - i
+    return out
 
 
 def _intrinsic_uv(imm: DiscreteImmersion):
@@ -51,12 +100,12 @@ def _intrinsic_uv(imm: DiscreteImmersion):
 
 
 def _block_gram(x, y):
-    """x y^T of stacked (F, 2, K) blocks as (F, 2, 2), one row product at a time
-    (faster than a batched matmul or a three-index einsum at these shapes)."""
-    out = np.empty((len(x), 2, 2))
+    """x y^T of per-face 2 x K2 blocks stored component-major as (K2, 2, F),
+    as a (2, 2, F) buffer, one entry at a time."""
+    out = np.empty((2, 2, x.shape[2]))
     for a in range(2):
         for b in range(2):
-            out[:, a, b] = np.einsum("fi,fi->f", x[:, a], y[:, b])
+            out[a, b] = np.einsum("if,if->f", x[:, a], y[:, b])
     return out
 
 
@@ -74,43 +123,79 @@ class FaceData:
     the object holds the mesh, not the immersion: an immersion keeps its own
     (:attr:`DiscreteImmersion.face_data`).  Raises DegenerateFaceError naming
     the first face with |W| <= 1e-12 trace(g).
+
+    Storage is component-major.  Each (F, ...) attribute is the transposed
+    view of one C-contiguous buffer: (k, F) for base_pos, d1, d2, e1, e2, du
+    and dv, (K2, F) for the Gauss vector and (2, 2, F) for g, ginv and minv,
+    so ``fd.du.T[i]`` is component i of every face in one contiguous row.
+    The face kernels (this build, :attr:`gauss_gradients`, the energy
+    gradient and the Hamiltonian map) work on these rows, so NumPy's inner
+    loop runs over the faces; on row-major (F, k) arrays it would run over
+    k = 5 or 8 components, F times.  Transposing a (2, 2, F) buffer
+    swaps the two matrix axes: ``fd.minv.T[b, a]`` is minv[:, a, b] (g and
+    ginv are symmetric).  d1 and d2, e1 and e2, and du and dv are each two
+    views of one (2, k, F) buffer (:attr:`partials` is du's and dv's).  Row
+    sums follow :func:`row_dot`, so the arrays are bitwise those of the
+    row-major build.
     """
 
     def __init__(self, imm: DiscreteImmersion):
         m = self.mesh = imm.mesh
-        corners = np.take(imm.positions, m.triangles, axis=0)
+        geo = imm.geometry
+        shift = None
         if m.uv is None:
             self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
         else:
             wraps, self.minv, self.uv_area = m.face_uv
-            corners += imm.geometry.seam_shift(wraps, imm.phi_monodromy)
-        base = self.base_pos = corners[:, 0]
-        self.d1, self.d2 = corners[:, 1] - base, corners[:, 2] - base
-        e1 = self.e1 = imm.geometry.frame(base, self.d1)
-        e2 = self.e2 = imm.geometry.frame(base, self.d2)
-        minv = self.minv
-        du = self.du = minv[:, 0, 0, None] * e1 + minv[:, 1, 0, None] * e2
-        dv = self.dv = minv[:, 0, 1, None] * e1 + minv[:, 1, 1, None] * e2
-        g11 = np.sum(du * du, axis=-1)
-        g12 = np.sum(du * dv, axis=-1)
-        g22 = np.sum(dv * dv, axis=-1)
-        g = self.g = np.empty((len(g11), 2, 2))
-        g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1] = g11, g12, g12, g22
+            shift = geo.seam_shift(wraps, imm.phi_monodromy)
+        rows = np.ascontiguousarray(imm.positions.T)
+        tri = m.triangles
+        base = np.take(rows, tri[:, 0], axis=1)
+        chords = np.empty((2,) + base.shape)  # d1 and d2, one (2, k, F) buffer
+        for c in (1, 2):
+            np.take(rows, tri[:, c], axis=1, out=chords[c - 1])
+        if shift is not None:
+            base += shift[:, 0].T
+            chords += shift[:, 1:].transpose(1, 2, 0)
+        chords -= base
+        self.base_pos = base.T
+        self.d1, self.d2 = chords.transpose(0, 2, 1)
+        frames = geo.frame(self.base_pos, chords.transpose(0, 2, 1))
+        self.e1, self.e2 = frames
+        e1, e2 = frames.transpose(0, 2, 1)
+        m_t = self.minv.T  # m_t[b, a] = minv[:, a, b]
+        partials = np.empty((2,) + base.shape)  # du and dv, one (2, k, F) buffer
+        for a, row in enumerate(partials):
+            np.multiply(m_t[a, 0], e1, out=row)
+            row += m_t[a, 1] * e2
+        du, dv = partials
+        self.du, self.dv = du.T, dv.T
+        g11, g12, g22 = row_dot(du, du), row_dot(du, dv), row_dot(dv, dv)
+        g = np.empty((2, 2, len(g11)))
+        g[0, 0], g[0, 1], g[1, 0], g[1, 1] = g11, g12, g12, g22
         ginv = np.empty_like(g)
-        ginv[:, 0, 0], ginv[:, 0, 1], ginv[:, 1, 0], ginv[:, 1, 1] = g22, -g12, -g12, g11
+        ginv[0, 0], ginv[0, 1], ginv[1, 0], ginv[1, 1] = g22, -g12, -g12, g11
         with np.errstate(divide="ignore", invalid="ignore"):
-            ginv /= (g11 * g22 - g12 * g12)[:, None, None]
-        self.ginv = ginv
-        wedge = wedge_nd(du, dv)
-        wnorm = self.wnorm = np.sqrt(np.maximum(np.sum(wedge * wedge, axis=-1), 1e-300))
-        self.gauss = wedge / wnorm[:, None]
+            ginv /= g11 * g22 - g12 * g12
+        self.g, self.ginv = g.T, ginv.T
+        wedge = wedge_rows(du, dv)
+        wnorm = self.wnorm = np.sqrt(np.maximum(row_dot(wedge, wedge), 1e-300))
+        wedge /= wnorm
+        self.gauss = wedge.T
         self.area = self.uv_area * wnorm
         bad = np.flatnonzero(wnorm <= 1e-12 * np.maximum(g11 + g22, 1e-300))
         if bad.size:
             raise DegenerateFaceError(int(bad[0]))
+        partials.flags.writeable = False
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+
+    @property
+    def partials(self):
+        """du and dv as the one read-only (2, k, F) buffer they are views of:
+        ``partials[0]`` is ``du.T``."""
+        return self.du.base
 
     @functools.cached_property
     def vertex_areas(self):
@@ -128,14 +213,22 @@ class FaceData:
         """Read-only (A, P, |dT|^2_g), built on first use: the per-face
         parameter gradient A (F, 2, K2) of the Gauss field through the mesh's
         :attr:`SurfaceMesh.gauss_stencil`, its Gram matrix P = A A^T (F, 2, 2)
-        and |dT|^2_g = sum(ginv * P) (F,).  None depends on eps."""
+        and |dT|^2_g = sum(ginv * P) (F,).  None depends on eps.
+
+        The stencil's row 2f + a is derivative a of face f, so its product
+        with the (F, K2) Gauss field is the row-major A; one transposing copy
+        stores A as a (K2, 2, F) buffer and P as (2, 2, F), like g."""
         t = self.gauss
-        a_list = (self.mesh.gauss_stencil @ t).reshape(len(t), 2, t.shape[1])
-        aat = _block_gram(a_list, a_list)
-        quad = np.einsum("fab,fab->f", self.ginv, aat)
-        for arr in (a_list, aat, quad):
+        a_rows = np.ascontiguousarray(
+            (self.mesh.gauss_stencil @ np.ascontiguousarray(t)).reshape(len(t), 2, -1).T
+        )
+        aat = _block_gram(a_rows, a_rows)
+        g = self.ginv.T
+        quad = g[0, 0] * aat[0, 0] + 2.0 * g[0, 1] * aat[0, 1] + g[1, 1] * aat[1, 1]
+        out = a_rows.T, aat.T, quad
+        for arr in out:
             arr.flags.writeable = False
-        return a_list, aat, quad
+        return out
 
     def grad_scalar(self, values):
         """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""

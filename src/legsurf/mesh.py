@@ -41,8 +41,10 @@ def parameter_inverse(uv):
     areas (F,) of per-face corner parameters ``uv`` (F, 3, 2).
 
     With M's columns the parameter edge vectors from corner 0, a face's frame
-    partials are [du dv] = [e1 e2] minv, minv = M^-1.  Raises
-    GeometryDomainError naming the first face of non-positive orientation.
+    partials are [du dv] = [e1 e2] minv, minv = M^-1.  minv is the
+    transposed view of a C-contiguous (2, 2, F) buffer, component-major like
+    :class:`~legsurf.immersion.FaceData`.  Raises GeometryDomainError naming
+    the first face of non-positive orientation.
     """
     d1 = uv[:, 1] - uv[:, 0]
     d2 = uv[:, 2] - uv[:, 0]
@@ -50,13 +52,13 @@ def parameter_inverse(uv):
     if np.any(det_uv <= 0):
         bad = int(np.argmin(det_uv))
         raise GeometryDomainError(f"face {bad} has non-positive parameter orientation")
-    minv = np.empty((len(d1), 2, 2))
-    minv[:, 0, 0] = d2[:, 1]
-    minv[:, 0, 1] = -d2[:, 0]
-    minv[:, 1, 0] = -d1[:, 1]
-    minv[:, 1, 1] = d1[:, 0]
-    minv /= det_uv[:, None, None]
-    return minv, 0.5 * det_uv
+    minv_t = np.empty((2, 2, len(d1)))  # minv_t[b, a] = minv[:, a, b]
+    minv_t[0, 0] = d2[:, 1]
+    minv_t[1, 0] = -d2[:, 0]
+    minv_t[0, 1] = -d1[:, 1]
+    minv_t[1, 1] = d1[:, 0]
+    minv_t /= det_uv
+    return minv_t.T, 0.5 * det_uv
 
 
 #: Gram determinant, relative to the squared trace, below which a stencil block

@@ -9,8 +9,10 @@ encoder, the mean-curvature one-form lost its Python spanning-tree walk and
 edge dict, grid triangles were built by index arithmetic, the Gauss stencil
 weights were written out in closed form, the quadratic-fit curvature was
 batched by neighbourhood size and the first variation became the gradient's
-pairing, and FaceData gathered its corners with ``np.take`` and filled its
-metrics in place, kept here only as oracles for the equivalence tests.
+pairing, FaceData gathered its corners with ``np.take`` and filled its
+metrics in place, and the face kernels (FaceData, the wedge, the energy
+gradient and the Hamiltonian map) went from row-major (F, k) arrays to
+component-major rows, kept here only as oracles for the equivalence tests.
 """
 
 import json
@@ -25,10 +27,22 @@ from legsurf.immersion import (
     FaceData,
     MeanCurvatureForm,
     _intrinsic_uv,
-    wedge_nd,
-    wedge_pairs,
 )
 from legsurf.mesh import parameter_inverse
+
+_PAIR_CACHE = {}
+
+
+def wedge_pairs(k):
+    if k not in _PAIR_CACHE:
+        _PAIR_CACHE[k] = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return _PAIR_CACHE[k]
+
+
+def wedge_nd(x, y):
+    """Coordinates of x ^ y, both (..., k), in the i<j pair basis."""
+    pairs = wedge_pairs(x.shape[-1])
+    return np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], axis=-1)
 
 
 def mesh_adjacency(mesh):

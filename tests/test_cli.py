@@ -186,6 +186,7 @@ class TestDescendCommand:
         assert set(rec) == {
             "k", "iter", "area", "penalty", "grad_norm",
             "max_leg_residual", "entropy_indicator", "tau", "backtracks",
+            "restore_iters", "residual_before_restore",
         }
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stages"]
