@@ -201,9 +201,11 @@ def restore_constraint(imm: DiscreteImmersion):
     of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
     the mesh's signed edge incidence.  Its normal matrix is factored by
     :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
-    is unchanged (always, on the flat target, where c = 1).  The edges' seam
-    offsets come from :meth:`DiscreteImmersion.edge_shift`, whose wraps the
-    mesh caches (:attr:`SurfaceMesh.edge_wraps`), like its vertex graph.
+    is unchanged (always, on the flat target, where c = 1).  On a target that
+    carries monodromy the edges' seam offsets come from
+    :meth:`DiscreteImmersion.edge_shift`, whose wraps the mesh caches
+    (:attr:`SurfaceMesh.edge_wraps`), like its vertex graph; elsewhere they
+    are zero and are not added.
 
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
@@ -212,10 +214,12 @@ def restore_constraint(imm: DiscreteImmersion):
     m = imm.mesh
     geo = imm.geometry
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    shift = imm.edge_shift()
+    shift = imm.edge_shift() if geo.carries_monodromy else None
 
     def residual(positions):
-        delta = positions[heads] - positions[tails] + shift
+        delta = positions[heads] - positions[tails]
+        if shift is not None:
+            delta += shift
         r = geo.edge_residual(positions[tails], delta)
         return r, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 

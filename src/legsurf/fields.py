@@ -91,6 +91,12 @@ class Target:
         return x / np.linalg.norm(self.frame(q, x), axis=-1, keepdims=True)
 
 
+def _halves(x):
+    """The (4, ...) row blocks of the two R^4 halves of stacked R^8 coordinates."""
+    x = st.rows(x)
+    return x[:4], x[4:]
+
+
 class FrameTarget(Target):
     """Orthonormal 2-frames (a, b) in R^4, stacked as (a, b) in R^8."""
 
@@ -120,30 +126,35 @@ class FrameTarget(Target):
     def frame_adjoint(self, base, delta, c_bar):
         return 0.0, c_bar
 
+    # The projections, alpha, the edge residual, its Reeb slope and the move
+    # work on component rows (stiefel's ``*_rows`` kernels) and return the
+    # stacked view of one (8, ...) output; j and reeb fill an output laid
+    # out like their operand.
     def tangent(self, q, x):
-        v, w = st.project_tangent_raw(q[..., :4], q[..., 4:], x[..., :4], x[..., 4:])
-        return np.concatenate([v, w], axis=-1)
+        return st.stacked(st.tangent_rows(*_halves(q), *_halves(x)))
 
     def horizontal(self, q, c):
-        a, b = q[..., :4], q[..., 4:]
-        v, w = st.project_tangent_raw(a, b, c[..., :4], c[..., 4:])
-        v, w = st.horizontal_project_raw(a, b, v, w)
-        return np.concatenate([v, w], axis=-1)
+        return st.stacked(st.horizontal_rows(*_halves(q), *_halves(c)))
 
     def j(self, c):
-        return np.concatenate(st.jh_raw(c[..., :4], c[..., 4:]), axis=-1)
+        out = np.empty_like(c, dtype=float)
+        np.negative(c[..., 4:], out=out[..., :4])
+        out[..., 4:] = c[..., :4]
+        return out
 
     def reeb(self, q):
-        return np.concatenate(st.reeb_raw(q[..., :4], q[..., 4:]), axis=-1)
+        out = np.empty_like(q, dtype=float)
+        out[..., :4] = q[..., 4:]
+        np.negative(q[..., :4], out=out[..., 4:])
+        return out
 
     def alpha(self, q, x):
-        return st.alpha_raw(q[..., :4], q[..., 4:], x[..., :4], x[..., 4:])
+        return st.alpha_rows(*_halves(q), *_halves(x))
 
     def edge_residual(self, p_tail, delta):
         """alpha at the retracted midpoint of each edge, on its difference vector."""
-        mid = p_tail + 0.5 * delta
-        am, bm = st.retract_raw(mid[:, :4], mid[:, 4:])
-        return st.alpha_raw(am, bm, delta[:, :4], delta[:, 4:])
+        q, _, _ = st.polar_rows(*_halves(p_tail + 0.5 * delta))
+        return st.alpha_rows(q[:4], q[4:], *_halves(delta))
 
     def reeb_slope(self, p_tail, delta):
         """d r / ds of :meth:`edge_residual` as the tail moves to move(p_tail, s R).
@@ -154,21 +165,21 @@ class FrameTarget(Target):
         difference vector moves by -R.  S^-1 and tr S come from the polar
         factorisation itself.
         """
-        reeb = self.reeb(p_tail)
-        mid = p_tail + 0.5 * delta
-        qa, qb, (p11, p12, p22), tr_s = st.polar_raw(mid[:, :4], mid[:, 4:])
-        dma, dmb = 0.5 * reeb[:, :4], 0.5 * reeb[:, 4:]
+        a, b = _halves(p_tail)
+        dv, dw = _halves(delta)
+        q, (p11, p12, p22), tr_s = st.polar_rows(a + 0.5 * dv, b + 0.5 * dw)
+        qa, qb = q[:4], q[4:]
+        dma, dmb = 0.5 * b, -0.5 * a  # dM = R / 2, R = (b, -a)
         # Q^T dM, entry (i, j) = q_i . dm_j
-        qa_a, qa_b = np.sum(qa * dma, axis=1), np.sum(qa * dmb, axis=1)
-        qb_a, qb_b = np.sum(qb * dma, axis=1), np.sum(qb * dmb, axis=1)
-        w = ((qa_b - qb_a) / tr_s)[:, None]
+        qa_a, qa_b = st.dot_rows(qa, dma), st.dot_rows(qa, dmb)
+        qb_a, qb_b = st.dot_rows(qb, dma), st.dot_rows(qb, dmb)
+        w = (qa_b - qb_a) / tr_s
         # (I - Q Q^T) dM, then times S^-1
-        na = dma - qa * qa_a[:, None] - qb * qb_a[:, None]
-        nb = dmb - qa * qa_b[:, None] - qb * qb_b[:, None]
-        da = na * p11[:, None] + nb * p12[:, None] - w * qb
-        db = na * p12[:, None] + nb * p22[:, None] + w * qa
-        return (st.alpha_raw(da, db, delta[:, :4], delta[:, 4:])
-                - st.alpha_raw(qa, qb, reeb[:, :4], reeb[:, 4:]))
+        na = dma - qa * qa_a - qb * qb_a
+        nb = dmb - qa * qa_b - qb * qb_b
+        da = na * p11 + nb * p12 - w * qb
+        db = na * p12 + nb * p22 + w * qa
+        return st.alpha_rows(da, db, dv, dw) - st.alpha_rows(qa, qb, b, -a)
 
     def gauge_scalars(self, p0, points):
         return st.gauge_scalars(p0[:4], p0[4:], points[..., :4], points[..., 4:])
@@ -183,10 +194,8 @@ class FrameTarget(Target):
         return np.zeros(np.shape(wraps)[:-1] + (self.dim,))
 
     def move(self, q, delta):
-        q = np.asarray(q, float)
-        delta = np.asarray(delta, float)
-        a, b = st.retract_raw(q[..., :4] + delta[..., :4], q[..., 4:] + delta[..., 4:])
-        return np.concatenate([a, b], axis=-1)
+        q, _, _ = st.polar_rows(*_halves(np.add(q, delta)))
+        return st.stacked(q)
 
     def random_point(self, rng):
         a, b = st.random_points_raw(rng, 1)

@@ -147,7 +147,8 @@ class FaceData:
             self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
         else:
             wraps, self.minv, self.uv_area = m.face_uv
-            shift = geo.seam_shift(wraps, imm.phi_monodromy)
+            if geo.carries_monodromy:  # without monodromy every seam shift is zero
+                shift = geo.seam_shift(wraps, imm.phi_monodromy)
         rows = np.ascontiguousarray(imm.positions.T)
         tri = m.triangles
         base = np.take(rows, tri[:, 0], axis=1)

@@ -13,6 +13,26 @@ the pair of (..., 4) arrays (a, b), a tangent vector the pair (V, W), and
 all functions broadcast over leading axes, so stacked inputs of shape
 ``(n, 4)`` evaluate n points at once.  Horizontality and tangency of the
 inputs are the caller's to ensure (``tangency_defect`` measures them).
+
+The kernels the descent runs (the polar factorisation and retraction, the
+tangent and horizontal projections and alpha) work on *component rows*:
+``rows`` turns stacked (..., n) coordinates into one C-contiguous (n, ...)
+array, a view when they already are the transposed view of one, and the
+``*_rows`` kernels take the (4, ...) row blocks of a, b, V and W, so every
+NumPy inner loop runs over the points, not over 4 components.  The polar
+factorisation and the projections each write one preallocated (8, ...)
+output, a's or V's rows first; ``stacked`` is its (..., 8) view.  Row sums add the components in sequence, the order of
+``np.sum`` over fewer than eight terms, so the polar factors, the tangent
+projection and alpha equal the row-major ones bit for bit (signed zeros
+aside).  ``alpha_raw``, ``horizontal_raw``, ``polar_raw`` and
+``retract_raw`` are the same kernels on (..., 4) pairs.
+
+At an orthonormal frame the horizontal space is {(V, W): V and W both
+orthogonal to a and b}: tangency gives V.a = W.b = 0 and V.b = -W.a, and
+alpha = a.W - b.V = 0 then gives V.b = W.a = 0.  So the horizontal
+projection is one projection of V and of W off span(a, b)
+(``horizontal_rows``), not the tangent projection followed by removal of
+the Reeb component.
 """
 
 from __future__ import annotations
@@ -72,9 +92,32 @@ def hodge_star(xi):
     return np.asarray(xi, float) @ _STAR6.T
 
 
+def rows(x):
+    """The component rows (n, ...) of stacked coordinates x (..., n), as one
+    C-contiguous array: a view when x is the transposed view of such an
+    array, else one transposing copy."""
+    x = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(x.transpose(-1, *range(x.ndim - 1)))
+
+
+def stacked(x_rows):
+    """The stacked (..., n) view of component rows (n, ...)."""
+    return x_rows.transpose(*range(1, x_rows.ndim), 0)
+
+
+def dot_rows(x, y):
+    """sum_i x[i] * y[i] over the leading axis, added in sequence."""
+    return np.add.reduce(x * y, axis=0)
+
+
+def alpha_rows(a, b, v, w):
+    """alpha(X) = a.W - b.V on (4, ...) row blocks."""
+    return dot_rows(a, w) - dot_rows(b, v)
+
+
 def alpha_raw(a, b, v, w):
     """alpha(X) = a.W - b.V for a tangent pair X = (V, W) at (a, b)."""
-    return np.sum(a * w, axis=-1) - np.sum(b * v, axis=-1)
+    return alpha_rows(rows(a), rows(b), rows(v), rows(w))
 
 
 def reeb_raw(a, b):
@@ -94,20 +137,37 @@ def tangency_defect(a, b, v, w):
     return np.maximum(np.maximum(d1, d2), d3)
 
 
-def project_tangent_raw(a, b, v, w):
-    """Orthogonal projection of an ambient R^8 pair onto the tangent space."""
+def tangent_rows(a, b, v, w):
+    """Orthogonal projection of ambient R^8 pairs onto the tangent space, on
+    (4, ...) row blocks; returns the (8, ...) rows of (V', W')."""
     # Unit normals of the constraint set in R^8: (a,0), (0,b), (b,a)/sqrt(2).
-    c1 = np.sum(v * a, axis=-1)[..., None]
-    c2 = np.sum(w * b, axis=-1)[..., None]
-    c3 = 0.5 * (np.sum(v * b, axis=-1) + np.sum(w * a, axis=-1))[..., None]
-    return v - c1 * a - c3 * b, w - c2 * b - c3 * a
+    c1, c2 = dot_rows(v, a), dot_rows(w, b)
+    c3 = 0.5 * (dot_rows(v, b) + dot_rows(w, a))
+    out = np.empty((8,) + c3.shape)
+    for x, own, other, c, o in ((v, a, b, c1, out[:4]), (w, b, a, c2, out[4:])):
+        np.multiply(c, own, out=o)
+        np.subtract(x, o, out=o)
+        o -= c3 * other
+    return out
 
 
-def horizontal_project_raw(a, b, v, w):
-    """Remove the Reeb component of a tangent pair: X - (X.R / 2) R."""
-    rv, rw = reeb_raw(a, b)
-    coef = 0.5 * (np.sum(v * rv, axis=-1) + np.sum(w * rw, axis=-1))[..., None]
-    return v - coef * rv, w - coef * rw
+def horizontal_rows(a, b, v, w):
+    """Orthogonal projection of ambient R^8 pairs onto the horizontal space
+    at orthonormal frames, on (4, ...) row blocks: V and W each lose their
+    components along a and b.  Returns the (8, ...) rows of (V', W')."""
+    coefs = [(dot_rows(x, a), dot_rows(x, b)) for x in (v, w)]
+    out = np.empty((8,) + coefs[0][0].shape)
+    for x, (xa, xb), o in zip((v, w), coefs, (out[:4], out[4:])):
+        np.multiply(xa, a, out=o)
+        o += xb * b
+        np.subtract(x, o, out=o)
+    return out
+
+
+def horizontal_raw(a, b, v, w):
+    """Orthogonal projection of an ambient R^8 pair onto the horizontal space."""
+    h = horizontal_rows(rows(a), rows(b), rows(v), rows(w))
+    return stacked(h[:4]), stacked(h[4:])
 
 
 def jh_raw(v, w):
@@ -150,24 +210,29 @@ def sphere_product_j_raw(g_plus, g_minus, plus, minus):
     return np.cross(bp, plus), -np.cross(bm, minus)
 
 
-def polar_raw(a_raw, b_raw):
-    """Polar factors M = Q S of raw 4x2 frames M = [a b], in closed form.
+def polar_rows(a, b):
+    """Polar factors M = Q S of raw 4x2 frames M = [a b], in closed form, on
+    (4, ...) row blocks.
 
     With G = M^T M and sigma = |a ^ b| = sqrt(det G) (the root of the summed
     squared 2x2 minors, free of the cancellation in g11 g22 - g12^2),
     S = G^(1/2) = (G + sigma I) / t with t = tr S = sqrt(tr G + 2 sigma), and
     S^-1 = [[g22 + sigma, -g12], [-g12, g11 + sigma]] / (sigma t).  Returns
-    Q's columns (qa, qb), the entries (p11, p12, p22) of S^-1 and tr S.
-    Q^T Q = I holds to about 3e-16 cond(M), unlike an SVD's U V^T, which
-    is fine for the near-orthonormal frames a flow step or an edge midpoint
-    produces.
+    the (8, ...) rows of Q's columns (qa, qb), the entries (p11, p12, p22) of
+    S^-1 and tr S.  Q^T Q = I holds to about 3e-16 cond(M), unlike an SVD's
+    U V^T, which is fine for the near-orthonormal frames a flow step or an
+    edge midpoint produces.
     """
-    a = np.asarray(a_raw, float)
-    b = np.asarray(b_raw, float)
-    g11 = np.sum(a * a, axis=-1)
-    g12 = np.sum(a * b, axis=-1)
-    g22 = np.sum(b * b, axis=-1)
-    sigma = np.sqrt(np.sum(wedge4(a, b) ** 2, axis=-1))
+    g11, g12, g22 = dot_rows(a, a), dot_rows(a, b), dot_rows(b, b)
+    # The minors a_i b_j - a_j b_i, i < j, ordered by i, then j.
+    minors = np.empty((6,) + g12.shape)
+    p = 0
+    for i in range(3):
+        block = minors[p:p + 3 - i]
+        np.multiply(a[i], b[i + 1:], out=block)
+        block -= a[i + 1:] * b[i]
+        p += 3 - i
+    sigma = np.sqrt(dot_rows(minors, minors))
     trace = g11 + g22
     smax = np.sqrt(0.5 * (trace + np.sqrt((g11 - g22) ** 2 + 4.0 * g12 * g12)))
     # s_min = sigma / s_max <= 1e-13 max(s_max, 1), tested without dividing.
@@ -178,9 +243,18 @@ def polar_raw(a_raw, b_raw):
     p11 = (g22 + sigma) * scale
     p12 = -g12 * scale
     p22 = (g11 + sigma) * scale
-    qa = a * p11[..., None] + b * p12[..., None]
-    qb = a * p12[..., None] + b * p22[..., None]
-    return qa, qb, (p11, p12, p22), t
+    q = np.empty((8,) + g12.shape)
+    for o, pa, pb in ((q[:4], p11, p12), (q[4:], p12, p22)):
+        np.multiply(a, pa, out=o)
+        o += b * pb
+    return q, (p11, p12, p22), t
+
+
+def polar_raw(a_raw, b_raw):
+    """:func:`polar_rows` on (..., 4) columns: returns (qa, qb), each
+    (..., 4), then the entries (p11, p12, p22) of S^-1 and tr S."""
+    q, s_inv, t = polar_rows(rows(a_raw), rows(b_raw))
+    return stacked(q[:4]), stacked(q[4:]), s_inv, t
 
 
 def retract_raw(a_raw, b_raw):
@@ -247,5 +321,4 @@ def random_horizontal_raw(rng, a, b):
     """Random horizontal pairs over stacked frames (a, b)."""
     v = rng.standard_normal(a.shape)
     w = rng.standard_normal(b.shape)
-    v, w = project_tangent_raw(a, b, v, w)
-    return horizontal_project_raw(a, b, v, w)
+    return horizontal_raw(a, b, v, w)

@@ -12,7 +12,10 @@ batched by neighbourhood size and the first variation became the gradient's
 pairing, FaceData gathered its corners with ``np.take`` and filled its
 metrics in place, and the face kernels (FaceData, the wedge, the energy
 gradient and the Hamiltonian map) went from row-major (F, k) arrays to
-component-major rows, kept here only as oracles for the equivalence tests.
+component-major rows, and the frame target's pointwise kernels (the polar
+factorisation, the tangent projection and the horizontal projection) went
+from row sums over (..., 4) slices to component rows, kept here only as
+oracles for the equivalence tests.
 """
 
 import json
@@ -299,6 +302,48 @@ def retract_svd(a_raw, b_raw):
     u, _, vt = np.linalg.svd(m, full_matrices=False)
     q = u @ vt
     return q[..., 0], q[..., 1]
+
+
+def frame_polar(a_raw, b_raw):
+    """stiefel.polar_raw with every Gram entry and minor sum an ``np.sum``
+    over the last axis of (..., 4) arrays."""
+    from legsurf import stiefel as st
+
+    a = np.asarray(a_raw, float)
+    b = np.asarray(b_raw, float)
+    g11 = np.sum(a * a, axis=-1)
+    g12 = np.sum(a * b, axis=-1)
+    g22 = np.sum(b * b, axis=-1)
+    sigma = np.sqrt(np.sum(st.wedge4(a, b) ** 2, axis=-1))
+    trace = g11 + g22
+    smax = np.sqrt(0.5 * (trace + np.sqrt((g11 - g22) ** 2 + 4.0 * g12 * g12)))
+    if np.any(sigma <= 1e-13 * np.maximum(smax, 1.0) * smax):
+        raise st.DegenerateFrameError("frame vectors are (numerically) linearly dependent")
+    t = np.sqrt(trace + 2.0 * sigma)
+    scale = 1.0 / (sigma * t)
+    p11 = (g22 + sigma) * scale
+    p12 = -g12 * scale
+    p22 = (g11 + sigma) * scale
+    qa = a * p11[..., None] + b * p12[..., None]
+    qb = a * p12[..., None] + b * p22[..., None]
+    return qa, qb, (p11, p12, p22), t
+
+
+def frame_tangent(a, b, v, w):
+    """The tangent projection (FrameTarget.tangent) on (..., 4) arrays, one
+    ``np.sum`` per dot product."""
+    c1 = np.sum(v * a, axis=-1)[..., None]
+    c2 = np.sum(w * b, axis=-1)[..., None]
+    c3 = 0.5 * (np.sum(v * b, axis=-1) + np.sum(w * a, axis=-1))[..., None]
+    return v - c1 * a - c3 * b, w - c2 * b - c3 * a
+
+
+def frame_horizontal(a, b, v, w):
+    """The horizontal projection as the tangent projection followed by the
+    removal of the Reeb component, X - (X.R / 2) R with R = (b, -a)."""
+    v, w = frame_tangent(a, b, v, w)
+    coef = 0.5 * (np.sum(v * b, axis=-1) - np.sum(w * a, axis=-1))[..., None]
+    return v - coef * b, w + coef * a
 
 
 def face_data_arrays(imm):

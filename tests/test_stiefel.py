@@ -52,20 +52,19 @@ class TestHorizontalProject:
     def test_kills_reeb(self):
         rng = np.random.default_rng(5)
         a, b = st.random_points_raw(rng, 1)
-        hv, hw = st.horizontal_project_raw(a, b, *st.reeb_raw(a, b))
+        hv, hw = st.horizontal_raw(a, b, *st.reeb_raw(a, b))
         assert np.sqrt(sq_norm(hv, hw)[0]) < 1e-14
 
     def test_idempotent_on_horizontal(self):
-        hv, hw = st.horizontal_project_raw(A0, B0, E[2], E[3])
+        hv, hw = st.horizontal_raw(A0, B0, E[2], E[3])
         assert np.allclose(hv, E[2]) and np.allclose(hw, E[3])
 
     def test_result_is_horizontal(self):
         rng = np.random.default_rng(6)
         a, b = st.random_points_raw(rng, 20)
-        v, w = st.project_tangent_raw(
+        hv, hw = st.horizontal_raw(
             a, b, rng.standard_normal((20, 4)), rng.standard_normal((20, 4))
         )
-        hv, hw = st.horizontal_project_raw(a, b, v, w)
         assert np.max(np.abs(st.alpha_raw(a, b, hv, hw))) < 1e-12
 
 
