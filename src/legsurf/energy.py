@@ -263,14 +263,6 @@ def flow_step(imm: DiscreteImmersion, w_field, tau: float):
     return restore_constraint(imm.with_positions(imm.geometry.move(imm.positions, tau * w_field)))
 
 
-def pre_restoration_residual(imm: DiscreteImmersion, w_field, tau: float) -> float:
-    """Residual growth of a raw (unrestored) step; the order-in-tau witness."""
-    moved = imm.with_positions(imm.geometry.move(imm.positions, tau * np.asarray(w_field)))
-    base = legendrian_residual(imm).values
-    after = legendrian_residual(moved).values
-    return float(np.max(np.abs(after - base)))
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian projection of descent directions
 

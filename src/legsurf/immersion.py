@@ -19,32 +19,6 @@ from .errors import DegenerateFaceError, GeometryDomainError
 from .mesh import DiscreteImmersion, parameter_inverse
 
 
-def row_dot(x, y):
-    """sum_i x[i] * y[i] over (n, F) rows x, y, added in the order in which
-    ``np.sum(x * y, axis=-1)`` adds C-ordered (F, n) arrays: +0.0 plus the
-    products in sequence below eight rows, else +0.0 plus eight pairwise
-    accumulators followed by the products that do not fill a block of
-    eight.  So component-major sums are bitwise the row-major ones, signed
-    zeros included, and no (n, F) product is formed."""
-    n = len(x)
-    if n < 8:
-        out = x[0] * y[0]
-        out += 0.0
-        for xi, yi in zip(x[1:], y[1:]):
-            out += xi * yi
-        return out
-    acc = [x[j] * y[j] for j in range(8)]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for j in range(8):
-            acc[j] += x[i + j] * y[i + j]
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for xi, yi in zip(x[tail:], y[tail:]):
-        out += xi * yi
-    out += 0.0
-    return out
-
-
 def wedge_rows(x, y):
     """The (K2, F) coordinates of x ^ y from (k, F) rows x, y, in the pair
     basis i < j ordered by i, then j: x_i y_j - x_j y_i, one block of pairs
@@ -134,9 +108,8 @@ class FaceData:
     k = 5 or 8 components, F times.  Transposing a (2, 2, F) buffer
     swaps the two matrix axes: ``fd.minv.T[b, a]`` is minv[:, a, b] (g and
     ginv are symmetric).  d1 and d2, e1 and e2, and du and dv are each two
-    views of one (2, k, F) buffer (:attr:`partials` is du's and dv's).  Row
-    sums follow :func:`row_dot`, so the arrays are bitwise those of the
-    row-major build.
+    views of one (2, k, F) buffer (:attr:`partials` is du's and dv's).  The
+    arrays agree with the row-major build to rounding.
     """
 
     def __init__(self, imm: DiscreteImmersion):
@@ -171,7 +144,7 @@ class FaceData:
             row += m_t[a, 1] * e2
         du, dv = partials
         self.du, self.dv = du.T, dv.T
-        g11, g12, g22 = row_dot(du, du), row_dot(du, dv), row_dot(dv, dv)
+        g11, g12, g22 = (np.einsum("if,if->f", x, y) for x, y in ((du, du), (du, dv), (dv, dv)))
         g = np.empty((2, 2, len(g11)))
         g[0, 0], g[0, 1], g[1, 0], g[1, 1] = g11, g12, g12, g22
         ginv = np.empty_like(g)
@@ -180,7 +153,7 @@ class FaceData:
             ginv /= g11 * g22 - g12 * g12
         self.g, self.ginv = g.T, ginv.T
         wedge = wedge_rows(du, dv)
-        wnorm = self.wnorm = np.sqrt(np.maximum(row_dot(wedge, wedge), 1e-300))
+        wnorm = self.wnorm = np.sqrt(np.maximum(np.einsum("if,if->f", wedge, wedge), 1e-300))
         wedge /= wnorm
         self.gauss = wedge.T
         self.area = self.uv_area * wnorm
@@ -243,45 +216,6 @@ class FaceData:
         return np.einsum("fa,fab,fb->f", d_first, self.ginv, d_second)
 
 
-@dataclass
-class FaceFrame:
-    """Per-face frames as (F, ...) arrays: partials, metric, induced data,
-    normal-space basis."""
-
-    partial_u: np.ndarray
-    partial_v: np.ndarray
-    metric: np.ndarray
-    conformal_factor: np.ndarray
-    area: np.ndarray
-    gauss: np.ndarray
-    normal_vertical: np.ndarray
-    normal_ju: np.ndarray
-    normal_jv: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.abs(np.linalg.norm(self.gauss, axis=-1) - 1.0) > 1e-12):
-            raise GeometryDomainError("gauss 2-vector is not unit")
-
-
-def face_frames(imm: DiscreteImmersion) -> FaceFrame:
-    """The frames of every face; raises DegenerateFaceError naming a collapsed face."""
-    fd = imm.face_data
-    geo = imm.geometry
-    ju = geo.j(geo.horizontal(fd.base_pos, fd.du))
-    jv = geo.j(geo.horizontal(fd.base_pos, fd.dv))
-    return FaceFrame(
-        partial_u=fd.du,
-        partial_v=fd.dv,
-        metric=fd.g,
-        conformal_factor=0.5 * (fd.g[:, 0, 0] + fd.g[:, 1, 1]),
-        area=fd.area,
-        gauss=fd.gauss,
-        normal_vertical=geo.reeb_unit(fd.base_pos),
-        normal_ju=ju / np.linalg.norm(ju, axis=-1, keepdims=True),
-        normal_jv=jv / np.linalg.norm(jv, axis=-1, keepdims=True),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Legendrian residual
 
@@ -296,20 +230,6 @@ def legendrian_residual(imm: DiscreteImmersion) -> EdgeResiduals:
     """Contact-form residual of every edge, evaluated at the midpoint retraction."""
     vals = imm.geometry.edge_residual(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
     return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0)
-
-
-def validate_immersion(imm: DiscreteImmersion):
-    """Point invariants, face non-degeneracy, and the Legendrian gate."""
-    defect = imm.geometry.invariant_defect(imm.positions)
-    if defect > 1e-11:
-        raise GeometryDomainError(f"vertex frames violate target invariants: {defect:.2e}")
-    imm.face_data  # raises on degenerate faces
-    res = legendrian_residual(imm)
-    if res.max > imm.legendrian_tol:
-        raise GeometryDomainError(
-            f"edge Legendrian residual {res.max:.3e} exceeds tolerance {imm.legendrian_tol:.3e}"
-        )
-    return res
 
 
 # ---------------------------------------------------------------------------

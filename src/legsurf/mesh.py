@@ -190,34 +190,21 @@ class SurfaceMesh:
             shape=(n_e, self.n_vertices),
         )
 
-    @functools.cached_property
-    def _stiffness_pattern(self):
-        """CSC structure (indptr, indices) of a vertex matrix on the edge graph,
-        and the data slot of each entry of :meth:`stiffness`'s value list."""
-        n_v = self.n_vertices
-        tails, heads, diag = self.edges[:, 0], self.edges[:, 1], np.arange(n_v)
-        rows = np.concatenate([tails, heads, tails, heads, diag])
-        cols = np.concatenate([tails, heads, heads, tails, diag])
-        keys, slots = np.unique(cols * n_v + rows, return_inverse=True)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_v, minlength=n_v))])
-        return indptr.astype(np.int32), (keys % n_v).astype(np.int32), slots
-
     def stiffness(self, edge_weights, diagonal):
-        """CSC matrix of sum_e w_e (1_tail - 1_head)(1_tail - 1_head)^T + diag(diagonal).
-
-        Filled into a pattern each mesh builds once.  A diagonal entry sums its
-        edge weights in edge order (tail ends, then head ends), then adds
-        ``diagonal``, and exact zeros are dropped, so the matrix is bitwise the
-        sparse sum of the COO Laplacian and the diagonal.
-        """
-        indptr, indices, slots = self._stiffness_pattern
-        values = np.concatenate([edge_weights, edge_weights, -edge_weights, -edge_weights, diagonal])
-        data = np.bincount(slots, weights=values, minlength=len(indices))
-        mat = sp.csc_matrix(
-            (data, indices.copy(), indptr.copy()), shape=(self.n_vertices, self.n_vertices)
-        )
-        mat.eliminate_zeros()  # a sparse sum drops exact zeros (right angles give zero cot weights)
-        return mat
+        """CSC matrix of sum_e w_e (1_tail - 1_head)(1_tail - 1_head)^T + diag(diagonal),
+        the sparse sum of a COO Laplacian and the diagonal."""
+        n_v = self.n_vertices
+        tails, heads = self.edges[:, 0], self.edges[:, 1]
+        w = edge_weights
+        lap = sp.coo_matrix(
+            (
+                np.concatenate([w, w, -w, -w]),
+                (np.concatenate([tails, heads, tails, heads]),
+                 np.concatenate([tails, heads, heads, tails])),
+            ),
+            shape=(n_v, n_v),
+        ).tocsr()
+        return (lap + sp.diags(diagonal)).tocsc()
 
     def restoration_factor(self, slopes):
         """LU factor of D^T diag(slopes^2) D + 1e-14 I, D the :attr:`edge_incidence`.
@@ -449,6 +436,8 @@ class DiscreteImmersion:
 
     @staticmethod
     def from_json(data):
+        """The immersion a mesh file holds; raises GeometryDomainError when its
+        points are off the target (invariant defect above 1e-11)."""
         vertices = data["vertices"]
         mesh = SurfaceMesh(
             triangles=data["triangles"],
@@ -459,10 +448,14 @@ class DiscreteImmersion:
             uv_periods=data.get("uv_periods"),
             generator_loops=data.get("generator_loops", []),
         )
-        return DiscreteImmersion(
+        imm = DiscreteImmersion(
             mesh=mesh,
             target=data["target"],
             positions=vertices,
             legendrian_tol=float(data.get("legendrian_tol", 1e-8)),
             phi_monodromy=tuple(data.get("phi_monodromy", (0.0, 0.0))),
         )
+        defect = imm.geometry.invariant_defect(imm.positions)
+        if defect > 1e-11:
+            raise GeometryDomainError(f"vertex frames violate target invariants: {defect:.2e}")
+        return imm

@@ -198,18 +198,6 @@ def hopf_push_raw(a, b, v, w):
     return ((xi + sxi) / 2.0) @ _SIGMA_PLUS.T, ((xi - sxi) / 2.0) @ _SIGMA_MINUS.T
 
 
-def sphere_product_j_raw(g_plus, g_minus, plus, minus):
-    """Product complex structure on the two spheres, reversed on the second factor.
-
-    ``g_plus``, ``g_minus`` are the base point from :func:`hopf_project_raw`;
-    ``plus``, ``minus`` are tangent coordinates as :func:`hopf_push_raw`
-    returns them.
-    """
-    bp = g_plus @ _SIGMA_PLUS.T
-    bm = g_minus @ _SIGMA_MINUS.T
-    return np.cross(bp, plus), -np.cross(bm, minus)
-
-
 def polar_rows(a, b):
     """Polar factors M = Q S of raw 4x2 frames M = [a b], in closed form, on
     (4, ...) row blocks.
@@ -269,12 +257,6 @@ def gauge_scalars(a0, b0, a, b):
     phi = np.sum(a * b0, axis=-1) - np.sum(a0 * b, axis=-1)
     r4 = rho2**2 + 4.0 * phi**2
     return np.sqrt(rho2), phi, r4**0.25
-
-
-def reeb_rotate_raw(a, b, theta):
-    """The circle action (a, b) -> (cos a + sin b, -sin a + cos b)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return c * a + s * b, -s * a + c * b
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ gradient and the Hamiltonian map) went from row-major (F, k) arrays to
 component-major rows, and the frame target's pointwise kernels (the polar
 factorisation, the tangent projection and the horizontal projection) went
 from row sums over (..., 4) slices to component rows, kept here only as
-oracles for the equivalence tests.
+oracles for the equivalence tests.  The last section holds helpers that only
+the tests call: the residual of an unrestored step, the frame target's Reeb
+circle action and the complex structure of its Grassmannian.
 """
 
 import json
@@ -24,12 +26,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from legsurf import heisenberg as hs
+from legsurf import stiefel as st
 from legsurf.errors import GeometryDomainError
 from legsurf.immersion import (
     CurvatureData,
     FaceData,
     MeanCurvatureForm,
     _intrinsic_uv,
+    legendrian_residual,
 )
 from legsurf.mesh import parameter_inverse
 
@@ -307,8 +311,6 @@ def retract_svd(a_raw, b_raw):
 def frame_polar(a_raw, b_raw):
     """stiefel.polar_raw with every Gram entry and minor sum an ``np.sum``
     over the last axis of (..., 4) arrays."""
-    from legsurf import stiefel as st
-
     a = np.asarray(a_raw, float)
     b = np.asarray(b_raw, float)
     g11 = np.sum(a * a, axis=-1)
@@ -530,8 +532,6 @@ def cotangent_weights(imm, fd):
 
 def frame_reeb_slope(p_tail, delta):
     """FrameTarget.reeb_slope with S = Q^T M from an einsum and S^-1 from np.linalg.inv."""
-    from legsurf import stiefel as st
-
     reeb = np.concatenate([p_tail[:, 4:], -p_tail[:, :4]], axis=1)
     mid = p_tail + 0.5 * delta
     qa, qb = retract_svd(mid[:, :4], mid[:, 4:])
@@ -756,3 +756,33 @@ def second_fundamental_form(imm, min_valence=5):
         out.reeb_component[v] = max(abs(q11 @ u_r), abs(q12 @ u_r), abs(q22 @ u_r))
         out.valid[v] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+
+
+def pre_restoration_residual(imm, w_field, tau):
+    """Residual growth of a raw (unrestored) step; the order-in-tau witness."""
+    moved = imm.with_positions(imm.geometry.move(imm.positions, tau * np.asarray(w_field)))
+    base = legendrian_residual(imm).values
+    after = legendrian_residual(moved).values
+    return float(np.max(np.abs(after - base)))
+
+
+def reeb_rotate_raw(a, b, theta):
+    """The frame target's circle action (a, b) -> (cos a + sin b, -sin a + cos b)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return c * a + s * b, -s * a + c * b
+
+
+def sphere_product_j_raw(g_plus, g_minus, plus, minus):
+    """Product complex structure on the two spheres, reversed on the second factor.
+
+    ``g_plus``, ``g_minus`` are the base point from ``stiefel.hopf_project_raw``;
+    ``plus``, ``minus`` are tangent coordinates as ``stiefel.hopf_push_raw``
+    returns them.
+    """
+    bp = g_plus @ st._SIGMA_PLUS.T
+    bm = g_minus @ st._SIGMA_MINUS.T
+    return np.cross(bp, plus), -np.cross(bm, minus)

@@ -322,8 +322,16 @@ def _with(**change):
     return lambda data: json.dumps({**data, **change})
 
 
-#: Each malformed input file, as text made from a valid file's JSON object
-#: (None: no file at all).
+def _off_target_frame(data):
+    """A frame-target mesh whose vertex 0 is no longer an orthonormal frame."""
+    stt = corpus.clifford_lift(8, target="stiefel")
+    pos = stt.positions.copy()
+    pos[0] *= 1.01
+    return json.dumps(stt.with_positions(pos).to_json())
+
+
+#: Each malformed input file, as text made from a valid flat-model file's
+#: JSON object (None: no file at all; the off-target case writes a frame mesh).
 MALFORMED_MESHES = {
     "missing file": None,
     "not JSON": lambda data: "a mesh",
@@ -337,6 +345,7 @@ MALFORMED_MESHES = {
     "NaN tolerance": _with(legendrian_tol=float("nan")),
     "boundary loop vertex out of range": _with(boundary_loops=[[0, 1, 99999]]),
     "generator loop vertex out of range": _with(generator_loops=[[0, -1]]),
+    "off-target frame point": _off_target_frame,
 }
 MALFORMED_GRIDS = {
     "missing file": None,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from legsurf import corpus, gauge_lab as gl
 from legsurf.checks import fit_loglog_slope
 from legsurf.errors import GeometryDomainError, ResolutionError
@@ -265,16 +266,14 @@ class TestQuasiMonotonicity:
 
 class TestReebRotationInvariance:
     def test_lab_outputs_invariant(self, monkeypatch):
-        from legsurf import stiefel as st
-
         n = 32
         stt = corpus.clifford_lift(n, target="stiefel")
         p0 = center_vertex(stt, n)
         theta = 0.7
-        a, b = st.reeb_rotate_raw(stt.positions[:, :4], stt.positions[:, 4:], theta)
+        a, b = ref.reeb_rotate_raw(stt.positions[:, :4], stt.positions[:, 4:], theta)
         rotated = stt.with_positions(np.concatenate([a, b], axis=-1))
         p0r = np.concatenate(
-            st.reeb_rotate_raw(p0[None, :4], p0[None, 4:], theta), axis=-1
+            ref.reeb_rotate_raw(p0[None, :4], p0[None, 4:], theta), axis=-1
         )[0]
         gf0 = gl.gauge_fields(stt, p0)
         gf1 = gl.gauge_fields(rotated, p0r)

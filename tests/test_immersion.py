@@ -22,14 +22,19 @@ def stretched_patch(n=8):
 class TestFaceFrames:
     def test_flat_patch_metric(self):
         fp = corpus.flat_patch(4)
-        f = immersion.face_frames(fp)
-        assert f.area.shape == (len(fp.mesh.triangles),)
-        assert f.area.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(f.metric, np.eye(2), atol=1e-14)
-        assert np.all(np.abs(np.linalg.norm(f.gauss, axis=-1) - 1.0) < 1e-12)
-        for n in (f.normal_vertical, f.normal_ju, f.normal_jv):
-            assert np.all(np.abs(np.sum(n * f.partial_u, axis=-1)) < 1e-10)
-            assert np.all(np.abs(np.sum(n * f.partial_v, axis=-1)) < 1e-10)
+        fd, geo = fp.face_data, fp.geometry
+        assert fd.area.shape == (len(fp.mesh.triangles),)
+        assert fd.area.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(fd.g, np.eye(2), atol=1e-14)
+        assert np.all(np.abs(np.linalg.norm(fd.gauss, axis=-1) - 1.0) < 1e-12)
+        # The normal basis: the unit Reeb vector and J of each horizontal partial.
+        ju, jv = (geo.j(geo.horizontal(fd.base_pos, d)) for d in (fd.du, fd.dv))
+        normals = (geo.reeb_unit(fd.base_pos),
+                   ju / np.linalg.norm(ju, axis=-1, keepdims=True),
+                   jv / np.linalg.norm(jv, axis=-1, keepdims=True))
+        for n in normals:
+            assert np.all(np.abs(np.sum(n * fd.du, axis=-1)) < 1e-10)
+            assert np.all(np.abs(np.sum(n * fd.dv, axis=-1)) < 1e-10)
 
     def test_clifford_metric_near_identity(self):
         cl = corpus.clifford_lift(64)
@@ -97,12 +102,14 @@ class TestLegendrianResidual:
         assert res.max > 1e-3
 
     def test_validate_gate(self):
-        cl = corpus.clifford_lift(16)
-        immersion.validate_immersion(cl)
+        stt = corpus.clifford_lift(16, target="stiefel")
+        loaded = DiscreteImmersion.from_json(stt.to_json())
+        assert immersion.legendrian_residual(loaded).max <= loaded.legendrian_tol
         rng = np.random.default_rng(2)
-        bad = cl.with_positions(cl.positions + 1e-2 * rng.standard_normal(cl.positions.shape))
-        with pytest.raises(GeometryDomainError):
-            immersion.validate_immersion(bad)
+        data = stt.to_json()
+        data["vertices"] = (stt.positions + 1e-2 * rng.standard_normal(stt.positions.shape)).tolist()
+        with pytest.raises(GeometryDomainError, match="target invariants"):
+            DiscreteImmersion.from_json(data)
 
 
 class TestSecondFundamentalForm:
