@@ -201,11 +201,10 @@ def restore_constraint(imm: DiscreteImmersion):
     of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
     the mesh's signed edge incidence.  Its normal matrix is factored by
     :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
-    is unchanged (always, on the flat target, where c = 1).  On a target that
-    carries monodromy the edges' seam offsets come from
-    :meth:`DiscreteImmersion.edge_shift`, whose wraps the mesh caches
-    (:attr:`SurfaceMesh.edge_wraps`), like its vertex graph; elsewhere they
-    are zero and are not added.
+    is unchanged (always, on the flat target, where c = 1).  The edges' seam
+    offsets are :meth:`DiscreteImmersion.phi_offsets` of the mesh's cached
+    :attr:`SurfaceMesh.edge_wraps`, taken once and added to the Reeb row of
+    each pass's edge differences; without monodromy there are none.
 
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
@@ -214,12 +213,12 @@ def restore_constraint(imm: DiscreteImmersion):
     m = imm.mesh
     geo = imm.geometry
     tails, heads = m.edges[:, 0], m.edges[:, 1]
-    shift = imm.edge_shift() if geo.carries_monodromy else None
+    phi = imm.phi_offsets(m.edge_wraps)
 
     def residual(positions):
         delta = positions[heads] - positions[tails]
-        if shift is not None:
-            delta += shift
+        if phi is not None:
+            delta[:, 0] += phi
         r = geo.edge_residual(positions[tails], delta)
         return r, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 
@@ -368,8 +367,9 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
 #: times -s tau / (2 (E(tau) - E(0) - s tau)), that ratio clamped to
 #: [BACKTRACK_MIN, BACKTRACK_MAX] (Nocedal and Wright, Numerical
 #: Optimization, 2nd ed., section 3.5).  A trial that raised, or whose
-#: curvature term E(tau) - E(0) - s tau is not positive, is halved.  No trial
-#: goes below ``tau_min``.
+#: curvature term E(tau) - E(0) - s tau is not positive, is halved; with
+#: armijo < 1 an Armijo failure leaves that term above (1 - armijo) |s| tau,
+#: so only rounding reaches the second case.  No trial goes below ``tau_min``.
 TAU_MAX = 1e3
 BACKTRACK_MIN = 0.1
 BACKTRACK_MAX = 0.5
@@ -540,12 +540,12 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
     One :func:`descent_stage` per eps of the non-empty, finite, positive,
     decreasing ``schedule``; the schedule stops early when the entropy
     indicator rises on two consecutive stages.  ``0 < tau_min <= TAU_MAX``,
-    ``tau_init > 0``, a finite ``armijo > 0`` and an integer
-    ``max_iters >= 0`` are required (``GeometryDomainError`` otherwise).  A
-    stage without an admissible step raises ``StageAbortedError``, whose
-    ``result`` is the descent up to its last accepted step; an ``armijo`` of
-    1 or more asks for more decrease than the slope predicts, so it ends
-    that way.
+    ``tau_init > 0``, ``0 < armijo < 1`` and an integer ``max_iters >= 0``
+    are required (``GeometryDomainError`` otherwise): an ``armijo`` of 1 or
+    more asks for more decrease than the slope predicts, so no stage could
+    accept a step.  A stage without an admissible step raises
+    ``StageAbortedError``, whose ``result`` is the descent up to its last
+    accepted step.
     """
     opts = opts or DescentOptions()
     schedule = list(schedule)
@@ -561,8 +561,8 @@ def descend(imm: DiscreteImmersion, schedule, opts: DescentOptions = None) -> De
         )
     if not (isinstance(opts.max_iters, Integral) and opts.max_iters >= 0):
         raise GeometryDomainError(f"need an integer max_iters >= 0, got {opts.max_iters!r}")
-    if not 0 < opts.armijo < np.inf:
-        raise GeometryDomainError(f"need a finite armijo > 0, got {opts.armijo!r}")
+    if not 0 < opts.armijo < 1:
+        raise GeometryDomainError(f"need 0 < armijo < 1, got {opts.armijo!r}")
     # Iterates own their face state.  Starting from a new immersion at the
     # same (read-only) positions keeps the caller's one from holding a
     # FaceData for the whole descent.

@@ -43,9 +43,10 @@ class Target:
     ``base_bar`` may be the scalar 0); the ``tangent`` and
     ``horizontal`` projections, ``j``, ``reeb`` and ``alpha``;
     ``edge_residual`` and its Reeb derivative ``reeb_slope``,
-    ``gauge_scalars``, ``gauge_gradients`` and ``seam_shift``; ``move``
-    (re-retracting onto the target) and ``random_point``.  The methods below
-    are built from these.
+    ``gauge_scalars`` and ``gauge_gradients``; ``move`` (re-retracting onto
+    the target) and ``random_point``; and, on a target that
+    ``carries_monodromy``, ``seam_offset``.  The methods below are built
+    from these.
     """
 
     name: str
@@ -189,10 +190,6 @@ class FrameTarget(Target):
         grad_phi = np.broadcast_to(np.concatenate([p0[4:], -p0[:4]]), points.shape).copy()
         return 2.0 * (points - p0), grad_phi
 
-    def seam_shift(self, wraps, monodromy):
-        """Frames close up across seams: no shift."""
-        return np.zeros(np.shape(wraps)[:-1] + (self.dim,))
-
     def move(self, q, delta):
         q, _, _ = st.polar_rows(*_halves(np.add(q, delta)))
         return st.stacked(q)
@@ -292,11 +289,10 @@ class FlatTarget(Target):
         grad_phi[..., 1:] = -hs.jc2(np.broadcast_to(p0[1:], points[..., 1:].shape))
         return grad_rho2, grad_phi
 
-    def seam_shift(self, wraps, monodromy):
-        """The Legendrian coordinate jumps by the monodromy at each seam crossing."""
-        out = np.zeros(np.shape(wraps)[:-1] + (self.dim,))
-        out[..., 0] = -(wraps[..., 0] * monodromy[0] + wraps[..., 1] * monodromy[1])
-        return out
+    def seam_offset(self, wraps, monodromy):
+        """The jump of the Legendrian coordinate phi (coordinate 0, the Reeb
+        direction) at the seam crossings ``wraps`` (..., 2)."""
+        return -(wraps[..., 0] * monodromy[0] + wraps[..., 1] * monodromy[1])
 
     def move(self, q, delta):
         return np.asarray(q, float) + np.asarray(delta, float)

@@ -112,13 +112,14 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
     geo = imm.geometry
     p0 = geo.point(p0)
     pos = imm.positions
-    # A lifted torus has deck copies, translated by the seam shifts of
-    # k in {-1, 0, 1}^2 crossings; measure each vertex on the copy nearest
-    # in phi (a tie goes to the lower copy).
+    # A lifted torus has deck copies, translated along the Reeb field by the
+    # seam offsets of k in {-1, 0, 1}^2 crossings; measure each vertex on the
+    # copy nearest in phi (a tie goes to the lower copy).
     wraps = np.array([(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)])
-    decks = np.unique(-geo.seam_shift(wraps, imm.phi_monodromy), axis=0)
+    offsets = imm.phi_offsets(wraps)
     branch = np.zeros(len(pos), int)
-    if len(decks) > 1:
+    if offsets is not None:
+        decks = np.unique(-offsets)[:, None] * geo.reeb(p0)
         phis = np.stack([geo.gauge_scalars(p0, pos - d)[1] for d in decks], axis=1)
         branch = np.argmin(np.abs(phis), axis=1)
         pos = pos - decks[branch]

@@ -115,22 +115,21 @@ class FaceData:
     def __init__(self, imm: DiscreteImmersion):
         m = self.mesh = imm.mesh
         geo = imm.geometry
-        shift = None
+        phi = None  # (F, 3) Reeb-row seam offsets of the corners, when any is nonzero
         if m.uv is None:
             self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
         else:
             wraps, self.minv, self.uv_area = m.face_uv
-            if geo.carries_monodromy:  # without monodromy every seam shift is zero
-                shift = geo.seam_shift(wraps, imm.phi_monodromy)
+            phi = imm.phi_offsets(wraps)
         rows = np.ascontiguousarray(imm.positions.T)
         tri = m.triangles
         base = np.take(rows, tri[:, 0], axis=1)
         chords = np.empty((2,) + base.shape)  # d1 and d2, one (2, k, F) buffer
         for c in (1, 2):
             np.take(rows, tri[:, c], axis=1, out=chords[c - 1])
-        if shift is not None:
-            base += shift[:, 0].T
-            chords += shift[:, 1:].transpose(1, 2, 0)
+        if phi is not None:
+            base[0] += phi[:, 0]
+            chords[:, 0] += phi[:, 1:].T
         chords -= base
         self.base_pos = base.T
         self.d1, self.d2 = chords.transpose(0, 2, 1)
@@ -310,7 +309,11 @@ def _quadratic_fits(imm, verts, nbrs):
     """
     geo = imm.geometry
     base = imm.positions[verts]
-    delta = imm.positions[nbrs] - base[:, None] + imm.seam_shift(verts[:, None], nbrs)
+    delta = imm.positions[nbrs] - base[:, None]
+    uv = imm.mesh.uv
+    phi = None if uv is None else imm.phi_offsets(imm.mesh.wraps(uv[verts, None], uv[nbrs]))
+    if phi is not None:
+        delta[..., 0] += phi
     chords = geo.frame(base[:, None], delta)
     # Tangent plane: the dominant directions of the horizontal chords.
     _, _, vt = np.linalg.svd(geo.horizontal(base[:, None], chords), full_matrices=False)

@@ -68,21 +68,22 @@ COLLINEAR_GRAM = 1e-4
 
 
 def _lsq_weights(delta):
-    """Pseudo-inverses (n, 2, c) of the (c, 2) blocks of ``delta`` (n, c, 2).
+    """Pseudo-inverses q[:, :, f] (2, c, n) of the (c, 2) blocks delta[:, :, f]
+    of ``delta`` (2, c, n), stacked component-major.
 
-    Each is (d^T d)^-1 d^T with the 2x2 inverse written out.  A block whose
-    Gram determinant is below ``COLLINEAR_GRAM`` times its squared trace (a
-    single row, or collinear rows) goes to ``np.linalg.pinv``.
+    Each is (d^T d)^-1 d^T with the 2x2 inverse written out, so a zero row
+    (a missing neighbour) gets a zero column.  A block whose Gram determinant
+    is below ``COLLINEAR_GRAM`` times its squared trace (a single nonzero
+    row, or collinear rows) goes to ``np.linalg.pinv``.
     """
-    x, y = delta[..., 0], delta[..., 1]
-    g11, g12, g22 = np.sum(x * x, axis=1), np.sum(x * y, axis=1), np.sum(y * y, axis=1)
+    x, y = delta
+    g11, g12, g22 = (x * x).sum(axis=0), (x * y).sum(axis=0), (y * y).sum(axis=0)
     det = g11 * g22 - g12 * g12
     collinear = det <= COLLINEAR_GRAM * (g11 + g22) ** 2
-    det = np.where(collinear, 1.0, det)[:, None]
-    q = np.stack([(g22[:, None] * x - g12[:, None] * y) / det,
-                  (g11[:, None] * y - g12[:, None] * x) / det], axis=1)
+    q = np.stack([g22 * x - g12 * y, g11 * y - g12 * x])
+    q /= np.where(collinear, 1.0, det)
     if np.any(collinear):
-        q[collinear] = np.linalg.pinv(delta[collinear])
+        q[:, :, collinear] = np.linalg.pinv(delta[:, :, collinear].T).transpose(1, 2, 0)
     return q
 
 
@@ -104,10 +105,8 @@ class SurfaceMesh:
         self.uv = None if uv is None else _float_array(uv, (self.n_vertices, 2), "uv")
         self.genus = int(genus)
         self.boundary_loops = [list(map(int, loop)) for loop in boundary_loops]
-        self.uv_periods = None if uv_periods is None else (
-            float(uv_periods[0]) if uv_periods[0] else 0.0,
-            float(uv_periods[1]) if uv_periods[1] else 0.0,
-        )
+        self.uv_periods = (None if uv_periods is None
+                           else tuple(float(p or 0.0) for p in uv_periods))
         self.generator_loops = [list(map(int, loop)) for loop in generator_loops]
         for kind, index in (("triangle", self.triangles.ravel()),
                             ("boundary loop", [v for loop in self.boundary_loops for v in loop]),
@@ -124,37 +123,41 @@ class SurfaceMesh:
     def _build_adjacency(self):
         tri = self.triangles
         n_f, n_v = len(tri), self.n_vertices
-        # Canonical undirected edges (lexicographic, as integer keys a * V + b)
-        # and face->edge incidence; slot k * F + f is local edge k of face f.
-        raw = np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]])
-        keys, inverse = np.unique(raw.min(axis=1) * n_v + raw.max(axis=1), return_inverse=True)
-        self.edge_keys = keys  # sorted; edge e joins a < b with key a * V + b
+        # Slot k * F + f is local edge k of face f (opposite corner k), directed
+        # tail -> head along the face.  One stable sort of the undirected keys
+        # a * V + b (a < b) lists the edges in (a, b) order, each edge's slots
+        # together and in slot order.
+        tails, heads = tri.T[[1, 2, 0]].ravel(), tri.T[[2, 0, 1]].ravel()
+        keys = np.minimum(tails, heads) * n_v + np.maximum(tails, heads)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=len(keys))
+        pair = first[counts == 2]
+        s0, s1 = order[pair], order[pair + 1]
+        # An edge on three faces, or whose two slots share a tail, repeats a
+        # directed edge; np.unique finds the first one for the message.
+        if np.any(counts > 2) or np.any(tails[s0] == tails[s1]):
+            directed = (tri * n_v + np.roll(tri, -1, axis=1)).ravel()  # face-major
+            _, at, inverse = np.unique(directed, return_index=True, return_inverse=True)
+            f, k = divmod(int(np.argmax(at[inverse] != np.arange(len(directed)))), 3)
+            e = (int(tri[f, k]), int(tri[f, (k + 1) % 3]))
+            raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
+        self.edge_keys = keys = sorted_keys[first]  # edge e joins a < b with key a * V + b
         self.edges = np.stack([keys // n_v, keys % n_v], axis=1)
+        inverse = np.empty(len(order), int)
+        inverse[order] = np.cumsum(starts) - 1
         self.face_edges = inverse.reshape(3, -1).T  # face f, local edge k (opposite corner k)
-        self._edge_face_counts = np.bincount(inverse, minlength=len(keys))
-        # An interior edge's two slots are adjacent once slots are sorted by edge.
-        by_edge = np.argsort(inverse, kind="stable")
-        first = np.cumsum(self._edge_face_counts) - self._edge_face_counts
-        pair = first[self._edge_face_counts == 2]
-        s0, s1 = by_edge[pair], by_edge[pair + 1]
         slot_nbr = -np.ones(3 * n_f, int)
         slot_nbr[s0] = s1 % n_f
         slot_nbr[s1] = s0 % n_f
         self.face_neighbors = slot_nbr.reshape(3, -1).T
-        self.boundary_edge_mask = self._edge_face_counts == 1
+        self.boundary_edge_mask = counts == 1
         self.boundary_vertices = set(np.unique(self.edges[self.boundary_edge_mask]).tolist())
 
     def _validate(self):
-        tri = self.triangles
-        directed = (tri * self.n_vertices + np.roll(tri, -1, axis=1)).ravel()  # face-major
-        _, first, inverse = np.unique(directed, return_index=True, return_inverse=True)
-        repeated = np.flatnonzero(first[inverse] != np.arange(len(directed)))
-        if repeated.size:
-            f, k = divmod(int(repeated[0]), 3)
-            e = (int(tri[f, k]), int(tri[f, (k + 1) % 3]))
-            raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
-        # An edge on three or more faces repeats a directed edge, so it is caught above.
-        chi = self.n_vertices - len(self.edges) + len(tri)
+        chi = self.n_vertices - len(self.edges) + len(self.triangles)
         n_comp, _ = connected_components(self.vertex_graph, directed=False)
         expected = 2 * n_comp - 2 * self.genus - len(self.boundary_loops)
         if chi != expected:
@@ -167,11 +170,11 @@ class SurfaceMesh:
     @functools.cached_property
     def vertex_graph(self):
         """(V, V) CSR matrix with a 1 at (tail, head) of each canonical edge;
-        ``vertex_graph + vertex_graph.T`` is the symmetric adjacency."""
+        ``vertex_graph + vertex_graph.T`` is the symmetric adjacency, filled
+        straight from the edges, which are sorted by (tail, head)."""
         n_v = self.n_vertices
-        return sp.csr_matrix(
-            (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])), shape=(n_v, n_v)
-        )
+        indptr = np.searchsorted(self.edges[:, 0], np.arange(n_v + 1))
+        return sp.csr_matrix((np.ones(len(self.edges)), self.edges[:, 1], indptr), shape=(n_v, n_v))
 
     def edge_ids(self, a, b):
         """Canonical edge index of each vertex pair (a, b), in either order;
@@ -225,25 +228,18 @@ class SurfaceMesh:
 
     def wraps(self, uv_from, uv_to):
         """Integer period crossings taking uv_to into uv_from's chart."""
+        d = np.asarray(uv_to, float) - uv_from
         if self.uv_periods is None:
-            return np.zeros(np.shape(uv_to), int) if np.ndim(uv_to) else 0
-        d = np.asarray(uv_to, float) - np.asarray(uv_from, float)
-        w = np.zeros_like(d)
-        for axis in (0, 1):
-            p = self.uv_periods[axis]
-            if p:
-                w[..., axis] = np.round(d[..., axis] / p)
-        return w.astype(int)
+            return np.zeros(d.shape, int)
+        p = np.array(self.uv_periods)
+        return np.where(p != 0, np.round(d / np.where(p != 0, p, 1.0)), 0.0).astype(int)
 
     @functools.cached_property
     def edge_wraps(self):
         """(E, 2) read-only :meth:`wraps` taking each canonical edge's head into
         its tail's chart (zeros without uv), built on first use."""
-        tails, heads = self.edges[:, 0], self.edges[:, 1]
-        if self.uv is None:
-            out = np.zeros((len(self.edges), 2), int)
-        else:
-            out = self.wraps(self.uv[tails], self.uv[heads])
+        uv = np.zeros((self.n_vertices, 2)) if self.uv is None else self.uv
+        out = self.wraps(uv[self.edges[:, 0]], uv[self.edges[:, 1]])
         out.flags.writeable = False
         return out
 
@@ -253,24 +249,20 @@ class SurfaceMesh:
         if self.uv is None:
             raise GeometryDomainError("mesh carries no uv parameters")
         uv = self.uv[self.triangles]  # (F, 3, 2)
-        wraps = np.zeros_like(uv)
-        if self.uv_periods is not None:
-            base = uv[:, [0], :]
-            w = self.wraps(np.broadcast_to(base, uv.shape), uv)
-            periods = np.array([self.uv_periods[0] or 0.0, self.uv_periods[1] or 0.0])
-            uv = uv - w * periods
-            wraps = w
-        return uv, wraps.astype(int)
+        wraps = self.wraps(uv[:, :1], uv)
+        return uv - wraps * np.array(self.uv_periods or (0.0, 0.0)), wraps
 
     @functools.cached_property
     def face_uv(self):
         """Read-only per-face parameter constants, built on first use: the
-        (F, 3, 2) wraps of :meth:`corner_uv_local` and the minv (F, 2, 2) and
-        parameter areas (F,) of :func:`parameter_inverse`."""
+        (F, 3, 2) wraps of :meth:`corner_uv_local` (None when no face crosses
+        a seam) and the minv (F, 2, 2) and parameter areas (F,) of
+        :func:`parameter_inverse`."""
         uv, wraps = self.corner_uv_local()
-        out = (wraps, *parameter_inverse(uv))
+        out = (wraps if wraps.any() else None, *parameter_inverse(uv))
         for arr in out:
-            arr.flags.writeable = False
+            if arr is not None:
+                arr.flags.writeable = False
         return out
 
     @functools.cached_property
@@ -280,40 +272,47 @@ class SurfaceMesh:
 
         Face f with neighbours n_j (in face-edge order) gets the least-squares
         weights q_f = pinv(bary[n_j] - bary[f]) (see :func:`_lsq_weights`) of
-        its :meth:`corner_uv_local` barycentres, the parameter differences
-        unwrapped across the seam; row 2f + a holds q_f[a, j] at column n_j and
-        -sum_j q_f[a, j] at column f, so
-        (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).
-        Faces without neighbours get empty rows.
+        its corner barycentres, unwrapped by the wraps of :attr:`face_uv`, the
+        parameter differences unwrapped across the seam; row 2f + a holds
+        q_f[a, j] at column n_j and -sum_j q_f[a, j] at column f, so
+        (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).  A missing
+        neighbour is a zero row of its block, so every face is solved at once;
+        faces without neighbours get empty rows.  The entries are written
+        straight into their sorted CSR slots.
         """
         if self.uv is None:
             raise GeometryDomainError("the Gauss-map stencil requires uv parameters")
         n_f = len(self.triangles)
-        bary = self.corner_uv_local()[0].mean(axis=1)
-        nbrs = self.face_neighbors
+        wraps = self.face_uv[0]
+        periods = self.uv_periods or (0.0, 0.0)
+        nbrs = self.face_neighbors.T  # (3, F): neighbour slot j of face f
         has = nbrs >= 0
-        nbr_bary = bary[np.where(has, nbrs, 0)]
-        delta = nbr_bary - bary[:, None, :]  # (F, 3, 2)
-        if self.uv_periods is not None:
-            delta -= self.wraps(bary[:, None, :], nbr_bary) * self.uv_periods
-        count = has.sum(axis=1)
-        rows, cols, vals = [], [], []
-        for c in (1, 2, 3):
-            faces = np.where(count == c)[0]
-            if not faces.size:
-                continue
-            slots = np.argsort(~has[faces], axis=1, kind="stable")[:, :c]  # keep edge order
-            cols_c = np.take_along_axis(nbrs[faces], slots, axis=1)  # (n, c)
-            q = _lsq_weights(np.take_along_axis(delta[faces], slots[..., None], axis=1))  # (n, 2, c)
-            row = 2 * faces[:, None] + np.arange(2)  # (n, 2)
-            rows += [np.repeat(row, c, axis=1).ravel(), row.ravel()]
-            cols += [np.broadcast_to(cols_c[:, None, :], q.shape).ravel(), np.repeat(faces, 2)]
-            vals += [q.ravel(), -q.sum(axis=2).ravel()]
-        if not rows:
-            return sp.csr_matrix((2 * n_f, n_f))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n_f, n_f)
-        )
+        delta = np.empty((2, 3, n_f))  # component-major parameter differences
+        for a, d in enumerate(delta):
+            corners = self.uv[:, a][self.triangles.T]  # (3, F)
+            if wraps is not None and periods[a]:
+                corners -= wraps[:, :, a].T * periods[a]
+            bary = (corners[0] + corners[1] + corners[2]) / 3.0
+            np.subtract(bary[np.where(has, nbrs, 0)], bary, out=d)
+            if periods[a]:
+                d -= np.round(d / periods[a]) * periods[a]
+            d[~has] = 0.0
+        q = _lsq_weights(delta) * has
+        vals = np.concatenate([q, -q.sum(axis=1, keepdims=True)], axis=1)  # (2, 4, F)
+        # Columns n_0, n_1, n_2, f, a missing neighbour as F (past every face);
+        # entry j of row 2f + a goes to slot indptr[2f + a] + its rank there.
+        cols = np.vstack([np.where(has, nbrs, n_f), np.arange(n_f)])
+        keep = np.vstack([has, has.any(axis=0)])
+        indptr = np.zeros(2 * n_f + 1, int)
+        np.cumsum(np.repeat(keep.sum(axis=0), 2), out=indptr[1:])
+        nnz = int(indptr[-1])
+        data, indices = np.empty(nnz + 1), np.empty(nnz + 1, int)  # slot nnz takes the dropped
+        for j in range(4):
+            rank = sum((cols[i] <= cols[j]) if i < j else (cols[i] < cols[j])
+                       for i in range(4) if i != j)
+            pos = np.where(keep[j], indptr[:-1].reshape(n_f, 2).T + rank, nnz)
+            data[pos], indices[pos] = vals[:, j], cols[j]
+        return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(2 * n_f, n_f))
 
     @functools.cached_property
     def gauss_stencil_t(self):
@@ -389,24 +388,24 @@ class DiscreteImmersion:
 
     # -- seam-corrected differences ------------------------------------------
 
-    def seam_shift(self, tails, heads):
-        """Ambient offsets moving the points at vertices ``heads`` into the branch of ``tails``."""
-        m = self.mesh
-        if m.uv is None:
-            wraps = np.zeros(np.shape(heads) + (2,), int)
-        else:
-            wraps = m.wraps(m.uv[tails], m.uv[heads])
-        return self.geometry.seam_shift(wraps, self.phi_monodromy)
-
-    def edge_shift(self):
-        """:meth:`seam_shift` of the canonical edges (tail -> head), from the
-        mesh's cached :attr:`SurfaceMesh.edge_wraps`."""
-        return self.geometry.seam_shift(self.mesh.edge_wraps, self.phi_monodromy)
+    def phi_offsets(self, wraps):
+        """The (...,) offsets of the Reeb row, coordinate 0, across the seam
+        crossings ``wraps`` (..., 2): only the flat model carries monodromy,
+        and no other row of its seam shift is nonzero.  None when all are
+        zero: ``wraps`` None (no crossings) or no monodromy."""
+        if wraps is None or not any(self.phi_monodromy):
+            return None
+        return self.geometry.seam_offset(wraps, self.phi_monodromy)
 
     def edge_vectors(self):
-        """Seam-corrected coordinate differences along canonical edges (tail -> head)."""
+        """Seam-corrected coordinate differences along canonical edges (tail -> head),
+        the Reeb-row offsets from the mesh's cached :attr:`SurfaceMesh.edge_wraps`."""
         tails, heads = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
-        return self.positions[heads] - self.positions[tails] + self.edge_shift()
+        delta = self.positions[heads] - self.positions[tails]
+        phi = self.phi_offsets(self.mesh.edge_wraps)
+        if phi is not None:
+            delta[:, 0] += phi
+        return delta
 
     # -- serialization --------------------------------------------------------
 

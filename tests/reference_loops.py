@@ -21,6 +21,7 @@ circle action and the complex structure of its Grassmannian.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,6 +83,39 @@ def mesh_adjacency(mesh):
         boundary_edge_mask=boundary_edge_mask, vertex_neighbors=vertex_neighbors,
         boundary_vertices=boundary_vertices,
     )
+
+
+def repeated_directed_edge(mesh_triangles, n_vertices):
+    """The first directed edge (tail, head), in face-major order, that an
+    earlier corner pair of ``mesh_triangles`` already has; None when none
+    repeats.  Found with ``np.unique`` of the directed keys."""
+    tri = np.asarray(mesh_triangles, int)
+    directed = (tri * n_vertices + np.roll(tri, -1, axis=1)).ravel()
+    _, first, inverse = np.unique(directed, return_index=True, return_inverse=True)
+    repeated = np.flatnonzero(first[inverse] != np.arange(len(directed)))
+    if not repeated.size:
+        return None
+    f, k = divmod(int(repeated[0]), 3)
+    return int(tri[f, k]), int(tri[f, (k + 1) % 3])
+
+
+def wraps_shift(imm, wraps):
+    """(..., dim) dense ambient seam shifts of the crossings ``wraps`` (..., 2):
+    the Legendrian coordinate (coordinate 0) jumps by -(wraps . monodromy),
+    and every other coordinate by 0."""
+    out = np.zeros(np.shape(wraps)[:-1] + (imm.geometry.dim,))
+    m0, m1 = imm.phi_monodromy
+    out[..., 0] = -(wraps[..., 0] * m0 + wraps[..., 1] * m1)
+    return out
+
+
+def seam_shift(imm, tails, heads):
+    """:func:`wraps_shift` moving the points at vertices ``heads`` into the
+    branch of ``tails``."""
+    m = imm.mesh
+    if m.uv is None:
+        return np.zeros(np.broadcast_shapes(np.shape(tails), np.shape(heads)) + (imm.geometry.dim,))
+    return wraps_shift(imm, m.wraps(m.uv[tails], m.uv[heads]))
 
 
 def components(mesh, vertex_neighbors):
@@ -349,15 +383,17 @@ def frame_horizontal(a, b, v, w):
 
 
 def face_data_arrays(imm):
-    """FaceData's arrays, with corners gathered by fancy indexing and g, ginv
-    built from nested ``np.stack`` calls, keyed by attribute name."""
+    """FaceData's arrays, with corners gathered by fancy indexing and moved by
+    dense seam shifts (:func:`wraps_shift`), and g, ginv built from nested
+    ``np.stack`` calls, keyed by attribute name."""
     m = imm.mesh
     corners = imm.positions[m.triangles]
     if m.uv is None:
         minv, uv_area = parameter_inverse(_intrinsic_uv(imm))
     else:
-        wraps, minv, uv_area = m.face_uv
-        corners += imm.geometry.seam_shift(wraps, imm.phi_monodromy)
+        uv, wraps = m.corner_uv_local()
+        minv, uv_area = parameter_inverse(uv)
+        corners += wraps_shift(imm, wraps)
     base = corners[:, 0]
     d1, d2 = corners[:, 1] - base, corners[:, 2] - base
     e1, e2 = imm.geometry.frame(base, d1), imm.geometry.frame(base, d2)
@@ -385,9 +421,9 @@ def gauss_gradients(fd):
 
 def energy_gradient(asm, imm, eps):
     """EnergyAssembler.gradient with multi-operand einsums and np.add.at scatters,
-    on a FaceData built here rather than the immersion's kept one."""
+    on the dense-shift arrays of :func:`face_data_arrays` rather than a FaceData."""
     positions = imm.positions
-    fd = FaceData(imm)
+    fd = SimpleNamespace(mesh=imm.mesh, **face_data_arrays(imm))
     a_list, quad = gauss_gradients(fd)
     n_f = len(asm.tri)
     s_area = 1.0 + eps**4 * (1.0 + quad) ** 2
@@ -515,7 +551,7 @@ def cotangent_weights(imm, fd):
     framing both chords at each of the three corners (six frame maps per face)."""
     m = imm.mesh
     tri = m.triangles
-    corners = imm.positions[tri] + imm.seam_shift(tri[:, [0]], tri)
+    corners = imm.positions[tri] + seam_shift(imm, tri[:, [0]], tri)
     w = np.zeros(len(m.edges))
     for k in range(3):
         base = corners[:, k]
@@ -622,7 +658,7 @@ def vertex_tangent_frames(imm, fd):
 def _edge_chords(imm):
     """Frame chords of every edge seen from its tail and from its head."""
     tails, heads = imm.mesh.edges[:, 0], imm.mesh.edges[:, 1]
-    delta = imm.edge_vectors()
+    delta = imm.positions[heads] - imm.positions[tails] + seam_shift(imm, tails, heads)
     geo = imm.geometry
     return geo.frame(imm.positions[tails], delta), geo.frame(imm.positions[heads], -delta)
 
@@ -721,7 +757,7 @@ def second_fundamental_form(imm, min_valence=5):
                 two_ring.update(vertex_neighbors[u])
             two_ring.discard(v)
             nbrs = sorted(two_ring)
-        delta = imm.positions[nbrs] - imm.positions[v] + imm.seam_shift(v, nbrs)
+        delta = imm.positions[nbrs] - imm.positions[v] + seam_shift(imm, v, nbrs)
         chords = geo.frame(imm.positions[v], delta)
         if len(nbrs) < 5:
             out.warnings.append((v, "fit rank deficient even on the 2-ring"))

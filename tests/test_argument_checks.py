@@ -8,7 +8,7 @@ import math
 import pytest
 
 from legsurf import cli, corpus, energy
-from legsurf.errors import GeometryDomainError, StageAbortedError
+from legsurf.errors import GeometryDomainError
 
 TARGETS = ["heisenberg", "stiefel"]
 
@@ -20,6 +20,8 @@ BAD_DESCENTS = {
     "armijo 0": ({"armijo": 0.0}, [0.2]),
     "armijo nan": ({"armijo": math.nan}, [0.2]),
     "armijo inf": ({"armijo": math.inf}, [0.2]),
+    "armijo 1": ({"armijo": 1.0}, [0.2]),
+    "armijo 1.5": ({"armijo": 1.5}, [0.2]),
     "empty schedule": ({}, []),
     "nan eps": ({}, [0.2, math.nan]),
     "infinite eps": ({}, [math.inf, 0.1]),
@@ -35,15 +37,6 @@ def test_descend_rejects_bad_options(target, name):
     imm = corpus.perturbed_clifford(8, amplitude=5e-2, seed=2, target=target)
     with pytest.raises(GeometryDomainError):
         energy.descend(imm, schedule, energy.DescentOptions(**fields))
-
-
-@pytest.mark.parametrize("target", TARGETS)
-def test_armijo_above_one_aborts_the_stage(target):
-    # It asks for more decrease than the slope predicts: a solver abort, the
-    # documented way to force one, not a malformed option.
-    imm = corpus.perturbed_clifford(8, amplitude=5e-2, seed=2, target=target)
-    with pytest.raises(StageAbortedError):
-        energy.descend(imm, [0.2], energy.DescentOptions(armijo=1.5, tau_min=1e-6, max_iters=2))
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -64,8 +57,8 @@ def _descend_config(tmp_path, target, **fields):
 
 
 @pytest.mark.parametrize("target", TARGETS)
-@pytest.mark.parametrize("name", ["max_iters -1", "armijo -1", "armijo 0", "empty schedule",
-                                  "nan eps"])
+@pytest.mark.parametrize("name", ["max_iters -1", "armijo -1", "armijo 0", "armijo 1.5",
+                                  "empty schedule", "nan eps"])
 def test_descend_command_exits_two(tmp_path, capsys, target, name):
     fields, schedule = BAD_DESCENTS[name]
     config = _descend_config(tmp_path, target, epsilon_schedule=schedule, **fields)

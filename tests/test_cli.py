@@ -439,8 +439,7 @@ class TestSolverAbortExit:
                     "resolution": 10,
                     "epsilon_schedule": [0.2],
                     "max_iters": 5,
-                    "armijo": 2.0,
-                    "tau_min": 1e-8,
+                    "tau_min": 5.0,
                     "seed": 3,
                 }
             )

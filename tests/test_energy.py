@@ -440,11 +440,7 @@ class TestStageAbort:
 
         pc = corpus.perturbed_clifford(10, amplitude=1e-2, seed=3)
         with pytest.raises(StageAbortedError) as exc:
-            energy.descend(
-                pc,
-                [0.2],
-                energy.DescentOptions(armijo=2.0, tau_min=1e-8, max_iters=5),
-            )
+            energy.descend(pc, [0.2], energy.DescentOptions(tau_min=5.0, max_iters=5))
         assert "eps" in exc.value.diagnostics
 
     @pytest.mark.parametrize("target", TARGETS)
@@ -499,8 +495,10 @@ class TestLineSearch:
         assert any(energy.BACKTRACK_MIN < r < energy.BACKTRACK_MAX for r in ratios)
 
     def test_nonconvex_model_halves(self, monkeypatch):
-        # The first trial reads E(0) + 1.5 slope tau: with armijo 2 it fails
-        # the Armijo test, and its quadratic model is concave.
+        # The first trial reads E(0) + 1.5 slope tau, a concave quadratic
+        # model.  Only an armijo above 1 fails the Armijo test there, and
+        # descend rejects one, so the stage is driven directly; a tau_min of
+        # half the first step aborts it once the halved trial fails too.
         from legsurf.errors import StageAbortedError
 
         eps = 0.2
@@ -525,9 +523,11 @@ class TestLineSearch:
         monkeypatch.setattr(energy, "flow_step", concave_first)
         monkeypatch.setattr(energy.EnergyAssembler, "energy", faking)
         pc = corpus.perturbed_clifford(10, amplitude=1e-2, seed=3)
+        opts = energy.DescentOptions(armijo=2.0, tau_min=1e-2, max_iters=1)
+        result = energy.DescentResult(pc, [], [], stopped_by_entropy=False)
         with pytest.raises(StageAbortedError):  # armijo 2 accepts no real step either
-            energy.descend(pc, [eps], energy.DescentOptions(armijo=2.0, max_iters=1))
-        assert taus[1] == 0.5 * taus[0]
+            energy.descent_stage(result, energy.EnergyAssembler(pc), 0, eps, opts)
+        assert taus == [2e-2, 1e-2]
 
     def test_trial_count_and_records(self, monkeypatch):
         real_step, taus = energy.flow_step, []

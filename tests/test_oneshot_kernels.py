@@ -131,6 +131,11 @@ def test_grid_triangles_match_loop_version(args):
     np.testing.assert_array_equal(new, old)
 
 
+def _lsq_weights(delta):
+    """mesh._lsq_weights on row-major (n, c, 2) blocks, returning (n, 2, c)."""
+    return mesh._lsq_weights(delta.transpose(2, 1, 0)).transpose(2, 0, 1)
+
+
 class TestStencilWeights:
     def test_stencil_matches_pinv(self, imm):
         m = imm.mesh
@@ -152,7 +157,7 @@ class TestStencilWeights:
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_blocks_match_pinv(self, c):
         delta = np.random.default_rng(c).uniform(-1.0, 1.0, size=(500, c, 2))
-        q, expected = mesh._lsq_weights(delta), np.linalg.pinv(delta)
+        q, expected = _lsq_weights(delta), np.linalg.pinv(delta)
         if c == 1:  # a single row is always collinear
             np.testing.assert_array_equal(q, expected)
         err = np.abs(q - expected).max(axis=(1, 2)) / np.abs(expected).max(axis=(1, 2))
@@ -164,7 +169,7 @@ class TestStencilWeights:
             [[0.3, 0.0], [0.0, 0.2]],  # well conditioned
             [[0.1, 0.1], [0.1, 0.1 + 1e-12]],  # collinear up to rounding
         ])
-        q = mesh._lsq_weights(delta)
+        q = _lsq_weights(delta)
         expected = np.linalg.pinv(delta)
         np.testing.assert_array_equal(q[[0, 2]], expected[[0, 2]])
         np.testing.assert_allclose(q[1], expected[1], rtol=0, atol=1e-12)
