@@ -613,15 +613,7 @@ def weak_stationarity_residual(imm: DiscreteImmersion, n_mult, spec: Hamiltonian
         )
     w_field = imm.geometry.hamiltonian_field(h, spec.grad(p), p)
     fd = imm.face_data
-    wc = imm.geometry.frame(p, w_field)[tri]
-    dw1 = wc[:, 1] - wc[:, 0]
-    dw2 = wc[:, 2] - wc[:, 0]
-    dwu = fd.minv[:, 0, 0, None] * dw1 + fd.minv[:, 1, 0, None] * dw2
-    dwv = fd.minv[:, 0, 1, None] * dw1 + fd.minv[:, 1, 1, None] * dw2
-    pair = (
-        fd.ginv[:, 0, 0] * np.sum(dwu * fd.du, axis=-1)
-        + fd.ginv[:, 0, 1] * (np.sum(dwu * fd.dv, axis=-1) + np.sum(dwv * fd.du, axis=-1))
-        + fd.ginv[:, 1, 1] * np.sum(dwv * fd.dv, axis=-1)
-    )
+    dw = fd.grad_scalar(imm.geometry.frame(p, w_field))
+    pair = fd.pairing(dw, fd.partials.transpose(2, 0, 1))
     face_n = n_mult[tri].mean(axis=1)
     return float(np.sum(pair[included] * face_n[included] * fd.area[included]))

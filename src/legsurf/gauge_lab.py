@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import edge_chords, mean_curvature_one_form, scatter_rows
+from .immersion import edge_chords, mean_curvature_one_form
 from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,9 @@ def vertex_tangent_frames(imm: DiscreteImmersion):
     fd = imm.face_data
     m = imm.mesh
     corners = m.triangles.T.ravel()
-    acc_u = scatter_rows(corners, np.tile(fd.area[:, None] * fd.du, (3, 1)), m.n_vertices)
-    acc_v = scatter_rows(corners, np.tile(fd.area[:, None] * fd.dv, (3, 1)), m.n_vertices)
+    weighted = np.tile(fd.partials * fd.area, 3)  # (2, k, 3F), corner-major like ``corners``
+    acc_u, acc_v = (np.stack([np.bincount(corners, weights=row, minlength=m.n_vertices)
+                              for row in rows], axis=1) for rows in weighted)
     t1 = imm.geometry.horizontal(imm.positions, acc_u)
     n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
     t1 = t1 / np.maximum(n1, 1e-300)
@@ -370,13 +371,11 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> M
 
 
 def _face_one_form(imm, edge_values):
-    """Per-face parameter coefficients of a one-form given by edge integrals."""
+    """Per-face parameter coefficients (F, 2) of a one-form given by edge integrals."""
     m = imm.mesh
-    d = []
-    for e in (m.face_edges[:, 2], m.face_edges[:, 1]):  # corner 0 -> 1, corner 0 -> 2
-        sign = np.where(m.edges[e, 0] == m.triangles[:, 0], 1.0, -1.0)
-        d.append(sign * edge_values[e])
-    return np.einsum("fij,fi->fj", imm.face_data.minv, np.stack(d, axis=-1))
+    # Local edge 2 runs corner 0 -> 1 and local edge 1 corner 2 -> 0.
+    d = m.face_edge_signs[:, [2, 1]] * edge_values[m.face_edges[:, [2, 1]]] * [1.0, -1.0]
+    return imm.face_data.differential(d)
 
 
 # ---------------------------------------------------------------------------

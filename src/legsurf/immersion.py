@@ -203,16 +203,24 @@ class FaceData:
             arr.flags.writeable = False
         return out
 
+    def differential(self, d):
+        """Per-face parameter derivatives (F, 2, ...) (d_u, d_v) of the corner
+        differences ``d`` (F, 2, ...), corner 0 -> 1 and corner 0 -> 2:
+        (d_u, d_v) = (d_1, d_2) minv."""
+        return np.einsum("fia,fi...->fa...", self.minv, d)
+
     def grad_scalar(self, values):
-        """Per-face (d_u s, d_v s) of per-vertex values (seam-free scalars)."""
-        tri = self.mesh.triangles
-        s0 = values[tri[:, 0]]
-        ds = np.stack([values[tri[:, 1]] - s0, values[tri[:, 2]] - s0], axis=-1)
-        return np.einsum("fij,fi->fj", self.minv, ds)
+        """Per-face (d_u s, d_v s) (F, 2, ...) of per-vertex values (V, ...)
+        (seam-free)."""
+        corners = values[self.mesh.triangles]
+        return self.differential(corners[:, 1:] - corners[:, :1])
 
     def pairing(self, d_first, d_second):
-        """<d s1, d s2>_g from per-face parameter gradients."""
-        return np.einsum("fa,fab,fb->f", d_first, self.ginv, d_second)
+        """<d s1, d s2>_g per face from per-face parameter gradients (F, 2, ...),
+        summed over any trailing components."""
+        n_f = len(d_first)
+        return np.einsum("fai,fab,fbi->f", d_first.reshape(n_f, 2, -1), self.ginv,
+                         d_second.reshape(n_f, 2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +388,6 @@ def edge_chords(imm: DiscreteImmersion):
     return imm.geometry.frame(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
 
 
-def scatter_rows(index, values, n_rows):
-    """(n_rows, k) sums of the rows of ``values`` (N, k) at ``index`` (N,), added
-    in input order (bitwise what ``np.add.at`` gives)."""
-    k = values.shape[1]
-    slots = (np.asarray(index)[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(slots, weights=values.ravel(), minlength=n_rows * k).reshape(n_rows, k)
-
-
 @dataclass
 class MeanCurvatureForm:
     gamma: np.ndarray  # per canonical edge, oriented tail -> head
@@ -405,25 +405,20 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
     The angle beta satisfies d beta = gamma / 2; its Laplacian (assembled from
     the edge one-form, so branch jumps never enter) is the minimality defect.
     beta is summed along a breadth-first spanning tree of each component,
-    rooted at its smallest vertex.
+    rooted at its smallest vertex.  Both Laplacians are D^T of their edge
+    terms, D the mesh's :attr:`SurfaceMesh.edge_incidence`.
     """
     m = imm.mesh
     weights, areas = cotangent_weights(imm)
     chords = edge_chords(imm)  # minus these framed at the heads
     # cot-Laplacian of the immersion per vertex, in frame components at the vertex
-    wc = weights[:, None] * chords
-    lap = scatter_rows(m.edges.T.ravel(), np.concatenate([wc, -wc]), m.n_vertices) / areas[:, None]
+    lap = (m.edge_incidence.T @ (weights[:, None] * chords)) / areas[:, None]
     g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
     gamma = -0.5 * np.sum((g_vec[m.edges[:, 0]] + g_vec[m.edges[:, 1]]) * chords, axis=-1)
 
     # discrete curl: oriented boundary sum per face
-    curl = np.zeros(len(m.triangles))
-    for k in range(3):
-        a = m.triangles[:, (k + 1) % 3]
-        b = m.triangles[:, (k + 2) % 3]
-        e = m.face_edges[:, k]
-        sign = np.where(m.edges[e, 0] == a, 1.0, -1.0)
-        curl += sign * gamma[e]
+    signed = m.face_edge_signs * gamma[m.face_edges]
+    curl = signed[:, 0] + signed[:, 1] + signed[:, 2]
 
     beta, roots = _integrate_on_tree(m, 0.5 * gamma)
 
@@ -439,11 +434,7 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
         # a running total from 0.0, added in loop order
         periods.append(float(np.cumsum(np.append(0.0, steps))[-1]))
 
-    half = weights * 0.5 * gamma
-    lap_beta = np.bincount(
-        m.edges.T.ravel(), weights=np.concatenate([half, -half]), minlength=m.n_vertices
-    )
-    lap_beta /= areas
+    lap_beta = (m.edge_incidence.T @ (weights * 0.5 * gamma)) / areas
 
     return MeanCurvatureForm(
         gamma=gamma,

@@ -149,6 +149,8 @@ class SurfaceMesh:
         inverse = np.empty(len(order), int)
         inverse[order] = np.cumsum(starts) - 1
         self.face_edges = inverse.reshape(3, -1).T  # face f, local edge k (opposite corner k)
+        # +1 where local edge k runs along its canonical edge (tail < head), -1 against it.
+        self.face_edge_signs = np.where(tails < heads, 1.0, -1.0).reshape(3, -1).T
         slot_nbr = -np.ones(3 * n_f, int)
         slot_nbr[s0] = s1 % n_f
         slot_nbr[s1] = s0 % n_f
@@ -436,7 +438,8 @@ class DiscreteImmersion:
     @staticmethod
     def from_json(data):
         """The immersion a mesh file holds; raises GeometryDomainError when its
-        points are off the target (invariant defect above 1e-11)."""
+        points are off the target (invariant defect above 1e-11) or an edge's
+        Legendrian residual exceeds the file's ``legendrian_tol``."""
         vertices = data["vertices"]
         mesh = SurfaceMesh(
             triangles=data["triangles"],
@@ -457,4 +460,9 @@ class DiscreteImmersion:
         defect = imm.geometry.invariant_defect(imm.positions)
         if defect > 1e-11:
             raise GeometryDomainError(f"vertex frames violate target invariants: {defect:.2e}")
+        r = imm.geometry.edge_residual(imm.positions[mesh.edges[:, 0]], imm.edge_vectors())
+        worst = float(np.max(np.abs(r), initial=0.0))
+        if worst > imm.legendrian_tol:
+            raise GeometryDomainError(f"max edge Legendrian residual {worst:.3e} exceeds the "
+                                      f"file's legendrian_tol {imm.legendrian_tol:.3e}")
         return imm

@@ -9,13 +9,14 @@ encoder, the mean-curvature one-form lost its Python spanning-tree walk and
 edge dict, grid triangles were built by index arithmetic, the Gauss stencil
 weights were written out in closed form, the quadratic-fit curvature was
 batched by neighbourhood size and the first variation became the gradient's
-pairing, FaceData gathered its corners with ``np.take`` and filled its
-metrics in place, and the face kernels (FaceData, the wedge, the energy
-gradient and the Hamiltonian map) went from row-major (F, k) arrays to
-component-major rows, and the frame target's pointwise kernels (the polar
-factorisation, the tangent projection and the horizontal projection) went
-from row sums over (..., 4) slices to component rows, kept here only as
-oracles for the equivalence tests.  The last section holds helpers that only
+pairing, the weak stationarity pairing became two FaceData calls, FaceData
+gathered its corners with ``np.take`` and filled its metrics in place, and
+the face kernels (FaceData, the wedge, the energy gradient and the
+Hamiltonian map) went from row-major (F, k) arrays to component-major rows,
+and the frame target's pointwise kernels (the polar factorisation, the
+tangent projection and the horizontal projection) went from row sums over
+(..., 4) slices to component rows, kept here only as oracles for the
+equivalence tests.  The last section holds helpers that only
 the tests call: the residual of an unrestored step, the frame target's Reeb
 circle action and the complex structure of its Grassmannian.
 """
@@ -511,6 +512,29 @@ def energy_first_variation(asm, imm, eps, w_field):
         2.0 * (1.0 + quad) * quad_dot * fd.area + (1.0 + quad) ** 2 * area_dot
     )
     return float(de)
+
+
+def weak_stationarity_residual(imm, n_mult, spec, f_vals, lam):
+    """energy.weak_stationarity_residual without its localisation check, with
+    d_u w, d_v w and the pairing with (du, dv) written out term by term.
+    Returns the residual and its scale, the sum of the absolute terms."""
+    tri = imm.mesh.triangles
+    included = (np.asarray(f_vals, float) > lam)[tri].sum(axis=1) >= 2
+    p = imm.positions
+    w_field = imm.geometry.hamiltonian_field(spec.h(p), spec.grad(p), p)
+    fd = FaceData(imm)
+    wc = imm.geometry.frame(p, w_field)[tri]
+    dw1 = wc[:, 1] - wc[:, 0]
+    dw2 = wc[:, 2] - wc[:, 0]
+    dwu = fd.minv[:, 0, 0, None] * dw1 + fd.minv[:, 1, 0, None] * dw2
+    dwv = fd.minv[:, 0, 1, None] * dw1 + fd.minv[:, 1, 1, None] * dw2
+    pair = (
+        fd.ginv[:, 0, 0] * np.sum(dwu * fd.du, axis=-1)
+        + fd.ginv[:, 0, 1] * (np.sum(dwu * fd.dv, axis=-1) + np.sum(dwv * fd.du, axis=-1))
+        + fd.ginv[:, 1, 1] * np.sum(dwv * fd.dv, axis=-1)
+    )
+    terms = (pair * np.asarray(n_mult, float)[tri].mean(axis=1) * fd.area)[included]
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
 def hamiltonian_operator(imm, fd):

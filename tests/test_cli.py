@@ -1,6 +1,7 @@
 """End-to-end command behavior: exits, files, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -330,6 +331,14 @@ def _off_target_frame(data):
     return json.dumps(stt.with_positions(pos).to_json())
 
 
+def _non_legendrian(data):
+    """The flat patch with its vertices moved along the Reeb coordinate by a
+    random 1e-2: points on the target, edges far off the contact plane."""
+    vertices = np.asarray(data["vertices"])
+    vertices[:, 0] += 1e-2 * np.random.default_rng(2).normal(size=len(vertices))
+    return json.dumps({**data, "vertices": vertices.tolist()})
+
+
 #: Each malformed input file, as text made from a valid flat-model file's
 #: JSON object (None: no file at all; the off-target case writes a frame mesh).
 MALFORMED_MESHES = {
@@ -346,6 +355,7 @@ MALFORMED_MESHES = {
     "boundary loop vertex out of range": _with(boundary_loops=[[0, 1, 99999]]),
     "generator loop vertex out of range": _with(generator_loops=[[0, -1]]),
     "off-target frame point": _off_target_frame,
+    "non-Legendrian vertices": _non_legendrian,
 }
 MALFORMED_GRIDS = {
     "missing file": None,
@@ -379,6 +389,21 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, command, kind, name):
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and str(path) in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_legendrian_mesh_names_residual_and_tolerance(tmp_path, capsys):
+    from legsurf import cli
+
+    fp = corpus.flat_patch(4)
+    path = tmp_path / "m.json"
+    path.write_text(_non_legendrian(fp.to_json()))
+    status = cli.main(["energy", "--mesh", str(path), "--epsilon", "0.2",
+                       "--out", str(tmp_path / "out")])
+    assert status == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    tol = re.escape(f"{fp.legendrian_tol:.3e}")
+    assert re.search(r"max edge Legendrian residual \d\.\d{3}e-\d\d exceeds the file's "
+                     rf"legendrian_tol {tol}", err), err
 
 
 def test_mesh_without_uv_exits_two(tmp_path, capsys):

@@ -400,6 +400,20 @@ class TestWeakStationarity:
             )
             assert abs(val) < 1e-12
 
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_matches_written_out_pairing(self, target):
+        # Off the critical torus the residual is generic; the two FaceData
+        # calls agree with the written-out d_u w, d_v w and four-term pairing
+        # to rounding of the sum's absolute terms.
+        imm = corpus.perturbed_clifford(16, target=target)
+        spec = gauge_lab.smooth_gauge_bump(target, imm.positions[8 * 16 + 8], 0.5, tilt=0.4)
+        n_mult = 1.0 + 0.5 * np.cos(imm.mesh.uv[:, 1])
+        f_vals = -np.cos(imm.mesh.uv[:, 0])
+        want, scale = ref.weak_stationarity_residual(imm, n_mult, spec, f_vals, 0.2)
+        got = energy.weak_stationarity_residual(imm, n_mult, spec, f_vals, 0.2)
+        assert abs(want) > 1e-6 * scale
+        assert abs(got - want) <= 1e-13 * scale
+
     def test_pairing_nonzero_on_non_minimal_surface(self):
         # Control for the floor test: a Lagrangian graph that is not
         # area-critical pairs to a genuinely nonzero value.

@@ -7,9 +7,12 @@ face's corners must leave the topology equal to the per-face loops
 (``reference_loops.mesh_adjacency``) and the stencil equal to the pinv
 assembly; a flipped face must name the repeated directed edge that
 ``np.unique`` finds; and on seamed tori FaceData and the energy gradient
-must match a build with dense (V, dim) seam shifts.
+must match a build with dense (V, dim) seam shifts.  The signed face edges
+must follow the relabelling, close every exact edge form, and give the face
+one-form of an exact form as the gradient of its vertex values.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import reference_loops as ref
-from legsurf import corpus, energy
+from legsurf import corpus, energy, gauge_lab
 from legsurf.errors import GeometryDomainError
 from legsurf.immersion import FaceData
 from legsurf.mesh import SurfaceMesh
@@ -49,14 +52,30 @@ def _rebuilt(mesh, triangles, perm=None):
     )
 
 
-def _relabelled(mesh, seed):
-    """``mesh`` with its vertices relabelled, its faces reordered and each
-    face's corners rotated (which keeps its orientation)."""
+def _relabelling(mesh, seed):
+    """A random vertex relabelling ``perm`` (old vertex v becomes perm[v]),
+    face order (new face i is old face order[i]) and per-face corner shift
+    (new corner c is old corner (c + shift[i]) % 3, which keeps the face's
+    orientation)."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(mesh.n_vertices)
-    tri = perm[mesh.triangles][rng.permutation(len(mesh.triangles))]
-    rotation = (np.arange(3) + rng.integers(0, 3, size=(len(tri), 1))) % 3
-    return _rebuilt(mesh, np.take_along_axis(tri, rotation, axis=1), perm)
+    order = rng.permutation(len(mesh.triangles))
+    return perm, order, rng.integers(0, 3, size=len(order))
+
+
+def _relabelled(mesh, seed):
+    """``mesh`` with its vertices relabelled, its faces reordered and each
+    face's corners rotated (:func:`_relabelling`)."""
+    perm, order, shift = _relabelling(mesh, seed)
+    rotation = (np.arange(3) + shift[:, None]) % 3
+    return _rebuilt(mesh, np.take_along_axis(perm[mesh.triangles][order], rotation, axis=1), perm)
+
+
+def _relabelled_immersion(imm, seed):
+    """``imm`` on :func:`_relabelled` of its mesh, its positions moved with the vertices."""
+    positions = np.empty_like(imm.positions)
+    positions[_relabelling(imm.mesh, seed)[0]] = imm.positions
+    return dataclasses.replace(imm, mesh=_relabelled(imm.mesh, seed), positions=positions)
 
 
 relabellings = given(name=hst.sampled_from(sorted(MESHES)), seed=hst.integers(0, 2**32 - 1))
@@ -76,6 +95,49 @@ def test_topology_matches_loops_after_relabelling(name, seed):
     assert mesh.boundary_vertices == expected["boundary_vertices"]
     assert len(mesh.edges) == len(original.edges)
     assert mesh.boundary_edge_mask.sum() == original.boundary_edge_mask.sum()
+
+
+@relabellings
+@settings(max_examples=40, deadline=None)
+def test_face_edge_signs_follow_relabelling(name, seed):
+    original = MESHES[name]().mesh
+    mesh = _relabelled(original, seed)
+    perm, order, shift = _relabelling(original, seed)
+    # Local edge k runs corner k + 1 -> k + 2 along (sign +1) or against its edge.
+    tri, signs = mesh.triangles, mesh.face_edge_signs
+    along = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=1)
+    oriented = np.where(signs[..., None] > 0, along, along[..., ::-1])
+    assert np.array_equal(oriented, mesh.edges[mesh.face_edges])
+    # New local edge k is old local edge (k + shift) % 3 of the old face, with
+    # its sign flipped where the relabelling swaps the order of its ends.
+    k_old = (np.arange(3) + shift[:, None]) % 3
+    old_signs = np.take_along_axis(original.face_edge_signs[order], k_old, axis=1)
+    ends = np.take_along_axis(original.edges[original.face_edges][order], k_old[..., None], axis=1)
+    kept = (perm[ends[..., 0]] < perm[ends[..., 1]]) == (ends[..., 0] < ends[..., 1])
+    assert np.array_equal(signs, np.where(kept, old_signs, -old_signs))
+
+
+@relabellings
+@settings(max_examples=40, deadline=None)
+def test_exact_edge_forms_are_closed(name, seed):
+    mesh = _relabelled(MESHES[name]().mesh, seed)
+    f = np.random.default_rng(seed).normal(size=mesh.n_vertices)
+    df = f[mesh.edges[:, 1]] - f[mesh.edges[:, 0]]
+    curl = np.sum(mesh.face_edge_signs * df[mesh.face_edges], axis=1)
+    assert np.max(np.abs(curl)) <= 1e-13 * np.max(np.abs(df))
+
+
+@relabellings
+@settings(max_examples=40, deadline=None)
+def test_face_one_form_of_exact_form_is_gradient(name, seed):
+    # A per-vertex f is single-valued, so its edge differences are exact on
+    # seamed tori too; both sides difference it without wraps.
+    imm = _relabelled_immersion(MESHES[name](), seed)
+    m = imm.mesh
+    f = np.random.default_rng(seed).normal(size=m.n_vertices)
+    want = imm.face_data.grad_scalar(f)
+    got = gauge_lab._face_one_form(imm, f[m.edges[:, 1]] - f[m.edges[:, 0]])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @relabellings
