@@ -283,8 +283,12 @@ def cmd_descend(config, out_dir):
 
 def cmd_density(config, out_dir):
     imm = _load_or_generate(config)
-    gf = gauge_lab.gauge_fields(imm, _base_point(imm, config))
+    p0 = _base_point(imm, config)
+    # Only faces inside the largest radius or theta0's kernel contribute;
+    # eta is the whole mesh's.
     eta = gauge_lab.resolvable_radius(imm)
+    radius = max(max(config["radii"], default=0.0), gauge_lab.THETA0_KERNEL[1] * eta)
+    gf = gauge_lab.gauge_fields(gauge_lab.gauge_ball(imm, p0, radius), p0)
     min_radius = eta if config["min_radius"] is None else config["min_radius"]
     curve = gauge_lab.density_curve(gf, config["radii"], min_radius=min_radius)
     _require_resolved(curve)
@@ -367,10 +371,11 @@ def cmd_clifford_demo(config, out_dir):
     from .immersion import legendrian_residual, mean_curvature_one_form
 
     res = legendrian_residual(imm)
-    gf = gauge_lab.gauge_fields(imm, imm.positions[(n // 2) * n + n // 2])
     mcf = mean_curvature_one_form(imm)
     # Radii of 4, 5 and 6 grid steps clear the 3-step cut of a resolvable density.
     h = 2 * np.pi / n
+    p0 = imm.positions[(n // 2) * n + n // 2]
+    gf = gauge_lab.gauge_fields(gauge_lab.gauge_ball(imm, p0, 6 * h), p0)
     curve = gauge_lab.density_curve(gf, [4 * h, 5 * h, 6 * h], min_radius=3 * h)
     _require_resolved(curve)
     payload = report_header(config)

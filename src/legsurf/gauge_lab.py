@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import edge_chords, mean_curvature_one_form
+from .immersion import mean_curvature_one_form
 from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
@@ -108,13 +108,16 @@ def _gauge(geo, p0, points):
     return rho, phi, r, sigma, arctan, np.nan_to_num(grad_r), np.nan_to_num(grad_at)
 
 
-def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
+def _deck_positions(imm: DiscreteImmersion, p0):
+    """The vertex positions of ``imm``, each moved to the deck copy nearest
+    the base point p0 in phi, and the index of that copy per vertex.
+
+    A lifted torus has deck copies, translated along the Reeb field by the
+    seam offsets of k in {-1, 0, 1}^2 crossings; a tie goes to the lower copy.
+    Without monodromy every vertex stays on copy 0.
+    """
     geo = imm.geometry
-    p0 = geo.point(p0)
     pos = imm.positions
-    # A lifted torus has deck copies, translated along the Reeb field by the
-    # seam offsets of k in {-1, 0, 1}^2 crossings; measure each vertex on the
-    # copy nearest in phi (a tie goes to the lower copy).
     wraps = np.array([(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)])
     offsets = imm.phi_offsets(wraps)
     branch = np.zeros(len(pos), int)
@@ -123,6 +126,13 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
         phis = np.stack([geo.gauge_scalars(p0, pos - d)[1] for d in decks], axis=1)
         branch = np.argmin(np.abs(phis), axis=1)
         pos = pos - decks[branch]
+    return pos, branch
+
+
+def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
+    geo = imm.geometry
+    p0 = geo.point(p0)
+    pos, branch = _deck_positions(imm, p0)
     rho, phi, r, sigma, arctan, grad_r_amb, grad_at_amb = _gauge(geo, p0, pos)
     singular = r < 1e-14
     grad_h_r = geo.horizontal_gradient(pos, grad_r_amb)
@@ -148,6 +158,25 @@ def gauge_fields(imm: DiscreteImmersion, p0) -> GaugeFields:
         face_ok=face_ok, face_r=face_r, face_sigma_weight=face_sigma_weight,
         face_arctan=face_arctan, imm=imm, base_p0=p0,
     )
+
+
+def gauge_ball(imm: DiscreteImmersion, p0, radius, star=False) -> DiscreteImmersion:
+    """The sub-immersion (:meth:`DiscreteImmersion.restrict`) on the faces of
+    ``imm`` with a corner at gauge radius < ``radius`` about p0, on the deck
+    copies :func:`gauge_fields` measures, or ``imm`` itself when that is every
+    face.  ``star`` adds every face sharing a vertex with them, so that each
+    corner keeps the full star that vertex quantities (cot-Laplacian, vertex
+    areas) read.
+    """
+    p0 = imm.geometry.point(p0)
+    r = imm.geometry.gauge_scalars(p0, _deck_positions(imm, p0)[0])[2]
+    tri = imm.mesh.triangles
+    keep = np.any(r[tri] < radius, axis=1)
+    if star:
+        near = np.zeros(len(r), bool)
+        near[tri[keep]] = True
+        keep = np.any(near[tri], axis=1)
+    return imm if keep.all() else imm.restrict(keep)
 
 
 def gradient_cap_defects(gf: GaugeFields):
@@ -291,9 +320,14 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> M
     The order-one and order-r bookkeeping bounds are reported separately with
     explicit constant one; the residual compares only the exact terms.  An
     annulus of fewer than ``MIN_ANNULUS_FACES`` faces raises ResolutionError.
+
+    Every term vanishes where the gauge radius is at least 2 r0, so the
+    balance sums over the :func:`gauge_ball` of radius 2 r0 with its one-ring,
+    where the mean-curvature one-form is the whole immersion's.
     """
     if not 0 < eta < r0:
         raise GeometryDomainError("need 0 < eta < r0")
+    imm = gauge_ball(imm, p0, 2 * r0, star=True)
     gf = gauge_fields(imm, p0)
     fd = imm.face_data
     ok = gf.face_ok
@@ -410,8 +444,29 @@ def tri_sublevel_fraction(r_vals, s):
 
 
 def resolvable_radius(imm: DiscreteImmersion):
-    """Three median frame edge lengths: the smallest radius worth measuring."""
-    return 3.0 * float(np.median(np.linalg.norm(edge_chords(imm), axis=-1)))
+    """Three median frame edge lengths: the smallest radius worth measuring.
+
+    The chords (:func:`~legsurf.immersion.edge_chords`) are framed on
+    component rows, and their k = 5 or 8 squares are added in the order
+    ``np.linalg.norm`` adds a contiguous row (NumPy's pairwise sum: in
+    sequence below 8 entries, pairwise from 8), so the lengths are bitwise
+    ``norm(edge_chords(imm), axis=-1)``.
+    """
+    m = imm.mesh
+    rows = np.ascontiguousarray(imm.positions.T)
+    tails = np.take(rows, m.edges[:, 0], axis=1)
+    delta = np.take(rows, m.edges[:, 1], axis=1)
+    delta -= tails
+    phi = imm.phi_offsets(m.edge_wraps)
+    if phi is not None:
+        delta[0] += phi
+    sq = imm.geometry.frame(tails.T, delta.T).T  # (k, E) rows of the chords, then squares
+    sq *= sq
+    if len(sq) == 8:
+        total = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))
+    else:
+        total = np.add.reduce(sq, axis=0)
+    return 3.0 * float(np.median(np.sqrt(total)))
 
 
 def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
@@ -420,7 +475,9 @@ def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
 
     Radii under three median edge lengths (:func:`resolvable_radius`) are
     excluded with a warning entry; pass ``min_radius`` to override the cut
-    (coarse-resolution studies).
+    (coarse-resolution studies).  On gauge fields of a :func:`gauge_ball`
+    patch pass the whole immersion's cut: the default would measure the
+    patch's edges.
     """
     imm = gf.imm
     fd = imm.face_data
@@ -478,17 +535,20 @@ DEFAULT_KERNELS = {
     "half_to_three_half": (0.5, 1.5),
     "quarter_to_one": (0.25, 1.0),
 }
+THETA0_KERNEL = DEFAULT_KERNELS["half_to_three_half"]  # theta0_estimate's default support
 
 
 def theta0_estimate(gf: GaugeFields, kernel=None, eta=None):
     """Kernel-weighted gauge density at the smallest resolvable scale, on the
     gauge fields of an immersion about its base point.
 
-    ``eta`` defaults to :func:`resolvable_radius` of the immersion.  Returns
+    ``eta`` defaults to :func:`resolvable_radius` of the immersion; on a
+    :func:`gauge_ball` patch pass the whole immersion's, and keep the faces
+    out to ``THETA0_KERNEL[1] * eta``, where the default kernel ends.  Returns
     (theta0, multiplicity_estimate, distance_to_integer, eta_used).
     """
     if kernel is None:
-        kernel = polynomial_kernel(*DEFAULT_KERNELS["half_to_three_half"])
+        kernel = polynomial_kernel(*THETA0_KERNEL)
     if eta is None:
         eta = resolvable_radius(gf.imm)
     rr = np.maximum(gf.face_r, 1e-300)

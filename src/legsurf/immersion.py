@@ -96,7 +96,8 @@ class FaceData:
     parameters from the current edge lengths.  The arrays are read-only and
     the object holds the mesh, not the immersion: an immersion keeps its own
     (:attr:`DiscreteImmersion.face_data`).  Raises DegenerateFaceError naming
-    the first face with |W| <= 1e-12 trace(g).
+    the first face with |W| <= 1e-12 trace(g), on a patch by its index in
+    the unrestricted mesh (:attr:`SurfaceMesh.parent_faces`).
 
     Storage is component-major.  Each (F, ...) attribute is the transposed
     view of one C-contiguous buffer: (k, F) for base_pos, d1, d2, e1, e2, du
@@ -158,7 +159,8 @@ class FaceData:
         self.area = self.uv_area * wnorm
         bad = np.flatnonzero(wnorm <= 1e-12 * np.maximum(g11 + g22, 1e-300))
         if bad.size:
-            raise DegenerateFaceError(int(bad[0]))
+            ids = m.parent_faces
+            raise DegenerateFaceError(int(bad[0] if ids is None else ids[bad[0]]))
         partials.flags.writeable = False
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
@@ -256,6 +258,13 @@ class CurvatureData:
 #: many chords as the quadratic jet has coefficients.
 MIN_VALENCE = 5
 
+#: Largest condition number of a jet fit's scaled design matrix (tangent
+#: coordinates over the farthest neighbour's) that counts as full rank.
+#: Corpus meshes stay below 260 (``clifford_lift(8, warp=0.4)``); noise
+#: on near-symmetric coarse grids gives 2e3 and more, with |II|^2 1e4 times
+#: the smooth value.
+MAX_FIT_CONDITION = 1e3
+
 
 def second_fundamental_form(imm: DiscreteImmersion) -> CurvatureData:
     """Per-vertex |II|^2 and mean curvature from local quadratic fits.
@@ -263,7 +272,8 @@ def second_fundamental_form(imm: DiscreteImmersion) -> CurvatureData:
     Each interior vertex fits the frame chords to its neighbours in ascending
     order.  Below ``MIN_VALENCE`` neighbours it falls back to the 2-ring
     (the neighbours of its neighbours, without itself), recorded in the
-    warnings list; vertices whose fit stays rank-deficient are marked
+    warnings list; vertices whose fit stays rank-deficient, or whose scaled
+    design is conditioned worse than ``MAX_FIT_CONDITION``, are marked
     invalid.  Vertices with equally many neighbours are fitted together.
     """
     m = imm.mesh
@@ -312,8 +322,9 @@ def _quadratic_fits(imm, verts, nbrs):
     Returns the second-derivative coefficients (n, 3, K) of
     0.5 q11 x^2 + q12 x y + 0.5 q22 y^2 in the estimated tangent frame
     (t1, t2), the normal basis (R, J t1, J t2) (n, 3, K) and whether each
-    fit has full rank (``np.linalg.lstsq``'s cut, singular values above
-    eps * max(c, 5) times the largest).
+    fit has full rank: the design's tangent coordinates are divided by the
+    largest neighbour distance in the plane (Cazals and Pouget's scaling),
+    and its condition number must not exceed ``MAX_FIT_CONDITION``.
     """
     geo = imm.geometry
     base = imm.positions[verts]
@@ -331,13 +342,17 @@ def _quadratic_fits(imm, verts, nbrs):
     t2 -= np.sum(t2 * t1, axis=-1, keepdims=True) * t1
     t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
     x, y = np.moveaxis(chords @ np.stack([t1, t2], axis=-1), -1, 0)
+    scale = np.sqrt(np.max(x * x + y * y, axis=1, keepdims=True))
+    scale[scale == 0.0] = 1.0  # all chords vertical: a zero design, rank 0
+    x, y = x / scale, y / scale
     design = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=-1)
     u, s, wt = np.linalg.svd(design, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(design.shape[1:]) * s[:, :1]
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    full = s[:, -1] * MAX_FIT_CONDITION >= s[:, 0]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     coef = np.swapaxes(wt, 1, 2) @ (inv_s[..., None] * (np.swapaxes(u, 1, 2) @ chords))
+    coef[:, 2:] /= scale[:, :, None] ** 2  # the second-derivative rows, back in lengths
     basis = np.stack([geo.reeb_unit(base), geo.j(t1), geo.j(t2)], axis=1)
-    return coef[:, 2:], basis, keep.all(axis=-1)
+    return coef[:, 2:], basis, full
 
 
 # ---------------------------------------------------------------------------

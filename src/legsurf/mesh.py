@@ -90,6 +90,9 @@ def _lsq_weights(delta):
 class SurfaceMesh:
     """Oriented manifold triangle mesh with optional parameter coordinates."""
 
+    #: Each face's index in the unrestricted mesh, on a :meth:`DiscreteImmersion.restrict` patch.
+    parent_faces = None
+
     def __init__(
         self,
         triangles,
@@ -131,7 +134,8 @@ class SurfaceMesh:
         keys = np.minimum(tails, heads) * n_v + np.maximum(tails, heads)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        starts = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        starts = np.ones(len(keys), bool)
+        starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
         first = np.flatnonzero(starts)
         counts = np.diff(first, append=len(keys))
         pair = first[counts == 2]
@@ -387,6 +391,44 @@ class DiscreteImmersion:
             legendrian_tol=self.legendrian_tol,
             phi_monodromy=self.phi_monodromy,
         )
+
+    def restrict(self, faces):
+        """The sub-immersion on ``faces`` (indices or a boolean mask), in the
+        order given: the vertices they use, renumbered in ascending order,
+        with their positions and uv, and the same target, uv periods,
+        monodromy and ``legendrian_tol``.
+
+        A patch's topology is only what the Euler check needs: genus 0 and
+        2c - (V - E + F) boundary loops for its c components, each loop an
+        empty vertex list.  On faces of a manifold mesh that count is never
+        negative, pinched vertices included.  Generator loops are dropped;
+        ``mesh.parent_faces`` holds each face's index in the unrestricted
+        mesh, which a collapsed face's DegenerateFaceError names.
+        """
+        m = self.mesh
+        tri = m.triangles[faces]
+        used = np.zeros(m.n_vertices, bool)
+        used[tri] = True
+        verts = np.flatnonzero(used)
+        renumber = np.cumsum(used) - 1
+        edges = renumber[m.edges[np.unique(m.face_edges[faces])]]
+        graph = sp.csr_matrix((np.ones(len(edges)), edges.T), shape=(len(verts),) * 2)
+        n_comp = connected_components(graph, directed=False)[0]
+        n_loops = 2 * n_comp - (len(verts) - len(edges) + len(tri))
+        mesh = SurfaceMesh(
+            triangles=renumber[tri],
+            n_vertices=len(verts),
+            uv=None if m.uv is None else m.uv[verts],
+            boundary_loops=[[]] * n_loops,
+            uv_periods=m.uv_periods,
+        )
+        ids = np.arange(len(m.triangles))[faces]
+        mesh.parent_faces = ids if m.parent_faces is None else m.parent_faces[ids]
+        positions = self.positions[verts]
+        positions.flags.writeable = False  # a fresh gather: no copy needed
+        return DiscreteImmersion(mesh=mesh, target=self.target, positions=positions,
+                                 legendrian_tol=self.legendrian_tol,
+                                 phi_monodromy=self.phi_monodromy)
 
     # -- seam-corrected differences ------------------------------------------
 

@@ -16,7 +16,10 @@ Hamiltonian map) went from row-major (F, k) arrays to component-major rows,
 and the frame target's pointwise kernels (the polar factorisation, the
 tangent projection and the horizontal projection) went from row sums over
 (..., 4) slices to component rows, kept here only as oracles for the
-equivalence tests.  The last section holds helpers that only
+equivalence tests.  The lab's full-mesh bodies (the monotonicity balance,
+the density analysis and the resolvable radius as they were before they
+read only the faces inside their gauge ball) are kept as oracles for the
+ball-local ones.  The last section holds helpers that only
 the tests call: the residual of an unrestored step, the frame target's Reeb
 circle action and the complex structure of its Grassmannian.
 """
@@ -27,14 +30,17 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
+from legsurf import gauge_lab as gl
 from legsurf import heisenberg as hs
 from legsurf import stiefel as st
-from legsurf.errors import GeometryDomainError
+from legsurf.errors import GeometryDomainError, ResolutionError
 from legsurf.immersion import (
+    MAX_FIT_CONDITION,
     CurvatureData,
     FaceData,
     MeanCurvatureForm,
     _intrinsic_uv,
+    edge_chords,
     legendrian_residual,
 )
 from legsurf.mesh import parameter_inverse
@@ -756,7 +762,10 @@ def mean_curvature_one_form(imm):
 
 
 def second_fundamental_form(imm, min_valence=5):
-    """The quadratic-fit curvature with one SVD and one lstsq per vertex."""
+    """The quadratic-fit curvature with one SVD and one lstsq per vertex; a
+    fit whose design, its tangent coordinates over the farthest neighbour's,
+    has a condition number above ``MAX_FIT_CONDITION`` counts as rank
+    deficient."""
     m = imm.mesh
     vertex_neighbors = mesh_adjacency(m)["vertex_neighbors"]
     k = imm.positions.shape[1]
@@ -800,7 +809,14 @@ def second_fundamental_form(imm, min_valence=5):
             axis=-1,
         )
         sol, _, rank, _ = np.linalg.lstsq(a_mat, chords, rcond=None)
-        if rank < 5:
+        reach = np.max(np.linalg.norm(xi, axis=1))
+        xs = xi / reach if reach > 0 else xi
+        scaled = np.stack(
+            [xs[:, 0], xs[:, 1], 0.5 * xs[:, 0] ** 2, xs[:, 0] * xs[:, 1], 0.5 * xs[:, 1] ** 2],
+            axis=-1,
+        )
+        sv = np.linalg.svd(scaled, compute_uv=False)
+        if rank < 5 or sv[-1] * MAX_FIT_CONDITION < sv[0]:
             out.warnings.append((v, "fit rank deficient even on the 2-ring"))
             continue
         q11, q12, q22 = sol[2], sol[3], sol[4]
@@ -816,6 +832,103 @@ def second_fundamental_form(imm, min_valence=5):
         out.reeb_component[v] = max(abs(q11 @ u_r), abs(q12 @ u_r), abs(q22 @ u_r))
         out.valid[v] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# the lab on the whole mesh
+
+
+def resolvable_radius(imm):
+    """Three median frame edge lengths, from row-major (E, k) chords."""
+    return 3.0 * float(np.median(np.linalg.norm(edge_chords(imm), axis=-1)))
+
+
+def full_mesh_density(imm, p0, radii, min_radius=None):
+    """``legsurf density``'s curve and theta0 from gauge fields of the whole
+    immersion, with its resolvable radius as theta0's eta and the default cut."""
+    gf = gl.gauge_fields(imm, p0)
+    eta = resolvable_radius(imm)
+    curve = gl.density_curve(gf, radii, min_radius=eta if min_radius is None else min_radius)
+    return curve, gl.theta0_estimate(gf, eta=eta)
+
+
+def full_mesh_balance(imm, p0, r0, eta):
+    """The truncated balance with every term summed over every face."""
+    if not 0 < eta < r0:
+        raise GeometryDomainError("need 0 < eta < r0")
+    gf = gl.gauge_fields(imm, p0)
+    fd = imm.face_data
+    ok = gf.face_ok
+    area = np.where(ok, fd.area, 0.0)
+    rr = np.maximum(gf.face_r, 1e-300)
+
+    in_annulus = (rr > eta) & (rr < 2 * r0) & ok
+    n_annulus = int(np.count_nonzero(in_annulus))
+    if n_annulus < gl.MIN_ANNULUS_FACES:
+        raise ResolutionError(
+            f"annulus eta < r < 2 r0 holds only {n_annulus} faces (< {gl.MIN_ANNULUS_FACES})"
+        )
+
+    mcf = gl.mean_curvature_one_form(imm)
+    dbeta = gl._face_one_form(imm, 0.5 * mcf.gamma)
+    h_vals = (gl.chi(gf.r / r0) - gl.chi(gf.r / eta)) * gf.arctan_sigma
+    dh = fd.grad_scalar(np.where(gf.singular, 0.0, h_vals))
+    pair_dh_dbeta = fd.pairing(dh, dbeta)
+
+    grad_r_sq = fd.pairing(gf.face_grad_r, gf.face_grad_r)
+    grad_at_sq = fd.pairing(gf.face_grad_arctan, gf.face_grad_arctan)
+    cross = fd.pairing(gf.face_grad_r, gf.face_grad_arctan)
+    tri = imm.mesh.triangles
+    sig_face = gf.sigma[tri]
+    with np.errstate(invalid="ignore"):
+        inv_sqrt_face = np.where(np.isnan(sig_face), 0.0, 1.0 / np.sqrt(1.0 + sig_face**2)).mean(axis=1)
+    s_atan_w = gf.face_sigma_weight - inv_sqrt_face
+
+    grad_h_face = np.nanmean(gf.grad_h_r[tri], axis=1)
+    coef = np.einsum("fab,fb->fa", fd.ginv, gf.face_grad_r)
+    grad_s_vec = coef[:, 0, None] * fd.du + coef[:, 1, None] * fd.dv
+    perp_sq = np.maximum(
+        np.sum(grad_h_face**2, axis=-1) - np.sum(grad_s_vec * grad_s_vec, axis=-1), 0.0
+    )
+    perp_sq = np.where(ok, np.nan_to_num(perp_sq), 0.0)
+
+    at = gf.face_arctan
+    xr, xe = rr / r0, rr / eta
+    cr, ce = gl.chi_prime(xr), gl.chi_prime(xe)
+    c2r, c2e = gl.chi_double_prime(xr), gl.chi_double_prime(xe)
+    band = gl.chi(xr) - gl.chi(xe)
+
+    def integ(values):
+        return float(np.sum(np.where(ok, values, 0.0) * area))
+
+    lhs = {
+        "dh_dbeta": integ(pair_dh_dbeta),
+        "ring_r_grad": integ(-xr * cr * grad_r_sq / rr**2),
+        "ring_r_weight": integ(-xr * cr * s_atan_w / rr**2),
+        "chi2_cross_r": integ(0.25 * xr**2 * c2r * at * cross / rr),
+        "chi1_cross_r": integ(-0.75 * xr * cr * at * cross / rr),
+        "chi1_sigma_r": integ(0.25 * xr * cr * grad_at_sq),
+    }
+    rhs = {
+        "perp_annulus": integ(4.0 * band * perp_sq / rr**2),
+        "ring_eta_grad": integ(-xe * ce * grad_r_sq / rr**2),
+        "ring_eta_weight": integ(-xe * ce * s_atan_w / rr**2),
+        "chi1_sigma_eta": integ(4.0 * xe * ce * grad_at_sq),
+        "chi1_cross_eta": integ(-0.75 * xe * ce * at * cross / rr),
+        "chi2_cross_eta": integ(0.25 * xe**2 * c2e * at * cross / rr),
+    }
+    bookkeeping = {
+        "order1_band": integ(np.abs(band)),
+        "order_r_ring_r": integ(xr * np.abs(cr)),
+        "order_r_ring_eta": integ(xe * np.abs(ce)),
+    }
+    lhs_total = sum(lhs.values())
+    rhs_total = sum(rhs.values())
+    residual = abs(lhs_total - rhs_total) / max(abs(lhs_total), abs(rhs_total), 1e-30)
+    return gl.MonotonicityReport(
+        r0=r0, eta=eta, lhs_terms=lhs, rhs_terms=rhs, bookkeeping=bookkeeping,
+        residual=residual, annulus_faces=n_annulus,
+    )
 
 
 # ---------------------------------------------------------------------------

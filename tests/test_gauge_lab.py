@@ -295,17 +295,20 @@ class TestBalanceAssembly:
     @pytest.mark.parametrize("n", [48, 64])
     def test_pairing_slot_uses_the_arctan_hamiltonian(self, n):
         # The balance takes h from its gauge fields; about the centre of the
-        # lifted torus that is bitwise hamiltonian_arctan's h.
+        # lifted torus that is bitwise hamiltonian_arctan's h.  The balance
+        # sums over its gauge ball of radius 2 r0 with the one-ring, and so
+        # does the expected value.
         from legsurf.immersion import mean_curvature_one_form
 
         cl = corpus.clifford_lift(n)
         p0 = center_vertex(cl, n)
         rep = gl.monotonicity_balance(cl, p0, r0=0.3, eta=0.08)
-        gf = gl.gauge_fields(cl, p0)
+        ball = gl.gauge_ball(cl, p0, 2 * 0.3, star=True)
+        gf = gl.gauge_fields(ball, p0)
         fd = gf.imm.face_data
-        h = gl.hamiltonian_arctan(cl.target, p0, 0.3, 0.08).h(cl.positions)
+        h = gl.hamiltonian_arctan(cl.target, p0, 0.3, 0.08).h(ball.positions)
         dh = fd.grad_scalar(np.where(gf.singular, 0.0, h))
-        dbeta = gl._face_one_form(cl, 0.5 * mean_curvature_one_form(cl).gamma)
+        dbeta = gl._face_one_form(ball, 0.5 * mean_curvature_one_form(ball).gamma)
         area = np.where(gf.face_ok, fd.area, 0.0)
         expected = float(np.sum(np.where(gf.face_ok, fd.pairing(dh, dbeta), 0.0) * area))
         assert rep.lhs_terms["dh_dbeta"] == expected
