@@ -511,10 +511,13 @@ FLAGS = {
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(prog="legsurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, add_help=name in argv)
+        if not p.add_help:
+            continue  # argparse picks a command by its exact name: p never parses
         p.add_argument("--config", default=None)
         p.add_argument("--out", default="out")
         for key, options in FLAGS.items():

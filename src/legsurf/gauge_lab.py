@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import mean_curvature_one_form
+from .immersion import mean_curvature_edges
 from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
@@ -34,19 +34,19 @@ def chi(t):
     return 1.0 - s
 
 
+def _bump_coordinate(t):
+    """x = t - 1 clipped to [0, 1], and where t - 1 lies inside (0, 1)."""
+    x = np.asarray(t, float) - 1.0
+    return np.clip(x, 0.0, 1.0), (x > 0.0) & (x < 1.0)
+
+
 def chi_prime(t):
-    t = np.asarray(t, float)
-    x = t - 1.0
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
+    x, inside = _bump_coordinate(t)
     return np.where(inside, -30.0 * x**2 * (1.0 - x) ** 2, 0.0)
 
 
 def chi_double_prime(t):
-    t = np.asarray(t, float)
-    x = t - 1.0
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
+    x, inside = _bump_coordinate(t)
     return np.where(inside, -(60.0 * x - 180.0 * x**2 + 120.0 * x**3), 0.0)
 
 
@@ -110,10 +110,14 @@ def _gauge(geo, p0, points):
 
 def _deck_positions(imm: DiscreteImmersion, p0):
     """The vertex positions of ``imm``, each moved to the deck copy nearest
-    the base point p0 in phi, and the index of that copy per vertex.
+    the base point p0 in phi (a tie goes to the lower copy), and the index of
+    that copy per vertex.
 
-    A lifted torus has deck copies, translated along the Reeb field by the
-    seam offsets of k in {-1, 0, 1}^2 crossings; a tie goes to the lower copy.
+    A lifted torus's copies are moved by s R along the Reeb field R, for the
+    seam offsets s of k in {-1, 0, 1}^2 crossings.  On the flat model the
+    copy moved by s R has gauge phi - s and the same rho, so one gauge pass
+    picks the nearest s.  phi - s rounds unlike phi of the moved point, so
+    phi within 1e-9 of a midpoint of two offsets is evaluated at each copy.
     Without monodromy every vertex stays on copy 0.
     """
     geo = imm.geometry
@@ -122,9 +126,16 @@ def _deck_positions(imm: DiscreteImmersion, p0):
     offsets = imm.phi_offsets(wraps)
     branch = np.zeros(len(pos), int)
     if offsets is not None:
-        decks = np.unique(-offsets)[:, None] * geo.reeb(p0)
-        phis = np.stack([geo.gauge_scalars(p0, pos - d)[1] for d in decks], axis=1)
-        branch = np.argmin(np.abs(phis), axis=1)
+        shifts = np.unique(-offsets)
+        decks = shifts[:, None] * geo.reeb(p0)
+        mid = 0.5 * (shifts[1:] + shifts[:-1])
+        phi = geo.gauge_scalars(p0, pos)[1]
+        branch = np.searchsorted(mid, phi)
+        tol = 1e-9 * (1.0 + np.abs(phi))
+        tie = np.flatnonzero(np.min(np.abs(phi[:, None] - mid), axis=1) <= tol)
+        if tie.size:
+            phis = np.stack([geo.gauge_scalars(p0, pos[tie] - d)[1] for d in decks], axis=1)
+            branch[tie] = np.argmin(np.abs(phis), axis=1)
         pos = pos - decks[branch]
     return pos, branch
 
@@ -229,17 +240,13 @@ def structure_defects_vertex(gf: GaugeFields):
 def perp_gradient_identity_defects_vertex(gf: GaugeFields):
     """Vertex version of the perpendicular-gradient identity defect on ``gf.imm``."""
     t1, t2 = vertex_tangent_frames(gf.imm)
-    gh = gf.grad_h_r
-    tang = (
-        np.sum(gh * t1, axis=-1, keepdims=True) * t1
-        + np.sum(gh * t2, axis=-1, keepdims=True) * t2
-    )
-    perp = gh - tang
-    gat = gf.grad_h_arctan
-    tang_at = (
-        np.sum(gat * t1, axis=-1, keepdims=True) * t1
-        + np.sum(gat * t2, axis=-1, keepdims=True) * t2
-    )
+
+    def tangent_part(v):
+        c1, c2 = (np.sum(v * t, axis=-1, keepdims=True) for t in (t1, t2))
+        return c1 * t1 + c2 * t2
+
+    perp = gf.grad_h_r - tangent_part(gf.grad_h_r)
+    tang_at = tangent_part(gf.grad_h_arctan)
     j_at = gf.imm.geometry.j(tang_at)
     diff = perp / np.maximum(gf.r, 1e-300)[:, None] - 0.5 * j_at
     out = np.linalg.norm(diff, axis=-1)
@@ -323,7 +330,7 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> M
 
     Every term vanishes where the gauge radius is at least 2 r0, so the
     balance sums over the :func:`gauge_ball` of radius 2 r0 with its one-ring,
-    where the mean-curvature one-form is the whole immersion's.
+    where the mean-curvature one-form's gamma is the whole immersion's.
     """
     if not 0 < eta < r0:
         raise GeometryDomainError("need 0 < eta < r0")
@@ -341,8 +348,7 @@ def monotonicity_balance(imm: DiscreteImmersion, p0, r0: float, eta: float) -> M
             f"annulus eta < r < 2 r0 holds only {n_annulus} faces (< {MIN_ANNULUS_FACES})"
         )
 
-    mcf = mean_curvature_one_form(imm)
-    dbeta = _face_one_form(imm, 0.5 * mcf.gamma)
+    dbeta = _face_one_form(imm, 0.5 * mean_curvature_edges(imm)[0])
     h_vals = (chi(gf.r / r0) - chi(gf.r / eta)) * gf.arctan_sigma  # hamiltonian_arctan's h
     dh = fd.grad_scalar(np.where(gf.singular, 0.0, h_vals))
     pair_dh_dbeta = fd.pairing(dh, dbeta)

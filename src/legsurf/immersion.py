@@ -414,15 +414,10 @@ class MeanCurvatureForm:
     vertex_areas: np.ndarray
 
 
-def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
-    """Edge samples of the mean-curvature one-form and the integrated angle.
-
-    The angle beta satisfies d beta = gamma / 2; its Laplacian (assembled from
-    the edge one-form, so branch jumps never enter) is the minimality defect.
-    beta is summed along a breadth-first spanning tree of each component,
-    rooted at its smallest vertex.  Both Laplacians are D^T of their edge
-    terms, D the mesh's :attr:`SurfaceMesh.edge_incidence`.
-    """
+def mean_curvature_edges(imm: DiscreteImmersion):
+    """gamma, the mean-curvature one-form on each canonical edge (tail ->
+    head), and the cotangent weights and vertex areas of its cot-Laplacian,
+    D^T of the weighted chords (D the :attr:`SurfaceMesh.edge_incidence`)."""
     m = imm.mesh
     weights, areas = cotangent_weights(imm)
     chords = edge_chords(imm)  # minus these framed at the heads
@@ -430,6 +425,20 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
     lap = (m.edge_incidence.T @ (weights[:, None] * chords)) / areas[:, None]
     g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
     gamma = -0.5 * np.sum((g_vec[m.edges[:, 0]] + g_vec[m.edges[:, 1]]) * chords, axis=-1)
+    return gamma, weights, areas
+
+
+def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
+    """Edge samples of the mean-curvature one-form (:func:`mean_curvature_edges`)
+    and the integrated angle.
+
+    The angle beta satisfies d beta = gamma / 2; its Laplacian (assembled from
+    the edge one-form, so branch jumps never enter) is the minimality defect.
+    beta is summed along a breadth-first spanning tree of each component,
+    rooted at its smallest vertex.
+    """
+    m = imm.mesh
+    gamma, weights, areas = mean_curvature_edges(imm)
 
     # discrete curl: oriented boundary sum per face
     signed = m.face_edge_signs * gamma[m.face_edges]

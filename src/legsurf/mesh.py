@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,7 +160,6 @@ class SurfaceMesh:
         slot_nbr[s1] = s0 % n_f
         self.face_neighbors = slot_nbr.reshape(3, -1).T
         self.boundary_edge_mask = counts == 1
-        self.boundary_vertices = set(np.unique(self.edges[self.boundary_edge_mask]).tolist())
 
     def _validate(self):
         chi = self.n_vertices - len(self.edges) + len(self.triangles)
@@ -172,6 +171,11 @@ class SurfaceMesh:
                 f"{n_comp} components and {len(self.boundary_loops)} boundary loops "
                 f"(expected {expected})"
             )
+
+    @functools.cached_property
+    def boundary_vertices(self):
+        """The set of vertices on a boundary edge, built on first use."""
+        return set(np.unique(self.edges[self.boundary_edge_mask]).tolist())
 
     @functools.cached_property
     def vertex_graph(self):
@@ -384,13 +388,7 @@ class DiscreteImmersion:
         return FaceData(self)
 
     def with_positions(self, positions):
-        return DiscreteImmersion(
-            mesh=self.mesh,
-            target=self.target,
-            positions=positions,
-            legendrian_tol=self.legendrian_tol,
-            phi_monodromy=self.phi_monodromy,
-        )
+        return replace(self, positions=positions)
 
     def restrict(self, faces):
         """The sub-immersion on ``faces`` (indices or a boolean mask), in the
@@ -426,9 +424,7 @@ class DiscreteImmersion:
         mesh.parent_faces = ids if m.parent_faces is None else m.parent_faces[ids]
         positions = self.positions[verts]
         positions.flags.writeable = False  # a fresh gather: no copy needed
-        return DiscreteImmersion(mesh=mesh, target=self.target, positions=positions,
-                                 legendrian_tol=self.legendrian_tol,
-                                 phi_monodromy=self.phi_monodromy)
+        return replace(self, mesh=mesh, positions=positions)
 
     # -- seam-corrected differences ------------------------------------------
 

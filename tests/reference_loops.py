@@ -19,7 +19,8 @@ tangent projection and the horizontal projection) went from row sums over
 equivalence tests.  The lab's full-mesh bodies (the monotonicity balance,
 the density analysis and the resolvable radius as they were before they
 read only the faces inside their gauge ball) are kept as oracles for the
-ball-local ones.  The last section holds helpers that only
+ball-local ones, and so is the deck-copy choice with one gauge evaluation
+per copy.  The last section holds helpers that only
 the tests call: the residual of an unrestored step, the frame target's Reeb
 circle action and the complex structure of its Grassmannian.
 """
@@ -838,6 +839,35 @@ def second_fundamental_form(imm, min_valence=5):
 # the lab on the whole mesh
 
 
+def deck_positions(imm, p0):
+    """The vertex positions moved to the deck copy nearest p0 in phi, and the
+    copy per vertex, with the gauge evaluated once at every copy."""
+    geo = imm.geometry
+    pos = imm.positions
+    wraps = np.array([(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)])
+    offsets = imm.phi_offsets(wraps)
+    branch = np.zeros(len(pos), int)
+    if offsets is not None:
+        decks = np.unique(-offsets)[:, None] * geo.reeb(p0)
+        phis = np.stack([geo.gauge_scalars(p0, pos - d)[1] for d in decks], axis=1)
+        branch = np.argmin(np.abs(phis), axis=1)
+        pos = pos - decks[branch]
+    return pos, branch
+
+
+def gauge_ball_faces(imm, p0, radius, star=False):
+    """The face mask of the gauge ball, from the gauge radii of
+    :func:`deck_positions`."""
+    r = imm.geometry.gauge_scalars(p0, deck_positions(imm, p0)[0])[2]
+    tri = imm.mesh.triangles
+    keep = np.any(r[tri] < radius, axis=1)
+    if star:
+        near = np.zeros(len(r), bool)
+        near[tri[keep]] = True
+        keep = np.any(near[tri], axis=1)
+    return keep
+
+
 def resolvable_radius(imm):
     """Three median frame edge lengths, from row-major (E, k) chords."""
     return 3.0 * float(np.median(np.linalg.norm(edge_chords(imm), axis=-1)))
@@ -869,8 +899,7 @@ def full_mesh_balance(imm, p0, r0, eta):
             f"annulus eta < r < 2 r0 holds only {n_annulus} faces (< {gl.MIN_ANNULUS_FACES})"
         )
 
-    mcf = gl.mean_curvature_one_form(imm)
-    dbeta = gl._face_one_form(imm, 0.5 * mcf.gamma)
+    dbeta = gl._face_one_form(imm, 0.5 * gl.mean_curvature_edges(imm)[0])
     h_vals = (gl.chi(gf.r / r0) - gl.chi(gf.r / eta)) * gf.arctan_sigma
     dh = fd.grad_scalar(np.where(gf.singular, 0.0, h_vals))
     pair_dh_dbeta = fd.pairing(dh, dbeta)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from legsurf import corpus
+from legsurf import cli, corpus
 from legsurf import heisenberg as hs
 
 
@@ -520,3 +520,60 @@ class TestSolverAbortExit:
         assert aborted["residual_after_restore"] == 0.5
         final = DiscreteImmersion.from_json(json.loads((out / "final_mesh.json").read_text()))
         assert np.array_equal(final.positions, accepted[-1].positions)
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_command_help_lists_its_schema_flags(name, capsys):
+    # main adds flags only to the subparser named in argv; the named one
+    # must still get every flag of its schema.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    flags = {"--" + key.replace("_", "-") for key in cli.FLAGS if key in cli.SCHEMAS[name]}
+    shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert shown == {"--help", "--config", "--out"} | flags
+
+
+class TestRepeatedInProcessCalls:
+    """Repeated ``main`` calls in one interpreter leave no state behind: each
+    call reads ``COMMANDS`` and ``SCHEMAS`` when it runs."""
+
+    LAB = [
+        ["density", "--family", "flat_patch", "--resolution", "32"],
+        ["monotonicity", "--resolution-ladder", "48"],
+    ]
+
+    def run_lab(self, out):
+        return [cli.main([*args, "--out", str(out / args[0])]) for args in self.LAB]
+
+    def test_repeated_calls_write_identical_files(self, tmp_path):
+        runs = [tmp_path / "first", tmp_path / "second"]
+        files = []
+        for out in runs:
+            assert self.run_lab(out) == [0, 0]
+            files.append(sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()))
+        assert files[0] == files[1] and len(files[0]) == 3
+        for rel in files[0]:
+            assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes()
+
+    def test_bad_flag_exits_two_after_a_good_call(self, tmp_path):
+        assert self.run_lab(tmp_path) == [0, 0]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["density", "--epsilon", "0.5", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "bad").exists()
+        assert cli.main(["energy", "--family", "clifford_lift", "--resolution", "8",
+                         "--epsilon", "0.2", "--out", str(tmp_path / "energy")]) == 0
+
+    def test_commands_and_schemas_are_read_per_call(self, tmp_path, monkeypatch):
+        assert self.run_lab(tmp_path) == [0, 0]  # a call before the patches
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "density", lambda config, out: seen.append(config) or 7)
+        schema = {**cli.SCHEMAS["density"], "radii": (True, None)}
+        monkeypatch.setitem(cli.SCHEMAS, "density", schema)
+        args = ["density", "--resolution", "16", "--out", str(tmp_path)]
+        assert cli.main(args) == cli.EXIT_VALIDATION  # radii is now required
+        config = tmp_path / "radii.json"
+        config.write_text(json.dumps({"radii": [0.2]}))
+        assert cli.main([*args, "--config", str(config)]) == 7
+        assert [(c["resolution"], c["radii"]) for c in seen] == [(16, [0.2])]

@@ -1,5 +1,6 @@
-"""The ball-local lab: sub-immersions, gauge balls, and the density, theta0
-and truncated balance evaluated on them against their full-mesh oracles."""
+"""The ball-local lab: sub-immersions, the deck copies and gauge balls of one
+gauge pass, and the density, theta0 and truncated balance evaluated on them,
+each against its oracle."""
 
 import functools
 
@@ -267,3 +268,62 @@ class TestFitConditioning:
         interior = np.ones(imm.mesh.n_vertices, bool)
         interior[list(imm.mesh.boundary_vertices)] = False
         assert immersion.second_fundamental_form(imm).valid[interior].all()
+
+
+# ---------------------------------------------------------------------------
+# deck copies from one gauge pass
+
+DECK_MESHES = {
+    **{f"clifford_{n}_warp_{warp}": functools.partial(corpus.clifford_lift, n, warp=warp)
+       for n in (16, 24, 48) for warp in (0.0, 0.3)},
+    "perturbed_clifford": lambda: corpus.perturbed_clifford(24, seed=5),
+}
+DECK_WRAPS = np.array([(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def deck_mesh(name):
+    return DECK_MESHES[name]()
+
+
+def seam_examples(test):
+    # Vertices 0 and n^2 - 1 (-1, as base_point reads vertices modulo the
+    # vertex count) sit on the seam of every lift.
+    for name in DECK_MESHES:
+        for vertex in (0, -1):
+            test = example(name=name, vertex=vertex, radius=0.6, lift=0.0)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=hst.sampled_from(sorted(DECK_MESHES)), vertex=hst.integers(0, 10**6),
+       radius=hst.floats(0.05, 4.0), lift=hst.floats(-4.0, 4.0))
+@seam_examples
+def test_one_gauge_pass_picks_the_oracle_copies(name, vertex, radius, lift):
+    # The same copy per vertex as one gauge evaluation per copy, bitwise the
+    # same positions, and the same gauge ball with and without its one-ring.
+    imm = deck_mesh(name)
+    p0 = base_point(imm, vertex, lift)
+    pos, branch = gl._deck_positions(imm, p0)
+    want_pos, want_branch = ref.deck_positions(imm, p0)
+    assert np.array_equal(branch, want_branch)
+    assert pos.tobytes() == want_pos.tobytes()
+    n_faces = len(imm.mesh.triangles)
+    for star in (False, True):
+        ball = gl.gauge_ball(imm, p0, radius, star=star)
+        got = np.arange(n_faces) if ball is imm else ball.mesh.parent_faces
+        assert np.array_equal(got, np.flatnonzero(ref.gauge_ball_faces(imm, p0, radius, star)))
+
+
+def test_near_ties_are_settled_at_the_copies():
+    # phi - s rounds unlike phi of the moved point: from vertex 14 of the
+    # uniform n=16 lift the nearest s by phi - s alone is another copy than
+    # the oracle's for a vertex midway between two copies.
+    imm = deck_mesh("clifford_16_warp_0.0")
+    p0 = imm.positions[14]
+    phi = imm.geometry.gauge_scalars(p0, imm.positions)[1]
+    shifts = np.unique(-imm.phi_offsets(DECK_WRAPS))
+    by_difference = np.argmin(np.abs(phi[:, None] - shifts), axis=1)
+    want = ref.deck_positions(imm, p0)[1]
+    assert np.any(by_difference != want)
+    assert np.array_equal(gl._deck_positions(imm, p0)[1], want)
