@@ -366,7 +366,7 @@ def cmd_monotonicity(config, out_dir):
 def cmd_clifford_demo(config, out_dir):
     out = Path(out_dir)
     n = config["resolution"]
-    imm = corpus.clifford_lift(n)
+    imm = corpus.generate("clifford_lift", n=n)
     breakdown = energy.energy(imm, 0.2)
     from .immersion import legendrian_residual, mean_curvature_one_form
 

@@ -61,10 +61,6 @@ class Target:
             raise GeometryDomainError(f"base point has {p.size} coordinates, expected {self.dim}")
         return p
 
-    def reeb_unit(self, q):
-        """Unit Reeb vector (frame components equal ambient ones)."""
-        return self.reeb(q) / np.sqrt(-self.alpha_reeb)
-
     def horizontal_gradient(self, q, ambient_grad):
         """Horizontal metric gradient, in frame components, from ambient partials."""
         return self.horizontal(q, self.frame_covector(q, np.asarray(ambient_grad, float)))

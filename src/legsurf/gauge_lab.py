@@ -479,24 +479,25 @@ def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
     """s -> Area({r_gauge < s}) / s^2 by exact clipping of linear interpolants,
     on the gauge fields of an immersion about its base point.
 
-    Radii under three median edge lengths (:func:`resolvable_radius`) are
-    excluded with a warning entry; pass ``min_radius`` to override the cut
-    (coarse-resolution studies).  On gauge fields of a :func:`gauge_ball`
-    patch pass the whole immersion's cut: the default would measure the
-    patch's edges.
+    Radii (all > 0) under three median edge lengths (:func:`resolvable_radius`)
+    are excluded with a warning entry; pass ``min_radius`` >= 0 to override
+    the cut (coarse-resolution studies).  On gauge fields of a
+    :func:`gauge_ball` patch pass the whole immersion's cut: the default
+    would measure the patch's edges.
     """
     imm = gf.imm
     fd = imm.face_data
     r_corners = gf.r[imm.mesh.triangles]
     radii = np.asarray(sorted(radii, reverse=True), float)
     min_s = resolvable_radius(imm) if min_radius is None else float(min_radius)
+    if not (min_s >= 0 and np.all(radii > 0)):
+        raise GeometryDomainError(f"need radii > 0, min_radius >= 0; got {radii.tolist()}, {min_s}")
     ratios, counts, kept, excluded = [], [], [], []
     for s in radii:
         if s < min_s:
             excluded.append(float(s))
             continue
-        frac = tri_sublevel_fraction(r_corners, s)
-        area = float(np.sum(frac * fd.area))
+        area = float(np.sum(tri_sublevel_fraction(r_corners, s) * fd.area))
         ratios.append(area / s**2)
         counts.append(_component_count(imm, gf.r, s))
         kept.append(float(s))

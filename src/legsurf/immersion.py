@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateFaceError, GeometryDomainError
@@ -239,120 +238,6 @@ def legendrian_residual(imm: DiscreteImmersion) -> EdgeResiduals:
     """Contact-form residual of every edge, evaluated at the midpoint retraction."""
     vals = imm.geometry.edge_residual(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
     return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0)
-
-
-# ---------------------------------------------------------------------------
-# second fundamental form
-
-
-@dataclass
-class CurvatureData:
-    abs_ii_sq: np.ndarray  # (V,) nan where not computed
-    mean_curvature: np.ndarray  # (V, K) frame components, nan rows where skipped
-    reeb_component: np.ndarray  # (V,) diagnostic: second derivatives against the vertical
-    valid: np.ndarray  # (V,) bool
-    warnings: list
-
-
-#: Interior vertices of lower valence fit on their 2-ring; a fit needs as
-#: many chords as the quadratic jet has coefficients.
-MIN_VALENCE = 5
-
-#: Largest condition number of a jet fit's scaled design matrix (tangent
-#: coordinates over the farthest neighbour's) that counts as full rank.
-#: Corpus meshes stay below 260 (``clifford_lift(8, warp=0.4)``); noise
-#: on near-symmetric coarse grids gives 2e3 and more, with |II|^2 1e4 times
-#: the smooth value.
-MAX_FIT_CONDITION = 1e3
-
-
-def second_fundamental_form(imm: DiscreteImmersion) -> CurvatureData:
-    """Per-vertex |II|^2 and mean curvature from local quadratic fits.
-
-    Each interior vertex fits the frame chords to its neighbours in ascending
-    order.  Below ``MIN_VALENCE`` neighbours it falls back to the 2-ring
-    (the neighbours of its neighbours, without itself), recorded in the
-    warnings list; vertices whose fit stays rank-deficient, or whose scaled
-    design is conditioned worse than ``MAX_FIT_CONDITION``, are marked
-    invalid.  Vertices with equally many neighbours are fitted together.
-    """
-    m = imm.mesh
-    n, k = imm.positions.shape
-    out = CurvatureData(
-        abs_ii_sq=np.full(n, np.nan),
-        mean_curvature=np.full((n, k), np.nan),
-        reeb_component=np.full(n, np.nan),
-        valid=np.zeros(n, bool),
-        warnings=[],
-    )
-    adj = m.vertex_graph + m.vertex_graph.T
-    valence = np.diff(adj.indptr)
-    interior = np.ones(n, bool)
-    interior[m.edges[m.boundary_edge_mask]] = False
-    low = interior & (valence < MIN_VALENCE)
-    hood = sp.diags((interior & ~low) * 1.0) @ adj + sp.diags(low * 1.0) @ adj @ adj
-    hood = (hood - sp.diags(hood.diagonal())).tocsr()  # drops the 2-ring's centre
-    hood.sort_indices()
-    sizes = np.diff(hood.indptr)
-    deficient = [np.flatnonzero(interior & (sizes < MIN_VALENCE))]
-    for size in np.unique(sizes[interior & (sizes >= MIN_VALENCE)]):
-        verts = np.flatnonzero(interior & (sizes == size))
-        nbrs = hood.indices[hood.indptr[verts, None] + np.arange(size)]
-        q, basis, full = _quadratic_fits(imm, verts, nbrs)
-        deficient.append(verts[~full])
-        verts, q, basis = verts[full], q[full], basis[full]
-        ii = q @ np.swapaxes(basis, 1, 2) @ basis  # q11, q12, q22 in the normal basis
-        sq = np.sum(ii * ii, axis=-1)
-        out.abs_ii_sq[verts] = sq[:, 0] + 2.0 * sq[:, 1] + sq[:, 2]
-        out.mean_curvature[verts] = 0.5 * (ii[:, 0] + ii[:, 2])
-        out.reeb_component[verts] = np.max(np.abs(np.sum(q * basis[:, :1], axis=-1)), axis=1)
-        out.valid[verts] = True
-    fallback = [(int(u), f"valence {valence[u]} < {MIN_VALENCE}; using 2-ring")
-                for u in np.flatnonzero(low)]
-    failed = [(int(u), "fit rank deficient even on the 2-ring")
-              for u in np.sort(np.concatenate(deficient))]
-    out.warnings = sorted(fallback + failed, key=lambda w: w[0])  # stable: fallback entry first
-    return out
-
-
-def _quadratic_fits(imm, verts, nbrs):
-    """Least-squares quadratic jets of the frame chords from each vertex of
-    ``verts`` (n,) to its neighbours ``nbrs`` (n, c).
-
-    Returns the second-derivative coefficients (n, 3, K) of
-    0.5 q11 x^2 + q12 x y + 0.5 q22 y^2 in the estimated tangent frame
-    (t1, t2), the normal basis (R, J t1, J t2) (n, 3, K) and whether each
-    fit has full rank: the design's tangent coordinates are divided by the
-    largest neighbour distance in the plane (Cazals and Pouget's scaling),
-    and its condition number must not exceed ``MAX_FIT_CONDITION``.
-    """
-    geo = imm.geometry
-    base = imm.positions[verts]
-    delta = imm.positions[nbrs] - base[:, None]
-    uv = imm.mesh.uv
-    phi = None if uv is None else imm.phi_offsets(imm.mesh.wraps(uv[verts, None], uv[nbrs]))
-    if phi is not None:
-        delta[..., 0] += phi
-    chords = geo.frame(base[:, None], delta)
-    # Tangent plane: the dominant directions of the horizontal chords.
-    _, _, vt = np.linalg.svd(geo.horizontal(base[:, None], chords), full_matrices=False)
-    t1 = geo.horizontal(base, vt[:, 0])
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = geo.horizontal(base, vt[:, 1])
-    t2 -= np.sum(t2 * t1, axis=-1, keepdims=True) * t1
-    t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
-    x, y = np.moveaxis(chords @ np.stack([t1, t2], axis=-1), -1, 0)
-    scale = np.sqrt(np.max(x * x + y * y, axis=1, keepdims=True))
-    scale[scale == 0.0] = 1.0  # all chords vertical: a zero design, rank 0
-    x, y = x / scale, y / scale
-    design = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=-1)
-    u, s, wt = np.linalg.svd(design, full_matrices=False)
-    full = s[:, -1] * MAX_FIT_CONDITION >= s[:, 0]
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-    coef = np.swapaxes(wt, 1, 2) @ (inv_s[..., None] * (np.swapaxes(u, 1, 2) @ chords))
-    coef[:, 2:] /= scale[:, :, None] ** 2  # the second-derivative rows, back in lengths
-    basis = np.stack([geo.reeb_unit(base), geo.j(t1), geo.j(t2)], axis=1)
-    return coef[:, 2:], basis, full
 
 
 # ---------------------------------------------------------------------------

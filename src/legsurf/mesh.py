@@ -173,11 +173,6 @@ class SurfaceMesh:
             )
 
     @functools.cached_property
-    def boundary_vertices(self):
-        """The set of vertices on a boundary edge, built on first use."""
-        return set(np.unique(self.edges[self.boundary_edge_mask]).tolist())
-
-    @functools.cached_property
     def vertex_graph(self):
         """(V, V) CSR matrix with a 1 at (tail, head) of each canonical edge;
         ``vertex_graph + vertex_graph.T`` is the symmetric adjacency, filled
@@ -328,15 +323,6 @@ class SurfaceMesh:
     def gauss_stencil_t(self):
         """The CSR transpose of :attr:`gauss_stencil`, built on first use."""
         return self.gauss_stencil.T.tocsr()
-
-    def components(self):
-        """Connected components as ascending vertex-index lists, ordered by smallest vertex."""
-        n_comp, labels = connected_components(self.vertex_graph, directed=False)
-        by_label = np.argsort(labels, kind="stable")
-        sizes = np.bincount(labels, minlength=n_comp)
-        ends = np.cumsum(sizes)
-        comps = [by_label[end - size:end].tolist() for size, end in zip(sizes, ends)]
-        return sorted(comps, key=lambda c: c[0])
 
 
 @dataclass
@@ -498,8 +484,8 @@ class DiscreteImmersion:
         defect = imm.geometry.invariant_defect(imm.positions)
         if defect > 1e-11:
             raise GeometryDomainError(f"vertex frames violate target invariants: {defect:.2e}")
-        r = imm.geometry.edge_residual(imm.positions[mesh.edges[:, 0]], imm.edge_vectors())
-        worst = float(np.max(np.abs(r), initial=0.0))
+        from .immersion import legendrian_residual  # immersion imports this module
+        worst = legendrian_residual(imm).max
         if worst > imm.legendrian_tol:
             raise GeometryDomainError(f"max edge Legendrian residual {worst:.3e} exceeds the "
                                       f"file's legendrian_tol {imm.legendrian_tol:.3e}")

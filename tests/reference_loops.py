@@ -7,10 +7,10 @@ evaluated by one planned gather and contraction, the projection stiffness
 was filled into a kept pattern, meshes were written through the C JSON
 encoder, the mean-curvature one-form lost its Python spanning-tree walk and
 edge dict, grid triangles were built by index arithmetic, the Gauss stencil
-weights were written out in closed form, the quadratic-fit curvature was
-batched by neighbourhood size and the first variation became the gradient's
-pairing, the weak stationarity pairing became two FaceData calls, FaceData
-gathered its corners with ``np.take`` and filled its metrics in place, and
+weights were written out in closed form, the first variation became the
+gradient's pairing, the weak stationarity pairing became two FaceData
+calls, FaceData gathered its corners with ``np.take`` and filled its
+metrics in place, and
 the face kernels (FaceData, the wedge, the energy gradient and the
 Hamiltonian map) went from row-major (F, k) arrays to component-major rows,
 and the frame target's pointwise kernels (the polar factorisation, the
@@ -36,8 +36,6 @@ from legsurf import heisenberg as hs
 from legsurf import stiefel as st
 from legsurf.errors import GeometryDomainError, ResolutionError
 from legsurf.immersion import (
-    MAX_FIT_CONDITION,
-    CurvatureData,
     FaceData,
     MeanCurvatureForm,
     _intrinsic_uv,
@@ -82,14 +80,9 @@ def mesh_adjacency(mesh):
     for a, b in edges:
         vertex_neighbors[a].add(int(b))
         vertex_neighbors[b].add(int(a))
-    boundary_vertices = set()
-    for e, is_b in enumerate(boundary_edge_mask):
-        if is_b:
-            boundary_vertices.update(map(int, edges[e]))
     return dict(
         edges=edges, face_edges=face_edges, face_neighbors=face_neighbors,
         boundary_edge_mask=boundary_edge_mask, vertex_neighbors=vertex_neighbors,
-        boundary_vertices=boundary_vertices,
     )
 
 
@@ -725,8 +718,8 @@ def mean_curvature_one_form(imm):
     for e, (a, b) in enumerate(m.edges):
         adj[a].append((int(b), e, 1.0))
         adj[b].append((int(a), e, -1.0))
-    for comp in m.components():
-        root = min(comp)
+    for comp in components(m, mesh_adjacency(m)["vertex_neighbors"]):
+        root = comp[0]
         roots.append(root)
         visited[root] = True
         stack = [root]
@@ -760,79 +753,6 @@ def mean_curvature_one_form(imm):
         gamma=gamma, curl=curl, beta=beta, periods=periods, laplace_beta_residual=lap_beta,
         component_roots=roots, vertex_areas=areas,
     )
-
-
-def second_fundamental_form(imm, min_valence=5):
-    """The quadratic-fit curvature with one SVD and one lstsq per vertex; a
-    fit whose design, its tangent coordinates over the farthest neighbour's,
-    has a condition number above ``MAX_FIT_CONDITION`` counts as rank
-    deficient."""
-    m = imm.mesh
-    vertex_neighbors = mesh_adjacency(m)["vertex_neighbors"]
-    k = imm.positions.shape[1]
-    n = m.n_vertices
-    out = CurvatureData(
-        abs_ii_sq=np.full(n, np.nan),
-        mean_curvature=np.full((n, k), np.nan),
-        reeb_component=np.full(n, np.nan),
-        valid=np.zeros(n, bool),
-        warnings=[],
-    )
-    geo = imm.geometry
-    vert_all = geo.reeb_unit(imm.positions)
-    for v in range(n):
-        if v in m.boundary_vertices:
-            continue
-        nbrs = sorted(vertex_neighbors[v])
-        if len(nbrs) < min_valence:
-            out.warnings.append((v, f"valence {len(nbrs)} < {min_valence}; using 2-ring"))
-            two_ring = set()
-            for u in nbrs:
-                two_ring.update(vertex_neighbors[u])
-            two_ring.discard(v)
-            nbrs = sorted(two_ring)
-        delta = imm.positions[nbrs] - imm.positions[v] + seam_shift(imm, v, nbrs)
-        chords = geo.frame(imm.positions[v], delta)
-        if len(nbrs) < 5:
-            out.warnings.append((v, "fit rank deficient even on the 2-ring"))
-            continue
-        hz = geo.horizontal(imm.positions[v][None], chords)
-        _, _, vt = np.linalg.svd(hz, full_matrices=False)
-        t1, t2 = vt[0], vt[1]
-        t1 = geo.horizontal(imm.positions[v], t1)
-        t1 /= np.linalg.norm(t1)
-        t2 = geo.horizontal(imm.positions[v], t2)
-        t2 -= (t2 @ t1) * t1
-        t2 /= np.linalg.norm(t2)
-        xi = np.stack([chords @ t1, chords @ t2], axis=-1)
-        a_mat = np.stack(
-            [xi[:, 0], xi[:, 1], 0.5 * xi[:, 0] ** 2, xi[:, 0] * xi[:, 1], 0.5 * xi[:, 1] ** 2],
-            axis=-1,
-        )
-        sol, _, rank, _ = np.linalg.lstsq(a_mat, chords, rcond=None)
-        reach = np.max(np.linalg.norm(xi, axis=1))
-        xs = xi / reach if reach > 0 else xi
-        scaled = np.stack(
-            [xs[:, 0], xs[:, 1], 0.5 * xs[:, 0] ** 2, xs[:, 0] * xs[:, 1], 0.5 * xs[:, 1] ** 2],
-            axis=-1,
-        )
-        sv = np.linalg.svd(scaled, compute_uv=False)
-        if rank < 5 or sv[-1] * MAX_FIT_CONDITION < sv[0]:
-            out.warnings.append((v, "fit rank deficient even on the 2-ring"))
-            continue
-        q11, q12, q22 = sol[2], sol[3], sol[4]
-        u_r = vert_all[v]
-        basis = [u_r, geo.j(t1), geo.j(t2)]
-
-        def proj(vec):
-            return sum((vec @ e) * e for e in basis)
-
-        ii11, ii12, ii22 = proj(q11), proj(q12), proj(q22)
-        out.abs_ii_sq[v] = ii11 @ ii11 + 2.0 * (ii12 @ ii12) + ii22 @ ii22
-        out.mean_curvature[v] = 0.5 * (ii11 + ii22)
-        out.reeb_component[v] = max(abs(q11 @ u_r), abs(q12 @ u_r), abs(q22 @ u_r))
-        out.valid[v] = True
-    return out
 
 
 # ---------------------------------------------------------------------------

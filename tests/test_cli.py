@@ -269,6 +269,19 @@ class TestDensityCommand:
         assert "[0.1, 0.075, 0.05]" in r.stderr and "min_radius" in r.stderr
         assert not (tmp_path / "density.csv").exists()
 
+    @pytest.mark.parametrize("bad,message", [
+        ({"radii": [0.0], "min_radius": 0.0}, "got [0.0], 0.0"),
+        ({"radii": [-0.1, 0.2], "min_radius": -1.0}, "got [0.2, -0.1], -1.0"),
+    ])
+    def test_nonpositive_radius_rejected(self, tmp_path, bad, message):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(bad))
+        r = run_cli("density", "--config", str(config), "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "need radii > 0, min_radius >= 0; " + message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "density.csv").exists()
+
     def test_density_determinism(self, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -440,6 +453,14 @@ class TestCliffordDemo:
         assert abs(payload["maslov_periods"][0] - np.pi) < 0.05
         ratios = payload["density_ratios_over_pi"]
         assert len(ratios) == 3 and all(np.isfinite(ratios))
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_resolution_below_one_rejected(self, tmp_path, n):
+        r = run_cli("clifford-demo", "--resolution", n, "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert f"resolution must be an integer >= 1, got {n}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "clifford_demo.json").exists()
 
     def test_seed_is_not_a_key(self, tmp_path):
         # clifford_lift is deterministic, so the demo takes no seed.

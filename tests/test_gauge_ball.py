@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import reference_loops as ref
-from legsurf import cli, corpus, gauge_lab as gl, immersion
+from legsurf import cli, corpus, gauge_lab as gl
 from legsurf.errors import DegenerateFaceError, ResolutionError
 
 MESHES = {
@@ -237,37 +237,6 @@ def test_density_csv_keeps_the_whole_mesh_eta(n, tmp_path, capsys):
 def test_resolvable_radius_is_bitwise_the_row_major_one(make):
     imm = make()
     assert gl.resolvable_radius(imm) == ref.resolvable_radius(imm)
-
-
-class TestFitConditioning:
-    def test_noisy_coarse_lift_fit_is_rejected(self):
-        # clifford_lift(6) moved by 1.7e-3 noise: one fit's scaled design has
-        # condition number 2.5e3 and gave |II|^2 = 5.0e4 against a median
-        # near 8 (the smooth value is 2).
-        imm = corpus.clifford_lift(6)
-        rng = np.random.default_rng(152)
-        imm = imm.with_positions(imm.geometry.move(
-            imm.positions, 1e-2 / 6 * rng.normal(size=imm.positions.shape)))
-        curv = immersion.second_fundamental_form(imm)
-        assert not curv.valid[8]
-        assert (8, "fit rank deficient even on the 2-ring") in curv.warnings
-        assert np.nanmax(curv.abs_ii_sq) < 1e3
-
-    @pytest.mark.parametrize("make", [
-        lambda: corpus.flat_patch(8),
-        lambda: corpus.double_sheet(8),
-        lambda: corpus.clifford_lift(8, warp=0.4),
-        lambda: corpus.clifford_lift(10),
-        lambda: corpus.clifford_lift(6, target="stiefel", warp=0.4),
-        lambda: corpus.clifford_lift(16, target="stiefel", warp=0.3),
-        lambda: corpus.perturbed_clifford(6, seed=3),
-        lambda: corpus.perturbed_clifford(8, seed=3, target="stiefel"),
-    ])
-    def test_corpus_fits_stay_valid(self, make):
-        imm = make()
-        interior = np.ones(imm.mesh.n_vertices, bool)
-        interior[list(imm.mesh.boundary_vertices)] = False
-        assert immersion.second_fundamental_form(imm).valid[interior].all()
 
 
 # ---------------------------------------------------------------------------

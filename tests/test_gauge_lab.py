@@ -235,6 +235,14 @@ class TestDensity:
         assert 0.01 in dc.excluded
         assert len(dc.radii) == 1
 
+    @pytest.mark.parametrize("radii,min_radius", [
+        ([0.0], 0.0), ([-0.1, 0.2], -1.0), ([0.5, float("nan")], 0.0), ([0.5], -1e-3),
+    ])
+    def test_nonpositive_radius_or_cut_rejected(self, radii, min_radius):
+        gf = gl.gauge_fields(corpus.flat_patch(16, center=True), np.zeros(5))
+        with pytest.raises(GeometryDomainError, match=r"need radii > 0, min_radius >= 0"):
+            gl.density_curve(gf, radii, min_radius=min_radius)
+
     def test_sublevel_clipping_exact_for_linear(self):
         # single reference triangle, linear field: closed-form areas
         r_vals = np.array([[0.0, 1.0, 2.0]])

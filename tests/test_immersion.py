@@ -1,11 +1,12 @@
-"""Face frames, residuals, curvature, Hopf differential, angle one-form."""
+"""Face frames, residuals, the penalty's Gauss-map curvature, Hopf differential,
+angle one-form."""
 
 import json
 
 import numpy as np
 import pytest
 
-from legsurf import corpus, immersion
+from legsurf import corpus, energy, immersion
 from legsurf.checks import fit_loglog_slope
 from legsurf.errors import DegenerateFaceError, GeometryDomainError
 from legsurf.mesh import DiscreteImmersion, SurfaceMesh
@@ -29,7 +30,7 @@ class TestFaceFrames:
         assert np.all(np.abs(np.linalg.norm(fd.gauss, axis=-1) - 1.0) < 1e-12)
         # The normal basis: the unit Reeb vector and J of each horizontal partial.
         ju, jv = (geo.j(geo.horizontal(fd.base_pos, d)) for d in (fd.du, fd.dv))
-        normals = (geo.reeb_unit(fd.base_pos),
+        normals = (geo.reeb(fd.base_pos) / np.sqrt(-geo.alpha_reeb),
                    ju / np.linalg.norm(ju, axis=-1, keepdims=True),
                    jv / np.linalg.norm(jv, axis=-1, keepdims=True))
         for n in normals:
@@ -112,33 +113,27 @@ class TestLegendrianResidual:
             DiscreteImmersion.from_json(data)
 
 
-class TestSecondFundamentalForm:
-    def test_flat_patch_vanishes(self):
-        curv = immersion.second_fundamental_form(corpus.flat_patch(10))
-        assert np.nanmax(curv.abs_ii_sq) < 1e-8
-        assert np.nanmax(np.abs(curv.mean_curvature[curv.valid])) < 1e-8
+class TestPenaltyCurvature:
+    """|dT|^2_g of the Gauss-map stencil, the |II|^2 that the penalty
+    eps^4 * sum((1 + |II|^2)^2 area) reads: 2 on the Clifford torus (each
+    unit-circle factor curves by 1 in its own normal direction), 0 on flat
+    sheets."""
 
-    def test_clifford_mean_curvature_constant(self):
-        cl = corpus.clifford_lift(32)
-        curv = immersion.second_fundamental_form(cl)
-        hn = np.linalg.norm(curv.mean_curvature[curv.valid], axis=1)
-        assert hn.std() / hn.mean() < 0.02
-        # projected Clifford torus has |H| = 1/sqrt(2); the lift matches it
-        assert hn.mean() == pytest.approx(1 / np.sqrt(2), rel=0.05)
+    @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_clifford_lift_is_two_on_every_face(self, n, target):
+        cl = corpus.clifford_lift(n, target=target)
+        quad = cl.face_data.gauss_gradients[2]
+        assert quad.shape == (len(cl.mesh.triangles),)
+        assert np.abs(quad - 2.0).max() < 1e-12
+        eps = 0.2
+        e = energy.energy(cl, eps)
+        assert e.penalty == pytest.approx(9.0 * eps**4 * e.area, rel=1e-12, abs=0.0)
 
-    def test_reeb_component_decays(self):
-        vals = []
-        ns = [8, 16, 32]
-        for n in ns:
-            curv = immersion.second_fundamental_form(corpus.clifford_lift(n))
-            vals.append(np.nanmax(curv.reeb_component))
-        assert vals[-1] <= vals[0] + 1e-12  # structurally tiny on the lift
-
-    def test_cone_vertex_warning_path(self):
-        cone = corpus.cone_fixture()
-        curv = immersion.second_fundamental_form(cone)
-        assert curv.warnings, "valence-3 interior vertex must trip the fallback"
-        assert not curv.valid[0]
+    @pytest.mark.parametrize("make", [lambda: corpus.flat_patch(10), lambda: corpus.double_sheet(8)],
+                             ids=["flat_patch", "double_sheet"])
+    def test_flat_sheets_vanish(self, make):
+        assert np.abs(make().face_data.gauss_gradients[2]).max() < 1e-20
 
 
 class TestHopfDifferential:

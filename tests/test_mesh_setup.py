@@ -92,7 +92,6 @@ def test_topology_matches_loops_after_relabelling(name, seed):
     graph = mesh.vertex_graph
     assert graph.has_sorted_indices and graph.nnz == len(mesh.edges)
     assert [set(row) for row in (graph + graph.T).tolil().rows] == expected["vertex_neighbors"]
-    assert mesh.boundary_vertices == expected["boundary_vertices"]
     assert len(mesh.edges) == len(original.edges)
     assert mesh.boundary_edge_mask.sum() == original.boundary_edge_mask.sum()
 

@@ -13,8 +13,7 @@ import reference_loops as ref
 from legsurf import corpus, gauge_lab
 from legsurf.energy import EnergyAssembler
 from legsurf.errors import GeometryDomainError
-from legsurf.corpus import _grid_triangles, _square_boundary_loop
-from legsurf.immersion import FaceData, mean_curvature_one_form, second_fundamental_form
+from legsurf.immersion import FaceData, mean_curvature_one_form
 from legsurf.mesh import DiscreteImmersion, SurfaceMesh
 from legsurf.polynomials import random_polynomial
 
@@ -73,8 +72,6 @@ def test_adjacency_matches_loops(family, kw):
     assert graph.nnz == len(mesh.edges)
     assert np.all(graph[mesh.edges[:, 0], mesh.edges[:, 1]] == 1.0)
     assert [set(row) for row in (graph + graph.T).tolil().rows] == expected["vertex_neighbors"]
-    assert mesh.boundary_vertices == expected["boundary_vertices"]
-    assert mesh.components() == [sorted(c) for c in ref.components(mesh, expected["vertex_neighbors"])]
 
 
 class TestMeshErrors:
@@ -194,90 +191,3 @@ def test_energy_and_gradient_invariant_under_relabelling(case, seed, eps):
     g0 = EnergyAssembler(imm).gradient(imm, eps).covector
     g1 = EnergyAssembler(other).gradient(other, eps).covector
     assert _rel_err(g1[perm], g0) < 1e-12
-
-
-def _union_jack(n=6, seed=0):
-    """A perturbed flat patch whose cell diagonals alternate: interior
-    vertices of valence 4 (fitted on the 2-ring) and 8."""
-    fp = corpus.flat_patch(n)
-    tri = _grid_triangles(n + 1, n + 1).reshape(n, n, 2, 3)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    flip = (i + j) % 2 == 1
-    v00, v10, v11, v01 = tri[..., 0, 0], tri[..., 0, 1], tri[..., 0, 2], tri[..., 1, 2]
-    tri[flip] = np.stack([np.stack([v00, v10, v01], -1), np.stack([v10, v11, v01], -1)], -2)[flip]
-    mesh = SurfaceMesh(tri.reshape(-1, 3), fp.mesh.n_vertices, uv=fp.mesh.uv,
-                       boundary_loops=[_square_boundary_loop(n + 1, n + 1)])
-    rng = np.random.default_rng(seed)
-    return DiscreteImmersion(mesh=mesh, target="heisenberg",
-                             positions=fp.positions + 1e-2 * rng.normal(size=fp.positions.shape))
-
-
-def _collinear_patch():
-    """A flat patch squashed onto a line: every fit is rank-deficient."""
-    fp = corpus.flat_patch(4)
-    pos = fp.positions.copy()
-    pos[:, 3] = 0.0
-    return fp.with_positions(pos)
-
-
-CURVATURE_CASES = [
-    ("flat_patch", lambda: corpus.flat_patch(10)),
-    ("cone", corpus.cone_fixture),
-    ("union_jack", _union_jack),
-    ("collinear", _collinear_patch),
-    *[(f"clifford_{n}_{t}", lambda n=n, t=t: corpus.clifford_lift(n, target=t))
-      for n in (16, 32, 64) for t in ("heisenberg", "stiefel")],
-    ("warp_heisenberg", lambda: corpus.clifford_lift(16, target="heisenberg", warp=0.3)),
-    ("warp_stiefel", lambda: corpus.clifford_lift(16, target="stiefel", warp=0.3)),
-    ("perturbed_clifford", lambda: corpus.perturbed_clifford(24, seed=3)),
-]
-
-
-def _assert_same_curvature(got, want, perm=None, rel=1e-12):
-    """Equal masks and warnings, values within ``rel`` of the largest; with
-    ``perm``, ``got`` is of the mesh whose vertex v is ``perm[v]``."""
-    if perm is not None:
-        got = type(got)(got.abs_ii_sq[perm], got.mean_curvature[perm], got.reeb_component[perm],
-                        got.valid[perm], sorted((int(np.argsort(perm)[v]), w) for v, w in got.warnings))
-    assert np.array_equal(got.valid, want.valid)
-    assert got.warnings == want.warnings
-    for name in ("abs_ii_sq", "mean_curvature", "reeb_component"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert np.array_equal(np.isnan(a), np.isnan(b)), name
-        assert np.all(np.abs(a - b)[~np.isnan(b)] <= rel * np.nanmax(np.abs(b), initial=0.0)), name
-
-
-@pytest.mark.parametrize("make", [make for _, make in CURVATURE_CASES],
-                         ids=[name for name, _ in CURVATURE_CASES])
-def test_curvature_fit_matches_vertex_loop(make):
-    imm = make()
-    _assert_same_curvature(second_fundamental_form(imm), ref.second_fundamental_form(imm))
-
-
-def test_curvature_fixtures_take_every_path():
-    cone, jack, flat = (second_fundamental_form(make()) for make in
-                        (corpus.cone_fixture, _union_jack, _collinear_patch))
-    assert cone.warnings == [(0, "valence 3 < 5; using 2-ring"),
-                             (0, "fit rank deficient even on the 2-ring")]
-    low = [v for v, w in jack.warnings if w.startswith("valence 4")]
-    assert len(low) == 12 and jack.valid[low].all()
-    assert flat.warnings and not flat.valid.any()
-
-
-@settings(max_examples=25, deadline=None)
-@given(target=hst.sampled_from(["heisenberg", "stiefel"]), n=hst.integers(6, 16),
-       warp=hst.floats(0.0, 0.4), seed=hst.integers(0, 2**32 - 1))
-def test_curvature_fit_matches_loop_and_relabelling(target, n, warp, seed):
-    imm = corpus.clifford_lift(n, target=target, warp=warp)
-    rng = np.random.default_rng(seed)
-    imm = imm.with_positions(
-        imm.geometry.move(imm.positions, 1e-2 / n * rng.normal(size=imm.positions.shape))
-    )
-    got = second_fundamental_form(imm)
-    _assert_same_curvature(got, ref.second_fundamental_form(imm))
-    # Relabelling reorders each vertex's chords, which changes the rounding of
-    # its fit.  At n <= 8 some fits are nearly singular (|II|^2 up to 7e4
-    # against a median of 10), which amplifies that to 3e-10 of the largest
-    # value; a wrong vertex map errs by O(1).
-    perm = rng.permutation(imm.mesh.n_vertices)
-    _assert_same_curvature(second_fundamental_form(_relabelled(imm, perm)), got, perm, rel=1e-8)
