@@ -1,7 +1,9 @@
 """Randomised identity checks shared by the test suite and the CLI verifier.
 
 Each check function returns a :class:`CheckResult`; the verify command runs
-the whole battery with one seed and reports per-check worst errors.
+the whole battery with one seed and reports per-check worst errors.  The
+frame-manifold checks draw stacked (n, 8) frames and vectors and call the
+:class:`~legsurf.fields.FrameTarget` methods the package runs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from . import fields, heisenberg as hs, stiefel as st
+from .fields import STIEFEL
 from .polynomials import random_polynomial
 
 
@@ -129,115 +132,148 @@ def fit_loglog_slope(x, y, floor=1e-13):
 
 
 # ---------------------------------------------------------------------------
-# the identity battery
+# the identity battery, on stacked (n, 8) frames and vectors of the frame target
+
+
+def random_vectors(rng, n):
+    """n stacked R^8 vectors: the n first halves are drawn, then the n second halves."""
+    return np.concatenate(rng.standard_normal((2, n, 4)), axis=1)
+
+
+def random_frames(rng, n):
+    """n random frames: the polar factors of n drawn raw frames."""
+    return STIEFEL.move(random_vectors(rng, n), 0.0)
+
+
+def random_horizontal(rng, q):
+    """The horizontal projections of drawn vectors at the stacked frames q."""
+    return STIEFEL.horizontal(q, random_vectors(rng, len(q)))
+
+
+def _dot(x, y):
+    """Row dot products of stacked R^8 vectors, each half's products added first."""
+    return np.sum(x[..., :4] * y[..., :4] + x[..., 4:] * y[..., 4:], axis=-1)
+
+
+def _d_alpha(x, y):
+    return st.d_alpha_pairs(x[..., :4], x[..., 4:], y[..., :4], y[..., 4:])
+
+
+def d_alpha_fd_batch(q, x, y, step=1e-4):
+    """Finite-difference exterior derivative d alpha(X, Y) over stacked inputs.
+
+    Extends X, Y as constant vectors, probes along retracted paths with
+    central differences, and evaluates alpha at the probes.
+    """
+
+    def probe(d, o):
+        plus, minus = STIEFEL.move(q, step * d), STIEFEL.move(q, -step * d)
+        return (STIEFEL.alpha(plus, o) - STIEFEL.alpha(minus, o)) / (2.0 * step)
+
+    return probe(x, y) - probe(y, x)
+
+
+def volume_sign_fast(q, e1, e2):
+    """Collapsed alpha ^ dalpha ^ dalpha on (R, e1, J e1, e2, J e2), batched.
+
+    Uses alpha(e_i) = 0 and dalpha(R, .) = 0 so only the Reeb slot carries
+    alpha, leaving alpha(R) * (dalpha ^ dalpha) on the horizontal 4-tuple.
+    """
+    j1, j2 = STIEFEL.j(e1), STIEFEL.j(e2)
+    quad = 2.0 * (
+        _d_alpha(e1, j1) * _d_alpha(e2, j2)
+        - _d_alpha(e1, e2) * _d_alpha(j1, j2)
+        + _d_alpha(e1, j2) * _d_alpha(j1, e2)
+    )
+    return STIEFEL.alpha(q, STIEFEL.reeb(q)) * quad
+
+
+def legendrian_planes(rng, n, min_norm):
+    """Frames q with orthonormal horizontal pairs (e1, e2), e2 also normal to
+    J e1; drops the frames where e2's part off span(e1, J e1) has norm <= min_norm."""
+    q = random_frames(rng, n)
+    e1 = random_horizontal(rng, q)
+    e1 = e1 / np.sqrt(_dot(e1, e1))[..., None]
+    e2 = random_horizontal(rng, q)
+    for basis in (e1, STIEFEL.j(e1)):
+        e2 = e2 - (_dot(e2, basis) / _dot(basis, basis))[..., None] * basis
+    nrm2 = np.sqrt(_dot(e2, e2))
+    keep = nrm2 > min_norm
+    return q[keep], e1[keep], e2[keep] / nrm2[keep, None]
 
 
 def check_alpha_reeb(rng, n=10_000):
-    a, b = st.random_points_raw(rng, n)
-    rv, rw = st.reeb_raw(a, b)
-    err = np.max(np.abs(st.alpha_raw(a, b, rv, rw) + 2.0))
+    q = random_frames(rng, n)
+    err = np.max(np.abs(STIEFEL.alpha(q, STIEFEL.reeb(q)) + 2.0))
     return CheckResult("alpha_of_reeb", float(err), 1e-12)
 
 
 def check_jh_involution(rng, n=10_000, jh_fn=None):
-    jh_fn = jh_fn or st.jh_raw
-    a, b = st.random_points_raw(rng, n)
-    v, w = st.random_horizontal_raw(rng, a, b)
-    jv, jw = jh_fn(v, w)
-    jjv, jjw = jh_fn(jv, jw)
-    err = max(np.max(np.abs(jjv + v)), np.max(np.abs(jjw + w)))
+    jh_fn = jh_fn or STIEFEL.j
+    x = random_horizontal(rng, random_frames(rng, n))
+    err = np.max(np.abs(jh_fn(jh_fn(x)) + x))
     return CheckResult("jh_involution", float(err), 1e-12)
 
 
 def check_jh_isometry(rng, n=10_000):
-    a, b = st.random_points_raw(rng, n)
-    v, w = st.random_horizontal_raw(rng, a, b)
-    jv, jw = st.jh_raw(v, w)
-    err = np.max(
-        np.abs(np.sum(jv * jv + jw * jw, axis=-1) - np.sum(v * v + w * w, axis=-1))
-    )
+    x = random_horizontal(rng, random_frames(rng, n))
+    jx = STIEFEL.j(x)
+    err = np.max(np.abs(_dot(jx, jx) - _dot(x, x)))
     return CheckResult("jh_isometry", float(err), 1e-12)
 
 
 def check_hopf_isometry(rng, n=10_000):
-    a, b = st.random_points_raw(rng, n)
-    v, w = st.random_horizontal_raw(rng, a, b)
-    plus, minus = st.hopf_push_raw(a, b, v, w)
+    q = random_frames(rng, n)
+    x = random_horizontal(rng, q)
+    plus, minus = st.hopf_push_raw(q[..., :4], q[..., 4:], x[..., :4], x[..., 4:])
     pushed = np.sum(plus * plus, axis=-1) + np.sum(minus * minus, axis=-1)
-    err = np.max(np.abs(pushed - np.sum(v * v + w * w, axis=-1)))
+    err = np.max(np.abs(pushed - _dot(x, x)))
     return CheckResult("hopf_push_isometry", float(err), 1e-10)
 
 
 def check_d_alpha_fd(rng, n=10_000):
-    a, b = st.random_points_raw(rng, n)
-    xv, xw = st.random_horizontal_raw(rng, a, b)
-    yv, yw = st.random_horizontal_raw(rng, a, b)
-    fd = st.d_alpha_fd_batch(a, b, xv, xw, yv, yw)
-    err = np.max(np.abs(fd - st.d_alpha_raw(xv, xw, yv, yw)))
+    q = random_frames(rng, n)
+    x, y = random_horizontal(rng, q), random_horizontal(rng, q)
+    err = np.max(np.abs(d_alpha_fd_batch(q, x, y) - _d_alpha(x, y)))
     return CheckResult("d_alpha_finite_difference", float(err), 1e-5)
 
 
 def check_covariant_reeb(rng, n=10_000):
-    a, b = st.random_points_raw(rng, n)
-    v, w = st.random_horizontal_raw(rng, a, b)
-    dv, dw = st.covariant_reeb_raw(v, w)
-    jv, jw = st.jh_raw(v, w)
-    # nabla_Z R must equal -J_H Z.
-    err = max(np.max(np.abs(dv + jv)), np.max(np.abs(dw + jw)))
+    x = random_horizontal(rng, random_frames(rng, n))
+    # R is linear in q, so nabla_x R = reeb(x), which must equal -J x.
+    err = np.max(np.abs(STIEFEL.reeb(x) + STIEFEL.j(x)))
     return CheckResult("covariant_reeb_is_minus_jh", float(err), 1e-12)
 
 
 def check_volume_sign(rng, n=10_000):
-    a, b = st.random_points_raw(rng, n)
-    e1v, e1w = st.random_horizontal_raw(rng, a, b)
-    nrm = np.sqrt(np.sum(e1v**2 + e1w**2, axis=-1))[..., None]
-    e1v, e1w = e1v / nrm, e1w / nrm
-    j1v, j1w = st.jh_raw(e1v, e1w)
-    e2v, e2w = st.random_horizontal_raw(rng, a, b)
-    for bv, bw in ((e1v, e1w), (j1v, j1w)):
-        coef = (np.sum(e2v * bv + e2w * bw, axis=-1) / np.sum(bv * bv + bw * bw, axis=-1))[
-            ..., None
-        ]
-        e2v = e2v - coef * bv
-        e2w = e2w - coef * bw
-    nrm2 = np.sqrt(np.sum(e2v**2 + e2w**2, axis=-1))[..., None]
-    keep = nrm2[..., 0] > 1e-6
-    e2v, e2w = e2v / nrm2, e2w / nrm2
-    vals = st.volume_sign_fast(a[keep], b[keep], e1v[keep], e1w[keep], e2v[keep], e2w[keep])
+    vals = volume_sign_fast(*legendrian_planes(rng, n, 1e-6))
     same_sign = np.all(vals > 0) if vals[0] > 0 else np.all(vals < 0)
-    err = 0.0 if same_sign else 1.0
-    return CheckResult("alpha_dalpha_dalpha_sign", err, 0.5)
+    return CheckResult("alpha_dalpha_dalpha_sign", 0.0 if same_sign else 1.0, 0.5)
 
 
 def check_gauge_symmetry(rng, n=10_000):
-    a1, b1 = st.random_points_raw(rng, n)
-    a2, b2 = st.random_points_raw(rng, n)
-    _, _, r12 = st.gauge_scalars(a1, b1, a2, b2)
-    _, _, r21 = st.gauge_scalars(a2, b2, a1, b1)
+    q1, q2 = random_frames(rng, n), random_frames(rng, n)
+    _, _, r12 = STIEFEL.gauge_scalars(q1, q2)
+    _, _, r21 = STIEFEL.gauge_scalars(q2, q1)
     return CheckResult("gauge_symmetry", float(np.max(np.abs(r12 - r21))), 1e-12)
 
 
 def check_retract_oracle(rng, n=2_000):
-    a_raw = rng.standard_normal((n, 4))
-    b_raw = rng.standard_normal((n, 4))
-    a, b = st.retract_raw(a_raw, b_raw)
-    m = np.stack([a_raw, b_raw], axis=-1)
+    raw = random_vectors(rng, n)
+    q = STIEFEL.move(raw, 0.0)
+    m = np.stack([raw[:, :4], raw[:, 4:]], axis=-1)
     gram = np.swapaxes(m, -1, -2) @ m
     evals, evecs = np.linalg.eigh(gram)
     inv_sqrt = evecs @ (evals[..., None] ** -0.5 * np.swapaxes(evecs, -1, -2))
-    q = m @ inv_sqrt
-    err = max(np.max(np.abs(a - q[..., 0])), np.max(np.abs(b - q[..., 1])))
+    oracle = m @ inv_sqrt
+    err = max(np.max(np.abs(q[:, :4] - oracle[..., 0])),
+              np.max(np.abs(q[:, 4:] - oracle[..., 1])))
     return CheckResult("retract_polar_oracle", float(err), 1e-10)
 
 
-def check_heisenberg_contactomorphism(rng, n_cases=20):
-    vals = hamiltonian_lie_defects(fields.TARGET_HEISENBERG, rng, n_cases=n_cases)
-    return CheckResult("heisenberg_contactomorphism", float(np.max(vals)), 1e-4)
-
-
-def check_stiefel_contactomorphism(rng, n_cases=20):
-    vals = hamiltonian_lie_defects(fields.TARGET_STIEFEL, rng, n_cases=n_cases)
-    return CheckResult("stiefel_contactomorphism", float(np.max(vals)), 1e-4)
+def check_contactomorphism(rng, target, n_cases=20):
+    vals = hamiltonian_lie_defects(target, rng, n_cases=n_cases)
+    return CheckResult(f"{target}_contactomorphism", float(np.max(vals)), 1e-4)
 
 
 def alpha_dalpha_dalpha(al, dal):
@@ -297,8 +333,8 @@ def identity_battery(seed, jh_fn=None):
         check_volume_sign(rng),
         check_gauge_symmetry(rng),
         check_retract_oracle(rng),
-        check_heisenberg_contactomorphism(rng),
-        check_stiefel_contactomorphism(rng),
+        check_contactomorphism(rng, fields.TARGET_HEISENBERG),
+        check_contactomorphism(rng, fields.TARGET_STIEFEL),
         check_heisenberg_volume(rng),
         check_dilation_gauge(rng),
         check_dilation_pullback(rng),

@@ -182,8 +182,8 @@ def _load_or_generate(config):
 def cmd_verify_identities(config, out_dir):
     jh_fn = None
     if config["inject_bug"]:
-        def jh_fn(v, w):  # broken copy: sign of the first slot flipped
-            return np.asarray(w, float).copy(), np.asarray(v, float).copy()
+        def jh_fn(c):  # broken copy: sign of the first half flipped
+            return np.concatenate([c[..., 4:], c[..., :4]], axis=-1)
 
     results = checks.identity_battery(config["seed"], jh_fn=jh_fn)
     report = report_header(config)

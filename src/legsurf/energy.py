@@ -26,7 +26,7 @@ from .errors import (
     StepRejectedError,
 )
 from .immersion import cotangent_weights, legendrian_residual, wedge_rows_adjoint
-from .mesh import DiscreteImmersion
+from .mesh import DiscreteImmersion, seam_differences
 
 
 @dataclass
@@ -203,8 +203,9 @@ def restore_constraint(imm: DiscreteImmersion):
     :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
     is unchanged (always, on the flat target, where c = 1).  The edges' seam
     offsets are :meth:`DiscreteImmersion.phi_offsets` of the mesh's cached
-    :attr:`SurfaceMesh.edge_wraps`, taken once and added to the Reeb row of
-    each pass's edge differences; without monodromy there are none.
+    :attr:`SurfaceMesh.edge_wraps`, taken once; each pass's edge differences
+    are :func:`~legsurf.mesh.seam_differences`, as in
+    :meth:`DiscreteImmersion.edge_vectors`.
 
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
@@ -212,13 +213,11 @@ def restore_constraint(imm: DiscreteImmersion):
     tol = imm.legendrian_tol
     m = imm.mesh
     geo = imm.geometry
-    tails, heads = m.edges[:, 0], m.edges[:, 1]
+    tails = m.edges[:, 0]
     phi = imm.phi_offsets(m.edge_wraps)
 
     def residual(positions):
-        delta = positions[heads] - positions[tails]
-        if phi is not None:
-            delta[:, 0] += phi
+        delta = seam_differences(positions, m.edges, phi)
         r = geo.edge_residual(positions[tails], delta)
         return r, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 

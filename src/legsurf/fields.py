@@ -46,7 +46,9 @@ class Target:
     ``gauge_scalars`` and ``gauge_gradients``; ``move`` (re-retracting onto
     the target) and ``random_point``; and, on a target that
     ``carries_monodromy``, ``seam_offset``.  The methods below are built
-    from these.
+    from these.  They are the target's only pointwise API: the descent, the
+    energy, the lab and the identity battery (:mod:`legsurf.checks`) all
+    call them.
     """
 
     name: str
@@ -179,7 +181,7 @@ class FrameTarget(Target):
         return st.alpha_rows(da, db, dv, dw) - st.alpha_rows(qa, qb, b, -a)
 
     def gauge_scalars(self, p0, points):
-        return st.gauge_scalars(p0[:4], p0[4:], points[..., :4], points[..., 4:])
+        return st.gauge_scalars(p0[..., :4], p0[..., 4:], points[..., :4], points[..., 4:])
 
     def gauge_gradients(self, p0, points):
         """Ambient gradients of rho^2 and phi at stacked points."""
@@ -191,8 +193,7 @@ class FrameTarget(Target):
         return st.stacked(q)
 
     def random_point(self, rng):
-        a, b = st.random_points_raw(rng, 1)
-        return np.concatenate([a[0], b[0]])
+        return self.move(rng.standard_normal((1, 8)), 0.0)[0]
 
 
 class FlatTarget(Target):

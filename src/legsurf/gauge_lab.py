@@ -437,15 +437,15 @@ def tri_sublevel_fraction(r_vals, s):
     r_sorted = np.sort(r_vals, axis=-1)
     r0, r1, r2 = r_sorted[..., 0], r_sorted[..., 1], r_sorted[..., 2]
     frac = np.zeros(r0.shape)
-    all_in = s >= r2
-    frac[all_in] = 1.0
+    frac[s >= r2] = 1.0
+    # Each branch is evaluated on its own faces only, where s lies within the
+    # face's range of r: a radius far beyond the mesh enters no square.
     two_in = (s >= r1) & (s < r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f2 = 1.0 - (r2 - s) ** 2 / np.maximum((r2 - r0) * (r2 - r1), 1e-300)
-        f1 = (s - r0) ** 2 / np.maximum((r1 - r0) * (r2 - r0), 1e-300)
-    frac[two_in] = f2[two_in]
+    a, b, c = r0[two_in], r1[two_in], r2[two_in]
+    frac[two_in] = 1.0 - (c - s) ** 2 / np.maximum((c - a) * (c - b), 1e-300)
     one_in = (s > r0) & (s < r1)
-    frac[one_in] = f1[one_in]
+    a, b, c = r0[one_in], r1[one_in], r2[one_in]
+    frac[one_in] = (s - a) ** 2 / np.maximum((b - a) * (c - a), 1e-300)
     return frac
 
 
@@ -498,7 +498,8 @@ def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
             excluded.append(float(s))
             continue
         area = float(np.sum(tri_sublevel_fraction(r_corners, s) * fd.area))
-        ratios.append(area / s**2)
+        with np.errstate(over="ignore"):  # s**2 = inf past 1e154 makes the ratio 0
+            ratios.append(area / s**2)
         counts.append(_component_count(imm, gf.r, s))
         kept.append(float(s))
     return DensityCurve(

@@ -87,6 +87,15 @@ def _lsq_weights(delta):
     return q
 
 
+def seam_differences(positions, edges, phi):
+    """Differences head - tail of ``positions`` along ``edges`` (tail, head),
+    with the Reeb-row offsets ``phi`` added to coordinate 0 (None: none)."""
+    delta = positions[edges[:, 1]] - positions[edges[:, 0]]
+    if phi is not None:
+        delta[:, 0] += phi
+    return delta
+
+
 class SurfaceMesh:
     """Oriented manifold triangle mesh with optional parameter coordinates."""
 
@@ -426,12 +435,8 @@ class DiscreteImmersion:
     def edge_vectors(self):
         """Seam-corrected coordinate differences along canonical edges (tail -> head),
         the Reeb-row offsets from the mesh's cached :attr:`SurfaceMesh.edge_wraps`."""
-        tails, heads = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
-        delta = self.positions[heads] - self.positions[tails]
-        phi = self.phi_offsets(self.mesh.edge_wraps)
-        if phi is not None:
-            delta[:, 0] += phi
-        return delta
+        return seam_differences(self.positions, self.mesh.edges,
+                                self.phi_offsets(self.mesh.edge_wraps))
 
     # -- serialization --------------------------------------------------------
 

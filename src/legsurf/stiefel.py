@@ -8,11 +8,14 @@ Grassmannian of oriented 2-planes (a product of two round spheres of self-dual
 and anti-self-dual 2-vectors), and the Folland-Koranyi gauge measuring the
 anisotropic distance between two frames.
 
-Every function is a batched kernel on stacked coordinate arrays: a frame is
-the pair of (..., 4) arrays (a, b), a tangent vector the pair (V, W), and
-all functions broadcast over leading axes, so stacked inputs of shape
-``(n, 4)`` evaluate n points at once.  Horizontality and tangency of the
-inputs are the caller's to ensure (``tangency_defect`` measures them).
+Every function is a batched kernel on stacked coordinate arrays that
+broadcasts over leading axes.  The pointwise API of the manifold is
+:class:`legsurf.fields.FrameTarget`, on stacked (..., 8) points and vectors;
+its methods wrap the row kernels below.  The Hopf maps, ``d_alpha_pairs``,
+``tangency_defect`` and ``gauge_scalars`` take the (..., 4) halves: a frame
+is the pair (a, b), a tangent vector the pair (V, W).  Horizontality and
+tangency of the inputs are the caller's to ensure (``tangency_defect``
+measures them).
 
 The kernels the descent runs (the polar factorisation and retraction, the
 tangent and horizontal projections and alpha) work on *component rows*:
@@ -21,11 +24,10 @@ array, a view when they already are the transposed view of one, and the
 ``*_rows`` kernels take the (4, ...) row blocks of a, b, V and W, so every
 NumPy inner loop runs over the points, not over 4 components.  The polar
 factorisation and the projections each write one preallocated (8, ...)
-output, a's or V's rows first; ``stacked`` is its (..., 8) view.  Row sums add the components in sequence, the order of
-``np.sum`` over fewer than eight terms, so the polar factors, the tangent
-projection and alpha equal the row-major ones bit for bit (signed zeros
-aside).  ``alpha_raw``, ``horizontal_raw``, ``polar_raw`` and
-``retract_raw`` are the same kernels on (..., 4) pairs.
+output, a's or V's rows first; ``stacked`` is its (..., 8) view.  Row sums
+add the components in sequence, the order of ``np.sum`` over fewer than
+eight terms, so the polar factors, the tangent projection and alpha equal
+the row-major ones bit for bit (signed zeros aside).
 
 At an orthonormal frame the horizontal space is {(V, W): V and W both
 orthogonal to a and b}: tangency gives V.a = W.b = 0 and V.b = -W.a, and
@@ -115,16 +117,7 @@ def alpha_rows(a, b, v, w):
     return dot_rows(a, w) - dot_rows(b, v)
 
 
-def alpha_raw(a, b, v, w):
-    """alpha(X) = a.W - b.V for a tangent pair X = (V, W) at (a, b)."""
-    return alpha_rows(rows(a), rows(b), rows(v), rows(w))
-
-
-def reeb_raw(a, b):
-    return np.asarray(b, float).copy(), -np.asarray(a, float)
-
-
-def d_alpha_raw(vx, wx, vy, wy):
+def d_alpha_pairs(vx, wx, vy, wy):
     """d alpha(X, Y) = 2 (V_X.W_Y - V_Y.W_X) for tangent pairs."""
     return 2.0 * (np.sum(vx * wy, axis=-1) - np.sum(vy * wx, axis=-1))
 
@@ -162,21 +155,6 @@ def horizontal_rows(a, b, v, w):
         o += xb * b
         np.subtract(x, o, out=o)
     return out
-
-
-def horizontal_raw(a, b, v, w):
-    """Orthogonal projection of an ambient R^8 pair onto the horizontal space."""
-    h = horizontal_rows(rows(a), rows(b), rows(v), rows(w))
-    return stacked(h[:4]), stacked(h[4:])
-
-
-def jh_raw(v, w):
-    return -np.asarray(w, float), np.asarray(v, float).copy()
-
-
-def covariant_reeb_raw(v, w):
-    """Covariant derivative of the Reeb field along a horizontal Z = (V, W): (W, -V)."""
-    return np.asarray(w, float).copy(), -np.asarray(v, float)
 
 
 def hopf_project_raw(a, b):
@@ -238,69 +216,9 @@ def polar_rows(a, b):
     return q, (p11, p12, p22), t
 
 
-def polar_raw(a_raw, b_raw):
-    """:func:`polar_rows` on (..., 4) columns: returns (qa, qb), each
-    (..., 4), then the entries (p11, p12, p22) of S^-1 and tr S."""
-    q, s_inv, t = polar_rows(rows(a_raw), rows(b_raw))
-    return stacked(q[:4]), stacked(q[4:]), s_inv, t
-
-
-def retract_raw(a_raw, b_raw):
-    """Polar retraction of a raw 4x2 frame onto orthonormal pairs."""
-    qa, qb, _, _ = polar_raw(a_raw, b_raw)
-    return qa, qb
-
-
 def gauge_scalars(a0, b0, a, b):
     """Return (rho, phi, r_gauge) of the frame (a, b) relative to (a0, b0)."""
     rho2 = np.sum((a - a0) ** 2, axis=-1) + np.sum((b - b0) ** 2, axis=-1)
     phi = np.sum(a * b0, axis=-1) - np.sum(a0 * b, axis=-1)
     r4 = rho2**2 + 4.0 * phi**2
     return np.sqrt(rho2), phi, r4**0.25
-
-
-# ---------------------------------------------------------------------------
-# derived checks used by the identity suite
-
-
-def d_alpha_fd_batch(a, b, xv, xw, yv, yw, step=1e-4):
-    """Finite-difference exterior derivative d alpha(X, Y) over stacked inputs.
-
-    Extends X, Y as constant pairs, probes along retracted paths with central
-    differences, and evaluates alpha by its bilinear formula at the probes.
-    """
-
-    def probe(dv, dw, ov, ow):
-        ap, bp = retract_raw(a + step * dv, b + step * dw)
-        am, bm = retract_raw(a - step * dv, b - step * dw)
-        return (alpha_raw(ap, bp, ov, ow) - alpha_raw(am, bm, ov, ow)) / (2.0 * step)
-
-    return probe(xv, xw, yv, yw) - probe(yv, yw, xv, xw)
-
-
-def volume_sign_fast(a, b, e1v, e1w, e2v, e2w):
-    """Collapsed alpha ^ dalpha ^ dalpha on (R, e1, J e1, e2, J e2), batched.
-
-    Uses alpha(e_i) = 0 and dalpha(R, .) = 0 so only the Reeb slot carries
-    alpha, leaving alpha(R) * (dalpha ^ dalpha) on the horizontal 4-tuple.
-    """
-    j1v, j1w = jh_raw(e1v, e1w)
-    j2v, j2w = jh_raw(e2v, e2w)
-    al_r = alpha_raw(a, b, *reeb_raw(a, b))
-    quad = 2.0 * (
-        d_alpha_raw(e1v, e1w, j1v, j1w) * d_alpha_raw(e2v, e2w, j2v, j2w)
-        - d_alpha_raw(e1v, e1w, e2v, e2w) * d_alpha_raw(j1v, j1w, j2v, j2w)
-        + d_alpha_raw(e1v, e1w, j2v, j2w) * d_alpha_raw(j1v, j1w, e2v, e2w)
-    )
-    return al_r * quad
-
-
-def random_points_raw(rng, n):
-    return retract_raw(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
-
-
-def random_horizontal_raw(rng, a, b):
-    """Random horizontal pairs over stacked frames (a, b)."""
-    v = rng.standard_normal(a.shape)
-    w = rng.standard_normal(b.shape)
-    return horizontal_raw(a, b, v, w)

@@ -344,8 +344,8 @@ def retract_svd(a_raw, b_raw):
 
 
 def frame_polar(a_raw, b_raw):
-    """stiefel.polar_raw with every Gram entry and minor sum an ``np.sum``
-    over the last axis of (..., 4) arrays."""
+    """stiefel.polar_rows on (..., 4) columns, with every Gram entry and
+    minor sum an ``np.sum`` over the last axis."""
     a = np.asarray(a_raw, float)
     b = np.asarray(b_raw, float)
     g11 = np.sum(a * a, axis=-1)
@@ -590,6 +590,11 @@ def cotangent_weights(imm, fd):
     return w, areas
 
 
+def frame_alpha(a, b, v, w):
+    """alpha = a.W - b.V on (..., 4) arrays, one ``np.sum`` per dot product."""
+    return np.sum(a * w, axis=-1) - np.sum(b * v, axis=-1)
+
+
 def frame_reeb_slope(p_tail, delta):
     """FrameTarget.reeb_slope with S = Q^T M from an einsum and S^-1 from np.linalg.inv."""
     reeb = np.concatenate([p_tail[:, 4:], -p_tail[:, :4]], axis=1)
@@ -605,8 +610,8 @@ def frame_reeb_slope(p_tail, delta):
     )
     da = normal[..., 0] - w[:, None] * qb
     db = normal[..., 1] + w[:, None] * qa
-    return (st.alpha_raw(da, db, delta[:, :4], delta[:, 4:])
-            - st.alpha_raw(qa, qb, reeb[:, :4], reeb[:, 4:]))
+    return (frame_alpha(da, db, delta[:, :4], delta[:, 4:])
+            - frame_alpha(qa, qb, reeb[:, :4], reeb[:, 4:]))
 
 
 def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):

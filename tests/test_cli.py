@@ -282,6 +282,20 @@ class TestDensityCommand:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "density.csv").exists()
 
+    @pytest.mark.parametrize("radius,ratio", [(1e10, "1e-20"), (1e300, "0.0")])
+    def test_radius_far_beyond_the_mesh_warns_nothing(self, tmp_path, radius, ratio):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"family": "flat_patch", "resolution": 16, "radii": [radius]}))
+        # -W error turns any RuntimeWarning (overflow in the clipping or the ratio) into an exit 1.
+        r = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "legsurf.cli", "density", "--config", str(config),
+             "--out", str(tmp_path)], capture_output=True, text=True,
+        )
+        assert r.returncode == 0 and r.stderr == ""
+        rows = [l.split(",") for l in (tmp_path / "density.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [(float(s), ratio_text) for s, ratio_text, _ in rows] == [(radius, ratio)]
+
     def test_density_determinism(self, tmp_path):
         blobs = []
         for name in ("a", "b"):

@@ -118,10 +118,7 @@ class TestFirstVariation:
 
     def test_reeb_rotation_invariance_on_stiefel_torus(self):
         stt = corpus.clifford_lift(16, target="stiefel")
-        from legsurf import stiefel as st
-
-        rv, rw = st.reeb_raw(stt.positions[:, :4], stt.positions[:, 4:])
-        w = np.concatenate([rv, rw], axis=-1)
+        w = stt.geometry.reeb(stt.positions)
         val = energy.first_variation(stt, 0.2, w)
         assert abs(val) < 1e-8
         # the rotation is an exact isometry of the discrete energy
@@ -154,10 +151,7 @@ class TestHamiltonianDeformation:
             h=lambda p: np.ones(len(p)), grad=lambda p: np.zeros_like(p)
         )
         w = energy.hamiltonian_deformation(stt, spec)
-        from legsurf import stiefel as st
-
-        rv, rw = st.reeb_raw(stt.positions[:, :4], stt.positions[:, 4:])
-        assert np.allclose(w, -2.0 * np.concatenate([rv, rw], axis=-1), atol=1e-12)
+        assert np.allclose(w, -2.0 * stt.geometry.reeb(stt.positions), atol=1e-12)
 
     def test_dilation_generator_on_model(self):
         cl = corpus.clifford_lift(8)

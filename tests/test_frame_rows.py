@@ -51,9 +51,10 @@ def _rel_err(got, want):
 @settings(max_examples=100, deadline=None)
 @given(raw_frames())
 def test_polar_matches_row_major_oracle(frame):
-    qa, qb, s_inv, t = st.polar_raw(*frame)
+    q, s_inv, t = st.polar_rows(*map(st.rows, frame))
     ra, rb, r_inv, rt = ref.frame_polar(*frame)
-    for got, want in [(qa, ra), (qb, rb), (t, rt), *zip(s_inv, r_inv)]:
+    for got, want in [(st.stacked(q[:4]), ra), (st.stacked(q[4:]), rb), (t, rt),
+                      *zip(s_inv, r_inv)]:
         assert _rel_err(got, want) <= 1e-14
 
 

@@ -15,6 +15,7 @@ import reference_loops as ref
 from legsurf import cli, corpus, energy, immersion
 from legsurf import stiefel as st
 from legsurf.errors import DegenerateFrameError
+from legsurf.fields import STIEFEL
 from legsurf.immersion import FaceData
 
 CASES = [
@@ -35,6 +36,11 @@ def _generate(family, n, target):
     geo = imm.geometry
     noise = np.random.default_rng(n).standard_normal(imm.positions.shape)
     return imm.with_positions(geo.move(imm.positions, 1e-2 * geo.tangent(imm.positions, noise)))
+
+
+def retract(a, b):
+    """The frame target's retraction of raw frames (a, b), stacked (..., 8)."""
+    return STIEFEL.move(np.concatenate([a, b], axis=-1), 0.0)
 
 
 def _rel_err(a, b):
@@ -79,9 +85,9 @@ def test_retraction_matches_svd():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, 2000, 4))
     for scale in (1.0, 1e-3):  # random frames, then near-orthonormal ones
-        qa, qb = st.retract_raw(a, b)
+        q = retract(a, b)
         ra, rb = ref.retract_svd(a, b)
-        assert max(np.max(np.abs(qa - ra)), np.max(np.abs(qb - rb))) <= 1e-12
+        assert max(np.max(np.abs(q[:, :4] - ra)), np.max(np.abs(q[:, 4:] - rb))) <= 1e-12
         a, b = ra + scale * rng.standard_normal(ra.shape), rb + scale * rng.standard_normal(rb.shape)
 
 
@@ -89,9 +95,8 @@ def test_edge_midpoint_retraction_matches_svd():
     imm = corpus.perturbed_clifford(24, amplitude=5e-2, seed=4, target="stiefel")
     tails, heads = imm.mesh.edges[:, 0], imm.mesh.edges[:, 1]
     mid = 0.5 * (imm.positions[tails] + imm.positions[heads])
-    qa, qb = st.retract_raw(mid[:, :4], mid[:, 4:])
     ra, rb = ref.retract_svd(mid[:, :4], mid[:, 4:])
-    assert _rel_err(np.concatenate([qa, qb], axis=1), np.concatenate([ra, rb], axis=1)) <= 1e-12
+    assert _rel_err(STIEFEL.move(mid, 0.0), np.concatenate([ra, rb], axis=1)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 24])
@@ -119,8 +124,8 @@ def _frames(singular_values, seed):
 def test_polar_factor_properties(m):
     s = np.linalg.svd(m, compute_uv=False)
     assume(s[0] > 1e-3 and s[1] >= 1e-2 * s[0])
-    qa, qb, (p11, p12, p22), tr_s = st.polar_raw(m[:, 0], m[:, 1])
-    q = np.stack([qa, qb], axis=-1)
+    q, (p11, p12, p22), tr_s = st.polar_rows(m[:, 0], m[:, 1])
+    q = np.stack([q[:4], q[4:]], axis=-1)
     assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-13
     s_mat = q.T @ m
     assert abs(s_mat[0, 1] - s_mat[1, 0]) <= 1e-13 * s[0]
@@ -133,11 +138,11 @@ def test_polar_factor_properties(m):
 def test_rank_deficient_frames_raise():
     a = np.array([1.0, 2.0, 0.0, -1.0])
     with pytest.raises(DegenerateFrameError):
-        st.retract_raw(a, -3.0 * a)
+        retract(a, -3.0 * a)
     with pytest.raises(DegenerateFrameError):
-        st.retract_raw(a, np.zeros(4))
+        retract(a, np.zeros(4))
     with pytest.raises(DegenerateFrameError):
-        st.retract_raw(np.zeros(4), np.zeros(4))
+        retract(np.zeros(4), np.zeros(4))
 
 
 def test_degeneracy_threshold_kept():
@@ -148,9 +153,9 @@ def test_degeneracy_threshold_kept():
             a, b = _frames([[s_max, s_min]], seed=3)
             if raises:
                 with pytest.raises(DegenerateFrameError):
-                    st.retract_raw(a, b)
+                    retract(a, b)
             else:
-                st.retract_raw(a, b)
+                retract(a, b)
 
 
 def test_descent_halves_step_on_degenerate_frame(monkeypatch):
