@@ -12,7 +12,7 @@ import numpy as np
 
 from . import heisenberg as hs
 from .errors import GeometryDomainError
-from .mesh import DiscreteImmersion, SurfaceMesh
+from .mesh import DiscreteImmersion, SurfaceMesh, row_sum
 from .polynomials import Polynomial, random_polynomial
 
 FAMILIES = (
@@ -67,9 +67,9 @@ def flat_patch(n=16, extent=1.0, center=False):
         lin = lin - extent / 2.0
     x1, x2 = np.meshgrid(lin, lin, indexing="ij")
     uv = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    pos = np.zeros((uv.shape[0], 5))
-    pos[:, 1] = uv[:, 0]
-    pos[:, 3] = uv[:, 1]
+    pos = np.zeros((5, uv.shape[0]))  # component rows
+    pos[1] = uv[:, 0]
+    pos[3] = uv[:, 1]
     mesh = SurfaceMesh(
         triangles=_grid_triangles(n + 1, n + 1),
         n_vertices=(n + 1) ** 2,
@@ -78,7 +78,7 @@ def flat_patch(n=16, extent=1.0, center=False):
         boundary_loops=[_square_boundary_loop(n + 1, n + 1)],
     )
     return DiscreteImmersion(
-        mesh=mesh, target="heisenberg", positions=pos,
+        mesh=mesh, target="heisenberg", positions=pos.T,
         legendrian_tol=consistency_tol(extent / n),
     )
 
@@ -110,19 +110,11 @@ def clifford_lift(n=32, target="heisenberg", warp=0.0):
         # edge increments depend only on endpoint samples, so the lift is
         # valid for the warped spacing as well
         lift = hs.legendrian_lift(grid)
-        pos = np.zeros((n * n, 5))
-        pos[:, 0] = lift.phi.ravel()
-        pos[:, 1] = np.cos(ss).ravel()
-        pos[:, 2] = np.sin(ss).ravel()
-        pos[:, 3] = np.cos(tt).ravel()
-        pos[:, 4] = np.sin(tt).ravel()
+        pos = np.stack([lift.phi, np.cos(ss), np.sin(ss), np.cos(tt), np.sin(tt)])
         monodromy = lift.periods
     else:
-        pos = np.zeros((n * n, 8))
-        pos[:, 0] = np.cos(ss).ravel()
-        pos[:, 1] = np.sin(ss).ravel()
-        pos[:, 6] = np.cos(tt).ravel()
-        pos[:, 7] = np.sin(tt).ravel()
+        pos = np.zeros((8, n, n))  # component rows
+        pos[0], pos[1], pos[6], pos[7] = np.cos(ss), np.sin(ss), np.cos(tt), np.sin(tt)
         monodromy = (0.0, 0.0)
     mesh = SurfaceMesh(
         triangles=tris,
@@ -135,7 +127,7 @@ def clifford_lift(n=32, target="heisenberg", warp=0.0):
     imm = DiscreteImmersion(
         mesh=mesh,
         target=target,
-        positions=pos,
+        positions=pos.reshape(len(pos), -1).T,
         legendrian_tol=consistency_tol(h),
         phi_monodromy=monodromy,
     )
@@ -152,11 +144,9 @@ def double_sheet(n=16, extent=1.0):
     x1, x2 = np.meshgrid(lin, lin, indexing="ij")
     uv_one = np.stack([x1.ravel(), x2.ravel()], axis=-1)
     n_v = uv_one.shape[0]
-    pos = np.zeros((2 * n_v, 5))
-    pos[:n_v, 1] = uv_one[:, 0]
-    pos[:n_v, 3] = uv_one[:, 1]
-    pos[n_v:, 2] = uv_one[:, 0]
-    pos[n_v:, 4] = uv_one[:, 1]
+    pos = np.zeros((5, 2 * n_v))  # component rows
+    pos[1, :n_v] = pos[2, n_v:] = uv_one[:, 0]
+    pos[3, :n_v] = pos[4, n_v:] = uv_one[:, 1]
     tris = np.concatenate(
         [_grid_triangles(n + 1, n + 1), _grid_triangles(n + 1, n + 1, offset=n_v)]
     )
@@ -171,7 +161,7 @@ def double_sheet(n=16, extent=1.0):
         genus=0,
         boundary_loops=loops,
     )
-    return DiscreteImmersion(mesh=mesh, target="heisenberg", positions=pos, legendrian_tol=1e-10)
+    return DiscreteImmersion(mesh=mesh, target="heisenberg", positions=pos.T, legendrian_tol=1e-10)
 
 
 def cone_fixture():
@@ -214,9 +204,10 @@ def flow_exact_hamiltonian(imm: DiscreteImmersion, poly, time, nsteps=64):
 
     The continuum flow preserves the Legendrian constraint exactly, so the
     image mesh samples an exact Legendrian surface; its discrete residual is
-    pure discretisation error.
+    pure discretisation error.  The state starts at the immersion's read-only
+    positions and, like them, is the stacked view of component rows.
     """
-    pos = imm.positions.copy()
+    pos = imm.positions
     dt = time / nsteps
     geo = imm.geometry
 
@@ -241,7 +232,7 @@ def perturbed_clifford(n=32, amplitude=1e-2, seed=0, target="heisenberg"):
     )
     p = imm.positions
     speed = imm.geometry.hamiltonian_field(*poly.value_and_grad(p), p)
-    vmax = float(np.max(np.linalg.norm(speed, axis=-1)))
+    vmax = float(np.max(np.sqrt(row_sum(speed.T**2))))
     out = flow_exact_hamiltonian(imm, poly, amplitude / max(vmax, 1e-9), nsteps=16)
     from .immersion import legendrian_residual
 

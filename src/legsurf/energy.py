@@ -26,7 +26,7 @@ from .errors import (
     StepRejectedError,
 )
 from .immersion import cotangent_weights, legendrian_residual, wedge_rows_adjoint
-from .mesh import DiscreteImmersion, seam_differences
+from .mesh import DiscreteImmersion, gather, seam_differences
 
 
 @dataclass
@@ -43,12 +43,15 @@ class EnergyBreakdown:
 
 @dataclass
 class FirstVariation:
-    """Per-vertex covector, already tangent, so pairing projects the field to tangents."""
+    """Per-vertex covector, already tangent, so pairing projects the field to tangents.
+
+    The pairing adds its V k products in vertex-major order, however the
+    covector and the field are stored."""
 
     covector: np.ndarray
 
     def pair(self, w):
-        return float(np.sum(self.covector * w))
+        return float(np.sum(np.ascontiguousarray(self.covector * w)))
 
 
 @dataclass
@@ -134,7 +137,8 @@ class EnergyAssembler:
         e1_bar, e2_bar = np.einsum("abf,aif->bif", fd.minv.T, p_bar)
 
         # Through the frame map of each edge onto its two end corners, then
-        # onto the vertices one component at a time.
+        # onto the vertices one component at a time: the covector is the
+        # stacked view of those rows, laid out like the positions.
         base = fd.base_pos
         b1_bar, d1_bar = self.geometry.frame_adjoint(base, fd.d1, e1_bar.T)
         b2_bar, d2_bar = self.geometry.frame_adjoint(base, fd.d2, e2_bar.T)
@@ -145,8 +149,7 @@ class EnergyAssembler:
         corners = self.tri.T.ravel()
         grad = np.stack([np.bincount(corners, weights=rows.reshape(-1), minlength=len(positions))
                          for rows in corner_bar])
-        grad = np.ascontiguousarray(grad.T)
-        return FirstVariation(covector=self.geometry.tangent(positions, grad))
+        return FirstVariation(covector=self.geometry.tangent(positions, grad.T))
 
 
 def _matmul2(x, y):
@@ -218,11 +221,12 @@ def restore_constraint(imm: DiscreteImmersion):
 
     def residual(positions):
         delta = seam_differences(positions, m.edges, phi)
-        r = geo.edge_residual(positions[tails], delta)
-        return r, delta, float(np.max(np.abs(r))) if len(r) else 0.0
+        p_tail = gather(positions, tails)
+        r = geo.edge_residual(p_tail, delta)
+        return r, p_tail, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 
     positions = imm.positions
-    r, delta, res_max = residual(positions)
+    r, p_tail, delta, res_max = residual(positions)
     before = res_max
     last_norm = np.inf
     passes = 0
@@ -231,10 +235,10 @@ def restore_constraint(imm: DiscreteImmersion):
         if res_max <= tol or r_norm > 0.999 * last_norm:
             break  # done, or at the least-squares floor of vertical corrections
         last_norm = r_norm
-        slopes = geo.reeb_slope(positions[tails], delta)
+        slopes = geo.reeb_slope(p_tail, delta)
         sol = m.restoration_factor(slopes).solve(-(m.edge_incidence.T @ (slopes * r)))
         positions = geo.move(positions, sol[:, None] * geo.reeb(positions))
-        r, delta, res_max = residual(positions)
+        r, p_tail, delta, res_max = residual(positions)
         passes += 1
     if res_max > tol:
         raise StepRejectedError(

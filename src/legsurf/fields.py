@@ -207,8 +207,8 @@ class FlatTarget(Target):
     def invariant_defect(self, positions):
         return 0.0
 
-    # The frame map and its adjoints fill an output shaped and laid out like
-    # their last operand, one component at a time.
+    # The frame map, its adjoints, j and reeb fill an output shaped and laid
+    # out like their last operand, one component at a time.
     def frame(self, base, delta):
         """Frame components of ambient vectors delta based at base."""
         out = np.empty_like(delta, dtype=float)
@@ -258,7 +258,7 @@ class FlatTarget(Target):
         return out
 
     def reeb(self, q):
-        out = np.zeros(np.shape(q))
+        out = np.zeros_like(q, dtype=float)
         out[..., 0] = 1.0
         return out
 

@@ -18,8 +18,8 @@ from scipy.sparse.csgraph import connected_components
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
-from .immersion import mean_curvature_edges
-from .mesh import DiscreteImmersion
+from .immersion import edge_chords, mean_curvature_edges
+from .mesh import DiscreteImmersion, row_sum
 
 # ---------------------------------------------------------------------------
 # cut-off bump: quintic smoothstep, C^2, chi' <= 0, -chi' > 1/2 on [5/4, 7/4]
@@ -452,27 +452,12 @@ def tri_sublevel_fraction(r_vals, s):
 def resolvable_radius(imm: DiscreteImmersion):
     """Three median frame edge lengths: the smallest radius worth measuring.
 
-    The chords (:func:`~legsurf.immersion.edge_chords`) are framed on
-    component rows, and their k = 5 or 8 squares are added in the order
-    ``np.linalg.norm`` adds a contiguous row (NumPy's pairwise sum: in
-    sequence below 8 entries, pairwise from 8), so the lengths are bitwise
-    ``norm(edge_chords(imm), axis=-1)``.
+    The squares of the chords (:func:`~legsurf.immersion.edge_chords`) are
+    added over their component rows in the order ``np.linalg.norm`` adds a
+    contiguous row (:func:`~legsurf.mesh.row_sum`), so the lengths are
+    bitwise ``norm(edge_chords(imm), axis=-1)`` of vertex-major chords.
     """
-    m = imm.mesh
-    rows = np.ascontiguousarray(imm.positions.T)
-    tails = np.take(rows, m.edges[:, 0], axis=1)
-    delta = np.take(rows, m.edges[:, 1], axis=1)
-    delta -= tails
-    phi = imm.phi_offsets(m.edge_wraps)
-    if phi is not None:
-        delta[0] += phi
-    sq = imm.geometry.frame(tails.T, delta.T).T  # (k, E) rows of the chords, then squares
-    sq *= sq
-    if len(sq) == 8:
-        total = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))
-    else:
-        total = np.add.reduce(sq, axis=0)
-    return 3.0 * float(np.median(np.sqrt(total)))
+    return 3.0 * float(np.median(np.sqrt(row_sum(edge_chords(imm).T ** 2))))
 
 
 def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:

@@ -34,8 +34,12 @@ JC2_COLUMNS = ((1, -1.0), (0, 1.0), (3, -1.0), (2, 1.0))
 
 
 def jc2(v):
-    """Multiplication by i on R^4 = C^2: (v1, v2, v3, v4) -> (-v2, v1, -v4, v3)."""
-    return np.stack([sign * v[..., src] for src, sign in JC2_COLUMNS], axis=-1)
+    """Multiplication by i on R^4 = C^2: (v1, v2, v3, v4) -> (-v2, v1, -v4, v3),
+    in an output laid out like ``v``."""
+    out = np.empty_like(v, dtype=float)
+    for i, (src, sign) in enumerate(JC2_COLUMNS):
+        np.multiply(v[..., src], sign, out=out[..., i])
+    return out
 
 
 def contact_form_h(q, x):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateFaceError, GeometryDomainError
-from .mesh import DiscreteImmersion, parameter_inverse
+from .mesh import DiscreteImmersion, gather, parameter_inverse, row_sum
 
 
 def wedge_rows(x, y):
@@ -57,18 +57,18 @@ def wedge_rows_adjoint(w_bar, x, y):
 
 def _intrinsic_uv(imm: DiscreteImmersion):
     """(F, 3, 2) intrinsic per-face corner parameters from the current frame
-    edge lengths: corner 0 at the origin, corner 1 on the first axis."""
-    geo = imm.geometry
-    corners = imm.positions[imm.mesh.triangles]
-    base = corners[:, 0]
-    e1 = geo.frame(base, corners[:, 1] - base)
-    e2 = geo.frame(base, corners[:, 2] - base)
-    l1 = np.linalg.norm(e1, axis=-1)
-    x2 = np.where(l1 > 0, np.sum(e1 * e2, axis=-1) / np.maximum(l1, 1e-300), 0.0)
-    uv = np.zeros((len(corners), 3, 2))
+    edge lengths: corner 0 at the origin, corner 1 on the first axis.  The
+    corners are row gathers and the chords' lengths and product are
+    :func:`~legsurf.mesh.row_sum` sums over their rows."""
+    tri = imm.mesh.triangles
+    base = gather(imm.positions, tri[:, 0])
+    e1, e2 = (imm.geometry.frame(base, gather(imm.positions, tri[:, c]) - base).T for c in (1, 2))
+    l1 = np.sqrt(row_sum(e1 * e1))
+    x2 = np.where(l1 > 0, row_sum(e1 * e2) / np.maximum(l1, 1e-300), 0.0)
+    uv = np.zeros((len(tri), 3, 2))
     uv[:, 1, 0] = l1
     uv[:, 2, 0] = x2
-    uv[:, 2, 1] = np.sqrt(np.maximum(np.sum(e2 * e2, axis=-1) - x2**2, 0.0))
+    uv[:, 2, 1] = np.sqrt(np.maximum(row_sum(e2 * e2) - x2**2, 0.0))
     return uv
 
 
@@ -101,7 +101,9 @@ class FaceData:
     Storage is component-major.  Each (F, ...) attribute is the transposed
     view of one C-contiguous buffer: (k, F) for base_pos, d1, d2, e1, e2, du
     and dv, (K2, F) for the Gauss vector and (2, 2, F) for g, ginv and minv,
-    so ``fd.du.T[i]`` is component i of every face in one contiguous row.
+    so ``fd.du.T[i]`` is component i of every face in one contiguous row;
+    the corners are gathered row by row from the immersion's positions,
+    stored the same way (:attr:`DiscreteImmersion.positions`).
     The face kernels (this build, :attr:`gauss_gradients`, the energy
     gradient and the Hamiltonian map) work on these rows, so NumPy's inner
     loop runs over the faces; on row-major (F, k) arrays it would run over
@@ -121,7 +123,7 @@ class FaceData:
         else:
             wraps, self.minv, self.uv_area = m.face_uv
             phi = imm.phi_offsets(wraps)
-        rows = np.ascontiguousarray(imm.positions.T)
+        rows = imm.positions.T
         tri = m.triangles
         base = np.take(rows, tri[:, 0], axis=1)
         chords = np.empty((2,) + base.shape)  # d1 and d2, one (2, k, F) buffer
@@ -236,7 +238,8 @@ class EdgeResiduals:
 
 def legendrian_residual(imm: DiscreteImmersion) -> EdgeResiduals:
     """Contact-form residual of every edge, evaluated at the midpoint retraction."""
-    vals = imm.geometry.edge_residual(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
+    vals = imm.geometry.edge_residual(gather(imm.positions, imm.mesh.edges[:, 0]),
+                                      imm.edge_vectors())
     return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0)
 
 
@@ -285,7 +288,7 @@ def edge_chords(imm: DiscreteImmersion):
     manifold the frame map is the identity, and in the flat model
     omega0(d, d) = 0.
     """
-    return imm.geometry.frame(imm.positions[imm.mesh.edges[:, 0]], imm.edge_vectors())
+    return imm.geometry.frame(gather(imm.positions, imm.mesh.edges[:, 0]), imm.edge_vectors())
 
 
 @dataclass

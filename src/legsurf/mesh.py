@@ -87,10 +87,30 @@ def _lsq_weights(delta):
     return q
 
 
+def gather(positions, index):
+    """``positions[index]`` of stacked (V, k) vertex values at a 1-D ``index``,
+    gathered row by row from ``positions.T``: the stacked view of one
+    C-contiguous (k, len(index)) buffer, like :attr:`DiscreteImmersion.positions`."""
+    return np.take(positions.T, index, axis=1).T
+
+
+def row_sum(x):
+    """The sum over the leading axis of k <= 8 component rows x (k, ...), in
+    the order ``np.sum`` adds a contiguous row of k: in sequence below 8
+    terms, pairwise at 8.  So a sum over rows keeps the bits of the same sum
+    over the last axis of vertex-major (..., k) data."""
+    if len(x) == 8:
+        return ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+    return np.add.reduce(x, axis=0)
+
+
 def seam_differences(positions, edges, phi):
     """Differences head - tail of ``positions`` along ``edges`` (tail, head),
-    with the Reeb-row offsets ``phi`` added to coordinate 0 (None: none)."""
-    delta = positions[edges[:, 1]] - positions[edges[:, 0]]
+    with the Reeb-row offsets ``phi`` added to coordinate 0 (None: none).
+    Both ends are :func:`gather` row gathers, so the differences are the
+    stacked (E, k) view of one C-contiguous (k, E) buffer."""
+    delta = gather(positions, edges[:, 1])
+    delta -= gather(positions, edges[:, 0])
     if phi is not None:
         delta[:, 0] += phi
     return delta
@@ -339,8 +359,12 @@ class DiscreteImmersion:
     """A mesh with vertex images in one of the two targets.
 
     ``target`` is the target's name; ``geometry`` is its :class:`fields.Target`.
-    ``positions`` is read-only (a writable array passed in is copied), so the
-    face state derived from it, :attr:`face_data`, is built once and kept.
+    ``positions`` is stored like :class:`~legsurf.immersion.FaceData`'s
+    arrays: the read-only (V, k) transposed view of one C-contiguous (k, V)
+    buffer, so ``positions.T[i]`` is coordinate i of every vertex in one
+    contiguous row.  A writable array passed in is copied into that layout
+    (never aliased, nor frozen); a read-only one already in it is kept.  So
+    the face state derived from it, :attr:`face_data`, is built once and kept.
     ``legendrian_tol``, the restoration's residual bound, must be finite and
     positive.
     """
@@ -356,9 +380,10 @@ class DiscreteImmersion:
         positions = _float_array(
             self.positions, (self.mesh.n_vertices, self.geometry.dim), "positions"
         )
-        if positions.flags.writeable:  # never alias, nor freeze, the caller's array
-            positions = positions.copy()
-            positions.flags.writeable = False
+        if positions.flags.writeable or not positions.T.flags.c_contiguous:
+            rows = np.array(positions.T, order="C")
+            rows.flags.writeable = False
+            positions = rows.T
         self.positions = positions
         self.phi_monodromy = (float(self.phi_monodromy[0]), float(self.phi_monodromy[1]))
         if any(self.phi_monodromy) and not self.geometry.carries_monodromy:
@@ -417,9 +442,9 @@ class DiscreteImmersion:
         )
         ids = np.arange(len(m.triangles))[faces]
         mesh.parent_faces = ids if m.parent_faces is None else m.parent_faces[ids]
-        positions = self.positions[verts]
-        positions.flags.writeable = False  # a fresh gather: no copy needed
-        return replace(self, mesh=mesh, positions=positions)
+        rows = np.take(self.positions.T, verts, axis=1)
+        rows.flags.writeable = False  # a fresh gather: no copy needed
+        return replace(self, mesh=mesh, positions=rows.T)
 
     # -- seam-corrected differences ------------------------------------------
 
