@@ -1,13 +1,16 @@
-"""Component-major face storage and the face kernels built on it.
+"""Component-major face and vertex storage and the face kernels built on it.
 
 Every (F, ...) array of a FaceData, its Gauss gradients and the mesh's
-inverse parameter matrices is the transposed view of one C-contiguous
-buffer, so a face kernel can loop over the few components with NumPy's
-inner loop over the faces.  These tests pin that layout, so that an edit
-cannot fall back to row-major storage unnoticed, and check the kernels
-against the row-major bodies kept in ``reference_loops`` to rounding: a
-component-major row sum may add its terms in another order.
+inverse parameter matrices, and every immersion's (V, k) positions, is the
+transposed view of one C-contiguous buffer, so a kernel can loop over the
+few components with NumPy's inner loop over the faces or vertices.  These
+tests pin that layout, so that an edit cannot fall back to row-major
+storage unnoticed, and check the kernels against the row-major bodies kept
+in ``reference_loops`` to rounding: a component-major row sum may add its
+terms in another order.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as hst
 import reference_loops as ref
 from legsurf import corpus, energy
 from legsurf.immersion import FaceData
+from legsurf.mesh import DiscreteImmersion
 
 MESHES = [
     ("clifford_lift", dict(n=8, target="heisenberg", warp=0.3)),
@@ -91,3 +95,86 @@ def test_face_kernels_match_row_major_bodies(target, n, warp, seed):
     y = rng.standard_normal(b_op.shape[0])
     assert _rel_err(b_op.matvec(u), b_ref.matvec(u)) <= 1e-12
     assert _rel_err(b_op.rmatvec(y), b_ref.rmatvec(y)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# vertex positions
+
+#: Each corpus family, on both targets where it takes one.
+FAMILIES = [
+    ("flat_patch", dict(n=4)),
+    ("double_sheet", dict(n=4)),
+    ("reeb_orbit_tube_excluded", dict()),
+    ("clifford_lift", dict(n=6)),
+    ("clifford_lift", dict(n=6, target="stiefel")),
+    ("perturbed_clifford", dict(n=6, seed=2)),
+    ("perturbed_clifford", dict(n=6, seed=2, target="stiefel")),
+]
+
+
+def assert_component_major(imm):
+    """positions is the read-only (V, k) view of one C-contiguous (k, V) buffer."""
+    p = imm.positions
+    assert p.shape == (imm.mesh.n_vertices, imm.geometry.dim)
+    assert not p.flags.writeable
+    assert p.T.flags.c_contiguous
+    with pytest.raises(ValueError):
+        p.T[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("family,kw", FAMILIES)
+def test_every_construction_stores_positions_component_major(family, kw):
+    imm = corpus.generate(family, **kw)
+    assert_component_major(imm)
+    loaded = DiscreteImmersion.from_json(json.loads(json.dumps(imm.to_json())))
+    assert_component_major(loaded)
+    assert np.array_equal(loaded.positions, imm.positions)
+    patch = imm.restrict(np.arange(len(imm.mesh.triangles)) % 2 == 0)
+    assert_component_major(patch)
+    assert np.array_equal(patch.positions, imm.positions[np.unique(imm.mesh.triangles[::2])])
+    # A read-only array already in the layout is kept, not copied.
+    same = imm.with_positions(imm.positions)
+    assert same.positions.base is imm.positions.base
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("writeable", [True, False])
+def test_with_positions_copies_into_the_layout(order, writeable):
+    imm = corpus.clifford_lift(6, target="stiefel")
+    caller = np.array(imm.positions, order=order)
+    caller.flags.writeable = writeable
+    out = imm.with_positions(caller)
+    assert_component_major(out)
+    assert np.array_equal(out.positions, caller)
+    assert caller.flags.writeable == writeable  # neither frozen nor thawed
+    if not writeable and order == "F":
+        assert out.positions is caller  # read-only and in the layout: kept
+        return
+    assert not np.shares_memory(out.positions, caller)
+    if writeable:
+        caller[0, 0] += 1.0
+        assert out.positions[0, 0] == imm.positions[0, 0]
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_flow_step_returns_component_major_positions(target):
+    imm = corpus.perturbed_clifford(8, seed=3, target=target)
+    _, w = energy.hamiltonian_project(imm, energy.gradient(imm, 0.2).covector)
+    restored, _, after, passes = energy.flow_step(imm, -w, 1e-2)
+    assert_component_major(restored)
+    assert after <= restored.legendrian_tol
+
+
+def _trajectory(imm):
+    """The descent's trajectory.jsonl bytes, as ``legsurf descend`` writes them."""
+    result = energy.descend(imm, [0.2], energy.DescentOptions(max_iters=3))
+    assert result.records
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.records).encode()
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_descent_from_vertex_major_copy_is_byte_identical(target):
+    imm = corpus.perturbed_clifford(8, seed=3, target=target)
+    vertex_major = imm.with_positions(np.ascontiguousarray(imm.positions))
+    assert_component_major(vertex_major)
+    assert _trajectory(vertex_major) == _trajectory(imm)

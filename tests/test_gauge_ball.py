@@ -82,7 +82,8 @@ def assert_lab_matches_oracle(imm, p0, radius, evaluate_on=None):
             # against the balance's scale.
             assert_close(getattr(got, side)[key], value,
                          scale=scale if key == "dh_dbeta" else 0.0)
-    assert_close(got.residual, want.residual, scale=1e-12)
+    # The residual is lhs - rhs: its rounding is on the scale of the terms.
+    assert_close(got.residual, want.residual, scale=scale)
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,6 +96,7 @@ def assert_lab_matches_oracle(imm, p0, radius, evaluate_on=None):
 @example(name="clifford_flat", vertex=0, radius=20.0, lift=0.0)  # the ball is the mesh
 @example(name="perturbed_clifford", vertex=17, radius=20.0, lift=0.0)
 @example(name="flat_patch", vertex=500, radius=0.5, lift=100.0)  # an empty ball
+@example(name="double_sheet", vertex=149465, radius=0.26171875, lift=0.02)  # residual 4.5e-12 rel
 def test_ball_local_lab_matches_full_mesh(name, vertex, radius, lift):
     imm = mesh(name)
     assert_lab_matches_oracle(imm, base_point(imm, vertex, lift), radius)
