@@ -30,10 +30,11 @@ import scipy
 HERE = Path(__file__).resolve().parent
 
 #: A 4 x 4 periodic sampling of the product of two unit circles, the lift's input.
-_S = [float(np.cos(k * np.pi / 2)) for k in range(4)], [float(np.sin(k * np.pi / 2)) for k in range(4)]
+_COS = [float(np.cos(k * np.pi / 2)) for k in range(4)]
+_SIN = [float(np.sin(k * np.pi / 2)) for k in range(4)]
 GRID = {
     "n1": 4, "n2": 4, "h1": np.pi / 2, "h2": np.pi / 2, "periodic": [True, True],
-    "u": [[_S[0][i], _S[1][i], _S[0][j], _S[1][j]] for i in range(4) for j in range(4)],
+    "u": [[_COS[i], _SIN[i], _COS[j], _SIN[j]] for i in range(4) for j in range(4)],
 }
 
 #: The descent's config: acceptance criterion 9's.
