@@ -408,8 +408,10 @@ def _base_point(imm, config):
     choice = config.get("base_point", "center")
     if choice == "center":
         if imm.mesh.uv is not None:
-            mid = imm.mesh.uv.mean(axis=0)
-            idx = int(np.argmin(np.sum((imm.mesh.uv - mid) ** 2, axis=1)))
+            # Means as running totals in vertex order, as over vertex-major uv.
+            u, v = imm.mesh.uv.T
+            mid_u, mid_v = (np.cumsum(row)[-1] / len(row) for row in (u, v))
+            idx = int(np.argmin((u - mid_u) ** 2 + (v - mid_v) ** 2))
         else:
             idx = 0
         return imm.positions[idx]

@@ -36,7 +36,7 @@ def consistency_tol(h_param):
 
 def _grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
     """Two positively oriented triangles per cell of an (n1, n2) vertex grid,
-    as an (F, 3) array, cells in row-major order."""
+    cells in row-major order: (F, 3), written as (3, F) corner rows."""
     i, j = np.meshgrid(
         np.arange(n1 if wrap1 else n1 - 1), np.arange(n2 if wrap2 else n2 - 1), indexing="ij"
     )
@@ -46,7 +46,16 @@ def _grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
         return offset + (a % n1) * n2 + (b % n2)
 
     v00, v10, v11, v01 = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    tri = np.empty((3, 2 * len(i)), int)
+    tri[:, 0::2] = v00, v10, v11
+    tri[:, 1::2] = v00, v11, v01
+    return _rows(tri)
+
+
+def _rows(rows):
+    """Fresh (k, n) rows as the frozen (n, k) view that ``row_storage`` keeps."""
+    rows.flags.writeable = False
+    return rows.T
 
 
 def _square_boundary_loop(n1, n2, offset=0):
@@ -66,19 +75,18 @@ def flat_patch(n=16, extent=1.0, center=False):
     if center:
         lin = lin - extent / 2.0
     x1, x2 = np.meshgrid(lin, lin, indexing="ij")
-    uv = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    pos = np.zeros((5, uv.shape[0]))  # component rows
-    pos[1] = uv[:, 0]
-    pos[3] = uv[:, 1]
+    uv = np.stack([x1.ravel(), x2.ravel()])  # component rows
+    pos = np.zeros((5, uv.shape[1]))
+    pos[1], pos[3] = uv
     mesh = SurfaceMesh(
         triangles=_grid_triangles(n + 1, n + 1),
         n_vertices=(n + 1) ** 2,
-        uv=uv,
+        uv=_rows(uv),
         genus=0,
         boundary_loops=[_square_boundary_loop(n + 1, n + 1)],
     )
     return DiscreteImmersion(
-        mesh=mesh, target="heisenberg", positions=pos.T,
+        mesh=mesh, target="heisenberg", positions=_rows(pos),
         legendrian_tol=consistency_tol(extent / n),
     )
 
@@ -98,7 +106,7 @@ def clifford_lift(n=32, target="heisenberg", warp=0.0):
     if warp:
         s = s + (warp * h) * np.sin(s)
     ss, tt = np.meshgrid(s, s, indexing="ij")
-    uv = np.stack([ss.ravel(), tt.ravel()], axis=-1)
+    uv = np.stack([ss.ravel(), tt.ravel()])  # component rows
     tris = _grid_triangles(n, n, wrap1=True, wrap2=True)
     loops = [[i * n for i in range(n)], [j for j in range(n)]]
     if target == "heisenberg":
@@ -119,7 +127,7 @@ def clifford_lift(n=32, target="heisenberg", warp=0.0):
     mesh = SurfaceMesh(
         triangles=tris,
         n_vertices=n * n,
-        uv=uv,
+        uv=_rows(uv),
         genus=1,
         uv_periods=(2.0 * np.pi, 2.0 * np.pi),
         generator_loops=loops,
@@ -127,7 +135,7 @@ def clifford_lift(n=32, target="heisenberg", warp=0.0):
     imm = DiscreteImmersion(
         mesh=mesh,
         target=target,
-        positions=pos.reshape(len(pos), -1).T,
+        positions=_rows(pos.reshape(len(pos), -1)),
         legendrian_tol=consistency_tol(h),
         phi_monodromy=monodromy,
     )
@@ -142,26 +150,27 @@ def double_sheet(n=16, extent=1.0):
     """
     lin = np.linspace(-extent / 2.0, extent / 2.0, n + 1)
     x1, x2 = np.meshgrid(lin, lin, indexing="ij")
-    uv_one = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    n_v = uv_one.shape[0]
-    pos = np.zeros((5, 2 * n_v))  # component rows
-    pos[1, :n_v] = pos[2, n_v:] = uv_one[:, 0]
-    pos[3, :n_v] = pos[4, n_v:] = uv_one[:, 1]
+    uv_one = np.stack([x1.ravel(), x2.ravel()])  # component rows
+    n_v = uv_one.shape[1]
+    pos = np.zeros((5, 2 * n_v))
+    pos[1, :n_v] = pos[2, n_v:] = uv_one[0]
+    pos[3, :n_v] = pos[4, n_v:] = uv_one[1]
     tris = np.concatenate(
-        [_grid_triangles(n + 1, n + 1), _grid_triangles(n + 1, n + 1, offset=n_v)]
+        [_grid_triangles(n + 1, n + 1).T, _grid_triangles(n + 1, n + 1, offset=n_v).T], axis=1
     )
     loops = [
         _square_boundary_loop(n + 1, n + 1),
         _square_boundary_loop(n + 1, n + 1, offset=n_v),
     ]
     mesh = SurfaceMesh(
-        triangles=tris,
+        triangles=_rows(tris),
         n_vertices=2 * n_v,
-        uv=np.concatenate([uv_one, uv_one]),
+        uv=_rows(np.concatenate([uv_one, uv_one], axis=1)),
         genus=0,
         boundary_loops=loops,
     )
-    return DiscreteImmersion(mesh=mesh, target="heisenberg", positions=pos.T, legendrian_tol=1e-10)
+    return DiscreteImmersion(mesh=mesh, target="heisenberg", positions=_rows(pos),
+                             legendrian_tol=1e-10)
 
 
 def cone_fixture():

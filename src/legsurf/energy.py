@@ -26,7 +26,7 @@ from .errors import (
     StepRejectedError,
 )
 from .immersion import cotangent_weights, legendrian_residual, wedge_rows_adjoint
-from .mesh import DiscreteImmersion, gather, seam_differences
+from .mesh import DiscreteImmersion, seam_differences
 
 
 @dataclass
@@ -206,9 +206,9 @@ def restore_constraint(imm: DiscreteImmersion):
     :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
     is unchanged (always, on the flat target, where c = 1).  The edges' seam
     offsets are :meth:`DiscreteImmersion.phi_offsets` of the mesh's cached
-    :attr:`SurfaceMesh.edge_wraps`, taken once; each pass's edge differences
-    are :func:`~legsurf.mesh.seam_differences`, as in
-    :meth:`DiscreteImmersion.edge_vectors`.
+    :attr:`SurfaceMesh.edge_wraps`, taken once; each pass's tail positions
+    and edge differences are one :func:`~legsurf.mesh.seam_differences`, as
+    in :meth:`DiscreteImmersion.edge_vectors`.
 
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
@@ -216,12 +216,10 @@ def restore_constraint(imm: DiscreteImmersion):
     tol = imm.legendrian_tol
     m = imm.mesh
     geo = imm.geometry
-    tails = m.edges[:, 0]
     phi = imm.phi_offsets(m.edge_wraps)
 
     def residual(positions):
-        delta = seam_differences(positions, m.edges, phi)
-        p_tail = gather(positions, tails)
+        p_tail, delta = seam_differences(positions, m.edges, phi)
         r = geo.edge_residual(p_tail, delta)
         return r, p_tail, delta, float(np.max(np.abs(r))) if len(r) else 0.0
 

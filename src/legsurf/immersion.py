@@ -57,19 +57,18 @@ def wedge_rows_adjoint(w_bar, x, y):
 
 def _intrinsic_uv(imm: DiscreteImmersion):
     """(F, 3, 2) intrinsic per-face corner parameters from the current frame
-    edge lengths: corner 0 at the origin, corner 1 on the first axis.  The
-    corners are row gathers and the chords' lengths and product are
-    :func:`~legsurf.mesh.row_sum` sums over their rows."""
-    tri = imm.mesh.triangles
-    base = gather(imm.positions, tri[:, 0])
-    e1, e2 = (imm.geometry.frame(base, gather(imm.positions, tri[:, c]) - base).T for c in (1, 2))
+    edge lengths: corner 0 at the origin, corner 1 on the first axis, as
+    (2, 3, F) rows.  The corners are row gathers and the chords' lengths
+    and product are :func:`~legsurf.mesh.row_sum` sums over their rows."""
+    base, *others = (gather(imm.positions, corner) for corner in imm.mesh.triangles.T)
+    e1, e2 = (imm.geometry.frame(base, other - base).T for other in others)
     l1 = np.sqrt(row_sum(e1 * e1))
     x2 = np.where(l1 > 0, row_sum(e1 * e2) / np.maximum(l1, 1e-300), 0.0)
-    uv = np.zeros((len(tri), 3, 2))
-    uv[:, 1, 0] = l1
-    uv[:, 2, 0] = x2
-    uv[:, 2, 1] = np.sqrt(np.maximum(row_sum(e2 * e2) - x2**2, 0.0))
-    return uv
+    uv = np.zeros((2, 3, len(l1)))  # uv[a, c]: component a of corner c
+    uv[0, 1] = l1
+    uv[0, 2] = x2
+    uv[1, 2] = np.sqrt(np.maximum(row_sum(e2 * e2) - x2**2, 0.0))
+    return uv.T
 
 
 def _block_gram(x, y):
@@ -117,21 +116,21 @@ class FaceData:
     def __init__(self, imm: DiscreteImmersion):
         m = self.mesh = imm.mesh
         geo = imm.geometry
-        phi = None  # (F, 3) Reeb-row seam offsets of the corners, when any is nonzero
+        phi = None  # (3, F) Reeb-row seam offsets of the corners, when any is nonzero
         if m.uv is None:
             self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
         else:
-            wraps, self.minv, self.uv_area = m.face_uv
-            phi = imm.phi_offsets(wraps)
+            _, self.minv, self.uv_area = m.face_uv
+            phi = imm.corner_offsets()
         rows = imm.positions.T
-        tri = m.triangles
-        base = np.take(rows, tri[:, 0], axis=1)
+        tri = m.triangles.T  # (3, F): corner c of every face
+        base = np.take(rows, tri[0], axis=1)
         chords = np.empty((2,) + base.shape)  # d1 and d2, one (2, k, F) buffer
         for c in (1, 2):
-            np.take(rows, tri[:, c], axis=1, out=chords[c - 1])
+            np.take(rows, tri[c], axis=1, out=chords[c - 1])
         if phi is not None:
-            base[0] += phi[:, 0]
-            chords[:, 0] += phi[:, 1:].T
+            base[0] += phi[0]
+            chords[:, 0] += phi[1:]
         chords -= base
         self.base_pos = base.T
         self.d1, self.d2 = chords.transpose(0, 2, 1)

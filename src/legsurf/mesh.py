@@ -24,8 +24,8 @@ from . import fields
 from .errors import GeometryDomainError
 
 
-def _float_array(values, shape, what):
-    """``values`` as a float array of ``shape``; GeometryDomainError names the shape otherwise."""
+def _float_rows(values, shape, what):
+    """``values`` as a float :func:`row_storage` of ``shape``; GeometryDomainError otherwise."""
     try:
         out = np.asarray(values, float)
     except ValueError:  # ragged rows
@@ -33,12 +33,23 @@ def _float_array(values, shape, what):
     if out is None or out.shape != shape:
         got = "ragged rows" if out is None else f"shape {out.shape}"
         raise GeometryDomainError(f"{what} must have shape {shape}, got {got}")
-    return out
+    return row_storage(out)
+
+
+def row_storage(values):
+    """``values`` (n, ...) as the read-only transposed view of one C-contiguous
+    (..., n) buffer, the package's layout.  A writable array is copied into
+    it (never aliased, nor frozen); a read-only one already in it is kept."""
+    if values.flags.writeable or not values.T.flags.c_contiguous:
+        rows = np.array(values.T, order="C")
+        rows.flags.writeable = False
+        values = rows.T
+    return values
 
 
 def parameter_inverse(uv):
     """The inverse parameter-edge matrices minv (F, 2, 2) and the parameter
-    areas (F,) of per-face corner parameters ``uv`` (F, 3, 2).
+    areas (F,) of per-face corner parameters ``uv`` (F, 3, 2), read by rows.
 
     With M's columns the parameter edge vectors from corner 0, a face's frame
     partials are [du dv] = [e1 e2] minv, minv = M^-1.  minv is the
@@ -46,17 +57,17 @@ def parameter_inverse(uv):
     :class:`~legsurf.immersion.FaceData`.  Raises GeometryDomainError naming
     the first face of non-positive orientation.
     """
-    d1 = uv[:, 1] - uv[:, 0]
-    d2 = uv[:, 2] - uv[:, 0]
-    det_uv = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    d1 = uv.T[:, 1] - uv.T[:, 0]  # uv.T[a, c]: component a of corner c
+    d2 = uv.T[:, 2] - uv.T[:, 0]
+    det_uv = d1[0] * d2[1] - d1[1] * d2[0]
     if np.any(det_uv <= 0):
         bad = int(np.argmin(det_uv))
         raise GeometryDomainError(f"face {bad} has non-positive parameter orientation")
-    minv_t = np.empty((2, 2, len(d1)))  # minv_t[b, a] = minv[:, a, b]
-    minv_t[0, 0] = d2[:, 1]
-    minv_t[1, 0] = -d2[:, 0]
-    minv_t[0, 1] = -d1[:, 1]
-    minv_t[1, 1] = d1[:, 0]
+    minv_t = np.empty((2, 2, len(det_uv)))  # minv_t[b, a] = minv[:, a, b]
+    minv_t[0, 0] = d2[1]
+    minv_t[1, 0] = -d2[0]
+    minv_t[0, 1] = -d1[1]
+    minv_t[1, 1] = d1[0]
     minv_t /= det_uv
     return minv_t.T, 0.5 * det_uv
 
@@ -105,19 +116,25 @@ def row_sum(x):
 
 
 def seam_differences(positions, edges, phi):
-    """Differences head - tail of ``positions`` along ``edges`` (tail, head),
-    with the Reeb-row offsets ``phi`` added to coordinate 0 (None: none).
-    Both ends are :func:`gather` row gathers, so the differences are the
-    stacked (E, k) view of one C-contiguous (k, E) buffer."""
+    """The tail positions along ``edges`` (tail, head) and the differences
+    head - tail, with the Reeb-row offsets ``phi`` added to coordinate 0
+    (None: none).  Both are :func:`gather` row gathers, the tails gathered
+    once: stacked (E, k) views of C-contiguous (k, E) buffers."""
+    tail = gather(positions, edges[:, 0])
     delta = gather(positions, edges[:, 1])
-    delta -= gather(positions, edges[:, 0])
+    delta -= tail
     if phi is not None:
         delta[:, 0] += phi
-    return delta
+    return tail, delta
 
 
 class SurfaceMesh:
-    """Oriented manifold triangle mesh with optional parameter coordinates."""
+    """Oriented manifold triangle mesh with optional parameter coordinates.
+
+    ``triangles`` (F, 3), ``edges`` (E, 2) and ``uv`` (V, 2) are stored by
+    :func:`row_storage`, like the positions: ``triangles.T[c]`` is corner c
+    of every face, ``edges.T[0]`` every tail and ``uv.T[a]`` parameter a of
+    every vertex, each one contiguous row; the seam wraps are built alike."""
 
     #: Each face's index in the unrestricted mesh, on a :meth:`DiscreteImmersion.restrict` patch.
     parent_faces = None
@@ -132,15 +149,15 @@ class SurfaceMesh:
         uv_periods=None,
         generator_loops=(),
     ):
-        self.triangles = np.asarray(triangles, int).reshape(-1, 3)
+        self.triangles = row_storage(np.asarray(triangles, int).reshape(-1, 3))
         self.n_vertices = int(n_vertices)
-        self.uv = None if uv is None else _float_array(uv, (self.n_vertices, 2), "uv")
+        self.uv = None if uv is None else _float_rows(uv, (self.n_vertices, 2), "uv")
         self.genus = int(genus)
         self.boundary_loops = [list(map(int, loop)) for loop in boundary_loops]
         self.uv_periods = (None if uv_periods is None
                            else tuple(float(p or 0.0) for p in uv_periods))
         self.generator_loops = [list(map(int, loop)) for loop in generator_loops]
-        for kind, index in (("triangle", self.triangles.ravel()),
+        for kind, index in (("triangle", self.triangles),
                             ("boundary loop", [v for loop in self.boundary_loops for v in loop]),
                             ("generator loop", [v for loop in self.generator_loops for v in loop])):
             index = np.asarray(index, int)
@@ -149,6 +166,7 @@ class SurfaceMesh:
         self._build_adjacency()
         self._validate()
         self._restoration = None  # (edge slopes, factor) of the last restoration_factor call
+        self._corner_offsets = None  # (monodromy, offsets) of DiscreteImmersion.corner_offsets
 
     # -- construction ------------------------------------------------------
 
@@ -178,9 +196,11 @@ class SurfaceMesh:
             e = (int(tri[f, k]), int(tri[f, (k + 1) % 3]))
             raise GeometryDomainError(f"directed edge {e} repeated: mesh not consistently oriented")
         self.edge_keys = keys = sorted_keys[first]  # edge e joins a < b with key a * V + b
-        self.edges = np.stack([keys // n_v, keys % n_v], axis=1)
+        edges = np.stack(np.divmod(keys, n_v))  # (2, E): tails, heads; a fresh buffer
+        edges.flags.writeable = False
+        self.edges = edges.T
         inverse = np.empty(len(order), int)
-        inverse[order] = np.cumsum(starts) - 1
+        inverse[order] = np.repeat(np.arange(len(first)), counts)  # each slot's edge
         self.face_edges = inverse.reshape(3, -1).T  # face f, local edge k (opposite corner k)
         # +1 where local edge k runs along its canonical edge (tail < head), -1 against it.
         self.face_edge_signs = np.where(tails < heads, 1.0, -1.0).reshape(3, -1).T
@@ -261,37 +281,41 @@ class SurfaceMesh:
     # -- parameter-domain unwrapping ----------------------------------------
 
     def wraps(self, uv_from, uv_to):
-        """Integer period crossings taking uv_to into uv_from's chart."""
-        d = np.asarray(uv_to, float) - uv_from
-        if self.uv_periods is None:
-            return np.zeros(d.shape, int)
-        p = np.array(self.uv_periods)
-        return np.where(p != 0, np.round(d / np.where(p != 0, p, 1.0)), 0.0).astype(int)
+        """Integer period crossings (..., 2) taking ``uv_to`` into ``uv_from``'s
+        chart, one periodic row ``uv.T[a]`` at a time into a read-only (2, ...) buffer."""
+        rows_from, rows_to = np.asarray(uv_from, float).T, np.asarray(uv_to, float).T
+        out = np.zeros(np.broadcast_shapes(rows_from.shape, rows_to.shape), int)
+        for a, p in enumerate(self.uv_periods or ()):
+            if p:
+                out[a] = np.round((rows_to[a] - rows_from[a]) / p)
+        out.flags.writeable = False
+        return out.T
 
     @functools.cached_property
     def edge_wraps(self):
-        """(E, 2) read-only :meth:`wraps` taking each canonical edge's head into
-        its tail's chart (zeros without uv), built on first use."""
+        """(E, 2) :meth:`wraps` taking each canonical edge's head into its
+        tail's chart (zeros without uv), built on first use from the rows of
+        ``uv`` and ``edges``."""
         uv = np.zeros((self.n_vertices, 2)) if self.uv is None else self.uv
-        out = self.wraps(uv[self.edges[:, 0]], uv[self.edges[:, 1]])
-        out.flags.writeable = False
-        return out
+        return self.wraps(*(gather(uv, ends) for ends in self.edges.T))
 
     def corner_uv_local(self):
-        """(F, 3, 2) per-face uv with corners 1, 2 unwrapped into corner 0's chart,
-        and the matching (F, 3, 2) integer wraps that were removed."""
+        """(F, 3, 2) per-face uv with corners 1, 2 unwrapped into corner 0's chart
+        and the :meth:`wraps` removed, one component at a time into (2, 3, F) buffers."""
         if self.uv is None:
             raise GeometryDomainError("mesh carries no uv parameters")
-        uv = self.uv[self.triangles]  # (F, 3, 2)
-        wraps = self.wraps(uv[:, :1], uv)
-        return uv - wraps * np.array(self.uv_periods or (0.0, 0.0)), wraps
+        uv = np.take(self.uv.T, self.triangles.T, axis=1)  # (2, 3, F): component, corner
+        wraps = self.wraps(uv[:, :1].T, uv.T)
+        for a, p in enumerate(self.uv_periods or ()):
+            uv[a] -= wraps.T[a] * p
+        return uv.T, wraps
 
     @functools.cached_property
     def face_uv(self):
         """Read-only per-face parameter constants, built on first use: the
         (F, 3, 2) wraps of :meth:`corner_uv_local` (None when no face crosses
         a seam) and the minv (F, 2, 2) and parameter areas (F,) of
-        :func:`parameter_inverse`."""
+        :func:`parameter_inverse`, all component-major."""
         uv, wraps = self.corner_uv_local()
         out = (wraps if wraps.any() else None, *parameter_inverse(uv))
         for arr in out:
@@ -323,9 +347,9 @@ class SurfaceMesh:
         has = nbrs >= 0
         delta = np.empty((2, 3, n_f))  # component-major parameter differences
         for a, d in enumerate(delta):
-            corners = self.uv[:, a][self.triangles.T]  # (3, F)
+            corners = self.uv.T[a][self.triangles.T]  # (3, F)
             if wraps is not None and periods[a]:
-                corners -= wraps[:, :, a].T * periods[a]
+                corners -= wraps.T[a] * periods[a]
             bary = (corners[0] + corners[1] + corners[2]) / 3.0
             np.subtract(bary[np.where(has, nbrs, 0)], bary, out=d)
             if periods[a]:
@@ -359,12 +383,11 @@ class DiscreteImmersion:
     """A mesh with vertex images in one of the two targets.
 
     ``target`` is the target's name; ``geometry`` is its :class:`fields.Target`.
-    ``positions`` is stored like :class:`~legsurf.immersion.FaceData`'s
-    arrays: the read-only (V, k) transposed view of one C-contiguous (k, V)
-    buffer, so ``positions.T[i]`` is coordinate i of every vertex in one
-    contiguous row.  A writable array passed in is copied into that layout
-    (never aliased, nor frozen); a read-only one already in it is kept.  So
-    the face state derived from it, :attr:`face_data`, is built once and kept.
+    ``positions`` is stored by :func:`row_storage`, like the mesh's arrays
+    and :class:`~legsurf.immersion.FaceData`'s: the read-only (V, k)
+    transposed view of one C-contiguous (k, V) buffer, so ``positions.T[i]``
+    is coordinate i of every vertex in one contiguous row.  So the face
+    state derived from it, :attr:`face_data`, is built once and kept.
     ``legendrian_tol``, the restoration's residual bound, must be finite and
     positive.
     """
@@ -377,14 +400,9 @@ class DiscreteImmersion:
 
     def __post_init__(self):
         self.geometry = fields.geometry(self.target)
-        positions = _float_array(
+        self.positions = _float_rows(
             self.positions, (self.mesh.n_vertices, self.geometry.dim), "positions"
         )
-        if positions.flags.writeable or not positions.T.flags.c_contiguous:
-            rows = np.array(positions.T, order="C")
-            rows.flags.writeable = False
-            positions = rows.T
-        self.positions = positions
         self.phi_monodromy = (float(self.phi_monodromy[0]), float(self.phi_monodromy[1]))
         if any(self.phi_monodromy) and not self.geometry.carries_monodromy:
             raise GeometryDomainError(
@@ -424,26 +442,26 @@ class DiscreteImmersion:
         mesh, which a collapsed face's DegenerateFaceError names.
         """
         m = self.mesh
-        tri = m.triangles[faces]
+        tri = m.triangles.T[:, faces]  # (3, F) rows
         used = np.zeros(m.n_vertices, bool)
         used[tri] = True
         verts = np.flatnonzero(used)
         renumber = np.cumsum(used) - 1
-        edges = renumber[m.edges[np.unique(m.face_edges[faces])]]
-        graph = sp.csr_matrix((np.ones(len(edges)), edges.T), shape=(len(verts),) * 2)
+        edges = renumber[m.edges.T[:, np.unique(m.face_edges[faces])]]  # (2, E) rows
+        graph = sp.csr_matrix((np.ones(edges.shape[1]), edges), shape=(len(verts),) * 2)
         n_comp = connected_components(graph, directed=False)[0]
-        n_loops = 2 * n_comp - (len(verts) - len(edges) + len(tri))
+        n_loops = 2 * n_comp - (len(verts) - edges.shape[1] + tri.shape[1])
+        tri, rows = renumber[tri], np.take(self.positions.T, verts, axis=1)
+        tri.flags.writeable = rows.flags.writeable = False  # fresh row gathers: kept, not copied
         mesh = SurfaceMesh(
-            triangles=renumber[tri],
+            triangles=tri.T,
             n_vertices=len(verts),
-            uv=None if m.uv is None else m.uv[verts],
+            uv=None if m.uv is None else gather(m.uv, verts),
             boundary_loops=[[]] * n_loops,
             uv_periods=m.uv_periods,
         )
         ids = np.arange(len(m.triangles))[faces]
         mesh.parent_faces = ids if m.parent_faces is None else m.parent_faces[ids]
-        rows = np.take(self.positions.T, verts, axis=1)
-        rows.flags.writeable = False  # a fresh gather: no copy needed
         return replace(self, mesh=mesh, positions=rows.T)
 
     # -- seam-corrected differences ------------------------------------------
@@ -457,11 +475,20 @@ class DiscreteImmersion:
             return None
         return self.geometry.seam_offset(wraps, self.phi_monodromy)
 
+    def corner_offsets(self):
+        """:meth:`phi_offsets` (3, F) of the face corners' wraps, or None; fixed
+        along a descent, so the mesh keeps those of the last monodromy asked for."""
+        m = self.mesh
+        if m._corner_offsets is None or m._corner_offsets[0] != self.phi_monodromy:
+            phi = self.phi_offsets(m.face_uv[0])
+            m._corner_offsets = (self.phi_monodromy, None if phi is None else phi.T)
+        return m._corner_offsets[1]
+
     def edge_vectors(self):
         """Seam-corrected coordinate differences along canonical edges (tail -> head),
         the Reeb-row offsets from the mesh's cached :attr:`SurfaceMesh.edge_wraps`."""
         return seam_differences(self.positions, self.mesh.edges,
-                                self.phi_offsets(self.mesh.edge_wraps))
+                                self.phi_offsets(self.mesh.edge_wraps))[1]
 
     # -- serialization --------------------------------------------------------
 

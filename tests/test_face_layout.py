@@ -1,9 +1,10 @@
-"""Component-major face and vertex storage and the face kernels built on it.
+"""Component-major face, vertex and mesh storage and the face kernels built on it.
 
 Every (F, ...) array of a FaceData, its Gauss gradients and the mesh's
-inverse parameter matrices, and every immersion's (V, k) positions, is the
-transposed view of one C-contiguous buffer, so a kernel can loop over the
-few components with NumPy's inner loop over the faces or vertices.  These
+inverse parameter matrices, every immersion's (V, k) positions, and the
+mesh's triangles, edges, uv and seam wraps, is the transposed view of one
+C-contiguous buffer, so a kernel can loop over the few components with
+NumPy's inner loop over the faces, edges or vertices.  These
 tests pin that layout, so that an edit cannot fall back to row-major
 storage unnoticed, and check the kernels against the row-major bodies kept
 in ``reference_loops`` to rounding: a component-major row sum may add its
@@ -18,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import reference_loops as ref
-from legsurf import corpus, energy
+from legsurf import corpus, energy, gauge_lab
 from legsurf.immersion import FaceData
-from legsurf.mesh import DiscreteImmersion
+from legsurf.mesh import DiscreteImmersion, SurfaceMesh
 
 MESHES = [
     ("clifford_lift", dict(n=8, target="heisenberg", warp=0.3)),
@@ -178,3 +179,63 @@ def test_descent_from_vertex_major_copy_is_byte_identical(target):
     vertex_major = imm.with_positions(np.ascontiguousarray(imm.positions))
     assert_component_major(vertex_major)
     assert _trajectory(vertex_major) == _trajectory(imm)
+
+
+# ---------------------------------------------------------------------------
+# mesh index and parameter arrays
+
+
+def assert_mesh_rows(imm):
+    """triangles, edges, uv, the edge and corner wraps and face_uv's wraps
+    and minv are read-only views of C-contiguous component rows, and the
+    assembler keeps the (F, 3) triangles."""
+    m = imm.mesh
+    n_f, n_e = len(m.triangles), len(m.edges)
+    wraps, minv, _ = m.face_uv
+    arrays = {
+        "triangles": (m.triangles, (n_f, 3)), "edges": (m.edges, (n_e, 2)),
+        "uv": (m.uv, (m.n_vertices, 2)), "edge_wraps": (m.edge_wraps, (n_e, 2)),
+        "corner_wraps": (m.corner_uv_local()[1], (n_f, 3, 2)), "minv": (minv, (n_f, 2, 2)),
+    }
+    if wraps is not None:
+        arrays["face_wraps"] = (wraps, (n_f, 3, 2))
+    for name, (arr, shape) in arrays.items():
+        assert arr.shape == shape, name
+        assert not arr.flags.writeable, name
+        assert arr.T.flags.c_contiguous, name
+        with pytest.raises(ValueError):
+            arr.T[(0,) * arr.ndim] = 0
+    assert len(energy.EnergyAssembler(imm).tri) == n_f
+
+
+@pytest.mark.parametrize("family,kw", FAMILIES)
+def test_every_construction_stores_mesh_arrays_as_rows(family, kw, tmp_path):
+    imm = corpus.generate(family, **kw)
+    assert_mesh_rows(imm)
+    imm.save(tmp_path / "a.json")
+    loaded = DiscreteImmersion.from_json(json.loads((tmp_path / "a.json").read_text()))
+    assert_mesh_rows(loaded)
+    loaded.save(tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    ball = gauge_lab.gauge_ball(imm, imm.positions[-1], 1e-3)  # the last vertex's star
+    assert ball is not imm
+    assert_mesh_rows(ball)
+    verts = np.unique(imm.mesh.triangles[ball.mesh.parent_faces])
+    assert np.array_equal(ball.mesh.uv, imm.mesh.uv[verts])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mesh_copies_a_callers_writable_arrays(order):
+    m = corpus.clifford_lift(6).mesh
+    kw = dict(n_vertices=m.n_vertices, genus=1, uv_periods=m.uv_periods)
+    tri, uv = np.array(m.triangles, order=order), np.array(m.uv, order=order)
+    copied = SurfaceMesh(tri, uv=uv, **kw)
+    for caller, stored in ((tri, copied.triangles), (uv, copied.uv)):
+        assert caller.flags.writeable  # not frozen
+        assert not np.shares_memory(caller, stored)
+        assert np.array_equal(caller, stored)
+    tri[0, 0] += 1
+    assert copied.triangles[0, 0] == m.triangles[0, 0]
+    # Read-only arrays already in the layout are kept, not copied.
+    kept = SurfaceMesh(m.triangles, uv=m.uv, **kw)
+    assert np.shares_memory(kept.triangles, m.triangles) and np.shares_memory(kept.uv, m.uv)
