@@ -13,6 +13,7 @@ import numpy as np
 from . import heisenberg as hs
 from .errors import GeometryDomainError
 from .mesh import DiscreteImmersion, SurfaceMesh, row_sum
+from .mesh import grid_triangles as _grid_triangles
 from .polynomials import Polynomial, random_polynomial
 
 FAMILIES = (
@@ -32,24 +33,6 @@ def consistency_tol(h_param):
     order-one curvature constants.
     """
     return max(1e-2 * h_param**3, 1e-11)
-
-
-def _grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
-    """Two positively oriented triangles per cell of an (n1, n2) vertex grid,
-    cells in row-major order: (F, 3), written as (3, F) corner rows."""
-    i, j = np.meshgrid(
-        np.arange(n1 if wrap1 else n1 - 1), np.arange(n2 if wrap2 else n2 - 1), indexing="ij"
-    )
-    i, j = i.ravel(), j.ravel()
-
-    def vid(a, b):
-        return offset + (a % n1) * n2 + (b % n2)
-
-    v00, v10, v11, v01 = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-    tri = np.empty((3, 2 * len(i)), int)
-    tri[:, 0::2] = v00, v10, v11
-    tri[:, 1::2] = v00, v11, v01
-    return _rows(tri)
 
 
 def _rows(rows):

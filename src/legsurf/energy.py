@@ -26,7 +26,7 @@ from .errors import (
     StepRejectedError,
 )
 from .immersion import cotangent_weights, legendrian_residual, wedge_rows_adjoint
-from .mesh import DiscreteImmersion, seam_differences
+from .mesh import DiscreteImmersion, row_sum, seam_differences
 
 
 @dataclass
@@ -202,13 +202,15 @@ def restore_constraint(imm: DiscreteImmersion):
     controllable by its endpoints.  Moving vertex v to move(p_v, s_v R)
     changes r_e by c_e (s_tail - s_head), c = ``reeb_slope`` (the Reeb flow
     of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
-    the mesh's signed edge incidence.  Its normal matrix is factored by
-    :meth:`SurfaceMesh.restoration_factor`, which reuses the factor while c
-    is unchanged (always, on the flat target, where c = 1).  The edges' seam
-    offsets are :meth:`DiscreteImmersion.phi_offsets` of the mesh's cached
-    :attr:`SurfaceMesh.edge_wraps`, taken once; each pass's tail positions
-    and edge differences are one :func:`~legsurf.mesh.seam_differences`, as
-    in :meth:`DiscreteImmersion.edge_vectors`.
+    the mesh's signed edge incidence.  Its normal matrix is solved by
+    :meth:`SurfaceMesh.restoration_factor`, which reuses its solver while c
+    is unchanged (always, on the flat target, where c = 1): by FFT on a
+    periodic grid when c is constant, by sparse LU otherwise.  The edges'
+    seam offsets are the mesh's cached
+    :meth:`DiscreteImmersion.edge_offsets`; each pass's tail positions and
+    edge differences are one :func:`~legsurf.mesh.seam_differences`, as in
+    :meth:`DiscreteImmersion.edge_differences`.  The positions stay the
+    (V, k) view of component rows throughout.
 
     Returns the restored immersion, the residual before and after, and the
     number of Gauss-Newton passes.
@@ -216,7 +218,7 @@ def restore_constraint(imm: DiscreteImmersion):
     tol = imm.legendrian_tol
     m = imm.mesh
     geo = imm.geometry
-    phi = imm.phi_offsets(m.edge_wraps)
+    phi = imm.edge_offsets()
 
     def residual(positions):
         p_tail, delta = seam_differences(positions, m.edges, phi)
@@ -276,10 +278,14 @@ def hamiltonian_map(imm: DiscreteImmersion):
     per-vertex frame components: the face-wise surface gradient of u,
     averaged onto each vertex with area weights (each face's third of its
     area over the vertex area, :attr:`FaceData.vertex_areas`), then
-    J o horizontal at the vertex.  Returned as a ``LinearOperator`` of shape (V k, V) with
-    ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).  The face gradients
-    are combinations of :attr:`FaceData.partials`, component-major, and are
-    spread onto the vertices one component at a time.
+    J o horizontal at the vertex.  Returned as a ``LinearOperator`` of shape
+    (V k, V) with ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).  Its
+    vectors of length V k are component-major: entry i V + v is component i
+    at vertex v, so a field's flat vector is ``field.T.ravel()``, a view of
+    the rows of a field stored like the positions, and ``Bu.reshape(k, V).T``
+    is such a field.  The face gradients are combinations of
+    :attr:`FaceData.partials`, component-major, and are spread onto the
+    vertices one component at a time.
     """
     geo = imm.geometry
     fd = imm.face_data
@@ -310,14 +316,15 @@ def hamiltonian_map(imm: DiscreteImmersion):
         face_grad = np.einsum("af,aif->if", np.einsum("acf,cf->af", gcoef, u[tri]), partials)
         avg = np.stack([np.bincount(corners, weights=(weight * row).reshape(-1), minlength=n_v)
                         for row in face_grad])
-        return (geo.j(geo.horizontal(q, avg.T)) + vert * u[:, None]).ravel()
+        return (geo.j(geo.horizontal(q, avg.T)) + vert * u[:, None]).T.ravel()
 
     def rmatvec(y):
-        y = np.reshape(y, (n_v, k))
+        y = np.reshape(y, (k, n_v)).T
         z = np.ascontiguousarray(-geo.horizontal(q, geo.j(y)).T)  # (k, V)
         face_bar = np.einsum("cf,icf->if", weight, z[:, tri])
         src = np.einsum("acf,af->cf", gcoef, np.einsum("aif,if->af", partials, face_bar))
-        return np.bincount(corners, weights=src.reshape(-1), minlength=n_v) + np.sum(vert * y, axis=1)
+        reeb_part = row_sum((vert * y).T)
+        return np.bincount(corners, weights=src.reshape(-1), minlength=n_v) + reeb_part
 
     return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
 
@@ -345,15 +352,16 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
     so -B u descends: pairing the covector against B u gives
     u^T A u >= 0.  ``factor`` is a factor of A from :func:`projection_factor`,
     possibly at an earlier mesh; without one, A is built and factored at
-    ``imm``.  Returns u and the field B u in ambient components.
+    ``imm``.  Returns u and the field B u in ambient components, laid out
+    like the positions: the (V, k) view of component rows.
     """
     if factor is None:
         factor = projection_factor(imm)
     b_op = hamiltonian_map(imm)
     geo = imm.geometry
-    gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).ravel()
+    gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).T.ravel()
     u = factor.solve(b_op.rmatvec(gtilde))
-    w_frame = b_op.matvec(u).reshape(imm.positions.shape)
+    w_frame = b_op.matvec(u).reshape(imm.positions.shape[::-1]).T
     return u, geo.unframe(imm.positions, w_frame)
 
 
@@ -428,7 +436,7 @@ class DescentResult:
 
 
 def _grad_norm(imm, areas, w):
-    wn = np.sum(imm.geometry.frame(imm.positions, w) ** 2, axis=-1)
+    wn = row_sum((imm.geometry.frame(imm.positions, w) ** 2).T)
     return float(np.sqrt(np.sum(areas * wn) / np.sum(areas)))
 
 

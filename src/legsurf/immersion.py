@@ -73,11 +73,15 @@ def _intrinsic_uv(imm: DiscreteImmersion):
 
 def _block_gram(x, y):
     """x y^T of per-face 2 x K2 blocks stored component-major as (K2, 2, F),
-    as a (2, 2, F) buffer, one entry at a time."""
+    as a (2, 2, F) buffer, one entry at a time; for y = x the product is
+    symmetric, and entry (1, 0) is a copy of entry (0, 1)."""
     out = np.empty((2, 2, x.shape[2]))
     for a in range(2):
         for b in range(2):
-            out[a, b] = np.einsum("if,if->f", x[:, a], y[:, b])
+            if y is x and b < a:
+                out[a, b] = out[b, a]
+            else:
+                out[a, b] = np.einsum("if,if->f", x[:, a], y[:, b])
     return out
 
 
@@ -237,8 +241,7 @@ class EdgeResiduals:
 
 def legendrian_residual(imm: DiscreteImmersion) -> EdgeResiduals:
     """Contact-form residual of every edge, evaluated at the midpoint retraction."""
-    vals = imm.geometry.edge_residual(gather(imm.positions, imm.mesh.edges[:, 0]),
-                                      imm.edge_vectors())
+    vals = imm.geometry.edge_residual(*imm.edge_differences())
     return EdgeResiduals(vals, float(np.max(np.abs(vals))) if vals.size else 0.0)
 
 
@@ -287,7 +290,7 @@ def edge_chords(imm: DiscreteImmersion):
     manifold the frame map is the identity, and in the flat model
     omega0(d, d) = 0.
     """
-    return imm.geometry.frame(gather(imm.positions, imm.mesh.edges[:, 0]), imm.edge_vectors())
+    return imm.geometry.frame(*imm.edge_differences())
 
 
 @dataclass

@@ -115,6 +115,46 @@ def row_sum(x):
     return np.add.reduce(x, axis=0)
 
 
+def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
+    """Two positively oriented triangles per cell of an (n1, n2) vertex grid,
+    vertex (i, j) numbered offset + i n2 + j and cells in row-major order:
+    (F, 3), written as (3, F) corner rows (:func:`row_storage`'s layout)."""
+    i, j = np.meshgrid(
+        np.arange(n1 if wrap1 else n1 - 1), np.arange(n2 if wrap2 else n2 - 1), indexing="ij"
+    )
+    i, j = i.ravel(), j.ravel()
+
+    def vid(a, b):
+        return offset + (a % n1) * n2 + (b % n2)
+
+    v00, v10, v11, v01 = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+    tri = np.empty((3, 2 * len(i)), int)
+    tri[:, 0::2] = v00, v10, v11
+    tri[:, 1::2] = v00, v11, v01
+    tri.flags.writeable = False
+    return tri.T
+
+
+class GridSolver:
+    """Solves A x = b for a matrix A that commutes with the translations of a
+    periodic (n1, n2) vertex grid (:attr:`SurfaceMesh.grid_shape`).
+
+    Such an A is block circulant with circulant blocks: A x is the cyclic
+    convolution of x with A's column at vertex 0, so the 2-D DFT diagonalises
+    it, with that column's DFT as its symbol.  A symmetric A has a real
+    symbol.  A solve is two real FFTs and a division, O(V log V) with no
+    fill (Strang, Stud. Appl. Math. 1986; Chan and Ng, SIAM Rev. 1996).
+    """
+
+    def __init__(self, column):
+        self.shape = column.shape
+        self.symbol = np.fft.rfft2(column).real
+
+    def solve(self, b):
+        x = np.fft.irfft2(np.fft.rfft2(np.reshape(b, self.shape)) / self.symbol, s=self.shape)
+        return x.ravel()
+
+
 def seam_differences(positions, edges, phi):
     """The tail positions along ``edges`` (tail, head) and the differences
     head - tail, with the Reeb-row offsets ``phi`` added to coordinate 0
@@ -165,8 +205,8 @@ class SurfaceMesh:
                 raise GeometryDomainError(f"{kind} index out of range")
         self._build_adjacency()
         self._validate()
-        self._restoration = None  # (edge slopes, factor) of the last restoration_factor call
-        self._corner_offsets = None  # (monodromy, offsets) of DiscreteImmersion.corner_offsets
+        self._restoration = None  # (edge slopes, solver) of the last restoration_factor call
+        self._seam_offsets = {}  # kind: (monodromy, offsets) of DiscreteImmersion._mesh_offsets
 
     # -- construction ------------------------------------------------------
 
@@ -263,19 +303,42 @@ class SurfaceMesh:
         ).tocsr()
         return (lap + sp.diags(diagonal)).tocsc()
 
-    def restoration_factor(self, slopes):
-        """LU factor of D^T diag(slopes^2) D + 1e-14 I, D the :attr:`edge_incidence`.
+    @functools.cached_property
+    def grid_shape(self):
+        """(n1, n2) when the triangles are those of :func:`grid_triangles`
+        (n1, n2) wrapped both ways, n1 and n2 the lengths of the two generator
+        loops; None otherwise, a relabelled grid included.  It is read from
+        the mesh alone, so a saved and reloaded grid is one too."""
+        if len(self.generator_loops) != 2:
+            return None
+        n1, n2 = map(len, self.generator_loops)
+        if n1 * n2 != self.n_vertices:
+            return None
+        same = np.array_equal(self.triangles, grid_triangles(n1, n2, wrap1=True, wrap2=True))
+        return (n1, n2) if same else None
 
-        The factor of the last call is kept and reused while ``slopes`` is
-        bitwise unchanged.
+    def restoration_factor(self, slopes):
+        """A solver of D^T diag(slopes^2) D + 1e-14 I, D the :attr:`edge_incidence`.
+
+        On a :attr:`grid_shape` grid with constant ``slopes`` (always, on the
+        flat target) the matrix commutes with the grid's translations, and the
+        solver is the :class:`GridSolver` of its column at vertex 0;
+        otherwise it is the matrix's sparse LU factor.  The solver of the
+        last call is kept and reused while ``slopes`` is bitwise unchanged.
         """
         cached = self._restoration
         if cached is None or not np.array_equal(cached[0], slopes):
             d = self.edge_incidence
-            normal = d.T @ sp.diags(slopes * slopes) @ d + 1e-14 * sp.identity(self.n_vertices)
-            cached = self._restoration = (
-                slopes.copy(), spla.splu(normal.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            )
+            c2 = slopes * slopes
+            if self.grid_shape is not None and np.all(slopes == slopes[0]):
+                e0 = np.zeros(self.n_vertices)
+                e0[0] = 1.0
+                column = d.T @ (c2 * (d @ e0)) + 1e-14 * e0
+                solver = GridSolver(column.reshape(self.grid_shape))
+            else:
+                normal = d.T @ sp.diags(c2) @ d + 1e-14 * sp.identity(self.n_vertices)
+                solver = spla.splu(normal.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            cached = self._restoration = (slopes.copy(), solver)
         return cached[1]
 
     # -- parameter-domain unwrapping ----------------------------------------
@@ -475,20 +538,34 @@ class DiscreteImmersion:
             return None
         return self.geometry.seam_offset(wraps, self.phi_monodromy)
 
+    def _mesh_offsets(self, kind, wraps):
+        """:meth:`phi_offsets` of the mesh's seam crossings ``wraps`` of one
+        ``kind``.  They are fixed along a descent, so the mesh keeps each
+        kind's offsets for the last monodromy asked for."""
+        cache = self.mesh._seam_offsets
+        if kind not in cache or cache[kind][0] != self.phi_monodromy:
+            cache[kind] = (self.phi_monodromy, self.phi_offsets(wraps))
+        return cache[kind][1]
+
     def corner_offsets(self):
-        """:meth:`phi_offsets` (3, F) of the face corners' wraps, or None; fixed
-        along a descent, so the mesh keeps those of the last monodromy asked for."""
-        m = self.mesh
-        if m._corner_offsets is None or m._corner_offsets[0] != self.phi_monodromy:
-            phi = self.phi_offsets(m.face_uv[0])
-            m._corner_offsets = (self.phi_monodromy, None if phi is None else phi.T)
-        return m._corner_offsets[1]
+        """:meth:`phi_offsets` (3, F) of the face corners' wraps, or None, kept by the mesh."""
+        phi = self._mesh_offsets("corners", self.mesh.face_uv[0])
+        return None if phi is None else phi.T
+
+    def edge_offsets(self):
+        """:meth:`phi_offsets` (E,) of the mesh's :attr:`SurfaceMesh.edge_wraps`,
+        or None, kept by the mesh."""
+        return self._mesh_offsets("edges", self.mesh.edge_wraps)
+
+    def edge_differences(self):
+        """The tail positions along canonical edges and the seam-corrected
+        coordinate differences head - tail: one :func:`seam_differences` with
+        the :meth:`edge_offsets`."""
+        return seam_differences(self.positions, self.mesh.edges, self.edge_offsets())
 
     def edge_vectors(self):
-        """Seam-corrected coordinate differences along canonical edges (tail -> head),
-        the Reeb-row offsets from the mesh's cached :attr:`SurfaceMesh.edge_wraps`."""
-        return seam_differences(self.positions, self.mesh.edges,
-                                self.phi_offsets(self.mesh.edge_wraps))[1]
+        """Seam-corrected coordinate differences along canonical edges (tail -> head)."""
+        return self.edge_differences()[1]
 
     # -- serialization --------------------------------------------------------
 

@@ -94,8 +94,10 @@ def test_face_kernels_match_row_major_bodies(target, n, warp, seed):
     b_op, b_ref = energy.hamiltonian_map(imm), ref.hamiltonian_operator(imm, fd)
     u = rng.standard_normal(b_op.shape[1])
     y = rng.standard_normal(b_op.shape[0])
-    assert _rel_err(b_op.matvec(u), b_ref.matvec(u)) <= 1e-12
-    assert _rel_err(b_op.rmatvec(y), b_ref.rmatvec(y)) <= 1e-12
+    # b_op's fields are component-major, the reference's vertex-major.
+    n_v, k = imm.positions.shape
+    assert _rel_err(b_op.matvec(u), b_ref.matvec(u).reshape(n_v, k).T.ravel()) <= 1e-12
+    assert _rel_err(b_op.rmatvec(y), b_ref.rmatvec(y.reshape(k, n_v).T.ravel())) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import reference_loops as ref
-from legsurf import corpus, energy, immersion
+from legsurf import corpus, energy, gauge_lab, immersion
 from legsurf.errors import GeometryDomainError
 from legsurf.immersion import FaceData
-from legsurf.mesh import DiscreteImmersion
+from legsurf.mesh import DiscreteImmersion, GridSolver
 
 MAP_CASES = [
     ("flat_patch", dict(n=6)),
@@ -32,6 +34,8 @@ def test_hamiltonian_map_matches_coo_assembly(family, kw):
     b_op = energy.hamiltonian_map(imm)
     assert b_op.shape == b_ref.shape
     n_rows, n_v = b_ref.shape
+    # b_op's rows are component-major (i V + v), the reference's vertex-major (v k + i).
+    b_ref = b_ref.tocsr()[np.arange(n_rows).reshape(n_v, -1).T.ravel()]
     assert _rel_err(b_op @ np.eye(n_v), b_ref.toarray()) <= 1e-13
     rng = np.random.default_rng(5)
     y = rng.standard_normal((n_rows, 3))
@@ -50,6 +54,13 @@ def test_hamiltonian_map_adjoint(target):
         bu = b_op.matvec(u)
         gap = abs(bu @ y - u @ b_op.rmatvec(y))
         assert gap <= 1e-12 * np.linalg.norm(bu) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_projected_field_is_stored_as_rows(target):
+    imm = corpus.perturbed_clifford(8, target=target)
+    _, w = energy.hamiltonian_project(imm, energy.gradient(imm, 0.2).covector)
+    assert w.shape == imm.positions.shape and w.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
@@ -127,6 +138,75 @@ def test_restoration_factor_cached_while_slopes_unchanged():
     first = m.restoration_factor(ones)
     assert m.restoration_factor(ones.copy()) is first
     assert m.restoration_factor(2.0 * ones) is not first
+
+
+GRID_CASES = [
+    *[("clifford_lift", dict(n=n, warp=warp)) for n in (8, 12, 24) for warp in (0.0, 0.3)],
+    ("perturbed_clifford", dict(n=24)),
+]
+
+
+@pytest.mark.parametrize("family,kw", GRID_CASES)
+def test_grid_solver_matches_lu(family, kw):
+    imm = corpus.generate(family, **kw)
+    m = imm.mesh
+    d = m.edge_incidence
+    ones = np.ones(len(m.edges))
+    solver = m.restoration_factor(ones)
+    assert isinstance(solver, GridSolver)
+    lu = spla.splu((d.T @ d + 1e-14 * sp.identity(m.n_vertices)).tocsc())
+    # A right-hand side like the restoration's, D^T (c r).  The constant mode
+    # of x is fixed only by the 1e-14 shift and rounding, so compare D x.
+    b = -(d.T @ np.random.default_rng(3).standard_normal(len(m.edges)))
+    want = d @ lu.solve(b)
+    assert _rel_err(d @ solver.solve(b), want) <= 1e-12
+
+
+def _relabelled(imm, perm):
+    """The immersion as a mesh file would hold it with vertex v renamed perm[v]."""
+    data = imm.to_json()
+    inv = np.argsort(perm)
+    for key in ("vertices", "uv"):
+        data[key] = np.asarray(data[key])[inv].tolist()
+    for key in ("triangles", "generator_loops"):
+        data[key] = [perm[np.asarray(item, int)].tolist() for item in data[key]]
+    return DiscreteImmersion.from_json(data)
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+@pytest.mark.parametrize("family", ["clifford_lift", "perturbed_clifford"])
+def test_grid_shape_of_periodic_grids(family, target):
+    imm = corpus.generate(family, n=12, target=target)
+    assert imm.mesh.grid_shape == (12, 12)
+    assert DiscreteImmersion.from_json(json.loads(json.dumps(imm.to_json()))).mesh.grid_shape == (12, 12)
+
+
+def test_grid_shape_none_off_the_periodic_grid():
+    clifford = corpus.clifford_lift(12)
+    patch = gauge_lab.gauge_ball(clifford, clifford.positions[0], 0.5)
+    assert patch.mesh.n_vertices < clifford.mesh.n_vertices
+    perm = np.random.default_rng(4).permutation(clifford.mesh.n_vertices)
+    for imm in (corpus.flat_patch(8), corpus.double_sheet(4), patch, _relabelled(clifford, perm)):
+        assert imm.mesh.grid_shape is None
+
+
+def test_relabelled_grid_restores_through_lu():
+    imm = corpus.perturbed_clifford(12, seed=3)
+    perm = np.random.default_rng(5).permutation(imm.mesh.n_vertices)
+    other = _relabelled(imm, perm)
+    s = np.random.default_rng(6).standard_normal(imm.mesh.n_vertices)
+    geo = imm.geometry
+    moved = imm.with_positions(geo.move(imm.positions, 1e-2 * s[:, None] * geo.reeb(imm.positions)))
+    moved_other = other.with_positions(moved.positions[np.argsort(perm)])
+    grid_out, *grid_stats = energy.restore_constraint(moved)
+    lu_out, *lu_stats = energy.restore_constraint(moved_other)
+    assert isinstance(imm.mesh.restoration_factor(np.ones(len(imm.mesh.edges))), GridSolver)
+    assert isinstance(other.mesh.restoration_factor(np.ones(len(other.mesh.edges))), spla.SuperLU)
+    assert lu_stats[2] == grid_stats[2] >= 1 and lu_stats[1] <= imm.legendrian_tol
+    # The corrections agree up to the constant mode.
+    grid_fix = grid_out.positions[:, 0] - moved.positions[:, 0]
+    lu_fix = (lu_out.positions[:, 0] - moved_other.positions[:, 0])[perm]
+    assert _rel_err(lu_fix - lu_fix.mean(), grid_fix - grid_fix.mean()) <= 1e-10
 
 
 def test_flow_step_reports_restore_iters():
