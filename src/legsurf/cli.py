@@ -9,7 +9,9 @@ validation failure, 3 numerical-check failure, 4 solver abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -143,23 +145,17 @@ def write_csv(path, header_lines, columns, rows):
 
 
 def _generate(config):
-    family = config["family"]
+    """The config's corpus family, its builder given those of the config's
+    ``resolution`` (as ``n``), ``target``, ``amplitude`` and ``seed`` that its
+    signature takes; ConfigError when the family is unknown or is not built
+    on the config's target."""
+    family, target = config["family"], config["target"]
     if family not in corpus.FAMILIES:
         raise ConfigError(f"unknown corpus family {family!r}")
-    target = config.get("target", "heisenberg")
-    kw = {}
-    if family in ("flat_patch", "double_sheet"):
-        kw = {"n": config["resolution"]}
-    elif family == "clifford_lift":
-        kw = {"n": config["resolution"], "target": target}
-    elif family == "perturbed_clifford":
-        kw = {
-            "n": config["resolution"],
-            "amplitude": config.get("amplitude", 1e-2),
-            "seed": config.get("seed", 0),
-            "target": target,
-        }
-    imm = corpus.generate(family, **kw)
+    takes = inspect.signature(corpus.FAMILIES[family]).parameters
+    kw = {"n": config["resolution"], "target": target, "amplitude": config["amplitude"],
+          "seed": config["seed"]}
+    imm = corpus.generate(family, **{key: value for key, value in kw.items() if key in takes})
     if imm.target != target:
         raise ConfigError(
             f"family {family!r} is built on the {imm.target} target only, not on {target!r}"
@@ -220,16 +216,8 @@ def cmd_lift(config, out_dir):
 def cmd_energy(config, out_dir):
     imm = _load_or_generate(config)
     breakdown = energy.energy(imm, config["epsilon"])
-    payload = report_header(config)
-    payload.update(
-        {
-            "area": breakdown.area,
-            "penalty": breakdown.penalty,
-            "total": breakdown.total,
-            "entropy_indicator": breakdown.entropy_indicator,
-            "epsilon": config["epsilon"],
-        }
-    )
+    payload = {**report_header(config), **dataclasses.asdict(breakdown),
+               "epsilon": config["epsilon"]}
     write_json(Path(out_dir) / "energy.json", payload)
     print(f"area={breakdown.area!r} penalty={breakdown.penalty!r}")
     return EXIT_OK
@@ -237,13 +225,7 @@ def cmd_energy(config, out_dir):
 
 def cmd_descend(config, out_dir):
     imm = _load_or_generate(config)
-    opts = energy.DescentOptions(
-        tau_init=config["tau_init"],
-        tau_min=config["tau_min"],
-        armijo=config["armijo"],
-        max_iters=config["max_iters"],
-        tol_scale=config["tol_scale"],
-    )
+    opts = energy.DescentOptions(**{key: config[key] for key in DESCENT_OPTIONS})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     status, aborted = EXIT_OK, None
@@ -425,6 +407,20 @@ def _base_point(imm, config):
 # ---------------------------------------------------------------------------
 # schemas and argument parsing
 
+#: The keys that pick a command's immersion (:func:`_load_or_generate`): a
+#: mesh file, or a corpus family and the keywords :func:`_generate` builds it with.
+MESH_SOURCE = {
+    "mesh": (False, None),
+    "family": (False, None),
+    "target": (False, "heisenberg"),
+    "resolution": (False, 32),
+    "amplitude": (False, 1e-2),
+    "seed": (False, 0),
+}
+
+#: The descent's options, keyed by :class:`~legsurf.energy.DescentOptions` field.
+DESCENT_OPTIONS = {f.name: (False, f.default) for f in dataclasses.fields(energy.DescentOptions)}
+
 SCHEMAS = {
     "verify-identities": {
         "seed": (False, 0),
@@ -434,46 +430,20 @@ SCHEMAS = {
         "grid": (True, None),
         "base_value": (False, 0.0),
     },
-    "energy": {
-        "mesh": (False, None),
-        "family": (False, None),
-        "target": (False, "heisenberg"),
-        "resolution": (False, 32),
-        "amplitude": (False, 1e-2),
-        "seed": (False, 0),
-        "epsilon": (True, None),
-    },
-    "descend": {
-        "mesh": (False, None),
-        "family": (False, None),
-        "target": (False, "heisenberg"),
-        "resolution": (False, 32),
-        "amplitude": (False, 1e-2),
-        "epsilon_schedule": (True, None),
-        "tol_scale": (False, 1e-3),
-        "tau_init": (False, 1e-2),
-        "tau_min": (False, 1e-10),
-        "armijo": (False, 1e-4),
-        "max_iters": (False, 100),
-        "seed": (False, 0),
-    },
+    "energy": {**MESH_SOURCE, "epsilon": (True, None)},
+    "descend": {**MESH_SOURCE, "epsilon_schedule": (True, None), **DESCENT_OPTIONS},
     "density": {
-        "mesh": (False, None),
+        **MESH_SOURCE,
         "family": (False, "flat_patch"),
-        "target": (False, "heisenberg"),
         "resolution": (False, 128),
-        "amplitude": (False, 1e-2),
-        "seed": (False, 0),
         "radii": (False, [0.05, 0.075, 0.1]),
         "min_radius": (False, None),
         "base_point": (False, "center"),
     },
-    "monotonicity": {
+    "monotonicity": {  # a family at each rung of the ladder, never a mesh file
+        **{key: MESH_SOURCE[key] for key in ("target", "amplitude", "seed")},
         "family": (False, "clifford_lift"),
-        "target": (False, "heisenberg"),
         "resolution_ladder": (False, [32, 64]),
-        "amplitude": (False, 1e-2),
-        "seed": (False, 0),
         "r0": (False, 0.3),
         "eta": (False, 0.08),
         "base_point": (False, "center"),

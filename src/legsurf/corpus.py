@@ -16,15 +16,6 @@ from .mesh import DiscreteImmersion, SurfaceMesh, row_sum
 from .mesh import grid_triangles as _grid_triangles
 from .polynomials import Polynomial, random_polynomial
 
-FAMILIES = (
-    "flat_patch",
-    "clifford_lift",
-    "reeb_orbit_tube_excluded",
-    "perturbed_clifford",
-    "double_sheet",
-)
-
-
 def consistency_tol(h_param):
     """Legendrian tolerance tied to the midpoint rule's O(h^3) consistency.
 
@@ -232,20 +223,23 @@ def perturbed_clifford(n=32, amplitude=1e-2, seed=0, target="heisenberg"):
     return out
 
 
+#: Each corpus family's builder, by name.
+FAMILIES = {
+    "flat_patch": flat_patch,
+    "clifford_lift": clifford_lift,
+    "reeb_orbit_tube_excluded": cone_fixture,
+    "perturbed_clifford": perturbed_clifford,
+    "double_sheet": double_sheet,
+}
+
+
 def generate(family, **kw):
-    """The corpus mesh ``family`` built with keywords ``kw``; a resolution
-    ``n`` must be an integer >= 1 (GeometryDomainError otherwise)."""
+    """The corpus mesh ``family`` built by its :data:`FAMILIES` builder with
+    keywords ``kw``; a resolution ``n`` must be an integer >= 1
+    (GeometryDomainError otherwise)."""
     n = kw.get("n", 1)
     if not (isinstance(n, Integral) and n >= 1):
         raise GeometryDomainError(f"resolution must be an integer >= 1, got {n!r}")
-    if family == "flat_patch":
-        return flat_patch(**kw)
-    if family == "clifford_lift":
-        return clifford_lift(**kw)
-    if family == "double_sheet":
-        return double_sheet(**kw)
-    if family == "perturbed_clifford":
-        return perturbed_clifford(**kw)
-    if family == "reeb_orbit_tube_excluded":
-        return cone_fixture()
-    raise ValueError(f"unknown corpus family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown corpus family {family!r}")
+    return FAMILIES[family](**kw)

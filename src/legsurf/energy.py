@@ -11,7 +11,7 @@ and the directional first variation is that gradient paired with the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral
 
 import numpy as np
@@ -202,11 +202,13 @@ def restore_constraint(imm: DiscreteImmersion):
     controllable by its endpoints.  Moving vertex v to move(p_v, s_v R)
     changes r_e by c_e (s_tail - s_head), c = ``reeb_slope`` (the Reeb flow
     of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
-    the mesh's signed edge incidence.  Its normal matrix is solved by
-    :meth:`SurfaceMesh.restoration_factor`, which reuses its solver while c
-    is unchanged (always, on the flat target, where c = 1): by FFT on a
-    periodic grid when c is constant, by sparse LU otherwise.  The edges'
-    seam offsets are the mesh's cached
+    the mesh's signed edge incidence.  Its normal matrix D^T c^2 D + 1e-14 I
+    is solved by the mesh's cached :attr:`SurfaceMesh.reeb_solver` where
+    every c is 1 (always, on the flat target), by a fresh
+    :meth:`SurfaceMesh.laplacian_solver` otherwise.  The 1e-14 shift leaves
+    the constant mode of the correction to rounding, so its mean is
+    subtracted: an LU and an FFT solve then agree.  The edges' seam offsets
+    are the mesh's cached
     :meth:`DiscreteImmersion.edge_offsets`; each pass's tail positions and
     edge differences are one :func:`~legsurf.mesh.seam_differences`, as in
     :meth:`DiscreteImmersion.edge_differences`.  The positions stay the
@@ -236,7 +238,10 @@ def restore_constraint(imm: DiscreteImmersion):
             break  # done, or at the least-squares floor of vertical corrections
         last_norm = r_norm
         slopes = geo.reeb_slope(p_tail, delta)
-        sol = m.restoration_factor(slopes).solve(-(m.edge_incidence.T @ (slopes * r)))
+        solver = (m.reeb_solver if np.all(slopes == 1.0)
+                  else m.laplacian_solver(slopes * slopes, 1e-14))
+        sol = solver.solve(-(m.edge_incidence.T @ (slopes * r)))
+        sol -= np.mean(sol)
         positions = geo.move(positions, sol[:, None] * geo.reeb(positions))
         r, p_tail, delta, res_max = residual(positions)
         passes += 1
@@ -330,33 +335,30 @@ def hamiltonian_map(imm: DiscreteImmersion):
 
 
 def projection_factor(imm: DiscreteImmersion):
-    """LU factor of the Hamiltonian projection's system at ``imm``.
+    """A solver of the Hamiltonian projection's system at ``imm``.
 
     The area Hessian along Hamiltonian fields is a Dirichlet form in u (the
     pairing identity <dA, X_u> = 2 int <du, d beta>), so the cot stiffness
     plus scaled mass, 2 L + (-4 / alpha(R)) M, is a natural quasi-Newton
     preconditioner.  It is SPD, so any such factor, even one taken at an
-    earlier mesh, gives a descent direction.  Symmetric, so the factor orders
-    its columns on the pattern of A + A^T.
+    earlier mesh, gives a descent direction.  It is the mesh's
+    :meth:`~legsurf.mesh.SurfaceMesh.laplacian_solver`: the cot weights vary
+    even on the uniform Clifford grid, so it is a sparse LU factor.
     """
     weights, areas = cotangent_weights(imm)
     # |vertical(2)|^2 = 4 |R|^2 / alpha(R)^2 = -4 / alpha(R), as |R|^2 = -alpha(R).
-    a_mat = imm.mesh.stiffness(2.0 * weights, (-4.0 / imm.geometry.alpha_reeb) * areas)
-    return spla.splu(a_mat, permc_spec="MMD_AT_PLUS_A")
+    return imm.mesh.laplacian_solver(2.0 * weights, (-4.0 / imm.geometry.alpha_reeb) * areas)
 
 
-def hamiltonian_project(imm: DiscreteImmersion, covector, factor=None):
+def hamiltonian_project(imm: DiscreteImmersion, covector, factor):
     """Project the energy differential onto Hamiltonian fields, preconditioned.
 
     Solves A u = B^T cov~ with A the SPD system of :func:`projection_factor`,
     so -B u descends: pairing the covector against B u gives
-    u^T A u >= 0.  ``factor`` is a factor of A from :func:`projection_factor`,
-    possibly at an earlier mesh; without one, A is built and factored at
-    ``imm``.  Returns u and the field B u in ambient components, laid out
-    like the positions: the (V, k) view of component rows.
+    u^T A u >= 0.  ``factor`` is a solver of A from :func:`projection_factor`,
+    possibly at an earlier mesh.  Returns u and the field B u in ambient
+    components, laid out like the positions: the (V, k) view of component rows.
     """
-    if factor is None:
-        factor = projection_factor(imm)
     b_op = hamiltonian_map(imm)
     geo = imm.geometry
     gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).T.ravel()
@@ -389,7 +391,7 @@ class DescentOptions:
     tau_init: float = 1e-2
     tau_min: float = 1e-10
     armijo: float = 1e-4
-    max_iters: int = 200
+    max_iters: int = 100
     tol_scale: float = 1e-3
 
 
@@ -413,10 +415,7 @@ class StageReport:
         return {
             "eps": self.eps,
             "iters": self.iters,
-            "area": self.energy.area,
-            "penalty": self.energy.penalty,
-            "total": self.energy.total,
-            "entropy_indicator": self.energy.entropy_indicator,
+            **asdict(self.energy),
             "grad_norm": self.grad_norm,
             "tol": self.tol,
             "hit_tolerance": self.hit_tolerance,

@@ -124,7 +124,7 @@ class FaceData:
         if m.uv is None:
             self.minv, self.uv_area = parameter_inverse(_intrinsic_uv(imm))
         else:
-            _, self.minv, self.uv_area = m.face_uv
+            self.minv, self.uv_area = m.face_uv[2:]
             phi = imm.corner_offsets()
         rows = imm.positions.T
         tri = m.triangles.T  # (3, F): corner c of every face

@@ -136,8 +136,8 @@ def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
 
 
 class GridSolver:
-    """Solves A x = b for a matrix A that commutes with the translations of a
-    periodic (n1, n2) vertex grid (:attr:`SurfaceMesh.grid_shape`).
+    """Solves A x = b for a ``matrix`` A that commutes with the translations
+    of a periodic ``shape`` = (n1, n2) vertex grid (:attr:`SurfaceMesh.grid_shape`).
 
     Such an A is block circulant with circulant blocks: A x is the cyclic
     convolution of x with A's column at vertex 0, so the 2-D DFT diagonalises
@@ -146,9 +146,9 @@ class GridSolver:
     fill (Strang, Stud. Appl. Math. 1986; Chan and Ng, SIAM Rev. 1996).
     """
 
-    def __init__(self, column):
-        self.shape = column.shape
-        self.symbol = np.fft.rfft2(column).real
+    def __init__(self, matrix, shape):
+        self.shape = shape
+        self.symbol = np.fft.rfft2(matrix[:, [0]].toarray().reshape(shape)).real
 
     def solve(self, b):
         x = np.fft.irfft2(np.fft.rfft2(np.reshape(b, self.shape)) / self.symbol, s=self.shape)
@@ -205,7 +205,6 @@ class SurfaceMesh:
                 raise GeometryDomainError(f"{kind} index out of range")
         self._build_adjacency()
         self._validate()
-        self._restoration = None  # (edge slopes, solver) of the last restoration_factor call
         self._seam_offsets = {}  # kind: (monodromy, offsets) of DiscreteImmersion._mesh_offsets
 
     # -- construction ------------------------------------------------------
@@ -289,7 +288,8 @@ class SurfaceMesh:
 
     def stiffness(self, edge_weights, diagonal):
         """CSC matrix of sum_e w_e (1_tail - 1_head)(1_tail - 1_head)^T + diag(diagonal),
-        the sparse sum of a COO Laplacian and the diagonal."""
+        the sparse sum of a COO Laplacian and the diagonal (an array, or one
+        number for every vertex)."""
         n_v = self.n_vertices
         tails, heads = self.edges[:, 0], self.edges[:, 1]
         w = edge_weights
@@ -301,7 +301,26 @@ class SurfaceMesh:
             ),
             shape=(n_v, n_v),
         ).tocsr()
-        return (lap + sp.diags(diagonal)).tocsc()
+        return (lap + sp.diags(np.broadcast_to(diagonal, n_v))).tocsc()
+
+    def laplacian_solver(self, edge_weights, diagonal):
+        """A solver of the :meth:`stiffness` matrix of ``edge_weights`` and
+        ``diagonal``: on a :attr:`grid_shape` grid, where each of the two is
+        constant, the matrix commutes with the grid's translations and the
+        solver is its :class:`GridSolver`; otherwise it is the matrix's sparse
+        LU factor, its columns ordered on the pattern of A + A^T (A is
+        symmetric)."""
+        matrix = self.stiffness(edge_weights, diagonal)
+        if self.grid_shape is not None and np.ptp(edge_weights) == 0 and np.ptp(diagonal) == 0:
+            return GridSolver(matrix, self.grid_shape)
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+
+    @functools.cached_property
+    def reeb_solver(self):
+        """The :meth:`laplacian_solver` of D^T D + 1e-14 I, D the
+        :attr:`edge_incidence`: the constraint restoration's normal matrix at
+        unit Reeb slopes (always, on the flat target), built on first use."""
+        return self.laplacian_solver(np.ones(len(self.edges)), 1e-14)
 
     @functools.cached_property
     def grid_shape(self):
@@ -316,30 +335,6 @@ class SurfaceMesh:
             return None
         same = np.array_equal(self.triangles, grid_triangles(n1, n2, wrap1=True, wrap2=True))
         return (n1, n2) if same else None
-
-    def restoration_factor(self, slopes):
-        """A solver of D^T diag(slopes^2) D + 1e-14 I, D the :attr:`edge_incidence`.
-
-        On a :attr:`grid_shape` grid with constant ``slopes`` (always, on the
-        flat target) the matrix commutes with the grid's translations, and the
-        solver is the :class:`GridSolver` of its column at vertex 0;
-        otherwise it is the matrix's sparse LU factor.  The solver of the
-        last call is kept and reused while ``slopes`` is bitwise unchanged.
-        """
-        cached = self._restoration
-        if cached is None or not np.array_equal(cached[0], slopes):
-            d = self.edge_incidence
-            c2 = slopes * slopes
-            if self.grid_shape is not None and np.all(slopes == slopes[0]):
-                e0 = np.zeros(self.n_vertices)
-                e0[0] = 1.0
-                column = d.T @ (c2 * (d @ e0)) + 1e-14 * e0
-                solver = GridSolver(column.reshape(self.grid_shape))
-            else:
-                normal = d.T @ sp.diags(c2) @ d + 1e-14 * sp.identity(self.n_vertices)
-                solver = spla.splu(normal.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            cached = self._restoration = (slopes.copy(), solver)
-        return cached[1]
 
     # -- parameter-domain unwrapping ----------------------------------------
 
@@ -362,25 +357,21 @@ class SurfaceMesh:
         uv = np.zeros((self.n_vertices, 2)) if self.uv is None else self.uv
         return self.wraps(*(gather(uv, ends) for ends in self.edges.T))
 
-    def corner_uv_local(self):
-        """(F, 3, 2) per-face uv with corners 1, 2 unwrapped into corner 0's chart
-        and the :meth:`wraps` removed, one component at a time into (2, 3, F) buffers."""
+    @functools.cached_property
+    def face_uv(self):
+        """Read-only per-face parameter constants, built on first use: the
+        (F, 3, 2) corner uv, corners 1 and 2 unwrapped into corner 0's chart,
+        the (F, 3, 2) :meth:`wraps` removed from them (None when no face
+        crosses a seam), and the minv (F, 2, 2) and parameter areas (F,) of
+        :func:`parameter_inverse`, all component-major; GeometryDomainError
+        without uv."""
         if self.uv is None:
             raise GeometryDomainError("mesh carries no uv parameters")
         uv = np.take(self.uv.T, self.triangles.T, axis=1)  # (2, 3, F): component, corner
         wraps = self.wraps(uv[:, :1].T, uv.T)
         for a, p in enumerate(self.uv_periods or ()):
             uv[a] -= wraps.T[a] * p
-        return uv.T, wraps
-
-    @functools.cached_property
-    def face_uv(self):
-        """Read-only per-face parameter constants, built on first use: the
-        (F, 3, 2) wraps of :meth:`corner_uv_local` (None when no face crosses
-        a seam) and the minv (F, 2, 2) and parameter areas (F,) of
-        :func:`parameter_inverse`, all component-major."""
-        uv, wraps = self.corner_uv_local()
-        out = (wraps if wraps.any() else None, *parameter_inverse(uv))
+        out = (uv.T, wraps if wraps.any() else None, *parameter_inverse(uv.T))
         for arr in out:
             if arr is not None:
                 arr.flags.writeable = False
@@ -393,7 +384,7 @@ class SurfaceMesh:
 
         Face f with neighbours n_j (in face-edge order) gets the least-squares
         weights q_f = pinv(bary[n_j] - bary[f]) (see :func:`_lsq_weights`) of
-        its corner barycentres, unwrapped by the wraps of :attr:`face_uv`, the
+        the barycentres of its unwrapped corners (:attr:`face_uv`), the
         parameter differences unwrapped across the seam; row 2f + a holds
         q_f[a, j] at column n_j and -sum_j q_f[a, j] at column f, so
         (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).  A missing
@@ -404,16 +395,13 @@ class SurfaceMesh:
         if self.uv is None:
             raise GeometryDomainError("the Gauss-map stencil requires uv parameters")
         n_f = len(self.triangles)
-        wraps = self.face_uv[0]
+        uv = self.face_uv[0].T  # (2, 3, F)
         periods = self.uv_periods or (0.0, 0.0)
         nbrs = self.face_neighbors.T  # (3, F): neighbour slot j of face f
         has = nbrs >= 0
         delta = np.empty((2, 3, n_f))  # component-major parameter differences
         for a, d in enumerate(delta):
-            corners = self.uv.T[a][self.triangles.T]  # (3, F)
-            if wraps is not None and periods[a]:
-                corners -= wraps.T[a] * periods[a]
-            bary = (corners[0] + corners[1] + corners[2]) / 3.0
+            bary = (uv[a, 0] + uv[a, 1] + uv[a, 2]) / 3.0
             np.subtract(bary[np.where(has, nbrs, 0)], bary, out=d)
             if periods[a]:
                 d -= np.round(d / periods[a]) * periods[a]
@@ -549,7 +537,7 @@ class DiscreteImmersion:
 
     def corner_offsets(self):
         """:meth:`phi_offsets` (3, F) of the face corners' wraps, or None, kept by the mesh."""
-        phi = self._mesh_offsets("corners", self.mesh.face_uv[0])
+        phi = self._mesh_offsets("corners", self.mesh.face_uv[1])
         return None if phi is None else phi.T
 
     def edge_offsets(self):
@@ -562,10 +550,6 @@ class DiscreteImmersion:
         coordinate differences head - tail: one :func:`seam_differences` with
         the :meth:`edge_offsets`."""
         return seam_differences(self.positions, self.mesh.edges, self.edge_offsets())
-
-    def edge_vectors(self):
-        """Seam-corrected coordinate differences along canonical edges (tail -> head)."""
-        return self.edge_differences()[1]
 
     # -- serialization --------------------------------------------------------
 

@@ -141,7 +141,7 @@ def components(mesh, vertex_neighbors):
 
 def stencil_weights(mesh):
     """Per-face neighbour lists and pinv differencing weights q_f (2, m)."""
-    uv, _ = mesh.corner_uv_local()
+    uv = mesh.face_uv[0]
     bary = uv.mean(axis=1)
     neighbors, qweights = [], []
     for f in range(len(mesh.triangles)):
@@ -392,9 +392,10 @@ def face_data_arrays(imm):
     if m.uv is None:
         minv, uv_area = parameter_inverse(_intrinsic_uv(imm))
     else:
-        uv, wraps = m.corner_uv_local()
+        uv, wraps = m.face_uv[:2]
         minv, uv_area = parameter_inverse(uv)
-        corners += wraps_shift(imm, wraps)
+        if wraps is not None:  # None: no face crosses a seam
+            corners += wraps_shift(imm, wraps)
     base = corners[:, 0]
     d1, d2 = corners[:, 1] - base, corners[:, 2] - base
     e1, e2 = imm.geometry.frame(base, d1), imm.geometry.frame(base, d2)

@@ -1,5 +1,7 @@
 """End-to-end command behavior: exits, files, determinism."""
 
+import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from legsurf import cli, corpus
+from legsurf import cli, corpus, energy
 from legsurf import heisenberg as hs
 
 
@@ -612,3 +614,25 @@ class TestRepeatedInProcessCalls:
         config.write_text(json.dumps({"radii": [0.2]}))
         assert cli.main([*args, "--config", str(config)]) == 7
         assert [(c["resolution"], c["radii"]) for c in seen] == [(16, [0.2])]
+
+
+def test_descend_schema_holds_the_descent_option_defaults():
+    fields = dataclasses.fields(energy.DescentOptions)
+    assert {f.name for f in fields} <= set(cli.SCHEMAS["descend"])
+    for f in fields:
+        assert cli.SCHEMAS["descend"][f.name] == (False, f.default), f.name
+    assert energy.DescentOptions().max_iters == 100
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+@pytest.mark.parametrize("family", list(corpus.FAMILIES))
+def test_generate_builds_each_family_or_names_it(family, target):
+    """A family taking a target is built on both; any other only on the flat target."""
+    overrides = {"family": family, "target": target, "resolution": 4, "epsilon": 0.2}
+    config = cli.load_config(None, overrides, cli.SCHEMAS["energy"])
+    takes_target = "target" in inspect.signature(corpus.FAMILIES[family]).parameters
+    if takes_target or target == "heisenberg":
+        assert cli._generate(config).target == target
+    else:
+        with pytest.raises(cli.ConfigError, match=repr(family)):
+            cli._generate(config)

@@ -162,7 +162,8 @@ def test_with_positions_copies_into_the_layout(order, writeable):
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
 def test_flow_step_returns_component_major_positions(target):
     imm = corpus.perturbed_clifford(8, seed=3, target=target)
-    _, w = energy.hamiltonian_project(imm, energy.gradient(imm, 0.2).covector)
+    _, w = energy.hamiltonian_project(imm, energy.gradient(imm, 0.2).covector,
+                                      energy.projection_factor(imm))
     restored, _, after, passes = energy.flow_step(imm, -w, 1e-2)
     assert_component_major(restored)
     assert after <= restored.legendrian_tol
@@ -188,16 +189,16 @@ def test_descent_from_vertex_major_copy_is_byte_identical(target):
 
 
 def assert_mesh_rows(imm):
-    """triangles, edges, uv, the edge and corner wraps and face_uv's wraps
+    """triangles, edges, uv, the edge wraps and face_uv's corner uv, wraps
     and minv are read-only views of C-contiguous component rows, and the
     assembler keeps the (F, 3) triangles."""
     m = imm.mesh
     n_f, n_e = len(m.triangles), len(m.edges)
-    wraps, minv, _ = m.face_uv
+    corner_uv, wraps, minv, _ = m.face_uv
     arrays = {
         "triangles": (m.triangles, (n_f, 3)), "edges": (m.edges, (n_e, 2)),
         "uv": (m.uv, (m.n_vertices, 2)), "edge_wraps": (m.edge_wraps, (n_e, 2)),
-        "corner_wraps": (m.corner_uv_local()[1], (n_f, 3, 2)), "minv": (minv, (n_f, 2, 2)),
+        "corner_uv": (corner_uv, (n_f, 3, 2)), "minv": (minv, (n_f, 2, 2)),
     }
     if wraps is not None:
         arrays["face_wraps"] = (wraps, (n_f, 3, 2))

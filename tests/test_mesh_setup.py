@@ -174,7 +174,7 @@ def test_stencil_matches_pinv_after_relabelling(name, seed):
     counts = set((mesh.face_neighbors >= 0).sum(axis=1).tolist())
     if name == "flat_patch":
         assert {1, 2, 3} <= counts
-    new, old = mesh.gauss_stencil, ref.gauss_stencil_pinv(mesh, mesh.corner_uv_local()[0])
+    new, old = mesh.gauss_stencil, ref.gauss_stencil_pinv(mesh, mesh.face_uv[0])
     assert new.has_sorted_indices
     np.testing.assert_array_equal(new.indptr, old.indptr)
     np.testing.assert_array_equal(new.indices, old.indices)
@@ -193,7 +193,7 @@ def test_seamed_face_data_and_gradient_match_dense_shifts(n, warp, amplitude, se
     if amplitude:
         rng = np.random.default_rng(seed)
         imm = imm.with_positions(imm.positions + amplitude * rng.normal(size=imm.positions.shape))
-    assert imm.mesh.face_uv[0] is not None and any(imm.phi_monodromy)  # seams with offsets
+    assert imm.mesh.face_uv[1] is not None and any(imm.phi_monodromy)  # seams with offsets
     fd = FaceData(imm)
     for attr, want in ref.face_data_arrays(imm).items():
         assert _rel_err(getattr(fd, attr), want) <= 1e-14, attr

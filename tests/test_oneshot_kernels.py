@@ -140,7 +140,7 @@ def _lsq_weights(delta):
 class TestStencilWeights:
     def test_stencil_matches_pinv(self, imm):
         m = imm.mesh
-        uv = m.corner_uv_local()[0]
+        uv = m.face_uv[0]
         new = m.gauss_stencil
         old = ref.gauss_stencil_pinv(m, uv)
         np.testing.assert_array_equal(new.indptr, old.indptr)
@@ -149,7 +149,7 @@ class TestStencilWeights:
 
     def test_stencil_on_cone_matches_pinv(self):
         m = corpus.cone_fixture().mesh
-        uv = m.corner_uv_local()[0]
+        uv = m.face_uv[0]
         np.testing.assert_allclose(
             m.gauss_stencil.toarray(), ref.gauss_stencil_pinv(m, uv).toarray(),
             rtol=0, atol=1e-12,

@@ -1,4 +1,4 @@
-"""The projection and restoration solvers: operator form, exact Reeb slopes, cached factor."""
+"""The projection and restoration solvers: operator form, exact Reeb slopes, solver choice."""
 
 import json
 import subprocess
@@ -13,7 +13,7 @@ import reference_loops as ref
 from legsurf import corpus, energy, gauge_lab, immersion
 from legsurf.errors import GeometryDomainError
 from legsurf.immersion import FaceData
-from legsurf.mesh import DiscreteImmersion, GridSolver
+from legsurf.mesh import DiscreteImmersion, GridSolver, SurfaceMesh
 
 MAP_CASES = [
     ("flat_patch", dict(n=6)),
@@ -59,7 +59,8 @@ def test_hamiltonian_map_adjoint(target):
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
 def test_projected_field_is_stored_as_rows(target):
     imm = corpus.perturbed_clifford(8, target=target)
-    _, w = energy.hamiltonian_project(imm, energy.gradient(imm, 0.2).covector)
+    _, w = energy.hamiltonian_project(imm, energy.gradient(imm, 0.2).covector,
+                                      energy.projection_factor(imm))
     assert w.shape == imm.positions.shape and w.T.flags.c_contiguous
 
 
@@ -69,7 +70,8 @@ def test_projection_with_own_factor_matches_fresh(target):
     grad = energy.EnergyAssembler(imm).gradient(imm, 0.2)
     factor = energy.projection_factor(imm)
     u, w = energy.hamiltonian_project(imm, grad.covector, factor=factor)
-    u_fresh, w_fresh = energy.hamiltonian_project(imm, grad.covector)
+    u_fresh, w_fresh = energy.hamiltonian_project(imm, grad.covector,
+                                                  energy.projection_factor(imm))
     assert np.array_equal(u, u_fresh) and np.array_equal(w, w_fresh)
     # Pairing the covector with the field is u^T A u > 0, so -w descends.
     assert np.sum(grad.covector * w) > 0
@@ -77,25 +79,23 @@ def test_projection_with_own_factor_matches_fresh(target):
 
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
 def test_descent_factors_projection_once_per_stage(target, monkeypatch):
-    import scipy.sparse.linalg as spla
+    calls = []
+    projection_factor = energy.projection_factor
 
-    callers = []
-    splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_filename)
-        return splu(*args, **kwargs)
+    def counting_factor(imm):
+        calls.append(imm)
+        return projection_factor(imm)
 
     def no_spsolve(*args, **kwargs):
         raise AssertionError("the descent must not call spsolve")
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(energy, "projection_factor", counting_factor)
     monkeypatch.setattr(spla, "spsolve", no_spsolve)
     imm = corpus.perturbed_clifford(8, amplitude=1e-2, seed=3, target=target)
     schedule = [0.3, 0.2, 0.1]
     res = energy.descend(imm, schedule, energy.DescentOptions(max_iters=2))
     assert len(res.stages) == len(schedule) and res.records
-    assert sum(c == energy.__file__ for c in callers) == len(schedule)
+    assert len(calls) == len(schedule)
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
@@ -123,7 +123,7 @@ def test_reeb_slope_matches_central_differences(target):
 def test_restoration_adds_no_uniform_phi_translation():
     imm = corpus.perturbed_clifford(48)
     grad = energy.EnergyAssembler(imm).gradient(imm, 0.2)
-    _, w_proj = energy.hamiltonian_project(imm, grad.covector)
+    _, w_proj = energy.hamiltonian_project(imm, grad.covector, energy.projection_factor(imm))
     moved = imm.with_positions(imm.geometry.move(imm.positions, -1.0 * w_proj))
     restored, _, _, passes = energy.restore_constraint(moved)
     assert passes >= 1
@@ -131,13 +131,57 @@ def test_restoration_adds_no_uniform_phi_translation():
     assert abs(np.mean(correction)) <= 1e-2 * np.max(np.abs(correction))
 
 
-def test_restoration_factor_cached_while_slopes_unchanged():
-    imm = corpus.clifford_lift(8)
-    m = imm.mesh
-    ones = np.ones(len(m.edges))
-    first = m.restoration_factor(ones)
-    assert m.restoration_factor(ones.copy()) is first
-    assert m.restoration_factor(2.0 * ones) is not first
+def test_flat_restoration_reuses_the_reeb_solver(monkeypatch):
+    built = []
+    laplacian_solver = SurfaceMesh.laplacian_solver
+
+    def counting_solver(mesh, *args):
+        built.append(args)
+        return laplacian_solver(mesh, *args)
+
+    monkeypatch.setattr(SurfaceMesh, "laplacian_solver", counting_solver)
+    for imm, kind in [(corpus.clifford_lift(8), GridSolver), (corpus.flat_patch(8), spla.SuperLU)]:
+        m, geo, p = imm.mesh, imm.geometry, imm.positions
+        s = np.random.default_rng(2).standard_normal(m.n_vertices)
+        built.clear()
+        for scale in (0.1, 0.2):
+            moved = imm.with_positions(geo.move(p, scale * s[:, None] * geo.reeb(p)))
+            assert energy.restore_constraint(moved)[3] >= 1
+        assert len(built) == 1 and m.reeb_solver is m.reeb_solver
+        assert isinstance(m.reeb_solver, kind)
+
+
+def _grid_and_other_meshes():
+    """A periodic grid's mesh, and meshes that are not grids: a patch and a
+    relabelling of it, and a flat patch."""
+    clifford = corpus.clifford_lift(12)
+    patch = gauge_lab.gauge_ball(clifford, clifford.positions[0], 0.5)
+    perm = np.random.default_rng(4).permutation(clifford.mesh.n_vertices)
+    return clifford.mesh, [patch.mesh, _relabelled(clifford, perm).mesh, corpus.flat_patch(8).mesh]
+
+
+def test_laplacian_solver_is_fft_only_on_a_grid_with_constant_coefficients():
+    grid, others = _grid_and_other_meshes()
+    rng = np.random.default_rng(8)
+    for m in [grid, *others]:
+        n_e, n_v = len(m.edges), m.n_vertices
+        varied_w, varied_d = 1.0 + rng.uniform(size=n_e), 1.0 + rng.uniform(size=n_v)
+        for weights, diagonal in [(np.full(n_e, 2.5), 1e-14), (np.ones(n_e), np.full(n_v, 0.5)),
+                                  (varied_w, 1e-14), (np.ones(n_e), varied_d)]:
+            fft = m is grid and np.ptp(weights) == 0 and np.ptp(diagonal) == 0
+            solver = m.laplacian_solver(weights, diagonal)
+            assert isinstance(solver, GridSolver if fft else spla.SuperLU)
+            b = m.edge_incidence.T @ rng.standard_normal(n_e)  # in the range at any shift
+            assert _rel_err(m.stiffness(weights, diagonal) @ solver.solve(b), b) <= 1e-10
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+@pytest.mark.parametrize("n", [8, 24])
+def test_projection_factor_is_lu_on_the_clifford_grid(n, target):
+    imm = corpus.clifford_lift(n, target=target)
+    assert imm.mesh.grid_shape == (n, n)
+    assert np.ptp(immersion.cotangent_weights(imm)[0]) > 0  # the cot weights vary
+    assert isinstance(energy.projection_factor(imm), spla.SuperLU)
 
 
 GRID_CASES = [
@@ -151,15 +195,14 @@ def test_grid_solver_matches_lu(family, kw):
     imm = corpus.generate(family, **kw)
     m = imm.mesh
     d = m.edge_incidence
-    ones = np.ones(len(m.edges))
-    solver = m.restoration_factor(ones)
-    assert isinstance(solver, GridSolver)
-    lu = spla.splu((d.T @ d + 1e-14 * sp.identity(m.n_vertices)).tocsc())
+    assert isinstance(m.reeb_solver, GridSolver)
     # A right-hand side like the restoration's, D^T (c r).  The constant mode
     # of x is fixed only by the 1e-14 shift and rounding, so compare D x.
     b = -(d.T @ np.random.default_rng(3).standard_normal(len(m.edges)))
-    want = d @ lu.solve(b)
-    assert _rel_err(d @ solver.solve(b), want) <= 1e-12
+    for c2 in (1.0, 2.5):  # unit slopes, and another constant one
+        matrix = m.stiffness(np.full(len(m.edges), c2), 1e-14)
+        lu = spla.splu((c2 * (d.T @ d) + 1e-14 * sp.identity(m.n_vertices)).tocsc())
+        assert _rel_err(d @ GridSolver(matrix, m.grid_shape).solve(b), d @ lu.solve(b)) <= 1e-12
 
 
 def _relabelled(imm, perm):
@@ -182,12 +225,10 @@ def test_grid_shape_of_periodic_grids(family, target):
 
 
 def test_grid_shape_none_off_the_periodic_grid():
-    clifford = corpus.clifford_lift(12)
-    patch = gauge_lab.gauge_ball(clifford, clifford.positions[0], 0.5)
-    assert patch.mesh.n_vertices < clifford.mesh.n_vertices
-    perm = np.random.default_rng(4).permutation(clifford.mesh.n_vertices)
-    for imm in (corpus.flat_patch(8), corpus.double_sheet(4), patch, _relabelled(clifford, perm)):
-        assert imm.mesh.grid_shape is None
+    grid, (patch, *others) = _grid_and_other_meshes()
+    assert patch.n_vertices < grid.n_vertices
+    for m in (patch, *others, corpus.double_sheet(4).mesh):
+        assert m.grid_shape is None
 
 
 def test_relabelled_grid_restores_through_lu():
@@ -200,13 +241,13 @@ def test_relabelled_grid_restores_through_lu():
     moved_other = other.with_positions(moved.positions[np.argsort(perm)])
     grid_out, *grid_stats = energy.restore_constraint(moved)
     lu_out, *lu_stats = energy.restore_constraint(moved_other)
-    assert isinstance(imm.mesh.restoration_factor(np.ones(len(imm.mesh.edges))), GridSolver)
-    assert isinstance(other.mesh.restoration_factor(np.ones(len(other.mesh.edges))), spla.SuperLU)
+    assert isinstance(imm.mesh.reeb_solver, GridSolver)
+    assert isinstance(other.mesh.reeb_solver, spla.SuperLU)
     assert lu_stats[2] == grid_stats[2] >= 1 and lu_stats[1] <= imm.legendrian_tol
-    # The corrections agree up to the constant mode.
+    # Both restorations pin the constant mode, so the corrections agree.
     grid_fix = grid_out.positions[:, 0] - moved.positions[:, 0]
     lu_fix = (lu_out.positions[:, 0] - moved_other.positions[:, 0])[perm]
-    assert _rel_err(lu_fix - lu_fix.mean(), grid_fix - grid_fix.mean()) <= 1e-10
+    assert _rel_err(lu_fix, grid_fix) <= 1e-12
 
 
 def test_flow_step_reports_restore_iters():
@@ -214,7 +255,7 @@ def test_flow_step_reports_restore_iters():
     *_, passes = energy.flow_step(imm, np.zeros_like(imm.positions), 1e-2)
     assert passes == 0
     grad = energy.EnergyAssembler(imm).gradient(imm, 0.2)
-    _, w_proj = energy.hamiltonian_project(imm, grad.covector)
+    _, w_proj = energy.hamiltonian_project(imm, grad.covector, energy.projection_factor(imm))
     _, before, after, passes = energy.flow_step(imm, -w_proj, 1.0)
     assert before > imm.legendrian_tol
     assert after <= imm.legendrian_tol
