@@ -390,7 +390,9 @@ def _base_point(imm, config):
     choice = config.get("base_point", "center")
     if choice == "center":
         if imm.mesh.uv is not None:
-            # Means as running totals in vertex order, as over vertex-major uv.
+            # The tie rule: on even Clifford grids four vertices are equidistant
+            # from the uv mean, and the mean taken as a running total in vertex
+            # order picks among them (np.mean's pairwise sum picks another).
             u, v = imm.mesh.uv.T
             mid_u, mid_v = (np.cumsum(row)[-1] / len(row) for row in (u, v))
             idx = int(np.argmin((u - mid_u) ** 2 + (v - mid_v) ** 2))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import heisenberg as hs
 from .errors import GeometryDomainError
-from .mesh import DiscreteImmersion, SurfaceMesh, row_sum
+from .mesh import DiscreteImmersion, SurfaceMesh
 from .mesh import grid_triangles as _grid_triangles
 from .polynomials import Polynomial, random_polynomial
 
@@ -148,9 +148,12 @@ def double_sheet(n=16, extent=1.0):
 
 
 def cone_fixture():
-    """Intentionally degenerate: a valence-3 interior cone vertex.
+    """A three-face fan about a valence-3 apex on the flat model.
 
-    Exists only to exercise warning and error paths; tagged invalid.
+    A valid Legendrian patch (every point has phi = y2 = y4 = 0, so alpha
+    vanishes on every edge) that the stencil and layout tests use for a
+    low-valence vertex.  Its family name ``reeb_orbit_tube_excluded`` is
+    historical.
     """
     apex = np.array([0.0, 0.0, 0.0, 0.0, 0.0])
     ring = np.array(
@@ -215,7 +218,7 @@ def perturbed_clifford(n=32, amplitude=1e-2, seed=0, target="heisenberg"):
     )
     p = imm.positions
     speed = imm.geometry.hamiltonian_field(*poly.value_and_grad(p), p)
-    vmax = float(np.max(np.sqrt(row_sum(speed.T**2))))
+    vmax = float(np.max(np.linalg.norm(speed, axis=-1)))
     out = flow_exact_hamiltonian(imm, poly, amplitude / max(vmax, 1e-9), nsteps=16)
     from .immersion import legendrian_residual
 

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DegenerateFaceError,
@@ -26,7 +25,7 @@ from .errors import (
     StepRejectedError,
 )
 from .immersion import cotangent_weights, legendrian_residual, wedge_rows_adjoint
-from .mesh import DiscreteImmersion, row_sum, seam_differences
+from .mesh import DiscreteImmersion, seam_differences
 
 
 @dataclass
@@ -43,15 +42,12 @@ class EnergyBreakdown:
 
 @dataclass
 class FirstVariation:
-    """Per-vertex covector, already tangent, so pairing projects the field to tangents.
-
-    The pairing adds its V k products in vertex-major order, however the
-    covector and the field are stored."""
+    """Per-vertex covector, already tangent, so pairing projects the field to tangents."""
 
     covector: np.ndarray
 
     def pair(self, w):
-        return float(np.sum(np.ascontiguousarray(self.covector * w)))
+        return float(np.sum(self.covector * w))
 
 
 @dataclass
@@ -283,12 +279,10 @@ def hamiltonian_map(imm: DiscreteImmersion):
     per-vertex frame components: the face-wise surface gradient of u,
     averaged onto each vertex with area weights (each face's third of its
     area over the vertex area, :attr:`FaceData.vertex_areas`), then
-    J o horizontal at the vertex.  Returned as a ``LinearOperator`` of shape
-    (V k, V) with ``matvec`` (u -> B u) and ``rmatvec`` (y -> B^T y).  Its
-    vectors of length V k are component-major: entry i V + v is component i
-    at vertex v, so a field's flat vector is ``field.T.ravel()``, a view of
-    the rows of a field stored like the positions, and ``Bu.reshape(k, V).T``
-    is such a field.  The face gradients are combinations of
+    J o horizontal at the vertex.  Returns the pair of functions (B, B^T):
+    B takes u (V,) to a (V, k) field stored like the positions, the view of
+    its (k, V) component rows, and B^T takes such a field to a vertex
+    scalar.  The face gradients are combinations of
     :attr:`FaceData.partials`, component-major, and are spread onto the
     vertices one component at a time.
     """
@@ -296,7 +290,7 @@ def hamiltonian_map(imm: DiscreteImmersion):
     fd = imm.face_data
     tri = imm.mesh.triangles.T  # (3, F): corner c of every face
     corners = tri.ravel()
-    n_v, k = imm.positions.shape
+    n_v = imm.mesh.n_vertices
     weight = (fd.area / 3.0) / fd.vertex_areas[tri]  # (3, F): face share at each corner
 
     # The hat function of corner c has parameter gradient hat_c minv, with
@@ -316,22 +310,20 @@ def hamiltonian_map(imm: DiscreteImmersion):
 
     # J o horizontal is applied row-wise; its transpose is -horizontal o J,
     # as horizontal is an orthogonal projection and J is antisymmetric.
-    def matvec(u):
-        u = np.ravel(u)
+    def b_map(u):
         face_grad = np.einsum("af,aif->if", np.einsum("acf,cf->af", gcoef, u[tri]), partials)
         avg = np.stack([np.bincount(corners, weights=(weight * row).reshape(-1), minlength=n_v)
                         for row in face_grad])
-        return (geo.j(geo.horizontal(q, avg.T)) + vert * u[:, None]).T.ravel()
+        return geo.j(geo.horizontal(q, avg.T)) + vert * u[:, None]
 
-    def rmatvec(y):
-        y = np.reshape(y, (k, n_v)).T
-        z = np.ascontiguousarray(-geo.horizontal(q, geo.j(y)).T)  # (k, V)
+    def bt_map(y):
+        z = -geo.horizontal(q, geo.j(y)).T  # (k, V)
         face_bar = np.einsum("cf,icf->if", weight, z[:, tri])
         src = np.einsum("acf,af->cf", gcoef, np.einsum("aif,if->af", partials, face_bar))
-        reeb_part = row_sum((vert * y).T)
+        reeb_part = np.add.reduce((vert * y).T)
         return np.bincount(corners, weights=src.reshape(-1), minlength=n_v) + reeb_part
 
-    return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
+    return b_map, bt_map
 
 
 def projection_factor(imm: DiscreteImmersion):
@@ -359,12 +351,10 @@ def hamiltonian_project(imm: DiscreteImmersion, covector, factor):
     possibly at an earlier mesh.  Returns u and the field B u in ambient
     components, laid out like the positions: the (V, k) view of component rows.
     """
-    b_op = hamiltonian_map(imm)
+    b_map, bt_map = hamiltonian_map(imm)
     geo = imm.geometry
-    gtilde = geo.frame_covector(imm.positions, np.asarray(covector, float)).T.ravel()
-    u = factor.solve(b_op.rmatvec(gtilde))
-    w_frame = b_op.matvec(u).reshape(imm.positions.shape[::-1]).T
-    return u, geo.unframe(imm.positions, w_frame)
+    u = factor.solve(bt_map(geo.frame_covector(imm.positions, np.asarray(covector, float))))
+    return u, geo.unframe(imm.positions, b_map(u))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +425,7 @@ class DescentResult:
 
 
 def _grad_norm(imm, areas, w):
-    wn = row_sum((imm.geometry.frame(imm.positions, w) ** 2).T)
+    wn = np.add.reduce(imm.geometry.frame(imm.positions, w).T ** 2)
     return float(np.sqrt(np.sum(areas * wn) / np.sum(areas)))
 
 

@@ -19,7 +19,7 @@ from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
 from .immersion import edge_chords, mean_curvature_edges
-from .mesh import DiscreteImmersion, row_sum
+from .mesh import DiscreteImmersion
 
 # ---------------------------------------------------------------------------
 # cut-off bump: quintic smoothstep, C^2, chi' <= 0, -chi' > 1/2 on [5/4, 7/4]
@@ -433,9 +433,13 @@ class DensityCurve:
 
 
 def tri_sublevel_fraction(r_vals, s):
-    """Area fraction of a triangle where the linear interpolant of r is < s."""
-    r_sorted = np.sort(r_vals, axis=-1)
-    r0, r1, r2 = r_sorted[..., 0], r_sorted[..., 1], r_sorted[..., 2]
+    """Area fraction of a triangle where the linear interpolant of r is < s.
+
+    The corner values r0 <= r1 <= r2 of each row of ``r_vals`` (..., 3) are
+    picked by a min/max network: the floats ``np.sort`` returns, unsorted."""
+    x, y, z = r_vals[..., 0], r_vals[..., 1], r_vals[..., 2]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    r0, r1, r2 = np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
     frac = np.zeros(r0.shape)
     frac[s >= r2] = 1.0
     # Each branch is evaluated on its own faces only, where s lies within the
@@ -450,14 +454,9 @@ def tri_sublevel_fraction(r_vals, s):
 
 
 def resolvable_radius(imm: DiscreteImmersion):
-    """Three median frame edge lengths: the smallest radius worth measuring.
-
-    The squares of the chords (:func:`~legsurf.immersion.edge_chords`) are
-    added over their component rows in the order ``np.linalg.norm`` adds a
-    contiguous row (:func:`~legsurf.mesh.row_sum`), so the lengths are
-    bitwise ``norm(edge_chords(imm), axis=-1)`` of vertex-major chords.
-    """
-    return 3.0 * float(np.median(np.sqrt(row_sum(edge_chords(imm).T ** 2))))
+    """Three median frame edge lengths (of :func:`~legsurf.immersion.edge_chords`):
+    the smallest radius worth measuring."""
+    return 3.0 * float(np.median(np.linalg.norm(edge_chords(imm), axis=-1)))
 
 
 def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:

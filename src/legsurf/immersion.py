@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateFaceError, GeometryDomainError
-from .mesh import DiscreteImmersion, gather, parameter_inverse, row_sum
+from .mesh import DiscreteImmersion, gather, parameter_inverse
 
 
 def wedge_rows(x, y):
@@ -59,15 +59,15 @@ def _intrinsic_uv(imm: DiscreteImmersion):
     """(F, 3, 2) intrinsic per-face corner parameters from the current frame
     edge lengths: corner 0 at the origin, corner 1 on the first axis, as
     (2, 3, F) rows.  The corners are row gathers and the chords' lengths
-    and product are :func:`~legsurf.mesh.row_sum` sums over their rows."""
+    and product are sums over their component rows."""
     base, *others = (gather(imm.positions, corner) for corner in imm.mesh.triangles.T)
     e1, e2 = (imm.geometry.frame(base, other - base).T for other in others)
-    l1 = np.sqrt(row_sum(e1 * e1))
-    x2 = np.where(l1 > 0, row_sum(e1 * e2) / np.maximum(l1, 1e-300), 0.0)
+    l1 = np.linalg.norm(e1, axis=0)
+    x2 = np.where(l1 > 0, np.add.reduce(e1 * e2) / np.maximum(l1, 1e-300), 0.0)
     uv = np.zeros((2, 3, len(l1)))  # uv[a, c]: component a of corner c
     uv[0, 1] = l1
     uv[0, 2] = x2
-    uv[1, 2] = np.sqrt(np.maximum(row_sum(e2 * e2) - x2**2, 0.0))
+    uv[1, 2] = np.sqrt(np.maximum(np.add.reduce(e2 * e2) - x2**2, 0.0))
     return uv.T
 
 
@@ -344,9 +344,7 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
         if np.any(e < 0):
             i = int(np.argmax(e < 0))
             raise GeometryDomainError(f"generator loop uses missing edge ({a[i]}, {b[i]})")
-        steps = np.where(a < b, 0.5, -0.5) * gamma[e]
-        # a running total from 0.0, added in loop order
-        periods.append(float(np.cumsum(np.append(0.0, steps))[-1]))
+        periods.append(float(np.sum(np.where(a < b, 0.5, -0.5) * gamma[e])))
 
     lap_beta = (m.edge_incidence.T @ (weights * 0.5 * gamma)) / areas
 

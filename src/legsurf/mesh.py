@@ -105,16 +105,6 @@ def gather(positions, index):
     return np.take(positions.T, index, axis=1).T
 
 
-def row_sum(x):
-    """The sum over the leading axis of k <= 8 component rows x (k, ...), in
-    the order ``np.sum`` adds a contiguous row of k: in sequence below 8
-    terms, pairwise at 8.  So a sum over rows keeps the bits of the same sum
-    over the last axis of vertex-major (..., k) data."""
-    if len(x) == 8:
-        return ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
-    return np.add.reduce(x, axis=0)
-
-
 def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
     """Two positively oriented triangles per cell of an (n1, n2) vertex grid,
     vertex (i, j) numbered offset + i n2 + j and cells in row-major order:

