@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import fields
 from .energy import HamiltonianSpec
 from .errors import GeometryDomainError, ResolutionError
 from .immersion import edge_chords, mean_curvature_edges
-from .mesh import DiscreteImmersion
+from .mesh import DiscreteImmersion, component_count
 
 # ---------------------------------------------------------------------------
 # cut-off bump: quintic smoothstep, C^2, chi' <= 0, -chi' > 1/2 on [5/4, 7/4]
@@ -498,10 +497,10 @@ def density_curve(gf: GaugeFields, radii, min_radius=None) -> DensityCurve:
 
 def _component_count(imm, r_vals, s):
     """Connected components of the subgraph induced by the vertices with r < s."""
-    idx = np.flatnonzero(r_vals < s)
-    if len(idx) == 0:
-        return 0
-    return int(connected_components(imm.mesh.vertex_graph[idx][:, idx], directed=False)[0])
+    inside = r_vals < s
+    edges = imm.mesh.edges
+    kept = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    return component_count(np.count_nonzero(inside), (np.cumsum(inside) - 1)[kept])
 
 
 # ---------------------------------------------------------------------------

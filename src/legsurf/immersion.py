@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DegenerateFaceError, GeometryDomainError
 from .mesh import DiscreteImmersion, gather, parameter_inverse
@@ -363,6 +362,10 @@ def _integrate_on_tree(m, edge_values):
     """Vertex values f with f[head] - f[tail] = edge_values along a breadth-first
     spanning tree of each component, and f = 0 at its root, the component's
     smallest vertex.  Returns (f, roots in ascending order)."""
+    # Imported here: csgraph loads scipy.sparse.linalg and scipy.linalg, which
+    # a command that integrates no beta never needs.
+    from scipy.sparse.csgraph import breadth_first_order
+
     n_v = m.n_vertices
     parent = np.full(n_v, -1)
     roots = []

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from . import fields
 from .errors import GeometryDomainError
@@ -103,6 +101,30 @@ def gather(positions, index):
     gathered row by row from ``positions.T``: the stacked view of one
     C-contiguous (k, len(index)) buffer, like :attr:`DiscreteImmersion.positions`."""
     return np.take(positions.T, index, axis=1).T
+
+
+def component_count(n_vertices, edges):
+    """The number of connected components of the graph on ``n_vertices``
+    vertices with ``edges`` (E, 2), an isolated vertex counting as one.
+
+    Each round hooks the larger root of every edge whose two roots differ
+    onto the smaller (the least of them, by ``np.minimum.at``), then
+    pointer-jumps until every vertex points at its root.  The next round
+    takes only those edges, as the pairs of their roots (Shiloach and
+    Vishkin, J. Algorithms 1982).  A vertex only ever points at a smaller
+    one, so the forest has no cycle, and each round hooks at least one root:
+    the count is exact."""
+    root = np.arange(n_vertices)
+    a, b = np.asarray(edges, int).reshape(-1, 2).T
+    while True:
+        ra, rb = root[a], root[b]
+        differ = ra != rb
+        if not differ.any():
+            return int(np.count_nonzero(root == np.arange(n_vertices)))
+        a, b = np.minimum(ra, rb)[differ], np.maximum(ra, rb)[differ]
+        np.minimum.at(root, b, a)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
 
 def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
@@ -241,7 +263,7 @@ class SurfaceMesh:
 
     def _validate(self):
         chi = self.n_vertices - len(self.edges) + len(self.triangles)
-        n_comp, _ = connected_components(self.vertex_graph, directed=False)
+        n_comp = component_count(self.n_vertices, self.edges)
         expected = 2 * n_comp - 2 * self.genus - len(self.boundary_loops)
         if chi != expected:
             raise GeometryDomainError(
@@ -254,7 +276,10 @@ class SurfaceMesh:
     def vertex_graph(self):
         """(V, V) CSR matrix with a 1 at (tail, head) of each canonical edge;
         ``vertex_graph + vertex_graph.T`` is the symmetric adjacency, filled
-        straight from the edges, which are sorted by (tail, head)."""
+        straight from the edges, which are sorted by (tail, head).  Built on
+        first use: only beta's breadth-first spanning tree
+        (:func:`~legsurf.immersion.mean_curvature_one_form`) reads it; the
+        component counts come from :func:`component_count` on the edges."""
         n_v = self.n_vertices
         indptr = np.searchsorted(self.edges[:, 0], np.arange(n_v + 1))
         return sp.csr_matrix((np.ones(len(self.edges)), self.edges[:, 1], indptr), shape=(n_v, n_v))
@@ -299,10 +324,13 @@ class SurfaceMesh:
         constant, the matrix commutes with the grid's translations and the
         solver is its :class:`GridSolver`; otherwise it is the matrix's sparse
         LU factor, its columns ordered on the pattern of A + A^T (A is
-        symmetric)."""
+        symmetric).  Only that branch imports ``scipy.sparse.linalg`` (with
+        ``scipy.linalg``), so a command that factors nothing never loads them."""
         matrix = self.stiffness(edge_weights, diagonal)
         if self.grid_shape is not None and np.ptp(edge_weights) == 0 and np.ptp(diagonal) == 0:
             return GridSolver(matrix, self.grid_shape)
+        import scipy.sparse.linalg as spla
+
         return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
     @functools.cached_property
@@ -489,8 +517,7 @@ class DiscreteImmersion:
         verts = np.flatnonzero(used)
         renumber = np.cumsum(used) - 1
         edges = renumber[m.edges.T[:, np.unique(m.face_edges[faces])]]  # (2, E) rows
-        graph = sp.csr_matrix((np.ones(edges.shape[1]), edges), shape=(len(verts),) * 2)
-        n_comp = connected_components(graph, directed=False)[0]
+        n_comp = component_count(len(verts), edges.T)
         n_loops = 2 * n_comp - (len(verts) - edges.shape[1] + tri.shape[1])
         tri, rows = renumber[tri], np.take(self.positions.T, verts, axis=1)
         tri.flags.writeable = rows.flags.writeable = False  # fresh row gathers: kept, not copied

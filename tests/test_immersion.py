@@ -232,6 +232,15 @@ class TestMeshValidation:
                 boundary_loops=fp.mesh.boundary_loops,
             )
 
+    def test_euler_characteristic_counts_components(self):
+        # Two disks: chi = 2 = 2 * 2 components - 2 loops, so one loop short fails.
+        m = corpus.double_sheet(5).mesh
+        rebuilt = lambda loops: SurfaceMesh(m.triangles, m.n_vertices, uv=m.uv, boundary_loops=loops)
+        rebuilt(m.boundary_loops)
+        with pytest.raises(GeometryDomainError, match=r"Euler characteristic 2 .* 2 components "
+                                                      r"and 1 boundary loops \(expected 3\)"):
+            rebuilt(m.boundary_loops[:1])
+
     def test_orientation_enforced(self):
         with pytest.raises(GeometryDomainError):
             SurfaceMesh(

@@ -9,7 +9,9 @@ assembly; a flipped face must name the repeated directed edge that
 ``np.unique`` finds; and on seamed tori FaceData and the energy gradient
 must match a build with dense (V, dim) seam shifts.  The signed face edges
 must follow the relabelling, close every exact edge form, and give the face
-one-form of an exact form as the gradient of its vertex values.
+one-form of an exact form as the gradient of its vertex values.  The NumPy
+component count must equal ``scipy.sparse.csgraph``'s on relabelled meshes,
+on arbitrary edge lists and on the density curve's sublevel subgraphs.
 """
 
 import dataclasses
@@ -17,14 +19,16 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.sparse.csgraph import connected_components
 
 import reference_loops as ref
 from legsurf import corpus, energy, gauge_lab
 from legsurf.errors import GeometryDomainError
 from legsurf.immersion import FaceData
-from legsurf.mesh import SurfaceMesh
+from legsurf.mesh import SurfaceMesh, component_count
 
 MESHES = {
     "flat_patch": lambda: corpus.flat_patch(6),  # faces with one and two neighbours
@@ -179,6 +183,64 @@ def test_stencil_matches_pinv_after_relabelling(name, seed):
     np.testing.assert_array_equal(new.indptr, old.indptr)
     np.testing.assert_array_equal(new.indices, old.indices)
     np.testing.assert_allclose(new.data, old.data, rtol=0, atol=1e-12)
+
+
+def _csgraph_count(n_vertices, edges):
+    """scipy's count of the components of the graph with ``edges`` (E, 2)."""
+    edges = np.asarray(edges, int).reshape(-1, 2)
+    graph = sp.csr_matrix((np.ones(len(edges)), edges.T), shape=(n_vertices, n_vertices))
+    return connected_components(graph, directed=False)[0]
+
+
+@relabellings
+@settings(max_examples=40, deadline=None)
+def test_component_count_matches_csgraph_after_relabelling(name, seed):
+    mesh = _relabelled(MESHES[name]().mesh, seed)
+    want = connected_components(mesh.vertex_graph, directed=False)[0]
+    assert component_count(mesh.n_vertices, mesh.edges) == want
+    assert want == (2 if name == "double_sheet" else 1)
+
+
+@hst.composite
+def edge_lists(draw):
+    """A vertex count and an edge list on it, possibly empty, with isolated
+    vertices, self-loops, and some edges repeated and some reversed."""
+    n = draw(hst.integers(1, 200))
+    vertex = hst.integers(0, n - 1)
+    edges = draw(hst.lists(hst.tuples(vertex, vertex), max_size=2 * n))
+    repeated = draw(hst.lists(hst.sampled_from(edges), max_size=10)) if edges else []
+    reversed_ = [(b, a) for a, b in draw(hst.lists(hst.sampled_from(edges), max_size=10))] if edges else []
+    return n, edges + repeated + reversed_
+
+
+@given(graph=edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_component_count_matches_csgraph_on_edge_lists(graph):
+    n, edges = graph
+    assert component_count(n, edges) == _csgraph_count(n, edges)
+
+
+def test_component_count_without_edges_counts_every_vertex():
+    assert component_count(0, []) == 0
+    assert component_count(7, np.empty((0, 2), int)) == 7
+
+
+SUBLEVEL_MESHES = {
+    "double_sheet": lambda: corpus.double_sheet(5),
+    "perturbed_clifford": lambda: corpus.perturbed_clifford(8),
+}
+
+
+@given(name=hst.sampled_from(sorted(SUBLEVEL_MESHES)), vertex=hst.integers(0, 10**6),
+       levels=hst.lists(hst.floats(0.0, 1.0), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_sublevel_component_count_matches_csgraph(name, vertex, levels):
+    imm = SUBLEVEL_MESHES[name]()
+    gf = gauge_lab.gauge_fields(imm, imm.positions[vertex % imm.mesh.n_vertices])
+    for s in np.quantile(gf.r, levels):  # the smallest radius leaves no vertex inside
+        idx = np.flatnonzero(gf.r < s)
+        want = connected_components(imm.mesh.vertex_graph[idx][:, idx], directed=False)[0]
+        assert gauge_lab._component_count(imm, gf.r, s) == want
 
 
 def _rel_err(a, b):
