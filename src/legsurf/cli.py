@@ -53,14 +53,15 @@ def _is_numbers(v):
 
 #: Each kind of config value: its test and the keys, in every command, that take it.
 KINDS = {
-    "an integer": (_is_int, ("seed", "resolution", "max_iters")),
+    "a non-negative integer": (lambda v: _is_int(v) and v >= 0, ("seed",)),
+    "an integer": (_is_int, ("resolution", "max_iters")),
     "a number": (_is_number, ("base_value", "amplitude", "epsilon", "tol_scale", "tau_init",
                               "tau_min", "armijo", "min_radius", "r0", "eta")),
     "a string": (lambda v: isinstance(v, str), ("grid", "mesh", "family", "target")),
     "a boolean": (lambda v: isinstance(v, bool), ("inject_bug",)),
     "a list of numbers": (_is_numbers, ("epsilon_schedule", "radii")),
-    "a list of integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                           ("resolution_ladder",)),
+    "a non-empty list of integers": (lambda v: v and isinstance(v, list) and all(map(_is_int, v)),
+                                     ("resolution_ladder",)),
     "a string or a list of numbers": (lambda v: isinstance(v, str) or _is_numbers(v),
                                       ("base_point",)),
 }
@@ -224,6 +225,7 @@ def cmd_energy(config, out_dir):
 
 
 def cmd_descend(config, out_dir):
+    import scipy.sparse.linalg  # first: after the mesh's arrays, the import costs more (README)
     imm = _load_or_generate(config)
     opts = energy.DescentOptions(**{key: config[key] for key in DESCENT_OPTIONS})
     out = Path(out_dir)
@@ -346,6 +348,7 @@ def cmd_monotonicity(config, out_dir):
 
 
 def cmd_clifford_demo(config, out_dir):
+    import scipy.sparse.csgraph  # before the arrays, as in cmd_descend
     out = Path(out_dir)
     n = config["resolution"]
     imm = corpus.generate("clifford_lift", n=n)

@@ -198,13 +198,13 @@ def restore_constraint(imm: DiscreteImmersion):
     controllable by its endpoints.  Moving vertex v to move(p_v, s_v R)
     changes r_e by c_e (s_tail - s_head), c = ``reeb_slope`` (the Reeb flow
     of both ends leaves r_e unchanged), so the Jacobian is diag(c) D with D
-    the mesh's signed edge incidence.  Its normal matrix D^T c^2 D + 1e-14 I
-    is solved by the mesh's cached :attr:`SurfaceMesh.reeb_solver` where
-    every c is 1 (always, on the flat target), by a fresh
-    :meth:`SurfaceMesh.laplacian_solver` otherwise.  The 1e-14 shift leaves
-    the constant mode of the correction to rounding, so its mean is
-    subtracted: an LU and an FFT solve then agree.  The edges' seam offsets
-    are the mesh's cached
+    the signed edge incidence (D^T: :meth:`SurfaceMesh.edge_divergence`).
+    Its normal matrix D^T c^2 D + 1e-14 I is solved by the mesh's cached
+    :attr:`SurfaceMesh.reeb_solver` where every c is 1 (always, on the flat
+    target), by a fresh :meth:`SurfaceMesh.laplacian_solver` otherwise.
+    The 1e-14 shift leaves the constant mode of the correction to rounding,
+    so its mean is subtracted: an LU and an FFT solve then agree.  The
+    edges' seam offsets are the mesh's cached
     :meth:`DiscreteImmersion.edge_offsets`; each pass's tail positions and
     edge differences are one :func:`~legsurf.mesh.seam_differences`, as in
     :meth:`DiscreteImmersion.edge_differences`.  The positions stay the
@@ -236,7 +236,7 @@ def restore_constraint(imm: DiscreteImmersion):
         slopes = geo.reeb_slope(p_tail, delta)
         solver = (m.reeb_solver if np.all(slopes == 1.0)
                   else m.laplacian_solver(slopes * slopes, 1e-14))
-        sol = solver.solve(-(m.edge_incidence.T @ (slopes * r)))
+        sol = solver.solve(-m.edge_divergence(slopes * r))
         sol -= np.mean(sol)
         positions = geo.move(positions, sol[:, None] * geo.reeb(positions))
         r, p_tail, delta, res_max = residual(positions)

@@ -193,13 +193,11 @@ class FaceData:
         :attr:`SurfaceMesh.gauss_stencil`, its Gram matrix P = A A^T (F, 2, 2)
         and |dT|^2_g = sum(ginv * P) (F,).  None depends on eps.
 
-        The stencil's row 2f + a is derivative a of face f, so its product
-        with the (F, K2) Gauss field is the row-major A; one transposing copy
-        stores A as a (K2, 2, F) buffer and P as (2, 2, F), like g."""
-        t = self.gauss
-        a_rows = np.ascontiguousarray(
-            (self.mesh.gauss_stencil @ np.ascontiguousarray(t)).reshape(len(t), 2, -1).T
-        )
+        A gathers the Gauss rows at the stencil's slots and contracts them with
+        its weights, in the order of the stencil matrix's product, with the
+        same bits and no sparse matrix; A is (K2, 2, F) and P (2, 2, F), like g."""
+        slots, weights = self.mesh.gauss_stencil
+        a_rows = np.einsum("ajf,ijf->iaf", weights, np.take(self.gauss.T, slots, axis=1))
         aat = _block_gram(a_rows, a_rows)
         g = self.ginv.T
         quad = g[0, 0] * aat[0, 0] + 2.0 * g[0, 1] * aat[0, 1] + g[1, 1] * aat[1, 1]
@@ -306,12 +304,12 @@ class MeanCurvatureForm:
 def mean_curvature_edges(imm: DiscreteImmersion):
     """gamma, the mean-curvature one-form on each canonical edge (tail ->
     head), and the cotangent weights and vertex areas of its cot-Laplacian,
-    D^T of the weighted chords (D the :attr:`SurfaceMesh.edge_incidence`)."""
+    D^T of the weighted chords (:meth:`SurfaceMesh.edge_divergence`)."""
     m = imm.mesh
     weights, areas = cotangent_weights(imm)
     chords = edge_chords(imm)  # minus these framed at the heads
     # cot-Laplacian of the immersion per vertex, in frame components at the vertex
-    lap = (m.edge_incidence.T @ (weights[:, None] * chords)) / areas[:, None]
+    lap = m.edge_divergence(weights[:, None] * chords) / areas[:, None]
     g_vec = imm.geometry.j(imm.geometry.horizontal(imm.positions, lap))
     gamma = -0.5 * np.sum((g_vec[m.edges[:, 0]] + g_vec[m.edges[:, 1]]) * chords, axis=-1)
     return gamma, weights, areas
@@ -345,7 +343,7 @@ def mean_curvature_one_form(imm: DiscreteImmersion) -> MeanCurvatureForm:
             raise GeometryDomainError(f"generator loop uses missing edge ({a[i]}, {b[i]})")
         periods.append(float(np.sum(np.where(a < b, 0.5, -0.5) * gamma[e])))
 
-    lap_beta = (m.edge_incidence.T @ (weights * 0.5 * gamma)) / areas
+    lap_beta = m.edge_divergence(weights * 0.5 * gamma) / areas
 
     return MeanCurvatureForm(
         gamma=gamma,

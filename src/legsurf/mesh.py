@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fields
 from .errors import GeometryDomainError
@@ -274,12 +273,12 @@ class SurfaceMesh:
 
     @functools.cached_property
     def vertex_graph(self):
-        """(V, V) CSR matrix with a 1 at (tail, head) of each canonical edge;
-        ``vertex_graph + vertex_graph.T`` is the symmetric adjacency, filled
-        straight from the edges, which are sorted by (tail, head).  Built on
-        first use: only beta's breadth-first spanning tree
-        (:func:`~legsurf.immersion.mean_curvature_one_form`) reads it; the
-        component counts come from :func:`component_count` on the edges."""
+        """(V, V) CSR matrix with a 1 at (tail, head) of each canonical edge,
+        filled straight from the sorted edges on first use (importing
+        ``scipy.sparse``): only beta's spanning tree reads it
+        (:func:`~legsurf.immersion.mean_curvature_one_form`)."""
+        import scipy.sparse as sp
+
         n_v = self.n_vertices
         indptr = np.searchsorted(self.edges[:, 0], np.arange(n_v + 1))
         return sp.csr_matrix((np.ones(len(self.edges)), self.edges[:, 1], indptr), shape=(n_v, n_v))
@@ -292,19 +291,23 @@ class SurfaceMesh:
         e = np.minimum(np.searchsorted(self.edge_keys, keys), len(self.edge_keys) - 1)
         return np.where(self.edge_keys[e] == keys, e, -1)
 
-    @functools.cached_property
-    def edge_incidence(self):
-        """(E, V) signed incidence D: +1 at each edge's tail, -1 at its head."""
-        n_e = len(self.edges)
-        return sp.csr_matrix(
-            (np.tile([1.0, -1.0], n_e), (np.repeat(np.arange(n_e), 2), self.edges.ravel())),
-            shape=(n_e, self.n_vertices),
-        )
+    def edge_divergence(self, values):
+        """D^T values, (V,) or (V, k), of edge ``values`` (E,) or (E, k), D the
+        (E, V) signed incidence (+1 at each tail, -1 at each head), with no
+        matrix: per component one ``np.bincount`` over the edges' (tail, head)
+        pairs weighted (y, -y), adding in edge order as ``D.T @ values`` does."""
+        values = np.asarray(values, float)
+        ends, n_v = self.edges.ravel(), self.n_vertices
+        out = [np.bincount(ends, np.stack([y, -y], axis=1).ravel(), minlength=n_v)
+               for y in values.reshape(len(values), -1).T]
+        return np.stack(out, axis=1).reshape((n_v,) + values.shape[1:])
 
     def stiffness(self, edge_weights, diagonal):
         """CSC matrix of sum_e w_e (1_tail - 1_head)(1_tail - 1_head)^T + diag(diagonal),
         the sparse sum of a COO Laplacian and the diagonal (an array, or one
-        number for every vertex)."""
+        number for every vertex); it imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
         n_v = self.n_vertices
         tails, heads = self.edges[:, 0], self.edges[:, 1]
         w = edge_weights
@@ -324,8 +327,8 @@ class SurfaceMesh:
         constant, the matrix commutes with the grid's translations and the
         solver is its :class:`GridSolver`; otherwise it is the matrix's sparse
         LU factor, its columns ordered on the pattern of A + A^T (A is
-        symmetric).  Only that branch imports ``scipy.sparse.linalg`` (with
-        ``scipy.linalg``), so a command that factors nothing never loads them."""
+        symmetric), and only that branch imports ``scipy.sparse.linalg`` (with
+        ``scipy.linalg``).  Only ``descend`` solves, so no other command loads them."""
         matrix = self.stiffness(edge_weights, diagonal)
         if self.grid_shape is not None and np.ptp(edge_weights) == 0 and np.ptp(diagonal) == 0:
             return GridSolver(matrix, self.grid_shape)
@@ -335,8 +338,8 @@ class SurfaceMesh:
 
     @functools.cached_property
     def reeb_solver(self):
-        """The :meth:`laplacian_solver` of D^T D + 1e-14 I, D the
-        :attr:`edge_incidence`: the constraint restoration's normal matrix at
+        """The :meth:`laplacian_solver` of D^T D + 1e-14 I (D^T is
+        :meth:`edge_divergence`): the constraint restoration's normal matrix at
         unit Reeb slopes (always, on the flat target), built on first use."""
         return self.laplacian_solver(np.ones(len(self.edges)), 1e-14)
 
@@ -397,19 +400,17 @@ class SurfaceMesh:
 
     @functools.cached_property
     def gauss_stencil(self):
-        """The (2F, F) CSR neighbour-differencing stencil D of the Gauss-map
-        gradient, built on first use; GeometryDomainError without uv.
+        """The Gauss-map gradient's differencing stencil, read-only (4, F) slots
+        and (2, 4, F) weights built on first use; GeometryDomainError without uv.
 
         Face f with neighbours n_j (in face-edge order) gets the least-squares
         weights q_f = pinv(bary[n_j] - bary[f]) (see :func:`_lsq_weights`) of
         the barycentres of its unwrapped corners (:attr:`face_uv`), the
-        parameter differences unwrapped across the seam; row 2f + a holds
-        q_f[a, j] at column n_j and -sum_j q_f[a, j] at column f, so
-        (D @ t)[2f + a] = sum_j q_f[a, j] (t[n_j] - t[f]).  A missing
-        neighbour is a zero row of its block, so every face is solved at once;
-        faces without neighbours get empty rows.  The entries are written
-        straight into their sorted CSR slots.
-        """
+        parameter differences unwrapped across the seam.  Its slots are the
+        n_j and f in ascending order, weighted q_f[a, j] and -sum_j q_f[a, j],
+        so sum_j weights[a, j, f] t[slots[j, f]] = sum_j q_f[a, j] (t[n_j] - t[f]).
+        A missing neighbour is a zero row of its block, so every face is
+        solved at once, and a slot f of weight 0 after the others."""
         if self.uv is None:
             raise GeometryDomainError("the Gauss-map stencil requires uv parameters")
         n_f = len(self.triangles)
@@ -425,26 +426,27 @@ class SurfaceMesh:
                 d -= np.round(d / periods[a]) * periods[a]
             d[~has] = 0.0
         q = _lsq_weights(delta) * has
+        cols = np.vstack([np.where(has, nbrs, n_f + np.arange(n_f)), np.arange(n_f)])
+        order = np.argsort(cols, axis=0, kind="stable")  # a missing n_f + f sorts last
+        slots = np.take_along_axis(cols, order, axis=0) % n_f
         vals = np.concatenate([q, -q.sum(axis=1, keepdims=True)], axis=1)  # (2, 4, F)
-        # Columns n_0, n_1, n_2, f, a missing neighbour as F (past every face);
-        # entry j of row 2f + a goes to slot indptr[2f + a] + its rank there.
-        cols = np.vstack([np.where(has, nbrs, n_f), np.arange(n_f)])
-        keep = np.vstack([has, has.any(axis=0)])
-        indptr = np.zeros(2 * n_f + 1, int)
-        np.cumsum(np.repeat(keep.sum(axis=0), 2), out=indptr[1:])
-        nnz = int(indptr[-1])
-        data, indices = np.empty(nnz + 1), np.empty(nnz + 1, int)  # slot nnz takes the dropped
-        for j in range(4):
-            rank = sum((cols[i] <= cols[j]) if i < j else (cols[i] < cols[j])
-                       for i in range(4) if i != j)
-            pos = np.where(keep[j], indptr[:-1].reshape(n_f, 2).T + rank, nnz)
-            data[pos], indices[pos] = vals[:, j], cols[j]
-        return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(2 * n_f, n_f))
+        weights = np.take_along_axis(vals, order[None], axis=1)
+        slots.flags.writeable = weights.flags.writeable = False
+        return slots, weights
 
     @functools.cached_property
     def gauss_stencil_t(self):
-        """The CSR transpose of :attr:`gauss_stencil`, built on first use."""
-        return self.gauss_stencil.T.tocsr()
+        """The CSR transpose of the (2F, F) :attr:`gauss_stencil` matrix (row 2f + a:
+        weights[a, j, f] at column slots[j, f], for f and its neighbours only), built
+        from the tables on first use for the adjoint; it imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        slots, weights = self.gauss_stencil
+        n_nbrs = (self.face_neighbors >= 0).sum(axis=1)
+        keep = np.repeat(np.arange(4) < (n_nbrs + (n_nbrs > 0))[:, None], 2, axis=0)  # (2F, 4)
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        data, cols = weights.transpose(2, 0, 1).reshape(-1, 4)[keep], np.repeat(slots.T, 2, 0)[keep]
+        return sp.csr_matrix((data, cols, indptr), shape=(len(keep), len(n_nbrs))).T.tocsr()
 
 
 @dataclass

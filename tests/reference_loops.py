@@ -415,7 +415,7 @@ def face_data_arrays(imm):
 def gauss_gradients(fd):
     """Gauss-field parameter gradients and |dT|^2_g by a three-operand einsum."""
     t = fd.gauss
-    a_list = (fd.mesh.gauss_stencil @ t).reshape(len(t), 2, t.shape[1])
+    a_list = (stencil_matrix(fd.mesh) @ t).reshape(len(t), 2, t.shape[1])
     quad = np.einsum("fab,fai,fbi->f", fd.ginv, a_list, a_list)
     return a_list, quad
 
@@ -499,7 +499,7 @@ def energy_first_variation(asm, imm, eps, w_field):
     wnorm_dot = np.sum(t * w_dot, axis=-1)
     area_dot = fd.uv_area * wnorm_dot
     t_dot = (w_dot - wnorm_dot[:, None] * t) / fd.wnorm[:, None]
-    a_dot = (imm.mesh.gauss_stencil @ t_dot).reshape(a_list.shape)
+    a_dot = (stencil_matrix(imm.mesh) @ t_dot).reshape(a_list.shape)
     ginv = fd.ginv
     g_dot = np.stack(
         [np.stack([g11_dot, g12_dot], axis=-1), np.stack([g12_dot, g22_dot], axis=-1)], axis=-2
@@ -627,6 +627,32 @@ def grid_triangles(n1, n2, wrap1=False, wrap2=False, offset=0):
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return tris
+
+
+def incidence(m):
+    """The (E, V) signed incidence D of the mesh's canonical edges: +1 at each
+    edge's tail, -1 at its head."""
+    n_e = len(m.edges)
+    return sp.csr_matrix(
+        (np.tile([1.0, -1.0], n_e), (np.repeat(np.arange(n_e), 2), m.edges.ravel())),
+        shape=(n_e, m.n_vertices),
+    )
+
+
+def stencil_matrix(m):
+    """The (2F, F) CSR matrix of the mesh's Gauss stencil tables
+    (``SurfaceMesh.gauss_stencil``): row 2f + a holds weights[a, j, f] at
+    column slots[j, f] for each of f's neighbours and f itself, in slot
+    order; a face without neighbours has empty rows."""
+    slots, weights = m.gauss_stencil
+    n_f = slots.shape[1]
+    n_nbrs = (m.face_neighbors >= 0).sum(axis=1)
+    keep = np.arange(4) < (n_nbrs + (n_nbrs > 0))[:, None]  # (F, 4)
+    rows = [(2 * f + a, slots[j, f], weights[a, j, f])
+            for f in range(n_f) for a in range(2) for j in range(4) if keep[f, j]]
+    indptr = np.searchsorted([r for r, _, _ in rows], np.arange(2 * n_f + 1))
+    return sp.csr_matrix(([w for _, _, w in rows], [c for _, c, _ in rows], indptr),
+                         shape=(2 * n_f, n_f))
 
 
 def gauss_stencil_pinv(m, uv):

@@ -1,6 +1,6 @@
-"""Malformed descent options and resolutions: GeometryDomainError in the
-library and exit status 2 from the CLI, never a traceback or a silent run;
-and the restoration figures each trajectory record carries."""
+"""Malformed descent options, resolutions and seeds: GeometryDomainError in
+the library and exit status 2 from the CLI, never a traceback or a silent
+run; and the restoration figures each trajectory record carries."""
 
 import json
 import math
@@ -87,6 +87,19 @@ def test_bad_resolution_exits_two(tmp_path, capsys, command, family, n):
         args += ["--epsilon", "0.2"]
     assert cli.main(args) == 2
     assert "resolution must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,args", [
+    ("verify-identities", []),
+    ("energy", ["--family", "perturbed_clifford", "--resolution", "8", "--epsilon", "0.2"]),
+    ("density", ["--family", "flat_patch", "--resolution", "8"]),
+])
+def test_negative_seed_flag_exits_two(tmp_path, capsys, command, args):
+    out = tmp_path / "out"
+    assert cli.main([command, *args, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config key seed must be a non-negative integer, got -1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", TARGETS)

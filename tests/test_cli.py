@@ -504,6 +504,26 @@ class TestCliffordDemo:
         assert not (tmp_path / "clifford_demo.json").exists()
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("energy", {"family": "perturbed_clifford", "seed": -3, "epsilon": 0.2},
+     "config key seed must be a non-negative integer, got -3"),
+    ("descend", {"family": "perturbed_clifford", "seed": -1, "epsilon_schedule": [0.2]},
+     "config key seed must be a non-negative integer, got -1"),
+    ("verify-identities", {"seed": -2},
+     "config key seed must be a non-negative integer, got -2"),
+    ("monotonicity", {"resolution_ladder": []},
+     "config key resolution_ladder must be a non-empty list of integers, got []"),
+], ids=["energy-seed", "descend-seed", "identities-seed", "empty-ladder"])
+def test_config_value_out_of_range_exits_two(tmp_path, command, config, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    r = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "config error: " + message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 class TestSolverAbortExit:
     def test_exit_code_four(self, tmp_path):
         config = tmp_path / "c.json"

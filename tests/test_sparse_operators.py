@@ -45,7 +45,7 @@ def test_stencil_matches_face_loops(family, kw):
     a_list, _, _ = fd.gauss_gradients
     assert _rel_err(a_list, ref.stencil_apply(nbrs, q, fd.gauss)) < 1e-13
     t_dot = rng.normal(size=fd.gauss.shape)
-    a_dot = (imm.mesh.gauss_stencil @ t_dot).reshape(a_list.shape)
+    a_dot = (ref.stencil_matrix(imm.mesh) @ t_dot).reshape(a_list.shape)
     assert _rel_err(a_dot, ref.stencil_apply(nbrs, q, t_dot)) < 1e-13
     a_bar = rng.normal(size=a_list.shape)
     t_bar = imm.mesh.gauss_stencil_t @ a_bar.reshape(-1, fd.gauss.shape[1])
@@ -57,9 +57,77 @@ def test_single_face_has_empty_stencil():
     imm = DiscreteImmersion(mesh=mesh, target="heisenberg",
                             positions=[[0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]])
     asm = EnergyAssembler(imm)
-    assert mesh.gauss_stencil.shape == (2, 1) and mesh.gauss_stencil.nnz == 0
+    slots, weights = mesh.gauss_stencil
+    assert slots.tolist() == [[0]] * 4 and not weights.any()
+    assert mesh.gauss_stencil_t.shape == (1, 2) and mesh.gauss_stencil_t.nnz == 0
     e = asm.energy(imm, 0.5)
     assert e.penalty == pytest.approx(0.5**4 * e.area, rel=1e-14)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _isolated_faces():
+    """A patch of three faces of the Clifford torus that share no edge: every
+    face lacks all three neighbours."""
+    imm = corpus.clifford_lift(8)
+    nbrs = imm.mesh.face_neighbors
+    faces = [0]
+    for f in range(len(nbrs)):
+        if not any(g in nbrs[f] or g == f for g in faces) and len(faces) < 3:
+            faces.append(f)
+    return imm.restrict(np.array(faces))
+
+
+def _ball(imm):
+    """The gauge-ball patch about vertex 0, whose faces cross the seam."""
+    return gauge_lab.gauge_ball(imm, imm.positions[0], 1.0)
+
+
+# Meshes with boundary faces (one and two neighbours), seam faces on both
+# targets, the cone's three-face fan, a gauge-ball patch and faces with no
+# neighbour at all.
+KERNEL_CASES = {
+    "flat_patch": lambda: corpus.flat_patch(6),
+    "clifford-heisenberg": lambda: corpus.clifford_lift(8, target="heisenberg", warp=0.3),
+    "clifford-stiefel": lambda: corpus.clifford_lift(8, target="stiefel", warp=0.3),
+    "cone": corpus.cone_fixture,
+    "patch": lambda: _ball(corpus.clifford_lift(12)),
+    "isolated": _isolated_faces,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_edge_divergence_equals_incidence_product(case):
+    imm = KERNEL_CASES[case]()
+    m = imm.mesh
+    d_t = ref.incidence(m).T
+    rng = np.random.default_rng(5)
+    n_e, k = len(m.edges), imm.positions.shape[1]
+    for shape in [(n_e,), (n_e, 1), (n_e, k)]:
+        y = rng.standard_normal(shape)
+        for values in (y, np.ascontiguousarray(y.T).T):  # row-major, and component rows
+            assert _bits(m.edge_divergence(values)) == _bits(d_t @ values)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_gathered_gauss_gradient_equals_stencil_product(case):
+    imm = KERNEL_CASES[case]()
+    m = imm.mesh
+    if imm.target == "heisenberg":
+        rng = np.random.default_rng(6)
+        imm = imm.with_positions(imm.positions + 1e-2 * rng.normal(size=imm.positions.shape))
+    a_list = imm.face_data.gauss_gradients[0]  # (F, 2, K2)
+    matrix = ref.stencil_matrix(m)
+    want = (matrix @ np.ascontiguousarray(imm.face_data.gauss)).reshape(a_list.shape)
+    assert _bits(a_list) == _bits(want)
+    # The adjoint's CSR, built from the same tables, is that matrix
+    # transposed, entry for entry.
+    got, want_t = m.gauss_stencil_t, matrix.T.tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want_t, name)), name
 
 
 @pytest.mark.parametrize("family,kw", MESH_CASES)

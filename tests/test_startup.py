@@ -1,11 +1,13 @@
-"""What a fresh ``legsurf`` process imports of SciPy's solver stack.
+"""What a fresh ``legsurf`` process imports of SciPy.
 
-``scipy.sparse.csgraph`` loads ``scipy.sparse.linalg`` and ``scipy.linalg``
-at import, and together they cost about a fifth of the CPU time of
-``import legsurf.cli``.  Only the LU factor (``SurfaceMesh.laplacian_solver``
-off periodic grids) and beta's spanning tree need them, so importing the CLI
-and running a one-shot command must not load any of the three, while
-``descend`` must load the LU.
+Importing SciPy's sparse package costs about half the CPU time of
+``import legsurf.cli``, and its solver stack (``scipy.sparse.linalg``,
+``scipy.linalg`` and ``scipy.sparse.csgraph``) more.  Only ``descend``
+builds a sparse matrix (the Laplacian stiffness and the Gauss stencil's
+adjoint) and factors one, and only beta's spanning tree (``clifford-demo``)
+walks a graph, so importing the CLI and running a one-shot command must not
+load any SciPy module, while ``descend`` must load the LU and
+``clifford-demo`` the graph search.
 Each case runs in its own interpreter, since a module once loaded stays in
 ``sys.modules``.
 """
@@ -19,22 +21,20 @@ import pytest
 
 from legsurf import heisenberg as hs
 
-SOLVER_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
-
 # argv[1:] is the command line for ``main`` (none: import only); prints the
-# solver modules loaded afterwards.
-PROBE = f"""
+# SciPy modules loaded afterwards.
+PROBE = """
 import json, sys
 from legsurf.cli import main
 args = sys.argv[1:]
 code = main(args) if args else 0
-print(json.dumps([code, sorted(m for m in {SOLVER_MODULES!r} if m in sys.modules)]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
 def loaded_after(*args):
-    """The exit code of ``main(args)`` in a fresh interpreter, and the
-    :data:`SOLVER_MODULES` loaded after it."""
+    """The exit code of ``main(args)`` in a fresh interpreter, and the SciPy
+    modules loaded after it."""
     r = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     code, modules = json.loads(r.stdout.splitlines()[-1])
@@ -85,3 +85,8 @@ def test_descend_loads_the_sparse_lu(tmp_path):
                           epsilon_schedule=[0.2], max_iters=1, seed=3)
     code, modules = loaded_after("descend", "--config", config, "--out", str(tmp_path))
     assert code == 0 and "scipy.sparse.linalg" in modules
+
+
+def test_clifford_demo_loads_the_graph_search(tmp_path):
+    code, modules = loaded_after("clifford-demo", "--resolution", "8", "--out", str(tmp_path))
+    assert code == 0 and "scipy.sparse.csgraph" in modules
